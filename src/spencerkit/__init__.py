@@ -6,7 +6,7 @@ elliptic operator, and verifies the structural identities numerically or
 symbolically at desk scale.
 """
 
-from .expr import Expr, ExprNameError, ExprSyntaxError, parse_expr, symbolic_diff
+from .expr import Expr, ExprNameError, ExprSyntaxError, parse_expr
 from .fields import (
     ComplexField,
     EvaluationError,

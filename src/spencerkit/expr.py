@@ -7,8 +7,24 @@ variables ``x1 .. xd``, unary minus, binary ``+ - * / ^`` and the functions
 which keeps differentiation closed over the node set (the derivative of any
 expression is again an expression).
 
-ASTs are immutable.  ``parse_expr`` and ``str()`` round-trip: parsing the
-printed form of an AST reproduces the AST.
+ASTs are immutable, so one node object may be shared by many parents: the
+smart constructors and derivatives reuse subexpressions instead of copying
+them, and an expression is a graph whose expanded tree can be far larger.
+Every operation works on that graph:
+
+* each node records ``max_var_index()`` when it is built, and caches
+  ``str()`` and ``derivative(axis)`` (one entry per axis) on first use.
+  These live in the instance dictionary, outside the dataclass fields, so
+  structural ``==``, ``hash`` and ``repr`` are unaffected;
+* ``evaluate``, ``evaluate_all`` and ``substitute`` compute each distinct
+  node once per call, children first, and drop a node's value after its
+  last parent used it;
+* every walk keeps an explicit stack, so deep expressions (a sum of
+  thousands of terms) need no recursion.  Only the parser recurses, and it
+  bounds parenthesis and unary-minus nesting by ``MAX_NESTING``.
+
+``parse_expr`` and ``str()`` round-trip: parsing the printed form of an AST
+reproduces the AST.
 """
 
 from __future__ import annotations
@@ -31,7 +47,7 @@ __all__ = [
     "ExprSyntaxError",
     "ExprNameError",
     "parse_expr",
-    "symbolic_diff",
+    "evaluate_all",
     "add",
     "sub",
     "mul",
@@ -69,36 +85,146 @@ class ExprNameError(ValueError):
         self.offset = offset
 
 
+def _walk(roots, skip=None, uses=None) -> list["Expr"]:
+    """Distinct node objects under ``roots``, each once, children first.
+
+    Nodes for which ``skip(node)`` holds are neither listed nor entered.
+    With ``uses``, each listed node's parent edges within the walk are
+    counted into it, keyed by ``id``.  The walk keeps its own stack, so
+    graph depth is not bounded by recursion.
+    """
+    order = []
+    seen = set()
+    done = set()
+    stack = list(reversed(roots))
+    while stack:
+        node = stack.pop()
+        key = id(node)
+        if key in seen:
+            # Either the node's own second visit, pushed below its children
+            # and so reached once they are finished, or a visit from another
+            # parent, which in an acyclic graph comes after that and is a
+            # no-op.
+            if key not in done:
+                done.add(key)
+                order.append(node)
+            continue
+        if skip is not None and skip(node):
+            continue
+        seen.add(key)
+        stack.append(node)
+        kids = node._kids()
+        if kids:
+            if uses is not None:
+                for kid in kids:
+                    uses[id(kid)] = uses.get(id(kid), 0) + 1
+            # reversed, so that children are finished left to right
+            stack.extend(reversed(kids))
+    return order
+
+
+def _fold(roots, rule: str, arg) -> list:
+    """``node.<rule>(child_values, arg)`` over the graph under ``roots``.
+
+    Each distinct node is computed once, and its value is dropped as soon
+    as its last parent has read it, so a large intermediate array lives no
+    longer than it is needed.  Returns the roots' values.
+    """
+    uses: dict[int, int] = {}
+    for root in roots:  # the caller's use: roots are never dropped
+        uses[id(root)] = 1
+    values = {}
+    for node in _walk(roots, uses=uses):
+        kids = node._kids()
+        values[id(node)] = getattr(node, rule)([values[id(k)] for k in kids], arg)
+        for kid in kids:
+            key = id(kid)
+            left = uses[key] - 1
+            uses[key] = left
+            if not left:
+                del values[key]
+    return [values[id(root)] for root in roots]
+
+
+def evaluate_all(exprs, coords) -> list:
+    """Values of several expressions on the same coordinates.
+
+    A node shared between the expressions is evaluated once.
+    """
+    return _fold(tuple(exprs), "_apply", coords)
+
+
 class Expr:
-    """Base class for expression nodes."""
+    """Base class for expression nodes.
+
+    Subclasses are frozen dataclasses: ``==``, ``hash`` and ``repr`` are
+    structural.  The caches below live in the instance ``__dict__``, outside
+    the dataclass fields, so they never take part in those.
+    """
 
     _prec = _PREC_ATOM
+    _mvi = 0  # max_var_index(), set by __post_init__ of Var and of inner nodes
+    _str: str | None = None  # cached str()
+    _dcache: dict | None = None  # cached derivative(axis), keyed by axis
+
+    def _kids(self) -> tuple["Expr", ...]:
+        return ()
 
     def evaluate(self, coords):
         """Evaluate on coordinate arrays.
 
         ``coords`` is a sequence indexed by variable number minus one; the
-        entries may be scalars or broadcastable numpy arrays.
+        entries may be scalars or broadcastable numpy arrays.  A node shared
+        by several parents is evaluated once.
         """
-        raise NotImplementedError
+        return _fold((self,), "_apply", coords)[0]
 
     def derivative(self, axis: int) -> "Expr":
         """Exact partial derivative with respect to ``x<axis>`` (1-based)."""
-        raise NotImplementedError
+        if axis < 1:
+            raise ValueError("axis is 1-based")
+        cache = self._dcache
+        if cache is None or axis not in cache:
+            def done(node):
+                return node._dcache is not None and axis in node._dcache
+
+            for node in _walk((self,), done):
+                d = node._derive([kid._dcache[axis] for kid in node._kids()], axis)
+                node.__dict__.setdefault("_dcache", {})[axis] = d
+        return self._dcache[axis]
 
     def max_var_index(self) -> int:
-        return 0
+        """Largest variable index used, 0 for a constant expression."""
+        return self._mvi
 
     def substitute(self, mapping: dict[int, "Expr"]) -> "Expr":
         """Replace variables by expressions (for composing with maps)."""
-        raise NotImplementedError
+        return _fold((self,), "_rebuild", mapping)[0]
 
     def __str__(self) -> str:
+        # Only the node asked is cached: keeping the text of every subnode
+        # would cost memory quadratic in the depth of the graph.
+        if self._str is None:
+            self.__dict__["_str"] = _fold((self,), "_format", None)[0]
+        return self._str
+
+    # per-node rules, given the results for the children in _kids() order
+
+    def _apply(self, args, coords):
         raise NotImplementedError
 
-    def _wrap(self, child: "Expr", min_prec: int) -> str:
-        text = str(child)
-        return f"({text})" if child._prec < min_prec else text
+    def _derive(self, dargs, axis) -> "Expr":
+        raise NotImplementedError
+
+    def _rebuild(self, args, mapping) -> "Expr":
+        return self
+
+    def _format(self, texts, _) -> str:
+        raise NotImplementedError
+
+
+def _wrap(child: Expr, text: str, min_prec: int) -> str:
+    return f"({text})" if child._prec < min_prec else text
 
 
 @dataclass(frozen=True)
@@ -107,16 +233,13 @@ class Num(Expr):
 
     _prec = _PREC_ATOM
 
-    def evaluate(self, coords):
+    def _apply(self, args, coords):
         return self.value
 
-    def derivative(self, axis):
+    def _derive(self, dargs, axis):
         return Num(0.0)
 
-    def substitute(self, mapping):
-        return self
-
-    def __str__(self):
+    def _format(self, texts, _):
         if self.value < 0:
             # negative literals only arise from constant folding
             return f"({self.value!r})"
@@ -129,19 +252,19 @@ class Var(Expr):
 
     _prec = _PREC_ATOM
 
-    def evaluate(self, coords):
+    def __post_init__(self):
+        self.__dict__["_mvi"] = self.index
+
+    def _apply(self, args, coords):
         return coords[self.index - 1]
 
-    def derivative(self, axis):
+    def _derive(self, dargs, axis):
         return Num(1.0 if axis == self.index else 0.0)
 
-    def max_var_index(self):
-        return self.index
-
-    def substitute(self, mapping):
+    def _rebuild(self, args, mapping):
         return mapping.get(self.index, self)
 
-    def __str__(self):
+    def _format(self, texts, _):
         return f"x{self.index}"
 
 
@@ -151,16 +274,13 @@ class ConstSym(Expr):
 
     _prec = _PREC_ATOM
 
-    def evaluate(self, coords):
+    def _apply(self, args, coords):
         return CONSTANTS[self.name]
 
-    def derivative(self, axis):
+    def _derive(self, dargs, axis):
         return Num(0.0)
 
-    def substitute(self, mapping):
-        return self
-
-    def __str__(self):
+    def _format(self, texts, _):
         return self.name
 
 
@@ -170,20 +290,23 @@ class Neg(Expr):
 
     _prec = _PREC_NEG
 
-    def evaluate(self, coords):
-        return -self.arg.evaluate(coords)
+    def __post_init__(self):
+        self.__dict__["_mvi"] = self.arg._mvi
 
-    def derivative(self, axis):
-        return neg(self.arg.derivative(axis))
+    def _kids(self):
+        return (self.arg,)
 
-    def max_var_index(self):
-        return self.arg.max_var_index()
+    def _apply(self, args, coords):
+        return -args[0]
 
-    def substitute(self, mapping):
-        return neg(self.arg.substitute(mapping))
+    def _derive(self, dargs, axis):
+        return neg(dargs[0])
 
-    def __str__(self):
-        return f"-{self._wrap(self.arg, _PREC_NEG)}"
+    def _rebuild(self, args, mapping):
+        return neg(args[0])
+
+    def _format(self, texts, _):
+        return f"-{_wrap(self.arg, texts[0], _PREC_NEG)}"
 
 
 @dataclass(frozen=True)
@@ -193,11 +316,14 @@ class BinOp(Expr):
     right: Expr
 
     def __post_init__(self):
-        object.__setattr__(self, "_prec", _PREC_ADD if self.op in "+-" else _PREC_MUL)
+        self.__dict__["_prec"] = _PREC_ADD if self.op in "+-" else _PREC_MUL
+        self.__dict__["_mvi"] = max(self.left._mvi, self.right._mvi)
 
-    def evaluate(self, coords):
-        a = self.left.evaluate(coords)
-        b = self.right.evaluate(coords)
+    def _kids(self):
+        return (self.left, self.right)
+
+    def _apply(self, args, coords):
+        a, b = args
         if self.op == "+":
             return a + b
         if self.op == "-":
@@ -206,9 +332,8 @@ class BinOp(Expr):
             return a * b
         return a / b
 
-    def derivative(self, axis):
-        da = self.left.derivative(axis)
-        db = self.right.derivative(axis)
+    def _derive(self, dargs, axis):
+        da, db = dargs
         if self.op == "+":
             return add(da, db)
         if self.op == "-":
@@ -217,19 +342,15 @@ class BinOp(Expr):
             return add(mul(da, self.right), mul(self.left, db))
         return div(sub(mul(da, self.right), mul(self.left, db)), powi(self.right, 2))
 
-    def max_var_index(self):
-        return max(self.left.max_var_index(), self.right.max_var_index())
+    def _rebuild(self, args, mapping):
+        return {"+": add, "-": sub, "*": mul, "/": div}[self.op](*args)
 
-    def substitute(self, mapping):
-        table = {"+": add, "-": sub, "*": mul, "/": div}
-        return table[self.op](self.left.substitute(mapping), self.right.substitute(mapping))
-
-    def __str__(self):
+    def _format(self, texts, _):
         prec = self._prec
-        left = self._wrap(self.left, prec)
+        left = _wrap(self.left, texts[0], prec)
         # binary ops parse left associative; parenthesize same-level right
         # operands so printing and reparsing reproduce the tree exactly
-        right = self._wrap(self.right, prec + 1)
+        right = _wrap(self.right, texts[1], prec + 1)
         return f"{left} {self.op} {right}"
 
 
@@ -240,21 +361,24 @@ class Pow(Expr):
 
     _prec = _PREC_POW
 
-    def evaluate(self, coords):
-        return self.base.evaluate(coords) ** self.exponent
+    def __post_init__(self):
+        self.__dict__["_mvi"] = self.base._mvi
 
-    def derivative(self, axis):
-        db = self.base.derivative(axis)
-        return mul(mul(Num(float(self.exponent)), powi(self.base, self.exponent - 1)), db)
+    def _kids(self):
+        return (self.base,)
 
-    def max_var_index(self):
-        return self.base.max_var_index()
+    def _apply(self, args, coords):
+        return args[0] ** self.exponent
 
-    def substitute(self, mapping):
-        return powi(self.base.substitute(mapping), self.exponent)
+    def _derive(self, dargs, axis):
+        return mul(mul(Num(float(self.exponent)), powi(self.base, self.exponent - 1)),
+                   dargs[0])
 
-    def __str__(self):
-        return f"{self._wrap(self.base, _PREC_ATOM)}^{self.exponent}"
+    def _rebuild(self, args, mapping):
+        return powi(args[0], self.exponent)
+
+    def _format(self, texts, _):
+        return f"{_wrap(self.base, texts[0], _PREC_ATOM)}^{self.exponent}"
 
 
 @dataclass(frozen=True)
@@ -264,8 +388,14 @@ class Call(Expr):
 
     _prec = _PREC_ATOM
 
-    def evaluate(self, coords):
-        x = self.arg.evaluate(coords)
+    def __post_init__(self):
+        self.__dict__["_mvi"] = self.arg._mvi
+
+    def _kids(self):
+        return (self.arg,)
+
+    def _apply(self, args, coords):
+        x = args[0]
         if self.func == "sin":
             return np.sin(x)
         if self.func == "cos":
@@ -274,8 +404,8 @@ class Call(Expr):
             return np.exp(x)
         return np.sqrt(x)
 
-    def derivative(self, axis):
-        dx = self.arg.derivative(axis)
+    def _derive(self, dargs, axis):
+        dx = dargs[0]
         if self.func == "sin":
             return mul(Call("cos", self.arg), dx)
         if self.func == "cos":
@@ -284,14 +414,11 @@ class Call(Expr):
             return mul(self, dx)
         return div(dx, mul(Num(2.0), self))
 
-    def max_var_index(self):
-        return self.arg.max_var_index()
+    def _rebuild(self, args, mapping):
+        return Call(self.func, args[0])
 
-    def substitute(self, mapping):
-        return Call(self.func, self.arg.substitute(mapping))
-
-    def __str__(self):
-        return f"{self.func}({self.arg})"
+    def _format(self, texts, _):
+        return f"{self.func}({texts[0]})"
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +509,6 @@ def as_expr(value) -> Expr:
     raise TypeError(f"cannot convert {type(value).__name__} to Expr")
 
 
-def symbolic_diff(e: Expr, axis: int) -> Expr:
-    """Exact derivative of ``e`` with respect to coordinate ``x<axis>``."""
-    if axis < 1:
-        raise ValueError("axis is 1-based")
-    return e.derivative(axis)
-
-
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 # ---------------------------------------------------------------------------
@@ -420,12 +540,23 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 _VAR_RE = re.compile(r"x(\d+)$")
 
+# The parser recurses once per open parenthesis and per unary minus; past
+# this depth it reports a syntax error instead of exhausting the stack.
+# Printed forms of the structures built here nest fewer than ten deep.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens, dim: int):
         self.tokens = tokens
         self.pos = 0
         self.dim = dim
+        self.depth = 0  # open parentheses and pending unary minuses
+
+    def nest(self, offset: int):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError("expression nested too deeply", offset)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -471,10 +602,13 @@ class _Parser:
                 return e
 
     def factor(self) -> Expr:
-        kind, text, _ = self.peek()
+        kind, text, offset = self.peek()
         if kind == "op" and text == "-":
             self.take()
-            return Neg(self.factor())
+            self.nest(offset)
+            arg = self.factor()
+            self.depth -= 1
+            return Neg(arg)
         return self.power()
 
     def power(self) -> Expr:
@@ -506,16 +640,20 @@ class _Parser:
         if kind == "number":
             return Num(float(text))
         if kind == "op" and text == "(":
+            self.nest(offset)
             e = self.sum()
             self.expect_op(")")
+            self.depth -= 1
             return e
         if kind == "name":
             if text in CONSTANTS:
                 return ConstSym(text)
             if text in FUNCTIONS:
                 self.expect_op("(")
+                self.nest(offset)
                 arg = self.sum()
                 self.expect_op(")")
+                self.depth -= 1
                 return Call(text, arg)
             m = _VAR_RE.match(text)
             if m:
@@ -532,9 +670,9 @@ class _Parser:
 def parse_expr(text: str, dim: int) -> Expr:
     """Parse expression ``text`` over the variables ``x1 .. x<dim>``.
 
-    Raises ``ExprSyntaxError`` (with byte offset) on malformed input,
-    ``ExprNameError`` for unknown identifiers and ``ValueError`` when a
-    variable index exceeds ``dim``.
+    Raises ``ExprSyntaxError`` (with byte offset) on malformed input or
+    nesting deeper than ``MAX_NESTING``, ``ExprNameError`` for unknown
+    identifiers and ``ValueError`` when a variable index exceeds ``dim``.
     """
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)

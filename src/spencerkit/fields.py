@@ -22,7 +22,8 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .expr import Expr, Num, add, as_expr, div, mul, neg, parse_expr, powi, sub
+from .expr import Expr, Num, add, as_expr, div, evaluate_all, mul, neg, parse_expr, \
+    powi, sub
 
 __all__ = [
     "DEFAULT_POINT_BUDGET",
@@ -116,6 +117,11 @@ class Patch:
     def mesh(self) -> tuple[np.ndarray, ...]:
         return tuple(np.meshgrid(*self.axes, indexing="ij"))
 
+    @cached_property
+    def open_mesh(self) -> tuple[np.ndarray, ...]:
+        """Coordinates as broadcastable arrays: axis k has shape (1, .., r_k, .., 1)."""
+        return tuple(np.meshgrid(*self.axes, indexing="ij", sparse=True))
+
     def interior(self) -> tuple[slice, ...]:
         return (slice(1, -1),) * self.dim
 
@@ -128,6 +134,12 @@ class Patch:
 
     def node_point(self, node: tuple[int, ...]) -> tuple[float, ...]:
         return tuple(float(ax[i]) for ax, i in zip(self.axes, node))
+
+    def nearest_node(self, point) -> tuple[int, ...]:
+        """Grid node closest to ``point``, clamped onto the patch."""
+        return tuple(int(np.clip(np.rint((x - lo) / h), 0, r - 1))
+                     for x, (lo, _), h, r in zip(point, self.bounds, self.spacing,
+                                                 self.resolution))
 
     def contains(self, point, rtol: float = 1e-9) -> bool:
         point = np.asarray(point, dtype=float)
@@ -160,12 +172,35 @@ def resolve_mode(mode: str, exact_available: bool) -> str:
     return mode
 
 
-def _check_finite(arr: np.ndarray, patch: Patch, what: str) -> np.ndarray:
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        node = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise EvaluationError(f"non-finite value in {what}", node)
-    return arr
+def _first_non_finite(arr: np.ndarray) -> int | None:
+    """Flat index of the first non-finite entry, or None."""
+    finite = np.isfinite(arr)
+    return None if finite.all() else int(np.argmin(finite))
+
+
+def _sample_all(fields) -> None:
+    """Sample every field in ``fields`` that has no samples yet.
+
+    The expressions are evaluated together, so a node they share is computed
+    once.  They are evaluated on the open mesh: a node that uses k of the d
+    variables is computed on a k-dimensional array, and only each root is
+    broadcast to the full grid.
+    """
+    pending = [f for f in fields if f._samples is None]
+    if not pending:
+        return
+    patch = pending[0].patch
+    with np.errstate(all="ignore"):
+        values = evaluate_all([f.expr for f in pending], patch.open_mesh)
+    for k, f in enumerate(pending):
+        raw, values[k] = values[k], None  # drop each raw value once copied
+        full = np.broadcast_to(np.asarray(raw, dtype=float), patch.resolution).copy()
+        del raw
+        bad = _first_non_finite(full)
+        if bad is not None:
+            node = tuple(int(i) for i in np.unravel_index(bad, full.shape))
+            raise EvaluationError(f"non-finite value in field '{f.expr}'", node)
+        f._samples = full
 
 
 class ScalarField:
@@ -215,12 +250,7 @@ class ScalarField:
     @property
     def samples(self) -> np.ndarray:
         if self._samples is None:
-            with np.errstate(all="ignore"):
-                values = self.expr.evaluate(self.patch.mesh)
-            values = np.broadcast_to(np.asarray(values, dtype=float),
-                                     self.patch.resolution).copy()
-            _check_finite(values, self.patch, f"field '{self.expr}'")
-            self._samples = values
+            _sample_all((self,))
         return self._samples
 
     def sampled(self) -> "ScalarField":
@@ -238,8 +268,11 @@ class ScalarField:
             with np.errstate(all="ignore"):
                 vals = self.expr.evaluate(tuple(points[:, k] for k in range(self.patch.dim)))
             vals = np.broadcast_to(np.asarray(vals, dtype=float), (points.shape[0],)).copy()
-            if not np.isfinite(vals).all():
-                raise EvaluationError("non-finite value in point evaluation", (0,) * self.patch.dim)
+            bad = _first_non_finite(vals)
+            if bad is not None:
+                raise EvaluationError(
+                    f"non-finite value at point {bad} of the point evaluation",
+                    self.patch.nearest_node(points[bad]))
             return vals
         interp = RegularGridInterpolator(self.patch.axes, self.samples)
         return interp(points)
@@ -449,6 +482,7 @@ class MatrixField:
     def values(self) -> np.ndarray:
         """Stacked samples of shape (*grid, rows, cols)."""
         if self._values is None:
+            _sample_all([e for row in self.entries for e in row])
             r, c = self.shape
             out = np.empty(self.patch.resolution + (r, c))
             for i in range(r):

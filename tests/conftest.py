@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -39,6 +41,38 @@ def to_sympy(e: Expr, symbols):
     if isinstance(e, Call):
         fn = {"sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "sqrt": sp.sqrt}[e.func]
         return fn(to_sympy(e.arg, symbols))
+    raise TypeError(f"unexpected node {type(e).__name__}")
+
+
+def reference_evaluate(e: Expr, coords):
+    """Plain recursive evaluation over the expanded tree.
+
+    The oracle for the graph evaluator: the same numpy operation per node,
+    with no sharing, no memo and no explicit stack.
+    """
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return coords[e.index - 1]
+    if isinstance(e, ConstSym):
+        return math.pi if e.name == "pi" else math.e
+    if isinstance(e, Neg):
+        return -reference_evaluate(e.arg, coords)
+    if isinstance(e, BinOp):
+        a = reference_evaluate(e.left, coords)
+        b = reference_evaluate(e.right, coords)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        return a / b
+    if isinstance(e, Pow):
+        return reference_evaluate(e.base, coords) ** e.exponent
+    if isinstance(e, Call):
+        fn = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}[e.func]
+        return fn(reference_evaluate(e.arg, coords))
     raise TypeError(f"unexpected node {type(e).__name__}")
 
 

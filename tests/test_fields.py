@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,11 @@ from spencerkit.fields import (
     line_integral,
     matvec,
 )
+from spencerkit.scene import load_scene
+
+from conftest import reference_evaluate
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 class TestPatch:
@@ -61,6 +68,15 @@ class TestEvalField:
         with pytest.raises(EvaluationError) as err:
             ScalarField.from_expr(p, "1/x1").samples
         assert err.value.node == (2, 0)
+
+    def test_point_evaluation_reports_nearest_node(self):
+        p = Patch(1, ((-1.0, 1.0), (-1.0, 1.0)), (5, 5))
+        u = ScalarField.from_expr(p, "1/x1")
+        points = np.array([[0.5, 0.5], [0.0, 0.6], [0.0, -1.0]])
+        with pytest.raises(EvaluationError, match="at point 1 ") as err:
+            u.eval_at(points)
+        # (0.0, 0.6) lies between nodes 3 (x = 0.5) and 4 (x = 1.0) of x2
+        assert err.value.node == (2, 3)
 
     def test_exact_mode_requires_expression(self, patch2d):
         u = ScalarField.from_samples(patch2d, np.zeros(patch2d.resolution))
@@ -229,3 +245,36 @@ class TestFieldAlgebra:
         m = MatrixField.from_exprs(patch2d, [["x1", "1"], ["0", "x2"]])
         assert np.array_equal(m.transpose().values,
                               np.swapaxes(m.values, -1, -2))
+
+
+def _scene_scalar_fields(scene):
+    """Every expression-backed scalar field a shipped scene declares."""
+    specs = [scene.field_specs, scene.chart_specs, scene.vector_field_specs,
+             scene.quaternion_specs, scene.structure_spec]
+    texts = []
+    while specs:
+        spec = specs.pop()
+        if isinstance(spec, str):
+            texts.append(spec)
+        elif isinstance(spec, dict):
+            specs.extend(v for k, v in spec.items()
+                         if k not in ("kind", "rep", "pair"))
+        elif isinstance(spec, list):
+            specs.extend(spec)
+    fields = [ScalarField.from_expr(scene.patch, t) for t in texts]
+    if scene.structure_spec["kind"] != "hypercomplex":
+        fields += [e for row in scene.structure().j_cot.entries for e in row
+                   if e.is_exact]
+    return fields
+
+
+@pytest.mark.parametrize("path", sorted(SCENES.glob("*.json")), ids=lambda p: p.stem)
+def test_open_mesh_samples_match_full_mesh(path):
+    scene = load_scene(path)
+    fields = _scene_scalar_fields(scene)
+    assert fields
+    for f in fields:
+        with np.errstate(all="ignore"):
+            full = reference_evaluate(f.expr, scene.patch.mesh)
+        full = np.broadcast_to(np.asarray(full, dtype=float), scene.patch.resolution)
+        assert f.samples.tobytes() == full.tobytes(), str(f.expr)

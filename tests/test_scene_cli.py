@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spencerkit
 from spencerkit.cli import main
 from spencerkit.gridio import read_field_csv, write_field_csv
 from spencerkit.fields import Patch, ScalarField
@@ -99,6 +101,42 @@ class TestCliExitCodes:
         code = run(["holo", "residual", SCENES / "standard2d.json",
                     "--field", "z", "--tol", "1e-10", "--no-meta"])
         assert code == 0
+
+
+class TestCliDeepExpressions:
+    def _scene(self, tmp_path, fields):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "dim_half": 1,
+            "patch": {"bounds": [0.0, 1.0], "resolution": 9},
+            "structure": {"kind": "standard"},
+            "fields": fields,
+        }))
+        return path
+
+    def test_long_sum_field_matches_closed_form(self, tmp_path, capsys):
+        # 3,000 terms of 0.5*x1^2 is 1500*x1^2: Laplacian 3000, and the
+        # standard operator is twice the Laplacian
+        path = self._scene(tmp_path, {"deep": " + ".join(["0.5*x1^2"] * 3000),
+                                      "closed": "1500*x1^2"})
+        reports = {}
+        for name in ("deep", "closed"):
+            assert run(["pluri", "check", path, "--field", name, "--no-meta"]) == 0
+            reports[name] = json.loads(capsys.readouterr().out)["results"]
+            del reports[name]["field"]
+        assert reports["deep"]["closedness"]["sup_norm"] == 3000.0
+        assert reports["deep"]["laplacian_sup"] == 6000.0
+        assert reports["deep"] == reports["closed"]
+
+    @pytest.mark.parametrize("text", [
+        "(" * 600 + "x1" + ")" * 600,
+        "-" * 1500 + "x1",
+    ], ids=["parens", "minus"])
+    def test_deep_nesting_is_a_usage_error(self, tmp_path, capsys, text):
+        path = self._scene(tmp_path, {"deep": text})
+        assert run(["pluri", "check", path, "--field", "deep", "--no-meta"]) == 2
+        assert "expression nested too deeply" in capsys.readouterr().err
 
 
 class TestCliReports:
@@ -247,9 +285,14 @@ class TestGridCsv:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
+        # the child finds the package where this interpreter found it, also
+        # when pytest's pythonpath setting, not PYTHONPATH, put src/ on the path
+        package_root = str(Path(spencerkit.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "spencerkit.cli", "acs", "check",
              str(SCENES / "standard2d.json"), "--no-meta"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["passed"] is True
