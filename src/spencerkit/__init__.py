@@ -18,7 +18,6 @@ from .fields import (
     ScalarField,
     TwoForm,
     d_oneform,
-    eval_field,
     gradient,
     line_integral,
 )
@@ -39,7 +38,6 @@ from .structures import (
     validate_acs,
 )
 from .holomorphy import (
-    ComplexFunction,
     antiholo_residual,
     holo_residual,
     reduced_system_residual,

@@ -29,6 +29,7 @@ from .fields import (
     ScalarField,
     resolve_mode,
 )
+from .report import interior_sup
 from .structures import AlmostComplexStructure
 
 __all__ = [
@@ -218,21 +219,6 @@ class LawReport:
     eigen_residuals: tuple[float, float]
     mode: str
 
-    def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "law_residual": self.law_residual,
-            "alternative_residual": self.alternative_residual,
-            "displayed_matches": self.displayed_matches,
-            "eigen_residuals": list(self.eigen_residuals),
-            "mode": self.mode,
-        }
-
-
-def _sup_interior(f: ComplexField) -> float:
-    sl = f.patch.interior()
-    return float(np.abs(f.values[sl]).max())
-
 
 def bracket_law_check(acs: AlmostComplexStructure, x: VectorFieldC,
                       y: VectorFieldC, u, case: str, mode: str = "auto",
@@ -256,16 +242,17 @@ def bracket_law_check(acs: AlmostComplexStructure, x: VectorFieldC,
     lhs = bracket_j(acs, x, y, u, mode)
     if sx == sy:
         law = bracket(x, y, u, mode) * (sx * 1j)
-        report = LawReport(case, _sup_interior(lhs - law), None, True,
-                           (ex, ey), mode)
-        return report
+        return LawReport(case, interior_sup((lhs - law).values, acs.patch), None,
+                         True, (ex, ey), mode)
     anti = apply_vf(x, apply_vf(y, u, mode), mode) \
         + apply_vf(y, apply_vf(x, u, mode), mode)
     # operator expansion: [X,Y]_J = sy*i*X(Y(u)) - sx*i*Y(X(u)) = -sx*i*{X,Y}
     expansion_sign = -sx
     displayed_sign = +1 if case == "holo_antiholo" else -1
-    res_expansion = _sup_interior(lhs - anti * (expansion_sign * 1j))
-    res_displayed = _sup_interior(lhs - anti * (displayed_sign * 1j))
+    res_expansion = interior_sup((lhs - anti * (expansion_sign * 1j)).values,
+                                 acs.patch)
+    res_displayed = interior_sup((lhs - anti * (displayed_sign * 1j)).values,
+                                 acs.patch)
     return LawReport(
         case=case,
         law_residual=res_expansion,
@@ -281,9 +268,6 @@ def bracket_law_check(acs: AlmostComplexStructure, x: VectorFieldC,
 class LeibnizReport:
     defect_residual: float
     mode: str
-
-    def to_dict(self) -> dict:
-        return {"defect_residual": self.defect_residual, "mode": self.mode}
 
 
 def leibniz_defect_check(acs: AlmostComplexStructure, x: VectorFieldC,
@@ -311,4 +295,4 @@ def leibniz_defect_check(acs: AlmostComplexStructure, x: VectorFieldC,
            - apply_vf(jx, f, mode) * apply_vf(y, h, mode)
            + apply_vf(x, h, mode) * apply_vf(jy, f, mode)
            - apply_vf(jx, h, mode) * apply_vf(y, f, mode))
-    return LeibnizReport(_sup_interior(lhs - rhs), mode)
+    return LeibnizReport(interior_sup((lhs - rhs).values, acs.patch), mode)

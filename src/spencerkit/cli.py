@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .fields import Patch, ScalarField
 from .elliptic import (
+    ConvergenceError,
     DirichletProblem,
     apply_pointwise,
     assemble_operator,
@@ -47,6 +48,7 @@ from .hypercomplex import (
     k_hyperholo_residual,
     k_translation_consistency,
 )
+from .report import interior_sup, jsonable
 from .scene import Scene, SceneError, load_scene
 from .spencer import superposition_check, verify_chart
 from .structures import extract_pq, nijenhuis_residual, normalize_at_origin, \
@@ -67,27 +69,13 @@ DESCRIPTIONS = {
 }
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return value
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, dict):
-        return {k: _fmt(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_fmt(v) for v in value]
-    return value
-
-
 def emit(check: str, results: dict, passed: bool, args) -> int:
     report = {
         "schema": 1,
         "check": check,
         "description": DESCRIPTIONS.get(check, ""),
         "passed": bool(passed),
-        "results": _fmt(results),
+        "results": jsonable(results),
     }
     if not args.no_meta:
         report["meta"] = {
@@ -132,6 +120,8 @@ def _base_node(args, patch: Patch) -> tuple[int, ...]:
 
 
 def cmd_acs_check(args) -> int:
+    if args.samples < 1:
+        raise SceneError("--samples must be at least 1")
     scene = _scene(args)
     acs = scene.structure()
     op = assemble_operator(acs, scene.mode)
@@ -140,7 +130,7 @@ def cmd_acs_check(args) -> int:
         "acs_residual": acs.acs_residual,
         "tolerance": acs.tolerance,
         "valid": acs.valid,
-        "certificate": cert.to_dict(),
+        "certificate": cert,
     }
     if args.nijenhuis:
         results["nijenhuis_residual"] = nijenhuis_residual(acs, scene.mode)
@@ -206,7 +196,7 @@ def cmd_holo_residual(args) -> int:
     tol = args.tol
     passed = True if tol is None else rep.sup_norm <= tol
     results = {"field": args.field, "anti": bool(args.anti),
-               "residual": rep.to_dict()}
+               "residual": rep}
     if tol is not None:
         results["tolerance"] = tol
     return emit("holo.residual", results, passed, args)
@@ -225,8 +215,8 @@ def cmd_holo_reduced(args) -> int:
         (True if tol is None else rep.sup_norm <= tol)
     results = {
         "field": args.field,
-        "residual": rep.to_dict(),
-        "equivalence": equiv.to_dict(),
+        "residual": rep,
+        "equivalence": equiv,
     }
     if tol is not None:
         results["tolerance"] = tol
@@ -241,7 +231,7 @@ def cmd_pluri_check(args) -> int:
     tol = _default_tol(args, scene)
     passed = theorem.passes and (args.tol is None
                                  or theorem.closedness.sup_norm <= tol)
-    results = {"field": args.field, "tolerance": tol, **theorem.to_dict()}
+    results = {"field": args.field, "tolerance": tol, **jsonable(theorem)}
     return emit("pluri.check", results, passed, args)
 
 
@@ -261,20 +251,21 @@ def cmd_elliptic_solve(args) -> int:
         raise SceneError("elliptic solve needs --bc, --bc-field or --bc-csv")
     problem = DirichletProblem(op, boundary,
                                tolerance=scene.tolerance("solver", 1e-8))
-    solution, stats = solve_dirichlet(problem)
-    sl = scene.patch.interior()
-    interior_max = float(np.abs(solution.samples[sl]).max())
+    try:
+        solution, stats = solve_dirichlet(problem)
+    except ConvergenceError as exc:  # reported below, with passed false
+        solution, stats = exc.best, exc.stats
     boundary_mask = np.ones(scene.patch.resolution, dtype=bool)
-    boundary_mask[sl] = False
+    boundary_mask[scene.patch.interior()] = False
     results = {
-        "stats": stats.to_dict(),
-        "interior_abs_max": interior_max,
+        "stats": stats,
+        "interior_abs_max": interior_sup(solution.samples, scene.patch),
         "boundary_abs_max": float(np.abs(boundary.samples[boundary_mask]).max()),
     }
     passed = stats.converged
     if args.oracle:
         oracle = ScalarField.from_expr(scene.patch, args.oracle)
-        err = float(np.abs(solution.samples - oracle.samples)[sl].max())
+        err = interior_sup(solution.samples - oracle.samples, scene.patch)
         results["oracle_max_error"] = err
         if args.tol is not None:
             passed = passed and err <= args.tol
@@ -293,17 +284,16 @@ def cmd_bracket_check(args) -> int:
     u = scene.complex_field(args.field)
     twisted = bracket_j(acs, x, y, u, scene.mode)
     pot = potential_vf_residual(acs, x, y, u, scene.mode)
-    sl = scene.patch.interior()
     results = {
         "x": args.x, "y": args.y, "field": args.field,
-        "bracket_j_sup": float(np.abs(twisted.values[sl]).max()),
-        "potential_residual_sup": float(np.abs(pot.values[sl]).max()),
+        "bracket_j_sup": interior_sup(twisted.values, scene.patch),
+        "potential_residual_sup": interior_sup(pot.values, scene.patch),
     }
     passed = True
     if args.case:
         tol = _default_tol(args, scene)
         law = bracket_law_check(acs, x, y, u, args.case, scene.mode, tol)
-        results["law"] = law.to_dict()
+        results["law"] = law
         results["tolerance"] = tol
         passed = law.law_residual <= tol
     return emit("bracket.check", results, passed, args)
@@ -320,19 +310,19 @@ def cmd_hyper_check(args) -> int:
         jres = j_hyperholo_residual(h, F, scene.mode)
         kres = k_hyperholo_residual(h, F, scene.mode)
         results["function"] = args.function
-        results["j_residual"] = jres.to_dict()
-        results["k_residual"] = kres.to_dict()
+        results["j_residual"] = jres
+        results["k_residual"] = kres
         results["tolerance"] = tol
         passed = jres.sup_norm <= tol and kres.sup_norm <= tol
         if passed:
             trans = k_translation_consistency(h, F, scene.mode, tol)
-            results["translation"] = trans.to_dict()
+            results["translation"] = trans
             passed = passed and trans.passes
     if args.u and args.zeta:
         rep = hyper_potential_residual(h, scene.scalar_field(args.u),
                                        scene.scalar_field(args.zeta),
                                        scene.mode)
-        results["potential"] = rep.to_dict()
+        results["potential"] = rep
     return emit("hyper.check", results, passed, args)
 
 
@@ -341,12 +331,12 @@ def cmd_spencer_verify(args) -> int:
     acs = scene.structure()
     chart = scene.chart(args.chart)
     rep = verify_chart(acs, chart, scene.mode, args.tol)
-    results = {"chart": args.chart, "pattern": rep.to_dict()}
+    results = {"chart": args.chart, "pattern": rep}
     passed = rep.passes
     if args.superpose:
         h = scene.complex_field(args.superpose)
         sup = superposition_check(acs, chart, h, scene.mode, args.tol)
-        results["superposition"] = sup.to_dict()
+        results["superposition"] = sup
         passed = passed and sup.sup_norm <= (args.tol or rep.tolerance)
     return emit("spencer.verify", results, passed, args)
 
@@ -355,9 +345,11 @@ _CONV_CHECKS = ("holo", "pluri", "solve")
 
 
 def cmd_convergence(args) -> int:
+    needed = ("bc", "oracle") if args.check == "solve" else ("field",)
+    for flag in needed:
+        if getattr(args, flag) is None:
+            raise SceneError(f"convergence --check {args.check} needs --{flag}")
     base_scene = load_scene(args.scene, grid_override=args.grid, mode_override="fd")
-    if args.check not in _CONV_CHECKS:
-        raise SceneError(f"--check must be one of {_CONV_CHECKS}")
     values = []
     for factor in (1, 2, 4):
         scene = base_scene.refined(factor) if factor > 1 else base_scene
@@ -374,10 +366,13 @@ def cmd_convergence(args) -> int:
             acs = scene.structure()
             op = assemble_operator(acs, "fd")
             boundary = ScalarField.from_expr(scene.patch, args.bc)
-            solution, _ = solve_dirichlet(DirichletProblem(op, boundary))
+            try:
+                solution, _ = solve_dirichlet(DirichletProblem(op, boundary))
+            except ConvergenceError as exc:
+                results = {"check": args.check, "values": values, "stats": exc.stats}
+                return emit("convergence", results, False, args)
             oracle = ScalarField.from_expr(scene.patch, args.oracle)
-            sl = scene.patch.interior()
-            values.append(float(np.abs(solution.samples - oracle.samples)[sl].max()))
+            values.append(interior_sup(solution.samples - oracle.samples, scene.patch))
     orders = []
     for a, b in zip(values, values[1:]):
         # order undefined when a level is exactly resolved (residual 0)

@@ -36,7 +36,7 @@ from .fields import (
     matvec,
     resolve_mode,
 )
-from .report import ResidualReport, interior_slices, report_from_pointwise
+from .report import ResidualReport, interior_sup, report_from_pointwise, ring_depth
 from .structures import AlmostComplexStructure
 
 __all__ = [
@@ -70,25 +70,16 @@ def potential_oneform(acs: AlmostComplexStructure, u: ScalarField,
     return OneForm(acs.patch, matvec(acs.j_cot, grad))
 
 
-def _ring_depth(mode: str) -> int:
-    # second-derivative compositions lose an order on the first FD ring
-    return 1 if mode == "exact" else 2
-
-
 def potential_closedness_residual(acs: AlmostComplexStructure, u: ScalarField,
                                   mode: str = "auto") -> ResidualReport:
     """Sup norm of d(j_cot du); zero iff u has a closed potential form."""
     mode = resolve_mode(mode, acs.is_exact and u.is_exact)
     r = d_oneform(potential_oneform(acs, u, mode), mode)
-    vals = r.values()
-    pointwise = np.abs(vals).max(axis=(-2, -1))
-    depth = _ring_depth(mode)
-    sl = interior_slices(acs.patch.resolution, depth)
-    breakdown = {}
-    for (s, q), f in r.upper.items():
-        breakdown[f"R_{s + 1}{q + 1}"] = float(np.abs(f.samples[sl]).max())
-    return report_from_pointwise(pointwise, acs.patch.resolution, mode,
-                                 breakdown, depth)
+    pointwise = np.abs(r.values()).max(axis=(-2, -1))
+    depth = ring_depth(mode)
+    breakdown = {f"R_{s + 1}{q + 1}": interior_sup(f.samples, acs.patch, depth)
+                 for (s, q), f in r.upper.items()}
+    return report_from_pointwise(pointwise, acs.patch, mode, breakdown, depth)
 
 
 @dataclass(eq=False)
@@ -187,16 +178,6 @@ class CertificateReport:
     passes: bool
     worst_node: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "min_quadratic_form": self.min_quadratic_form,
-            "identity_gap": self.identity_gap,
-            "samples": self.samples,
-            "seed": self.seed,
-            "passes": self.passes,
-            "worst_node": list(self.worst_node),
-        }
-
 
 def ellipticity_certificate(op: EllipticOperator, sample_count: int = 10_000,
                             seed: int = 0, tolerance: float = 1e-10,
@@ -238,8 +219,7 @@ def apply_operator(op: EllipticOperator, u: ScalarField) -> ScalarField:
         raise ValueError("field and operator live on different patches")
     us = u.samples
     res = op.patch.resolution
-    d = op.patch.dim
-    inner = (slice(1, -1),) * d
+    inner = op.patch.interior()
     out = np.full(res, np.nan)
     acc = np.zeros(tuple(r - 2 for r in res))
     for off, coeff in op.stencil.items():
@@ -289,8 +269,8 @@ def contraction_identity_residual(acs: AlmostComplexStructure, u: ScalarField,
     r = d_oneform(potential_oneform(acs, u, mode), mode)
     jc = acs.cot_values()
     rhs = np.einsum("...qs,...sq->...", jc, r.values())
-    return report_from_pointwise(np.abs(lhs - rhs), acs.patch.resolution, mode,
-                                 depth=_ring_depth(mode))
+    return report_from_pointwise(np.abs(lhs - rhs), acs.patch, mode,
+                                 depth=ring_depth(mode))
 
 
 @dataclass
@@ -302,15 +282,6 @@ class TheoremReport:
     bound: float
     passes: bool
     mode: str
-
-    def to_dict(self) -> dict:
-        return {
-            "closedness": self.closedness.to_dict(),
-            "laplacian_sup": self.laplacian_sup,
-            "bound": self.bound,
-            "passes": self.passes,
-            "mode": self.mode,
-        }
 
 
 def theorem_check(acs: AlmostComplexStructure, u: ScalarField,
@@ -325,9 +296,7 @@ def theorem_check(acs: AlmostComplexStructure, u: ScalarField,
     mode = resolve_mode(mode, acs.is_exact and u.is_exact)
     closed = potential_closedness_residual(acs, u, mode)
     op = assemble_operator(acs, mode)
-    lap = apply_pointwise(op, u, mode)
-    sl = interior_slices(acs.patch.resolution, _ring_depth(mode))
-    lap_sup = float(np.abs(lap[sl]).max())
+    lap_sup = interior_sup(apply_pointwise(op, u, mode), acs.patch, ring_depth(mode))
     d = acs.patch.dim
     jmax = float(np.abs(acs.cot_values()).max())
     scale = max(1.0, float(np.abs(u.samples).max()))
@@ -368,16 +337,6 @@ class SolveStats:
     unknowns: int
     max_principle_guaranteed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "converged": self.converged,
-            "unknowns": self.unknowns,
-            "max_principle_guaranteed": self.max_principle_guaranteed,
-        }
-
 
 class ConvergenceError(RuntimeError):
     """Iterative solve ran out of iterations; carries the best iterate."""
@@ -394,10 +353,9 @@ def _assemble_system(op: EllipticOperator, boundary: np.ndarray,
                      ) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
     patch = op.patch
     res = patch.resolution
-    d = patch.dim
     size = patch.n_points
     idx = np.arange(size).reshape(res)
-    inner = (slice(1, -1),) * d
+    inner = patch.interior()
     interior_ids = idx[inner].ravel()
     unknown_of = np.full(size, -1, dtype=np.int64)
     unknown_of[interior_ids] = np.arange(interior_ids.size)

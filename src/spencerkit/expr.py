@@ -491,7 +491,10 @@ def powi(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if _is_num(base):
-        return Num(base.value**exponent)
+        # float64 arithmetic, as on arrays: 0^-1 folds to inf and 10^400
+        # overflows to inf, where Python floats raise
+        with np.errstate(all="ignore"):
+            return Num(float(np.float64(base.value) ** exponent))
     return Pow(base, exponent)
 
 

@@ -24,6 +24,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 from .expr import Expr, Num, add, as_expr, div, evaluate_all, mul, neg, parse_expr, \
     powi, sub
+from .report import interior_sup
 
 __all__ = [
     "DEFAULT_POINT_BUDGET",
@@ -36,7 +37,6 @@ __all__ = [
     "MatrixField",
     "OneForm",
     "TwoForm",
-    "eval_field",
     "gradient",
     "complex_gradient",
     "d_oneform",
@@ -122,15 +122,9 @@ class Patch:
         """Coordinates as broadcastable arrays: axis k has shape (1, .., r_k, .., 1)."""
         return tuple(np.meshgrid(*self.axes, indexing="ij", sparse=True))
 
-    def interior(self) -> tuple[slice, ...]:
-        return (slice(1, -1),) * self.dim
-
-    @cached_property
-    def interior_flat(self) -> np.ndarray:
-        """Flat indices of interior nodes."""
-        mask = np.zeros(self.resolution, dtype=bool)
-        mask[self.interior()] = True
-        return np.flatnonzero(mask.ravel())
+    def interior(self, depth: int = 1) -> tuple[slice, ...]:
+        """Index of the nodes ``depth`` or more rings inside the boundary."""
+        return (slice(depth, -depth),) * self.dim
 
     def node_point(self, node: tuple[int, ...]) -> tuple[float, ...]:
         return tuple(float(ax[i]) for ax, i in zip(self.axes, node))
@@ -178,6 +172,28 @@ def _first_non_finite(arr: np.ndarray) -> int | None:
     return None if finite.all() else int(np.argmin(finite))
 
 
+def _evaluate(exprs, coords, node: tuple[int, ...]) -> list:
+    """``evaluate_all`` with numpy warnings off and constant errors reported.
+
+    Constant subexpressions evaluate on Python floats, which raise where
+    arrays give inf or NaN (``1/0``, ``0^-1``, ``10^400``).  Such a value is
+    the same at every point, so the error names the first expression that
+    raises and ``node``, the first node evaluated.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            return evaluate_all(exprs, coords)
+        except ArithmeticError:
+            for e in exprs:
+                try:
+                    e.evaluate(coords)
+                except ArithmeticError as exc:
+                    raise EvaluationError(
+                        f"non-finite constant ({type(exc).__name__}) in field "
+                        f"'{e}'", node) from None
+            raise
+
+
 def _sample_all(fields) -> None:
     """Sample every field in ``fields`` that has no samples yet.
 
@@ -190,8 +206,7 @@ def _sample_all(fields) -> None:
     if not pending:
         return
     patch = pending[0].patch
-    with np.errstate(all="ignore"):
-        values = evaluate_all([f.expr for f in pending], patch.open_mesh)
+    values = _evaluate([f.expr for f in pending], patch.open_mesh, (0,) * patch.dim)
     for k, f in enumerate(pending):
         raw, values[k] = values[k], None  # drop each raw value once copied
         full = np.broadcast_to(np.asarray(raw, dtype=float), patch.resolution).copy()
@@ -254,7 +269,7 @@ class ScalarField:
         return self._samples
 
     def sampled(self) -> "ScalarField":
-        """Sample-backed copy (the ``eval_field`` operation)."""
+        """Sample-backed copy: the field's values at every grid node."""
         return ScalarField(self.patch, samples=self.samples)
 
     def eval_at(self, points: np.ndarray) -> np.ndarray:
@@ -265,8 +280,8 @@ class ScalarField:
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.is_exact:
-            with np.errstate(all="ignore"):
-                vals = self.expr.evaluate(tuple(points[:, k] for k in range(self.patch.dim)))
+            vals = _evaluate([self.expr], tuple(points[:, k] for k in range(self.patch.dim)),
+                             self.patch.nearest_node(points[0]))[0]
             vals = np.broadcast_to(np.asarray(vals, dtype=float), (points.shape[0],)).copy()
             bad = _first_non_finite(vals)
             if bad is not None:
@@ -603,23 +618,13 @@ class TwoForm:
         return out
 
     def sup_interior(self) -> float:
-        sl = self.patch.interior()
-        worst = 0.0
-        for f in self.upper.values():
-            worst = max(worst, float(np.abs(f.samples[sl]).max()))
-        return worst
+        return max([0.0] + [interior_sup(f.samples, self.patch)
+                            for f in self.upper.values()])
 
 
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-
-def eval_field(f: ScalarField, patch: Patch | None = None) -> ScalarField:
-    """Sample a field at every grid node of its patch."""
-    if patch is not None and patch != f.patch:
-        raise ValueError("field does not live on the given patch")
-    return f.sampled()
 
 
 def gradient(u: ScalarField, mode: str = "auto") -> tuple[ScalarField, ...]:

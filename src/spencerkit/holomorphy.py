@@ -14,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ComplexField, complex_gradient, resolve_mode
-from .report import ResidualReport, report_from_pointwise
+from .report import ResidualReport, interior_sup, report_from_pointwise
 from .structures import AlmostComplexStructure, BlockDecomposition, PQPair, pointwise_inverse
 
 __all__ = [
-    "ComplexFunction",
     "holo_residual",
     "antiholo_residual",
     "reduced_system_residual",
@@ -26,11 +25,7 @@ __all__ = [
     "BlockIdentityReport",
 ]
 
-# domain alias: a complex function is a (re, im) pair of scalar fields
-ComplexFunction = ComplexField
-
-
-def _cr_residual(acs: AlmostComplexStructure, f: ComplexFunction, sign: float,
+def _cr_residual(acs: AlmostComplexStructure, f: ComplexField, sign: float,
                  mode: str) -> ResidualReport:
     if f.patch != acs.patch:
         raise ValueError("function and structure live on different patches")
@@ -43,27 +38,26 @@ def _cr_residual(acs: AlmostComplexStructure, f: ComplexFunction, sign: float,
     gu, gv = grad.real, grad.imag
     ju = np.einsum("...qp,...p->...q", jc, gu)
     jv = np.einsum("...qp,...p->...q", jc, gv)
-    sl = acs.patch.interior()
     breakdown = {
-        "du_system": float(np.abs(ju + sign * gv)[sl].max()),
-        "dv_system": float(np.abs(jv - sign * gu)[sl].max()),
+        "du_system": interior_sup(ju + sign * gv, acs.patch),
+        "dv_system": interior_sup(jv - sign * gu, acs.patch),
     }
-    return report_from_pointwise(pointwise, acs.patch.resolution, mode, breakdown)
+    return report_from_pointwise(pointwise, acs.patch, mode, breakdown)
 
 
-def holo_residual(acs: AlmostComplexStructure, f: ComplexFunction,
+def holo_residual(acs: AlmostComplexStructure, f: ComplexField,
                   mode: str = "auto") -> ResidualReport:
     """Residual of the almost-holomorphy system ``J*df = i df``."""
     return _cr_residual(acs, f, +1.0, mode)
 
 
-def antiholo_residual(acs: AlmostComplexStructure, f: ComplexFunction,
+def antiholo_residual(acs: AlmostComplexStructure, f: ComplexField,
                       mode: str = "auto") -> ResidualReport:
     """Residual of the almost-antiholomorphy system ``J*df = -i df``."""
     return _cr_residual(acs, f, -1.0, mode)
 
 
-def _frame_gradient(bd: BlockDecomposition, f: ComplexFunction, mode: str,
+def _frame_gradient(bd: BlockDecomposition, f: ComplexField, mode: str,
                     ) -> np.ndarray:
     """Gradient components in the normalized frame: G^-1 grad f."""
     grad = complex_gradient(f, mode)
@@ -72,7 +66,7 @@ def _frame_gradient(bd: BlockDecomposition, f: ComplexFunction, mode: str,
 
 
 def reduced_system_residual(bd: BlockDecomposition, pq: PQPair,
-                            f: ComplexFunction, mode: str = "auto",
+                            f: ComplexField, mode: str = "auto",
                             ) -> ResidualReport:
     """Residual of the reduced n-equation system in the normalized frame.
 
@@ -95,9 +89,8 @@ def reduced_system_residual(bd: BlockDecomposition, pq: PQPair,
         "factored_form_gap": float(np.abs(w - factored).max()),
     }
     for i in range(n):
-        breakdown[f"eq_{i + 1}"] = float(
-            np.abs(rows[..., i])[bd.patch.interior()].max())
-    return report_from_pointwise(pointwise, bd.patch.resolution, mode, breakdown)
+        breakdown[f"eq_{i + 1}"] = interior_sup(rows[..., i], bd.patch)
+    return report_from_pointwise(pointwise, bd.patch, mode, breakdown)
 
 
 @dataclass
@@ -111,20 +104,10 @@ class BlockIdentityReport:
     bound_holds: bool
     mode: str
 
-    def to_dict(self) -> dict:
-        return {
-            "identity_residual": self.identity_residual,
-            "full_residual": self.full_residual,
-            "reduced_residual": self.reduced_residual,
-            "kappa": self.kappa,
-            "bound_holds": self.bound_holds,
-            "mode": self.mode,
-        }
-
 
 def reduction_equivalence_check(acs: AlmostComplexStructure,
                                 bd: BlockDecomposition, pq: PQPair,
-                                f: ComplexFunction, mode: str = "auto",
+                                f: ComplexField, mode: str = "auto",
                                 tolerance: float = 1e-10) -> BlockIdentityReport:
     """Verify the block identity behind the system reduction.
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ComplexField, Patch, ScalarField, complex_gradient, resolve_mode
-from .report import ResidualReport, interior_slices, report_from_pointwise
+from .report import ResidualReport, interior_sup, report_from_pointwise, ring_depth
 from .structures import AlmostComplexStructure, HypercomplexStructure
 from .holomorphy import antiholo_residual, holo_residual
 from .elliptic import apply_pointwise, assemble_operator, d_oneform, potential_oneform
@@ -167,8 +167,7 @@ def _oneform_residual(acs: AlmostComplexStructure, a: ScalarField,
     grad_b = complex_gradient(ComplexField.from_real(b), mode).real
     jc = acs.cot_values()
     resid = np.einsum("...qp,...p->...q", jc, grad_a) - sign * grad_b
-    return report_from_pointwise(np.linalg.norm(resid, axis=-1),
-                                 acs.patch.resolution, mode)
+    return report_from_pointwise(np.linalg.norm(resid, axis=-1), acs.patch, mode)
 
 
 def k_hyperholo_residual(h: HypercomplexStructure, G: QuaternionFunction,
@@ -207,8 +206,7 @@ def matrix_condition_residual(acs: AlmostComplexStructure, F: QuaternionFunction
     jc = acs.cot_values()
     gap = np.einsum("...qp,...pa->...qa", jc, dt) \
         - np.einsum("...qa,ab->...qb", dt, rightmult)
-    sl = patch.interior()
-    return float(np.abs(gap[sl]).max())
+    return interior_sup(gap, patch)
 
 
 @dataclass
@@ -218,15 +216,6 @@ class TranslationReport:
     threshold: float
     passes: bool
     mode: str
-
-    def to_dict(self) -> dict:
-        return {
-            "antiholo_residual": self.antiholo_residual,
-            "holo_residual": self.holo_residual,
-            "threshold": self.threshold,
-            "passes": self.passes,
-            "mode": self.mode,
-        }
 
 
 def k_translation_consistency(h: HypercomplexStructure, G: QuaternionFunction,
@@ -267,16 +256,6 @@ class HyperPotentialReport:
     laplacian_k_zeta: float
     mode: str
 
-    def to_dict(self) -> dict:
-        return {
-            "coupled": self.coupled,
-            "j_closedness": self.j_closedness,
-            "k_closedness": self.k_closedness,
-            "laplacian_j_u": self.laplacian_j_u,
-            "laplacian_k_zeta": self.laplacian_k_zeta,
-            "mode": self.mode,
-        }
-
 
 def hyper_potential_residual(h: HypercomplexStructure, u: ScalarField,
                              zeta: ScalarField, mode: str = "auto",
@@ -293,13 +272,12 @@ def hyper_potential_residual(h: HypercomplexStructure, u: ScalarField,
                         and u.is_exact and zeta.is_exact)
     rj = d_oneform(potential_oneform(h.J, u, mode), mode)
     rk = d_oneform(potential_oneform(h.K, zeta, mode), mode)
-    coupled_vals = rj.values() + rk.values()
-    sl = interior_slices(h.patch.resolution, 1 if mode == "exact" else 2)
-    coupled = float(np.abs(coupled_vals[sl]).max())
-    j_sup = float(np.abs(rj.values()[sl]).max())
-    k_sup = float(np.abs(rk.values()[sl]).max())
-    op_j = assemble_operator(h.J, mode)
-    op_k = assemble_operator(h.K, mode)
-    lap_j = float(np.abs(apply_pointwise(op_j, u, mode)[sl]).max())
-    lap_k = float(np.abs(apply_pointwise(op_k, zeta, mode)[sl]).max())
+    patch, depth = h.patch, ring_depth(mode)
+    coupled = interior_sup(rj.values() + rk.values(), patch, depth)
+    j_sup = interior_sup(rj.values(), patch, depth)
+    k_sup = interior_sup(rk.values(), patch, depth)
+    lap_j = interior_sup(apply_pointwise(assemble_operator(h.J, mode), u, mode),
+                         patch, depth)
+    lap_k = interior_sup(apply_pointwise(assemble_operator(h.K, mode), zeta, mode),
+                         patch, depth)
     return HyperPotentialReport(coupled, j_sup, k_sup, lap_j, lap_k, mode)

@@ -20,7 +20,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .fields import ComplexField, Patch, complex_gradient, resolve_mode
-from .report import ResidualReport, report_from_pointwise
+from .report import ResidualReport, interior_sup, report_from_pointwise
 from .structures import AlmostComplexStructure, HypercomplexStructure
 from .holomorphy import antiholo_residual, holo_residual
 from .hypercomplex import (
@@ -135,17 +135,6 @@ class PatternReport:
     mode: str
     worst_node: tuple[int, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "block_residuals": dict(sorted(self.block_residuals.items())),
-            "holo_residuals": list(self.holo_residuals),
-            "passes": self.passes,
-            "tolerance": self.tolerance,
-            "mode": self.mode,
-            "worst_node": list(self.worst_node),
-        }
-
 
 def _pattern_blocks(acs: AlmostComplexStructure, basis: np.ndarray, m: int,
                     ) -> tuple[dict[str, float], tuple[int, ...]]:
@@ -159,29 +148,24 @@ def _pattern_blocks(acs: AlmostComplexStructure, basis: np.ndarray, m: int,
     n = patch.dim_half
     jc = acs.cot_values().astype(complex)
     M = np.linalg.solve(basis, np.einsum("...ij,...jk->...ik", jc, basis))
-    sl = patch.interior()
     eye = np.eye(m)
-
-    def sup(block):
-        return float(np.abs(block[sl]).max())
-
-    lead = sup(M[..., 0:m, 0:m] - 1j * eye)
-    conj_lead = sup(M[..., n:n + m, n:n + m] + 1j * eye)
     blocks = {
-        "lead_identity": max(lead, conj_lead),
+        "lead_identity": max(
+            interior_sup(M[..., 0:m, 0:m] - 1j * eye, patch),
+            interior_sup(M[..., n:n + m, n:n + m] + 1j * eye, patch)),
         "zero_complement": max(
-            sup(M[..., m:n, 0:m]),
-            sup(M[..., n + m:2 * n, n:n + m])) if m < n else 0.0,
+            interior_sup(M[..., m:n, 0:m], patch),
+            interior_sup(M[..., n + m:2 * n, n:n + m], patch)) if m < n else 0.0,
         "zero_conjugate": max(
-            sup(M[..., n:n + m, 0:m]),
-            sup(M[..., 0:m, n:n + m])),
+            interior_sup(M[..., n:n + m, 0:m], patch),
+            interior_sup(M[..., 0:m, n:n + m], patch)),
         "zero_conj_complement": max(
-            sup(M[..., n + m:2 * n, 0:m]),
-            sup(M[..., m:n, n:n + m])) if m < n else 0.0,
+            interior_sup(M[..., n + m:2 * n, 0:m], patch),
+            interior_sup(M[..., m:n, n:n + m], patch)) if m < n else 0.0,
     }
     gap = M[..., :, 0:m].copy()
     gap[..., 0:m, :] -= 1j * eye
-    per_node = np.abs(gap).max(axis=(-2, -1))[sl]
+    per_node = np.abs(gap).max(axis=(-2, -1))[patch.interior()]
     node = np.unravel_index(int(np.argmax(per_node)), per_node.shape)
     worst = tuple(int(i) + 1 for i in node)
     return blocks, worst
@@ -263,15 +247,14 @@ def superposition_check(acs: AlmostComplexStructure, chart: SpencerChart,
     coeffs = _chart_coefficients(chart, h, mode)
     n = chart.n
     m = chart.m
-    tail = np.abs(coeffs[..., m:])
-    pointwise = tail.max(axis=-1)
-    sl = chart.patch.interior()
+    patch = chart.patch
+    pointwise = np.abs(coeffs[..., m:]).max(axis=-1)
     breakdown = {
-        "complement": float(np.abs(coeffs[..., m:n])[sl].max()) if m < n else 0.0,
-        "conj_holo": float(np.abs(coeffs[..., n:n + m])[sl].max()),
-        "conj_complement": float(np.abs(coeffs[..., n + m:])[sl].max()) if m < n else 0.0,
+        "complement": interior_sup(coeffs[..., m:n], patch) if m < n else 0.0,
+        "conj_holo": interior_sup(coeffs[..., n:n + m], patch),
+        "conj_complement": interior_sup(coeffs[..., n + m:], patch) if m < n else 0.0,
     }
-    return report_from_pointwise(pointwise, chart.patch.resolution, mode, breakdown)
+    return report_from_pointwise(pointwise, patch, mode, breakdown)
 
 
 def transition_holomorphy_check(chart_a: SpencerChart, chart_b: SpencerChart,
@@ -305,7 +288,7 @@ def transition_holomorphy_check(chart_a: SpencerChart, chart_b: SpencerChart,
         coeffs = _chart_coefficients(chart_a, wb, mode)
         tail = np.abs(coeffs[..., m:]).max(axis=-1)
         pointwise = tail if pointwise is None else np.maximum(pointwise, tail)
-        breakdown[f"w{j}"] = float(tail[chart_a.patch.interior()].max())
+        breakdown[f"w{j}"] = interior_sup(tail, chart_a.patch)
     if sample_nodes is not None:
         flat = pointwise.ravel()[np.asarray(sample_nodes, dtype=int)]
         worst = int(np.asarray(sample_nodes)[int(np.argmax(flat))])
@@ -317,8 +300,7 @@ def transition_holomorphy_check(chart_a: SpencerChart, chart_b: SpencerChart,
             mode=mode,
             breakdown=breakdown,
         )
-    return report_from_pointwise(pointwise, chart_a.patch.resolution, mode,
-                                 breakdown)
+    return report_from_pointwise(pointwise, chart_a.patch, mode, breakdown)
 
 
 def fit_polynomial_map(inputs: np.ndarray, values: np.ndarray, degree: int,
@@ -352,16 +334,6 @@ class HyperPatternReport:
     precondition_residuals: dict[str, float]
     transition: dict[str, float] = field(default_factory=dict)
     passes: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "holo_pattern": self.holo_pattern.to_dict(),
-            "antiholo_pattern": self.antiholo_pattern.to_dict(),
-            "precondition_residuals": dict(sorted(
-                self.precondition_residuals.items())),
-            "transition": dict(sorted(self.transition.items())),
-            "passes": self.passes,
-        }
 
 
 def hyper_spencer_pattern_check(h: HypercomplexStructure,

@@ -27,6 +27,7 @@ import numpy as np
 
 from .expr import Num, add, mul, neg, sub
 from .fields import MatrixField, Patch, ScalarField, resolve_mode
+from .report import interior_sup
 
 __all__ = [
     "InvalidStructureError",
@@ -68,12 +69,16 @@ class SingularMatrixError(ValueError):
         self.node = node
 
 
-def _square_residual(values: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    d = values.shape[-1]
-    gap = np.einsum("...ik,...kj->...ij", values, values) + np.eye(d)
+def _sup_and_node(gap: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """Sup norm of a (*grid, r, c) array and the node where it is reached."""
     per_node = np.abs(gap).max(axis=(-2, -1))
     node = np.unravel_index(int(np.argmax(per_node)), per_node.shape)
     return float(per_node.max()), tuple(int(i) for i in node)
+
+
+def _square_residual(values: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    d = values.shape[-1]
+    return _sup_and_node(np.einsum("...ik,...kj->...ij", values, values) + np.eye(d))
 
 
 def _det_scale(values: np.ndarray) -> np.ndarray:
@@ -83,14 +88,20 @@ def _det_scale(values: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, mag) ** n
 
 
-def pointwise_inverse(values: np.ndarray, what: str = "matrix",
-                      threshold: float = 1e-12) -> np.ndarray:
-    """LU-based inverse at every node, with a detectable singularity guard."""
+def _require_nonsingular(values: np.ndarray, message: str,
+                         threshold: float = 1e-12) -> None:
+    """Raise ``SingularMatrixError`` at the first (near) singular node."""
     det = np.linalg.det(values)
     bad = np.abs(det) <= threshold * _det_scale(values)
     if bad.any():
         node = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise SingularMatrixError(f"{what} is singular", node)
+        raise SingularMatrixError(message, node)
+
+
+def pointwise_inverse(values: np.ndarray, what: str = "matrix",
+                      threshold: float = 1e-12) -> np.ndarray:
+    """LU-based inverse at every node, with a detectable singularity guard."""
+    _require_nonsingular(values, f"{what} is singular", threshold)
     return np.linalg.inv(values)
 
 
@@ -170,12 +181,7 @@ class PQPair:
         if self.P.shape != (n, n) or self.Q.shape != (n, n):
             raise ValueError(f"P and Q must be {n} x {n} matrix fields")
         qv = self.Q.values
-        det = np.linalg.det(qv)
-        bad = np.abs(det) <= 1e-12 * _det_scale(qv)
-        if bad.any():
-            node = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise SingularMatrixError("Q is singular", node)
-        qinv = np.linalg.inv(qv)
+        qinv = pointwise_inverse(qv, "Q")
         norm = np.abs(qv).sum(axis=-1).max(axis=-1)
         inv_norm = np.abs(qinv).sum(axis=-1).max(axis=-1)
         cond = float((norm * inv_norm).max())
@@ -183,7 +189,7 @@ class PQPair:
             raise SingularMatrixError(
                 f"Q condition estimate {cond:.2e} exceeds 1e12",
                 tuple(int(i) for i in
-                      np.unravel_index(int(np.argmax(norm * inv_norm)), det.shape)))
+                      np.unravel_index(int(np.argmax(norm * inv_norm)), norm.shape)))
         self.q_condition = cond
 
 
@@ -387,14 +393,9 @@ def normalize_at_origin(acs: AlmostComplexStructure,
     B = jg.block(slice(0, n), slice(n, 2 * n)) - eye
     C = jg.block(slice(n, 2 * n), slice(0, n)) + eye
     D = jg.block(slice(n, 2 * n), slice(n, 2 * n))
-    cm = C.values - np.eye(n)
-    det = np.linalg.det(cm)
-    bad = np.abs(det) <= 1e-12 * _det_scale(cm)
-    if bad.any():
-        node = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise SingularMatrixError(
-            "C(x) - E is singular (structure leaves the normalized "
-            "neighborhood; try a smaller patch)", node)
+    _require_nonsingular(C.values - np.eye(n),
+                         "C(x) - E is singular (structure leaves the normalized "
+                         "neighborhood; try a smaller patch)")
     return BlockDecomposition(patch, G, A, B, C, D)
 
 
@@ -448,9 +449,9 @@ def make_hypercomplex(J: AlmostComplexStructure, K: AlmostComplexStructure,
     if J.patch.dim % 4 != 0:
         raise ValueError("hypercomplex structures need dimension 4n")
     jt, kt = J.tan_values(), K.tan_values()
-    anti = float(np.abs(jt @ kt + kt @ jt).max())
+    anti, node = _sup_and_node(jt @ kt + kt @ jt)
     if anti > tolerance:
-        raise InvalidStructureError(anti, (0,) * J.patch.dim, tolerance)
+        raise InvalidStructureError(anti, node, tolerance)
     return HypercomplexStructure(J.patch, J, K, anti)
 
 
@@ -487,5 +488,4 @@ def nijenhuis_residual(acs: AlmostComplexStructure, mode: str = "auto") -> float
     term1 = np.einsum("nsi,nskj->nkij", T, DT)
     term3 = np.einsum("nks,njsi->nkij", T, DT)
     N = term1 - term1.transpose(0, 1, 3, 2) + term3 - term3.transpose(0, 1, 3, 2)
-    interior = patch.interior_flat
-    return float(np.abs(N[interior]).max())
+    return interior_sup(N.reshape(patch.resolution + (d, d, d)), patch)

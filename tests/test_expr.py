@@ -18,6 +18,7 @@ from spencerkit.expr import (
     Var,
     evaluate_all,
     parse_expr,
+    powi,
 )
 
 from conftest import reference_evaluate, to_sympy
@@ -213,6 +214,14 @@ class TestDerivative:
     def test_axis_is_one_based(self):
         with pytest.raises(ValueError, match="1-based"):
             Var(1).derivative(0)
+
+    def test_constant_powers_fold_as_on_arrays(self):
+        # Python floats raise on these; float64 arrays give inf
+        assert powi(Num(0.0), -1) == Num(math.inf)
+        assert powi(Num(10.0), 400) == Num(math.inf)
+        assert powi(Num(-2.0), 3) == Num(-8.0)
+        # d/dx1 of 0^0 folds 0 * 0^-1 = 0 * inf to NaN
+        assert str(parse_expr("0^0*x1", 1).derivative(1)) == "nan * x1 + 0.0^0"
 
     def test_repeat_call_returns_the_cached_node(self):
         e = parse_expr("sin(x1*x2) + x1^3/(x2 + 2)", 2)

@@ -13,7 +13,6 @@ from spencerkit.fields import (
     PatchError,
     ScalarField,
     d_oneform,
-    eval_field,
     gradient,
     line_integral,
     matvec,
@@ -54,13 +53,13 @@ class TestPatch:
 class TestEvalField:
     def test_sum_on_unit_square(self):
         p = Patch(1, ((0.0, 1.0), (0.0, 1.0)), (5, 5))
-        u = eval_field(ScalarField.from_expr(p, "x1 + x2"))
+        u = ScalarField.from_expr(p, "x1 + x2").sampled()
         corners = (u.samples[0, 0], u.samples[-1, 0],
                    u.samples[0, -1], u.samples[-1, -1])
         assert corners == (0.0, 1.0, 1.0, 2.0)
 
     def test_constant(self, patch2d):
-        u = eval_field(ScalarField.from_expr(patch2d, "7"))
+        u = ScalarField.from_expr(patch2d, "7").sampled()
         assert (u.samples == 7.0).all()
 
     def test_division_by_zero_reports_node(self):
@@ -68,6 +67,20 @@ class TestEvalField:
         with pytest.raises(EvaluationError) as err:
             ScalarField.from_expr(p, "1/x1").samples
         assert err.value.node == (2, 0)
+
+    @pytest.mark.parametrize("text", ["x1 + 1/0", "x1 + 0^-1", "x1*10^400"])
+    def test_constant_arithmetic_error_names_field_and_node(self, patch2d, text):
+        # the constant raises on Python floats; it fails at every node, and
+        # the first node is reported
+        other = ScalarField.from_expr(patch2d, "x2")
+        bad = ScalarField.from_expr(patch2d, text)
+        with pytest.raises(EvaluationError, match="non-finite constant") as err:
+            MatrixField(patch2d, [[other, bad]]).values
+        assert str(bad.expr) in str(err.value)
+        assert err.value.node == (0, 0)
+        with pytest.raises(EvaluationError, match="non-finite constant") as err:
+            bad.eval_at(np.array([[0.5, 0.5], [1.0, 1.0]]))
+        assert err.value.node == (4, 4)
 
     def test_point_evaluation_reports_nearest_node(self):
         p = Patch(1, ((-1.0, 1.0), (-1.0, 1.0)), (5, 5))

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import fields, is_dataclass
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,12 @@ import numpy as np
 import pytest
 
 import spencerkit
+from spencerkit import brackets, cli, elliptic, holomorphy, hypercomplex, report, \
+    spencer
 from spencerkit.cli import main
 from spencerkit.gridio import read_field_csv, write_field_csv
 from spencerkit.fields import Patch, ScalarField
+from spencerkit.report import jsonable
 from spencerkit.scene import SceneError, load_scene, parse_scene
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -137,6 +141,164 @@ class TestCliDeepExpressions:
         path = self._scene(tmp_path, {"deep": text})
         assert run(["pluri", "check", path, "--field", "deep", "--no-meta"]) == 2
         assert "expression nested too deeply" in capsys.readouterr().err
+
+
+# Inputs that once ended in a traceback or an unnamed error.  Each is argv
+# (the probe scene is {scene}), the exit code, and the cause the message
+# (exit 2) or the report's results (exit 1) must name.
+_PROBES = [
+    ("const-division", ["pluri", "check", "{scene}", "--field", "div"], 2, "in field"),
+    ("const-negative-power", ["pluri", "check", "{scene}", "--field", "negpow"], 2,
+     "in field"),
+    ("const-zero-power", ["pluri", "check", "{scene}", "--field", "zeropow"], 2,
+     "in field"),
+    ("const-overflow", ["pluri", "check", "{scene}", "--field", "overflow"], 2,
+     "in field"),
+    ("solve-without-bc", ["convergence", "{scene}", "--check", "solve",
+                          "--oracle", "x1"], 2, "--bc"),
+    ("solve-without-oracle", ["convergence", "{scene}", "--check", "solve",
+                              "--bc", "x1"], 2, "--oracle"),
+    ("holo-without-field", ["convergence", "{scene}", "--check", "holo"], 2,
+     "--field"),
+    ("pluri-without-field", ["convergence", "{scene}", "--check", "pluri"], 2,
+     "--field"),
+    ("zero-samples", ["acs", "check", "{scene}", "--samples", "0"], 2, "--samples"),
+    ("unconverged-solve", ["elliptic", "solve", "{scene}", "--bc", "x1^2 - x2^2"], 1,
+     "stats"),
+]
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("argv, code, cause", [p[1:] for p in _PROBES],
+                             ids=[p[0] for p in _PROBES])
+    def test_probe(self, tmp_path, capsys, argv, code, cause):
+        scene = tmp_path / "probe.json"
+        scene.write_text(json.dumps({
+            "schema": 1,
+            "dim_half": 1,
+            "patch": {"bounds": [0.0, 1.0], "resolution": 9},
+            "structure": {"kind": "standard"},
+            "fields": {"div": "x1 + 1/0", "negpow": "x1 + 0^-1",
+                       "zeropow": "0^0*x1 + x2", "overflow": "x1*10^400"},
+            # no solve reaches this: every one ends in ConvergenceError
+            "tolerances": {"solver": 1e-300},
+        }))
+        rc = run([a.format(scene=scene) for a in argv] + ["--no-meta"])
+        out, err = capsys.readouterr()
+        assert rc in (0, 1, 2)
+        assert rc == code
+        assert "Traceback" not in err
+        if rc == 2:
+            assert err.startswith("spencerctl: ") and cause in err
+        if rc == 1:
+            report = json.loads(out)
+            assert report["passed"] is False
+            assert cause in report["results"]
+
+    def test_unconverged_convergence_level_is_reported(self, capsys, monkeypatch):
+        def no_convergence(problem):
+            stats = elliptic.SolveStats("iterative", 2000, 1e-3, False, 49, True)
+            raise elliptic.ConvergenceError(stats, problem.boundary)
+
+        monkeypatch.setattr(cli, "solve_dirichlet", no_convergence)
+        rc = run(["convergence", SCENES / "standard2d.json", "--check", "solve",
+                  "--bc", "x1", "--oracle", "x1", "--no-meta"])
+        assert rc == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is False
+        assert report["results"]["values"] == []
+        assert report["results"]["stats"]["converged"] is False
+
+
+def _report_classes() -> dict:
+    """Every report dataclass of the analysis modules, by name."""
+    found = {}
+    for module in (report, elliptic, brackets, holomorphy, hypercomplex, spencer):
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and is_dataclass(obj) \
+                    and obj.__module__ == module.__name__ \
+                    and name.endswith(("Report", "Stats")):
+                found[name] = obj
+    return found
+
+
+# one value per field annotation used by the report dataclasses; numpy
+# scalars check their conversion to plain numbers
+_SAMPLE_VALUES = {
+    "float": np.float64(0.5),
+    "int": np.int64(3),
+    "bool": True,
+    "str": "exact",
+    "float | None": None,
+    "tuple[int, ...]": (1, 2),
+    "tuple[float, ...]": (0.25, np.float64(0.75)),
+    "tuple[float, float]": (0.25, 0.75),
+    "dict[str, float]": {"b": np.float64(1.5), "a": 2.0},
+}
+
+
+def _sample_report(cls, classes):
+    return cls(**{f.name: _sample_report(classes[f.type], classes)
+                  if f.type in classes else _SAMPLE_VALUES[f.type]
+                  for f in fields(cls)})
+
+
+def _assert_serialised(obj, data):
+    assert list(data) == [f.name for f in fields(obj)]
+    for f in fields(obj):
+        value, out = getattr(obj, f.name), data[f.name]
+        if is_dataclass(value):
+            _assert_serialised(value, out)
+        elif isinstance(value, tuple):
+            assert isinstance(out, list) and out == list(value)
+        elif isinstance(value, (np.floating, np.integer)):
+            assert type(out) in (float, int) and out == value
+
+
+_PINNED_PLURI_BUMP = """\
+{
+  "check": "pluri.check",
+  "description": "closedness of the potential form and the operator kernel",
+  "passed": true,
+  "results": {
+    "bound": 4.0000000001,
+    "closedness": {
+      "breakdown": {
+        "R_12": 2.0
+      },
+      "l2_norm": 2.0,
+      "mode": "exact",
+      "sup_norm": 2.0,
+      "worst_node": [
+        1,
+        1
+      ]
+    },
+    "field": "bump",
+    "laplacian_sup": 4.0,
+    "mode": "exact",
+    "passes": true,
+    "tolerance": 1e-08
+  },
+  "schema": 1
+}
+"""
+
+
+class TestReportSerialisation:
+    def test_every_report_dataclass(self):
+        classes = _report_classes()
+        assert len(classes) == 11
+        for cls in classes.values():
+            obj = _sample_report(cls, classes)
+            data = jsonable(obj)
+            _assert_serialised(obj, data)
+            assert json.loads(json.dumps(data)) == data
+
+    def test_no_meta_report_is_pinned(self, capsys):
+        assert run(["pluri", "check", SCENES / "standard2d.json", "--field", "bump",
+                    "--no-meta"]) == 0
+        assert capsys.readouterr().out == _PINNED_PLURI_BUMP
 
 
 class TestCliReports:

@@ -309,6 +309,26 @@ class TestQuaternionic:
         h = conjugated_hypercomplex(patch4d, g)
         assert h.anti_residual <= 1e-10
 
+    def test_non_anticommuting_pair_reports_worst_node(self, patch4d):
+        # K' = cos(t) K + sin(t) J squares to -E, and J K' + K' J = -2 sin(t) E;
+        # t = (x1 + 1) / 2 runs over [0, 1], so the gap is largest on the
+        # nodes (6, *, *, *), the first of which is (6, 0, 0, 0)
+        h = flat_hypercomplex(patch4d)
+        cos = ScalarField.from_expr(patch4d, "cos(0.5*x1 + 0.5)")
+        sin = ScalarField.from_expr(patch4d, "sin(0.5*x1 + 0.5)")
+        tilted = validate_acs(h.K.j_cot.map(lambda e: e * cos)
+                              + h.J.j_cot.map(lambda e: e * sin))
+        with pytest.raises(InvalidStructureError) as err:
+            make_hypercomplex(h.J, tilted)
+        assert err.value.node == (6, 0, 0, 0)
+        assert err.value.residual == pytest.approx(2 * np.sin(1.0))
+
+    def test_singular_q_names_first_singular_node(self, patch2d):
+        # Q = x1 - 0.5 vanishes on the nodes (4, *) of the 9-node unit grid
+        with pytest.raises(SingularMatrixError, match=r"^Q is singular at node \(4, 0\)$"):
+            PQPair(patch2d, MatrixField.from_exprs(patch2d, [["0"]]),
+                   MatrixField.from_exprs(patch2d, [["x1 - 0.5"]]))
+
 
 class TestTwistor:
     def test_j_itself(self, patch4d):
