@@ -24,9 +24,9 @@ import numpy as np
 
 from .fields import (
     ComplexField,
-    MatrixField,
     Patch,
     ScalarField,
+    matvec,
     resolve_mode,
 )
 from .report import interior_sup
@@ -124,15 +124,7 @@ def j_action(acs: AlmostComplexStructure, x: VectorFieldC) -> VectorFieldC:
     """Componentwise tangent action (JX)^k = sum_j T[k, j] X^j."""
     if x.patch != acs.patch:
         raise ValueError("vector field and structure live on different patches")
-    t = acs.j_tan
-    comps = []
-    for k in range(acs.dim):
-        acc = None
-        for j in range(acs.dim):
-            term = x.components[j] * t.entries[k][j]
-            acc = term if acc is None else acc + term
-        comps.append(acc)
-    return VectorFieldC(x.patch, tuple(comps))
+    return VectorFieldC(x.patch, matvec(acs.j_tan, x.components))
 
 
 def bracket(x: VectorFieldC, y: VectorFieldC, u, mode: str = "auto") -> ComplexField:

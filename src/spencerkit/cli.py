@@ -31,7 +31,6 @@ from .fields import Patch, ScalarField
 from .elliptic import (
     ConvergenceError,
     DirichletProblem,
-    apply_pointwise,
     assemble_operator,
     ellipticity_certificate,
     potential_closedness_residual,
@@ -48,7 +47,7 @@ from .hypercomplex import (
     k_hyperholo_residual,
     k_translation_consistency,
 )
-from .report import interior_sup, jsonable
+from .report import default_tolerance, interior_sup, jsonable
 from .scene import Scene, SceneError, load_scene
 from .spencer import superposition_check, verify_chart
 from .structures import extract_pq, nijenhuis_residual, normalize_at_origin, \
@@ -98,13 +97,13 @@ def _scene(args) -> Scene:
                       mode_override=args.mode)
 
 
-def _default_tol(args, scene: Scene, exact_default: float = 1e-8) -> float:
+def _tolerance(args, scene: Scene, floor: float = 1e-8) -> float:
+    """``--tol``, else the scene's ``check`` tolerance, else the default rule."""
     if args.tol is not None:
         return args.tol
     if "check" in scene.tolerances:
-        return scene.tolerance("check", exact_default)
-    h = max(scene.patch.spacing)
-    return exact_default if scene.mode != "fd" else max(exact_default, 30 * h * h)
+        return scene.tolerance("check", floor)
+    return default_tolerance(scene.patch, scene.mode, floor, 30.0)
 
 
 def _base_node(args, patch: Patch) -> tuple[int, ...]:
@@ -141,7 +140,7 @@ def cmd_acs_from_pq(args) -> int:
     scene = _scene(args)
     pq = scene.pq_pair()
     acs = reconstruct_from_pq(pq, symbolic="always")
-    entries = [[str(e.expr) for e in row] for row in acs.j_cot.entries]
+    entries = [[str(e) for e in row] for row in acs.j_cot.exprs]
     out_scene = {
         "schema": 1,
         "name": f"{scene.name}-reconstructed",
@@ -175,7 +174,7 @@ def cmd_acs_extract_pq(args) -> int:
     back = reconstruct_from_pq(pq, symbolic="never")
     gap = float(np.abs(back.cot_values() - bd.reassembled()).max())
     identities = bd.identity_residuals()
-    tol = _default_tol(args, scene, 1e-10)
+    tol = _tolerance(args, scene, 1e-10)
     passed = gap <= tol and max(identities.values()) <= tol
     results = {
         "base_node": list(base),
@@ -228,7 +227,7 @@ def cmd_pluri_check(args) -> int:
     acs = scene.structure()
     u = scene.scalar_field(args.field)
     theorem = theorem_check(acs, u, scene.mode)
-    tol = _default_tol(args, scene)
+    tol = _tolerance(args, scene)
     passed = theorem.passes and (args.tol is None
                                  or theorem.closedness.sup_norm <= tol)
     results = {"field": args.field, "tolerance": tol, **jsonable(theorem)}
@@ -291,7 +290,7 @@ def cmd_bracket_check(args) -> int:
     }
     passed = True
     if args.case:
-        tol = _default_tol(args, scene)
+        tol = _tolerance(args, scene)
         law = bracket_law_check(acs, x, y, u, args.case, scene.mode, tol)
         results["law"] = law
         results["tolerance"] = tol
@@ -304,7 +303,7 @@ def cmd_hyper_check(args) -> int:
     h = scene.hypercomplex()
     results: dict = {"anti_residual": h.anti_residual}
     passed = True
-    tol = _default_tol(args, scene)
+    tol = _tolerance(args, scene)
     if args.function:
         F = scene.quaternion_function(args.function)
         jres = j_hyperholo_residual(h, F, scene.mode)
@@ -330,14 +329,15 @@ def cmd_spencer_verify(args) -> int:
     scene = _scene(args)
     acs = scene.structure()
     chart = scene.chart(args.chart)
-    rep = verify_chart(acs, chart, scene.mode, args.tol)
+    tol = _tolerance(args, scene)
+    rep = verify_chart(acs, chart, scene.mode, tol)
     results = {"chart": args.chart, "pattern": rep}
     passed = rep.passes
     if args.superpose:
         h = scene.complex_field(args.superpose)
-        sup = superposition_check(acs, chart, h, scene.mode, args.tol)
+        sup = superposition_check(acs, chart, h, scene.mode, tol)
         results["superposition"] = sup
-        passed = passed and sup.sup_norm <= (args.tol or rep.tolerance)
+        passed = passed and sup.sup_norm <= tol
     return emit("spencer.verify", results, passed, args)
 
 
@@ -353,21 +353,21 @@ def cmd_convergence(args) -> int:
     values = []
     for factor in (1, 2, 4):
         scene = base_scene.refined(factor) if factor > 1 else base_scene
+        acs = scene.structure()
         if args.check == "holo":
-            acs = scene.structure()
             rep = holo_residual(acs, scene.complex_field(args.field), "fd")
             values.append(rep.sup_norm)
         elif args.check == "pluri":
-            acs = scene.structure()
             rep = potential_closedness_residual(
                 acs, scene.scalar_field(args.field), "fd")
             values.append(rep.sup_norm)
         else:
-            acs = scene.structure()
             op = assemble_operator(acs, "fd")
             boundary = ScalarField.from_expr(scene.patch, args.bc)
+            problem = DirichletProblem(op, boundary,
+                                       tolerance=scene.tolerance("solver", 1e-8))
             try:
-                solution, _ = solve_dirichlet(DirichletProblem(op, boundary))
+                solution, _ = solve_dirichlet(problem)
             except ConvergenceError as exc:
                 results = {"check": args.check, "values": values, "stats": exc.stats}
                 return emit("convergence", results, False, args)

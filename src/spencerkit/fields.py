@@ -17,13 +17,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .expr import Expr, Num, add, as_expr, div, evaluate_all, mul, neg, parse_expr, \
-    powi, sub
+from .expr import Expr, Num, add, as_expr, evaluate_all, mul, neg, parse_expr, sub
 from .report import interior_sup
 
 __all__ = [
@@ -126,9 +125,6 @@ class Patch:
         """Index of the nodes ``depth`` or more rings inside the boundary."""
         return (slice(depth, -depth),) * self.dim
 
-    def node_point(self, node: tuple[int, ...]) -> tuple[float, ...]:
-        return tuple(float(ax[i]) for ax, i in zip(self.axes, node))
-
     def nearest_node(self, point) -> tuple[int, ...]:
         """Grid node closest to ``point``, clamped onto the patch."""
         return tuple(int(np.clip(np.rint((x - lo) / h), 0, r - 1))
@@ -194,28 +190,36 @@ def _evaluate(exprs, coords, node: tuple[int, ...]) -> list:
             raise
 
 
-def _sample_all(fields) -> None:
-    """Sample every field in ``fields`` that has no samples yet.
+def _field_expr(patch: Patch, expr) -> Expr:
+    """``expr``, or the expression of its text, checked against ``patch``."""
+    e = parse_expr(expr, patch.dim) if isinstance(expr, str) else as_expr(expr)
+    if e.max_var_index() > patch.dim:
+        raise ValueError(
+            f"expression uses x{e.max_var_index()} but patch has "
+            f"dimension {patch.dim}")
+    return e
+
+
+def _sample(patch: Patch, exprs) -> np.ndarray:
+    """Samples of ``exprs`` stacked on a trailing axis: (*grid, len(exprs)).
 
     The expressions are evaluated together, so a node they share is computed
     once.  They are evaluated on the open mesh: a node that uses k of the d
     variables is computed on a k-dimensional array, and only each root is
-    broadcast to the full grid.
+    broadcast to the full grid.  A non-finite sample raises
+    ``EvaluationError`` at the first such expression and node.
     """
-    pending = [f for f in fields if f._samples is None]
-    if not pending:
-        return
-    patch = pending[0].patch
-    values = _evaluate([f.expr for f in pending], patch.open_mesh, (0,) * patch.dim)
-    for k, f in enumerate(pending):
-        raw, values[k] = values[k], None  # drop each raw value once copied
-        full = np.broadcast_to(np.asarray(raw, dtype=float), patch.resolution).copy()
-        del raw
-        bad = _first_non_finite(full)
-        if bad is not None:
-            node = tuple(int(i) for i in np.unravel_index(bad, full.shape))
-            raise EvaluationError(f"non-finite value in field '{f.expr}'", node)
-        f._samples = full
+    values = _evaluate(exprs, patch.open_mesh, (0,) * patch.dim)
+    out = np.empty(patch.resolution + (len(exprs),))
+    for k in range(len(exprs)):
+        out[..., k] = values[k]
+        values[k] = None  # drop each raw value once copied
+    bad = _first_non_finite(np.moveaxis(out, -1, 0))  # expression by expression
+    if bad is not None:
+        k, flat = divmod(bad, patch.n_points)
+        node = tuple(int(i) for i in np.unravel_index(flat, patch.resolution))
+        raise EvaluationError(f"non-finite value in field '{exprs[k]}'", node)
+    return out
 
 
 class ScalarField:
@@ -223,14 +227,12 @@ class ScalarField:
 
     __slots__ = ("patch", "expr", "_samples")
 
-    def __init__(self, patch: Patch, expr: Expr | None = None,
+    def __init__(self, patch: Patch, expr: Expr | str | None = None,
                  samples: np.ndarray | None = None):
         if expr is None and samples is None:
             raise ValueError("a field needs an expression or samples")
-        if expr is not None and expr.max_var_index() > patch.dim:
-            raise ValueError(
-                f"expression uses x{expr.max_var_index()} but patch has "
-                f"dimension {patch.dim}")
+        if expr is not None:
+            expr = _field_expr(patch, expr)
         if samples is not None:
             samples = np.asarray(samples, dtype=float)
             if samples.shape != patch.resolution:
@@ -244,9 +246,7 @@ class ScalarField:
 
     @classmethod
     def from_expr(cls, patch: Patch, text_or_expr) -> "ScalarField":
-        e = parse_expr(text_or_expr, patch.dim) if isinstance(text_or_expr, str) \
-            else as_expr(text_or_expr)
-        return cls(patch, expr=e)
+        return cls(patch, expr=text_or_expr)
 
     @classmethod
     def const(cls, patch: Patch, value: float) -> "ScalarField":
@@ -265,7 +265,7 @@ class ScalarField:
     @property
     def samples(self) -> np.ndarray:
         if self._samples is None:
-            _sample_all((self,))
+            self._samples = _sample(self.patch, [self.expr])[..., 0]
         return self._samples
 
     def sampled(self) -> "ScalarField":
@@ -341,20 +341,10 @@ class ScalarField:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return self._combine(other, div, np.divide)
-
     def __neg__(self):
         if self.is_exact:
             return ScalarField(self.patch, expr=neg(self.expr))
         return ScalarField(self.patch, samples=-self.samples)
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            raise TypeError("only integer powers are supported")
-        if self.is_exact:
-            return ScalarField(self.patch, expr=powi(self.expr, exponent))
-        return ScalarField(self.patch, samples=self.samples**exponent)
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,42 +422,53 @@ def _as_complex(patch: Patch, value) -> ComplexField:
     raise TypeError(f"cannot use {type(value).__name__} as a complex field")
 
 
+def _rectangular(rows) -> tuple[tuple, ...]:
+    rows = tuple(tuple(row) for row in rows)
+    if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("matrix field must be rectangular and non-empty")
+    return rows
+
+
 class MatrixField:
-    """Rectangular array of scalar fields sharing one patch."""
+    """Field of r x c matrices: one (*grid, r, c) array of samples, taken
+    lazily, and the r x c tuple ``exprs`` of the entries' expressions when
+    every entry has one.  Algebra works on ``exprs`` if all operands have
+    them, and on the arrays otherwise."""
 
-    __slots__ = ("patch", "entries", "shape", "_values")
+    __slots__ = ("patch", "exprs", "_values")
 
-    def __init__(self, patch: Patch, entries):
-        rows = tuple(tuple(e for e in row) for row in entries)
-        if not rows or not rows[0]:
-            raise ValueError("matrix field cannot be empty")
-        ncols = len(rows[0])
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("matrix field must be rectangular")
-            for e in row:
-                if not isinstance(e, ScalarField):
-                    raise TypeError("entries must be ScalarField")
-                if e.patch != patch:
-                    raise ValueError("all entries must share the patch")
+    def __init__(self, patch: Patch, rows):
+        """Matrix of the scalar fields in ``rows``, a nested sequence."""
+        rows = _rectangular(rows)
+        for e in (e for row in rows for e in row):
+            if not isinstance(e, ScalarField):
+                raise TypeError("entries must be ScalarField")
+            if e.patch != patch:
+                raise ValueError("all entries must share the patch")
         self.patch = patch
-        self.entries = rows
-        self.shape = (len(rows), ncols)
-        self._values = None
+        self.exprs = self._values = None
+        if all(e.is_exact for row in rows for e in row):
+            self.exprs = tuple(tuple(e.expr for e in row) for row in rows)
+        else:
+            self._values = np.stack([np.stack([e.samples for e in row], axis=-1)
+                                     for row in rows], axis=-2)
+
+    @classmethod
+    def _of(cls, patch: Patch, exprs=None, values=None) -> "MatrixField":
+        out = cls.__new__(cls)
+        out.patch, out.exprs, out._values = patch, exprs, values
+        return out
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_exprs(cls, patch: Patch, rows) -> "MatrixField":
-        return cls(patch, [[ScalarField.from_expr(patch, e) for e in row]
-                           for row in rows])
+        return cls._of(patch, tuple(tuple(_field_expr(patch, e) for e in row)
+                                    for row in _rectangular(rows)))
 
     @classmethod
     def constant(cls, patch: Patch, matrix) -> "MatrixField":
-        matrix = np.asarray(matrix, dtype=float)
-        return cls(patch, [[ScalarField.const(patch, matrix[i, j])
-                            for j in range(matrix.shape[1])]
-                           for i in range(matrix.shape[0])])
+        return cls.from_exprs(patch, np.asarray(matrix, dtype=float).tolist())
 
     @classmethod
     def identity(cls, patch: Patch, n: int) -> "MatrixField":
@@ -477,17 +478,20 @@ class MatrixField:
     def from_values(cls, patch: Patch, values: np.ndarray) -> "MatrixField":
         """Sample-backed matrix from an array of shape (*grid, r, c)."""
         values = np.asarray(values, dtype=float)
-        r, c = values.shape[-2:]
-        out = cls(patch, [[ScalarField.from_samples(patch, values[..., i, j])
-                           for j in range(c)] for i in range(r)])
-        out._values = values
-        return out
+        if values.shape[:-2] != patch.resolution or 0 in values.shape[-2:]:
+            raise ValueError(f"matrix samples {values.shape} on grid {patch.resolution}")
+        return cls._of(patch, values=values)
 
     # -- evaluation --------------------------------------------------------
 
     @property
     def is_exact(self) -> bool:
-        return all(e.is_exact for row in self.entries for e in row)
+        return self.exprs is not None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        exprs = self.exprs
+        return (len(exprs), len(exprs[0])) if exprs else self._values.shape[-2:]
 
     @property
     def is_square(self) -> bool:
@@ -495,74 +499,89 @@ class MatrixField:
 
     @property
     def values(self) -> np.ndarray:
-        """Stacked samples of shape (*grid, rows, cols)."""
+        """Samples of shape (*grid, rows, cols)."""
         if self._values is None:
-            _sample_all([e for row in self.entries for e in row])
-            r, c = self.shape
-            out = np.empty(self.patch.resolution + (r, c))
-            for i in range(r):
-                for j in range(c):
-                    out[..., i, j] = self.entries[i][j].samples
-            self._values = out
+            self._values = _sample(self.patch, sum(self.exprs, ())).reshape(
+                self.patch.resolution + self.shape)
         return self._values
 
-    def __getitem__(self, key):
+    def __getitem__(self, key) -> ScalarField:
+        """Entry (i, j): its expression, if any, and a view of the samples."""
         i, j = key
-        return self.entries[i][j]
+        # a cached array is read as is: perfbench's tracer reads the entries
+        # after each operation and must not enter the traced ``values``
+        values = self.values if self._values is None else self._values
+        return ScalarField(self.patch, self.exprs[i][j] if self.is_exact else None,
+                           values[..., i, j])
+
+    @property
+    def entries(self) -> tuple[tuple[ScalarField, ...], ...]:
+        return tuple(tuple(self[i, j] for j in range(self.shape[1]))
+                     for i in range(self.shape[0]))
 
     # -- algebra -----------------------------------------------------------
 
+    def _apply(self, others, expr_op, array_op) -> "MatrixField":
+        """``expr_op`` entry by entry on the expression matrices of ``self``
+        and ``others`` when all have them, else ``array_op`` on the arrays."""
+        operands = (self, *others)
+        if any(m.shape != self.shape for m in others):
+            raise ValueError("matrix shapes differ")
+        if all(m.is_exact for m in operands):
+            return MatrixField._of(self.patch, tuple(
+                tuple(map(expr_op, *rows)) for rows in zip(*(m.exprs for m in operands))))
+        return MatrixField._of(self.patch, values=array_op(*(m.values for m in operands)))
+
     def transpose(self) -> "MatrixField":
-        r, c = self.shape
-        return MatrixField(self.patch,
-                           [[self.entries[i][j] for i in range(r)] for j in range(c)])
+        exprs = tuple(zip(*self.exprs)) if self.is_exact else None
+        values = None if self._values is None else np.swapaxes(self._values, -1, -2)
+        return MatrixField._of(self.patch, exprs, values)
+
+    def block(self, rows: slice, cols: slice) -> "MatrixField":
+        exprs = tuple(row[cols] for row in self.exprs[rows]) if self.is_exact else None
+        values = None if self._values is None else self._values[..., rows, cols]
+        return MatrixField._of(self.patch, exprs, values)
 
     def __matmul__(self, other: "MatrixField") -> "MatrixField":
         if self.shape[1] != other.shape[0]:
             raise ValueError("matrix shapes do not align")
-        if self.is_exact and other.is_exact:
-            r, k, c = self.shape[0], self.shape[1], other.shape[1]
-            rows = []
-            for i in range(r):
-                row = []
-                for j in range(c):
-                    acc = Num(0.0)
-                    for t in range(k):
-                        acc = add(acc, mul(self.entries[i][t].expr,
-                                           other.entries[t][j].expr))
-                    row.append(ScalarField(self.patch, expr=acc))
-                rows.append(row)
-            return MatrixField(self.patch, rows)
-        vals = np.einsum("...ik,...kj->...ij", self.values, other.values)
-        return MatrixField.from_values(self.patch, vals)
-
-    def _zip(self, other, op) -> "MatrixField":
-        if self.shape != other.shape:
-            raise ValueError("matrix shapes differ")
-        return MatrixField(self.patch,
-                           [[op(a, b) for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.entries, other.entries)])
+        if not (self.is_exact and other.is_exact):
+            return MatrixField._of(self.patch, values=self.values @ other.values)
+        return MatrixField._of(self.patch, tuple(
+            tuple(reduce(add, map(mul, row, col), Num(0.0)) for col in zip(*other.exprs))
+            for row in self.exprs))
 
     def __add__(self, other):
-        return self._zip(other, lambda a, b: a + b)
+        return self._apply((other,), add, np.add)
 
     def __sub__(self, other):
-        return self._zip(other, lambda a, b: a - b)
+        return self._apply((other,), sub, np.subtract)
 
     def __neg__(self):
-        return self.map(lambda e: -e)
+        return self._apply((), neg, np.negative)
 
     def scaled(self, factor: float) -> "MatrixField":
-        return self.map(lambda e: e * factor)
+        k = float(factor)
+        return self._apply((), lambda e: mul(e, Num(k)), lambda v: v * k)
 
-    def map(self, fn) -> "MatrixField":
-        return MatrixField(self.patch, [[fn(e) for e in row] for row in self.entries])
+    # -- calculus ----------------------------------------------------------
 
     def diff(self, axis: int, mode: str = "auto") -> "MatrixField":
-        return self.map(lambda e: e.diff(axis, mode))
+        """Partial derivative along 1-based ``axis``."""
+        if resolve_mode(mode, self.is_exact) == "exact":
+            return self._apply((), lambda e: e.derivative(axis), None)
+        h = self.patch.spacing[axis - 1]
+        return MatrixField._of(self.patch, values=np.gradient(
+            self.values, h, axis=axis - 1, edge_order=2))
 
-    def block(self, rows: slice, cols: slice) -> "MatrixField":
-        return MatrixField(self.patch, [row[cols] for row in self.entries[rows]])
+    def derivatives(self, mode: str = "auto") -> np.ndarray:
+        """Samples of all d partial derivatives, shape (*grid, d, r, c);
+        ``[..., s, :, :]`` is the derivative along axis s + 1."""
+        d = self.patch.dim
+        out = np.empty(self.patch.resolution + (d,) + self.shape)
+        for s in range(d):
+            out[..., s, :, :] = self.diff(s + 1, mode).values
+        return out
 
 
 class OneForm:
@@ -652,7 +671,7 @@ def matvec(m: MatrixField, vec) -> tuple:
     for i in range(r):
         acc = None
         for j in range(c):
-            term = m.entries[i][j] * vec[j]
+            term = m[i, j] * vec[j]
             acc = term if acc is None else acc + term
         out.append(acc)
     return tuple(out)

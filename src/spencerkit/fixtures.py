@@ -66,8 +66,8 @@ def pullback_structure(patch: Patch, phi) -> AlmostComplexStructure:
     exprs = [parse_expr(p, d) if isinstance(p, str) else p for p in phi]
     if len(exprs) != d:
         raise ValueError(f"expected {d} map components, got {len(exprs)}")
-    jac = MatrixField(patch, [[ScalarField(patch, expr=exprs[i].derivative(j))
-                               for j in range(1, d + 1)] for i in range(d)])
+    jac = MatrixField.from_exprs(patch, [[exprs[i].derivative(j)
+                                          for j in range(1, d + 1)] for i in range(d)])
     std = standard_structure(patch)
     jac_inv = symbolic_inverse(jac)
     j_tan = jac_inv @ MatrixField.constant(patch, std.tan_values()[(0,) * d]) @ jac

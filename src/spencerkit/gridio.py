@@ -37,16 +37,28 @@ def write_field_csv(field: ScalarField, path) -> None:
 
 
 def read_field_csv(path) -> ScalarField:
+    """Field of a grid dump; a malformed dump raises ``ValueError`` naming
+    ``path``."""
     text = FsPath(path).read_text().strip().splitlines()
     if len(text) < 4 or not text[0].startswith("axes,"):
         raise ValueError(f"{path} is not a grid dump")
-    axes = text[0].split(",")[1:]
-    resolution = tuple(int(v) for v in text[1].split(",")[1:])
-    bvals = [float(v) for v in text[2].split(",")[1:]]
-    bounds = tuple((bvals[2 * k], bvals[2 * k + 1]) for k in range(len(axes)))
-    if text[3] != "data":
-        raise ValueError(f"{path}: missing data section")
+    try:
+        return _parse_dump(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_dump(text: list[str]) -> ScalarField:
+    d = len(text[0].split(",")) - 1
+    res, bounds = (line.split(",") for line in text[1:3])
+    if d % 2 or [res[0], len(res), bounds[0], len(bounds), text[3]] \
+            != ["resolution", d + 1, "bounds", 2 * d + 1, "data"]:
+        raise ValueError(f"expected an even number of axes, then {d} resolutions, "
+                         f"{2 * d} bounds and a data section")
+    bvals = [float(v) for v in bounds[1:]]
+    patch = Patch(d // 2, tuple(zip(bvals[::2], bvals[1::2])),
+                  tuple(int(v) for v in res[1:]))
     values = [float(v) for line in text[4:] for v in line.split(",") if v]
-    patch = Patch(len(axes) // 2, bounds, resolution)
-    samples = np.asarray(values).reshape(resolution)
-    return ScalarField.from_samples(patch, samples)
+    if len(values) != patch.n_points:
+        raise ValueError(f"expected {patch.n_points} values, got {len(values)}")
+    return ScalarField.from_samples(patch, np.asarray(values).reshape(patch.resolution))

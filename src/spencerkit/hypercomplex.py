@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ComplexField, Patch, ScalarField, complex_gradient, resolve_mode
+from .fields import ComplexField, MatrixField, Patch, ScalarField, complex_gradient, \
+    resolve_mode
 from .report import ResidualReport, interior_sup, report_from_pointwise, ring_depth
 from .structures import AlmostComplexStructure, HypercomplexStructure
 from .holomorphy import antiholo_residual, holo_residual
@@ -82,11 +83,6 @@ class QuaternionFunction:
         """First K-splitting pair u + i*zeta (K-holomorphic when the
         function is K-hyperholomorphic)."""
         return ComplexField(self.u, self.zeta)
-
-    @property
-    def psi(self) -> ComplexField:
-        """Second K-splitting pair v + i*eta."""
-        return ComplexField(self.v, self.eta)
 
     def components(self) -> tuple[ScalarField, ScalarField, ScalarField, ScalarField]:
         return (self.u, self.v, self.zeta, self.eta)
@@ -196,17 +192,9 @@ def matrix_condition_residual(acs: AlmostComplexStructure, F: QuaternionFunction
     """
     mode = resolve_mode(mode, acs.is_exact and
                         all(c.is_exact for c in F.components()))
-    patch = acs.patch
-    d = patch.dim
     # D^T columns are the gradients of the four components
-    dt = np.empty(patch.resolution + (d, 4))
-    for a, compf in enumerate(F.components()):
-        for q in range(1, d + 1):
-            dt[..., q - 1, a] = compf.diff(q, mode).samples
-    jc = acs.cot_values()
-    gap = np.einsum("...qp,...pa->...qa", jc, dt) \
-        - np.einsum("...qa,ab->...qb", dt, rightmult)
-    return interior_sup(gap, patch)
+    dt = MatrixField(acs.patch, [F.components()]).derivatives(mode)[..., 0, :]
+    return interior_sup(acs.cot_values() @ dt - dt @ rightmult, acs.patch)
 
 
 @dataclass

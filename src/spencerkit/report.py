@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 import numpy as np
 
 __all__ = ["ResidualReport", "report_from_pointwise", "interior_sup",
-           "ring_depth", "jsonable"]
+           "ring_depth", "default_tolerance", "jsonable"]
 
 
 def ring_depth(mode: str) -> int:
@@ -19,6 +19,16 @@ def ring_depth(mode: str) -> int:
     and differencing across that jump costs an order at the first ring).
     """
     return 1 if mode == "exact" else 2
+
+
+def default_tolerance(patch, mode: str, floor: float, coefficient: float) -> float:
+    """Tolerance of a check given none: ``floor`` outside fd mode, else
+    ``max(floor, coefficient * h^2)`` with h the largest spacing.  The caller
+    picks the roundoff floor and the order-2 truncation coefficient."""
+    if mode != "fd":
+        return floor
+    h = max(patch.spacing)
+    return max(floor, coefficient * h * h)
 
 
 def interior_sup(values: np.ndarray, patch, depth: int = 1) -> float:

@@ -38,7 +38,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .fields import ComplexField, MatrixField, Patch, ScalarField
+from .fields import ComplexField, EvaluationError, MatrixField, Patch, ScalarField
 from .structures import AlmostComplexStructure, HypercomplexStructure, PQPair, \
     reconstruct_from_pq, validate_acs
 from .brackets import VectorFieldC
@@ -54,7 +54,7 @@ _TOP_KEYS = {"schema", "name", "dim_half", "patch", "structure", "fields",
              "charts", "vector_fields", "quaternion_functions", "mode",
              "tolerances"}
 _PATCH_KEYS = {"bounds", "resolution"}
-_TOL_KEYS = {"acs", "check", "pattern", "solver"}
+_TOL_KEYS = {"acs", "check", "solver"}
 
 
 class SceneError(ValueError):
@@ -70,15 +70,6 @@ def _check_keys(obj: dict, allowed: set[str], where: str):
     _require(isinstance(obj, dict), f"{where} must be an object")
     unknown = set(obj) - allowed
     _require(not unknown, f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _complex_pair(spec, patch: Patch, where: str) -> ComplexField:
-    if isinstance(spec, str):
-        return ComplexField(ScalarField.from_expr(patch, spec),
-                            ScalarField.const(patch, 0.0))
-    _check_keys(spec, {"re", "im"}, where)
-    _require("re" in spec and "im" in spec, f"{where} needs 're' and 'im'")
-    return ComplexField.from_exprs(patch, spec["re"], spec["im"])
 
 
 @dataclass
@@ -99,6 +90,28 @@ class Scene:
     def tolerance(self, which: str, default: float) -> float:
         return float(self.tolerances.get(which, default))
 
+    def _real(self, text, where: str) -> ScalarField:
+        """Field ``text``, sampled here with its first derivatives (but for
+        fd mode) so that a non-finite value is named by its scene key."""
+        f = ScalarField.from_expr(self.patch, text)
+        try:
+            f.samples
+            if self.mode != "fd":
+                for k in range(1, self.patch.dim + 1):
+                    f.diff(k, "exact").samples
+        except EvaluationError as exc:
+            raise SceneError(f"{where}: {exc}") from None
+        return f
+
+    def _complex(self, spec, where: str) -> ComplexField:
+        if isinstance(spec, str):
+            return ComplexField(self._real(spec, where),
+                                ScalarField.const(self.patch, 0.0))
+        _check_keys(spec, {"re", "im"}, where)
+        _require("re" in spec and "im" in spec, f"{where} needs 're' and 'im'")
+        return ComplexField(self._real(spec["re"], f"{where}.re"),
+                            self._real(spec["im"], f"{where}.im"))
+
     # -- builders ----------------------------------------------------------
 
     def structure(self) -> AlmostComplexStructure:
@@ -118,7 +131,7 @@ class Scene:
         if kind == "type1":
             f = None
             if "f" in spec:
-                f = _complex_pair(spec["f"], self.patch, "structure.f")
+                f = self._complex(spec["f"], "structure.f")
             return fixtures.type1_structure(self.patch, f)
         raise SceneError(f"structure kind {kind!r} is not an almost-complex "
                          "structure (use hyper commands for hypercomplex scenes)")
@@ -143,40 +156,40 @@ class Scene:
                 self.patch, np.asarray(spec["frame"], dtype=float))
         raise SceneError(f"unknown hypercomplex pair {pair!r}")
 
-    def is_hypercomplex(self) -> bool:
-        return self.structure_spec["kind"] == "hypercomplex"
-
     def scalar_field(self, name: str) -> ScalarField:
         spec = self._named(self.field_specs, name, "field")
         _require(isinstance(spec, str),
                  f"field {name!r} is complex; this check needs a real field")
-        return ScalarField.from_expr(self.patch, spec)
+        return self._real(spec, f"fields.{name}")
 
     def complex_field(self, name: str) -> ComplexField:
         spec = self._named(self.field_specs, name, "field")
-        return _complex_pair(spec, self.patch, f"fields.{name}")
+        return self._complex(spec, f"fields.{name}")
 
     def chart(self, name: str) -> SpencerChart:
         spec = self._named(self.chart_specs, name, "chart")
         _check_keys(spec, {"m", "holo", "complement"}, f"charts.{name}")
-        holo = tuple(_complex_pair(s, self.patch, f"charts.{name}.holo")
-                     for s in spec.get("holo", []))
-        comp = tuple(_complex_pair(s, self.patch, f"charts.{name}.complement")
-                     for s in spec.get("complement", []))
+        holo = tuple(self._complex(s, f"charts.{name}.holo[{k}]")
+                     for k, s in enumerate(spec.get("holo", [])))
+        comp = tuple(self._complex(s, f"charts.{name}.complement[{k}]")
+                     for k, s in enumerate(spec.get("complement", [])))
         return SpencerChart(int(spec["m"]), holo, comp)
 
     def vector_field(self, name: str) -> VectorFieldC:
         spec = self._named(self.vector_field_specs, name, "vector field")
-        comps = tuple(_complex_pair(s, self.patch, f"vector_fields.{name}")
-                      for s in spec)
+        comps = tuple(self._complex(s, f"vector_fields.{name}[{k}]")
+                      for k, s in enumerate(spec))
         return VectorFieldC(self.patch, comps)
 
     def quaternion_function(self, name: str) -> QuaternionFunction:
         spec = self._named(self.quaternion_specs, name, "quaternion function")
         _check_keys(spec, {"u", "v", "zeta", "eta"},
                     f"quaternion_functions.{name}")
-        return QuaternionFunction.from_exprs(
-            self.patch, spec["u"], spec["v"], spec["zeta"], spec["eta"])
+        _require(len(spec) == 4,
+                 f"quaternion_functions.{name} needs u, v, zeta and eta")
+        return QuaternionFunction(*(
+            self._real(spec[c], f"quaternion_functions.{name}.{c}")
+            for c in ("u", "v", "zeta", "eta")))
 
     def _named(self, table: dict, name: str, what: str):
         if name not in table:

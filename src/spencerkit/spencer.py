@@ -14,13 +14,14 @@ Chart discovery is out of scope: only verification of supplied charts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .fields import ComplexField, Patch, complex_gradient, resolve_mode
-from .report import ResidualReport, interior_sup, report_from_pointwise
+from .report import ResidualReport, default_tolerance, interior_sup, \
+    report_from_pointwise
 from .structures import AlmostComplexStructure, HypercomplexStructure
 from .holomorphy import antiholo_residual, holo_residual
 from .hypercomplex import (
@@ -41,7 +42,6 @@ __all__ = [
     "transition_holomorphy_check",
     "hyper_spencer_pattern_check",
     "fit_polynomial_map",
-    "pattern_tolerance",
 ]
 
 
@@ -92,14 +92,6 @@ class SpencerChart:
 
     def functions(self) -> tuple[ComplexField, ...]:
         return self.holo + self.complement
-
-
-def pattern_tolerance(patch: Patch, mode: str) -> float:
-    """Default tolerance: 1e-8 in exact mode, 30 h^2 in finite differences."""
-    if mode == "exact":
-        return 1e-8
-    h = max(patch.spacing)
-    return 30.0 * h * h
 
 
 def _basis_columns(chart: SpencerChart, mode: str) -> np.ndarray:
@@ -185,7 +177,7 @@ def verify_chart(acs: AlmostComplexStructure, chart: SpencerChart,
     exact_ok = acs.is_exact and all(f.is_exact for f in chart.functions())
     mode = resolve_mode(mode, exact_ok)
     if tolerance is None:
-        tolerance = pattern_tolerance(acs.patch, mode)
+        tolerance = default_tolerance(acs.patch, mode, 1e-8, 30.0)
     basis = _basis_columns(chart, mode)
     ndet = _normalized_det(basis)
     if ndet.min() <= 1e-8:
@@ -360,7 +352,7 @@ def hyper_spencer_pattern_check(h: HypercomplexStructure,
     exact_ok = acs.is_exact and all(f.is_exact for f in chart + antichart)
     mode = resolve_mode(mode, exact_ok)
     if tolerance is None:
-        tolerance = pattern_tolerance(h.patch, mode)
+        tolerance = default_tolerance(h.patch, mode, 1e-8, 30.0)
     pre = {}
     for j, f in enumerate(chart, start=1):
         pre[f"holo_{j}"] = holo_residual(acs, f, mode).sup_norm
@@ -375,15 +367,8 @@ def hyper_spencer_pattern_check(h: HypercomplexStructure,
     mirror = SpencerChart(m, tuple(f.conjugate() for f in antichart),
                           tuple(chart))
     mirror_pattern = verify_chart(acs, mirror, mode, tolerance)
-    antiholo_pattern = PatternReport(
-        m=m,
-        block_residuals=mirror_pattern.block_residuals,
-        holo_residuals=tuple(pre[f"antiholo_{j}"] for j in range(1, m + 1)),
-        passes=mirror_pattern.passes,
-        tolerance=tolerance,
-        mode=mode,
-        worst_node=mirror_pattern.worst_node,
-    )
+    antiholo_pattern = replace(mirror_pattern, holo_residuals=tuple(
+        pre[f"antiholo_{j}"] for j in range(1, m + 1)))
 
     transition_info: dict[str, float] = {}
     passes = (holo_pattern.passes and antiholo_pattern.passes

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Num, add, mul, neg, sub
-from .fields import MatrixField, Patch, ScalarField, resolve_mode
+from .expr import Num, add, div, mul, neg, sub
+from .fields import MatrixField, Patch, resolve_mode
 from .report import interior_sup
 
 __all__ = [
@@ -51,11 +51,12 @@ ACS_TOLERANCE = 1e-8
 
 
 class InvalidStructureError(ValueError):
-    """Matrix field does not square to minus the identity."""
+    """A structure identity fails: by default, J(x)^2 = -E."""
 
-    def __init__(self, residual: float, node: tuple[int, ...], tolerance: float):
+    def __init__(self, residual: float, node: tuple[int, ...], tolerance: float,
+                 quantity: str = "J(x)^2 + E has sup norm"):
         super().__init__(
-            f"J(x)^2 + E has sup norm {residual:.3e} at node {node} "
+            f"{quantity} {residual:.3e} at node {node} "
             f"(tolerance {tolerance:.1e})")
         self.residual = residual
         self.node = node
@@ -78,7 +79,7 @@ def _sup_and_node(gap: np.ndarray) -> tuple[float, tuple[int, ...]]:
 
 def _square_residual(values: np.ndarray) -> tuple[float, tuple[int, ...]]:
     d = values.shape[-1]
-    return _sup_and_node(np.einsum("...ik,...kj->...ij", values, values) + np.eye(d))
+    return _sup_and_node(values @ values + np.eye(d))
 
 
 def _det_scale(values: np.ndarray) -> np.ndarray:
@@ -220,21 +221,17 @@ def symbolic_inverse(m: MatrixField) -> MatrixField:
         raise ValueError("symbolic inversion is limited to n <= 4")
     if not m.is_exact:
         raise ValueError("symbolic inversion needs expression-backed entries")
-    entries = [[m.entries[i][j].expr for j in range(n)] for i in range(n)]
+    entries = m.exprs
     det = _sym_det(entries)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [[entries[r][c] for c in range(n) if c != i]
-                     for r in range(n) if r != j]
-            cof = _sym_det(minor) if n > 1 else Num(1.0)
-            if (i + j) % 2 == 1:
-                cof = neg(cof)
-            row.append(ScalarField(m.patch, expr=cof))
-        rows.append(row)
-    det_field = ScalarField(m.patch, expr=det)
-    return MatrixField(m.patch, [[entry / det_field for entry in row] for row in rows])
+
+    def inverse_entry(i, j):
+        minor = [[entries[r][c] for c in range(n) if c != i]
+                 for r in range(n) if r != j]
+        cof = _sym_det(minor) if n > 1 else Num(1.0)
+        return div(neg(cof) if (i + j) % 2 == 1 else cof, det)
+
+    return MatrixField.from_exprs(m.patch, [[inverse_entry(i, j) for j in range(n)]
+                                            for i in range(n)])
 
 
 def reconstruct_from_pq(pq: PQPair, symbolic: str = "auto") -> AlmostComplexStructure:
@@ -256,20 +253,15 @@ def reconstruct_from_pq(pq: PQPair, symbolic: str = "auto") -> AlmostComplexStru
         tr = -(pq.P @ qinv @ pq.P) - pq.Q
         bl = qinv
         br = qinv @ pq.P
-        rows = [list(tl.entries[i]) + list(tr.entries[i]) for i in range(n)]
-        rows += [list(bl.entries[i]) + list(br.entries[i]) for i in range(n)]
-        j_cot = MatrixField(pq.patch, rows)
+        rows = [tl.exprs[i] + tr.exprs[i] for i in range(n)]
+        rows += [bl.exprs[i] + br.exprs[i] for i in range(n)]
+        j_cot = MatrixField.from_exprs(pq.patch, rows)
     else:
         pv, qv = pq.P.values, pq.Q.values
         qinv = pointwise_inverse(qv, "Q")
-        grid = pq.patch.resolution
-        out = np.empty(grid + (2 * n, 2 * n))
         pqinv = pv @ qinv
-        out[..., :n, :n] = -pqinv
-        out[..., :n, n:] = -(pqinv @ pv) - qv
-        out[..., n:, :n] = qinv
-        out[..., n:, n:] = qinv @ pv
-        j_cot = MatrixField.from_values(pq.patch, out)
+        j_cot = MatrixField.from_values(pq.patch, np.block(
+            [[-pqinv, -(pqinv @ pv) - qv], [qinv, qinv @ pv]]))
     return validate_acs(j_cot, rep="cot", tolerance=1e-10)
 
 
@@ -290,15 +282,9 @@ class BlockDecomposition:
 
     def reassembled(self) -> np.ndarray:
         """[[A, B+E], [C-E, D]] stacked per node."""
-        n = self.n
-        grid = self.patch.resolution
-        out = np.empty(grid + (2 * n, 2 * n))
-        eye = np.eye(n)
-        out[..., :n, :n] = self.A.values
-        out[..., :n, n:] = self.B.values + eye
-        out[..., n:, :n] = self.C.values - eye
-        out[..., n:, n:] = self.D.values
-        return out
+        eye = np.eye(self.n)
+        return np.block([[self.A.values, self.B.values + eye],
+                         [self.C.values - eye, self.D.values]])
 
     def identity_residuals(self) -> dict[str, float]:
         """Sup norms of the four block identities implied by J^2 = -E."""
@@ -331,11 +317,13 @@ def _normal_form(n: int) -> np.ndarray:
     return _NORMAL_FORM_CACHE[n]
 
 
-def normalizing_frame(m0: np.ndarray, tolerance: float = 1e-8) -> np.ndarray:
+def normalizing_frame(m0: np.ndarray, tolerance: float = 1e-8, *,
+                      node: tuple[int, ...]) -> np.ndarray:
     """Constant G with G^-1 m0 G = [[0, E], [-E, 0]].
 
     Built from the eigenvectors of m0 for eigenvalue +i: writing an
     eigenvector as a + ib, the columns of G are (a_1..a_n, b_1..b_n).
+    ``node`` is where m0 was taken, named if its eigenvalues are off +-i.
     """
     d = m0.shape[0]
     n = d // 2
@@ -344,9 +332,10 @@ def normalizing_frame(m0: np.ndarray, tolerance: float = 1e-8) -> np.ndarray:
     w, v = np.linalg.eig(m0)
     order = np.argsort(np.abs(w - 1j))
     picked = order[:n]
-    if np.abs(w[picked] - 1j).max() > tolerance:
-        raise InvalidStructureError(float(np.abs(w[picked] - 1j).max()),
-                                    (0,) * d, tolerance)
+    gap = float(np.abs(w[picked] - 1j).max())
+    if gap > tolerance:
+        raise InvalidStructureError(gap, node, tolerance,
+                                    "eigenvalues of J(x) lie off +-i by")
     cols = v[:, picked]
     cols = cols / np.abs(cols).max(axis=0)
     G = np.hstack([cols.real, cols.imag])
@@ -363,8 +352,7 @@ def conjugate_by_constant(m: MatrixField, left: np.ndarray,
         lf = MatrixField.constant(m.patch, left)
         rf = MatrixField.constant(m.patch, right)
         return lf @ m @ rf
-    vals = np.einsum("ik,...kl,lj->...ij", left, m.values, right)
-    return MatrixField.from_values(m.patch, vals)
+    return MatrixField.from_values(m.patch, left @ m.values @ right)
 
 
 def normalize_at_origin(acs: AlmostComplexStructure,
@@ -385,7 +373,7 @@ def normalize_at_origin(acs: AlmostComplexStructure,
         if not 0 <= i < r:
             raise ValueError(f"base point {base_point} is outside the grid")
     m0 = acs.cot_values()[tuple(base_point)]
-    G = normalizing_frame(m0)
+    G = normalizing_frame(m0, node=tuple(base_point))
     Ginv = np.linalg.inv(G)
     jg = conjugate_by_constant(acs.j_cot, Ginv, G)
     eye = MatrixField.identity(patch, n)
@@ -437,10 +425,6 @@ class HypercomplexStructure:
     K: AlmostComplexStructure
     anti_residual: float
 
-    @property
-    def quaternion_dim(self) -> int:
-        return self.patch.dim // 4
-
 
 def make_hypercomplex(J: AlmostComplexStructure, K: AlmostComplexStructure,
                       tolerance: float = ACS_TOLERANCE) -> HypercomplexStructure:
@@ -451,7 +435,7 @@ def make_hypercomplex(J: AlmostComplexStructure, K: AlmostComplexStructure,
     jt, kt = J.tan_values(), K.tan_values()
     anti, node = _sup_and_node(jt @ kt + kt @ jt)
     if anti > tolerance:
-        raise InvalidStructureError(anti, node, tolerance)
+        raise InvalidStructureError(anti, node, tolerance, "JK + KJ has sup norm")
     return HypercomplexStructure(J.patch, J, K, anti)
 
 
@@ -482,9 +466,8 @@ def nijenhuis_residual(acs: AlmostComplexStructure, mode: str = "auto") -> float
     d = patch.dim
     npnts = patch.n_points
     T = acs.tan_values().reshape(npnts, d, d)
-    DT = np.empty((npnts, d, d, d))  # [node, s, k, j] = d_s T[k, j]
-    for s in range(1, d + 1):
-        DT[:, s - 1] = acs.j_tan.diff(s, mode).values.reshape(npnts, d, d)
+    # [node, s, k, j] = d_s T[k, j]
+    DT = acs.j_tan.derivatives(mode).reshape(npnts, d, d, d)
     term1 = np.einsum("nsi,nskj->nkij", T, DT)
     term3 = np.einsum("nks,njsi->nkij", T, DT)
     N = term1 - term1.transpose(0, 1, 3, 2) + term3 - term3.transpose(0, 1, 3, 2)

@@ -50,6 +50,26 @@ class TestAssemble:
         for b in op.B:
             assert np.abs(b.samples).max() == 0.0
 
+    @pytest.mark.parametrize("mode", ["exact", "fd"])
+    def test_coefficients_match_entrywise_sums(self, mode):
+        # A_sp = sum_q C[q,s] C[q,p] + E and
+        # B_p = sum_sq C[q,s] (d_s C[q,p] - d_q C[s,p]), summed node by node
+        rng = np.random.default_rng(11)
+        patch = Patch.box(2, -0.4, 0.4, 5)
+        acs = reconstruct_from_pq(random_pq(rng, patch))
+        op = assemble_operator(acs, mode)
+        c = acs.cot_values()
+        dc = [acs.j_cot.diff(s, mode).values for s in range(1, 5)]
+        for s in range(4):
+            for p in range(4):
+                a_ref = sum(c[..., q, s] * c[..., q, p] for q in range(4)) + (s == p)
+                assert np.abs(op.A.values[..., s, p] - a_ref).max() <= 1e-13
+        for p in range(4):
+            b_ref = sum(c[..., q, s] * (dc[s][..., q, p] - dc[q][..., s, p])
+                        for s in range(4) for q in range(4))
+            scale = max(1.0, np.abs(b_ref).max())
+            assert np.abs(op.B[p].samples - b_ref).max() <= 1e-13 * scale
+
     def test_fixture_against_symbolic_expansion(self, fixture_acs):
         # independent oracle: expand A = C^T C + E and the drift in sympy
         patch = fixture_acs.patch

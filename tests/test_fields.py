@@ -260,6 +260,58 @@ class TestFieldAlgebra:
                               np.swapaxes(m.values, -1, -2))
 
 
+class TestMatrixArray:
+    ROWS = [["x1^2*x2", "sin(x1 + x2)", "1"], ["exp(x2)", "x1*x2^3", "x2 - x1"]]
+
+    def test_fd_diff_is_per_entry_gradient_bitwise(self, patch2d):
+        m = MatrixField.from_exprs(patch2d, self.ROWS)
+        for axis in (1, 2):
+            h = patch2d.spacing[axis - 1]
+            stacked = m.diff(axis, "fd").values
+            for i in range(2):
+                for j in range(3):
+                    ref = np.gradient(m[i, j].samples, h, axis=axis - 1, edge_order=2)
+                    assert stacked[..., i, j].tobytes() == ref.tobytes()
+
+    def test_entry_samples_are_views_of_the_array(self, patch2d):
+        m = MatrixField.from_exprs(patch2d, self.ROWS)
+        for i in range(2):
+            for j in range(3):
+                entry = m[i, j]
+                assert entry.expr is m.exprs[i][j]
+                assert np.shares_memory(entry.samples, m.values)
+                assert np.array_equal(entry.samples, m.values[..., i, j])
+
+    def test_derivatives_stack_every_axis(self, patch2d):
+        m = MatrixField.from_exprs(patch2d, self.ROWS)
+        for mode in ("exact", "fd"):
+            stacked = m.derivatives(mode)
+            assert stacked.shape == patch2d.resolution + (2, 2, 3)
+            for s in (1, 2):
+                assert np.array_equal(stacked[..., s - 1, :, :],
+                                      m.diff(s, mode).values)
+
+    def test_state_is_expressions_and_one_array(self, patch2d):
+        m = MatrixField.from_exprs(patch2d, self.ROWS)
+        assert MatrixField.__slots__ == ("patch", "exprs", "_values")
+        assert m._values is None
+        m.values
+        sampled = MatrixField.from_values(patch2d, m.values)
+        assert sampled.exprs is None and sampled.values is m.values
+        assert sampled[1, 2].expr is None
+        assert np.shares_memory(sampled[1, 2].samples, m.values)
+
+    def test_exact_and_sampled_algebra_agree(self, patch2d):
+        m = MatrixField.from_exprs(patch2d, [["x1", "x2"], ["1", "x1*x2"]])
+        s = MatrixField.from_values(patch2d, m.values)
+        for exact, sampled in ((m @ m, s @ s), (m + m, s + s), (m - m.transpose(),
+                               s - s.transpose()), (-m, -s), (m.scaled(0.5), s.scaled(0.5)),
+                               (m.block(slice(1, 2), slice(0, 2)),
+                                s.block(slice(1, 2), slice(0, 2)))):
+            assert exact.is_exact and not sampled.is_exact
+            assert np.abs(exact.values - sampled.values).max() <= 1e-15
+
+
 def _scene_scalar_fields(scene):
     """Every expression-backed scalar field a shipped scene declares."""
     specs = [scene.field_specs, scene.chart_specs, scene.vector_field_specs,

@@ -64,6 +64,12 @@ class TestSceneParsing:
         scene = parse_scene(self._minimal(), grid_override=33)
         assert scene.patch.resolution == (33, 33)
 
+    def test_pattern_tolerance_key_rejected(self):
+        data = self._minimal()
+        data["tolerances"] = {"pattern": 1e-6}
+        with pytest.raises(SceneError, match="unknown keys in tolerances"):
+            parse_scene(data)
+
     def test_missing_field_reports_names(self):
         scene = parse_scene(self._minimal())
         with pytest.raises(SceneError, match="no field named"):
@@ -144,16 +150,20 @@ class TestCliDeepExpressions:
 
 
 # Inputs that once ended in a traceback or an unnamed error.  Each is argv
-# (the probe scene is {scene}), the exit code, and the cause the message
-# (exit 2) or the report's results (exit 1) must name.
+# (the probe scene is {scene}, a malformed grid dump {csv}), the exit code,
+# and the cause the message (exit 2) or the report's results (exit 1) must
+# name.
 _PROBES = [
-    ("const-division", ["pluri", "check", "{scene}", "--field", "div"], 2, "in field"),
+    ("const-division", ["pluri", "check", "{scene}", "--field", "div"], 2,
+     "fields.div: "),
     ("const-negative-power", ["pluri", "check", "{scene}", "--field", "negpow"], 2,
-     "in field"),
+     "fields.negpow: "),
     ("const-zero-power", ["pluri", "check", "{scene}", "--field", "zeropow"], 2,
-     "in field"),
+     "fields.zeropow: "),
     ("const-overflow", ["pluri", "check", "{scene}", "--field", "overflow"], 2,
-     "in field"),
+     "fields.overflow: "),
+    ("holo-const-division", ["holo", "residual", "{scene}", "--field", "div"], 2,
+     "fields.div: "),
     ("solve-without-bc", ["convergence", "{scene}", "--check", "solve",
                           "--oracle", "x1"], 2, "--bc"),
     ("solve-without-oracle", ["convergence", "{scene}", "--check", "solve",
@@ -165,6 +175,10 @@ _PROBES = [
     ("zero-samples", ["acs", "check", "{scene}", "--samples", "0"], 2, "--samples"),
     ("unconverged-solve", ["elliptic", "solve", "{scene}", "--bc", "x1^2 - x2^2"], 1,
      "stats"),
+    ("unconverged-convergence-solve", ["convergence", "{scene}", "--check", "solve",
+                                       "--bc", "x1", "--oracle", "x1"], 1, "stats"),
+    ("short-csv-bounds", ["elliptic", "solve", "{scene}", "--bc-csv", "{csv}"], 2,
+     "probe.csv: "),
 ]
 
 
@@ -183,7 +197,11 @@ class TestExitCodeContract:
             # no solve reaches this: every one ends in ConvergenceError
             "tolerances": {"solver": 1e-300},
         }))
-        rc = run([a.format(scene=scene) for a in argv] + ["--no-meta"])
+        # its bounds line lists one axis of two
+        csv = tmp_path / "probe.csv"
+        csv.write_text("axes,x1,x2\nresolution,9,9\nbounds,0.0,1.0\ndata\n"
+                       + "0.0\n" * 81)
+        rc = run([a.format(scene=scene, csv=csv) for a in argv] + ["--no-meta"])
         out, err = capsys.readouterr()
         assert rc in (0, 1, 2)
         assert rc == code
@@ -283,6 +301,21 @@ _PINNED_PLURI_BUMP = """\
   "schema": 1
 }
 """
+
+
+class TestDefaultTolerance:
+    def test_exact_mode_is_the_floor(self):
+        assert report.default_tolerance(Patch.box(1, 0.0, 1.0, 9), "exact",
+                                        1e-8, 30.0) == 1e-8
+
+    def test_fd_mode_scales_with_the_largest_spacing(self):
+        p = Patch(1, ((0.0, 1.0), (0.0, 2.0)), (9, 9))
+        assert report.default_tolerance(p, "fd", 1e-8, 30.0) == 30.0 * 0.25 * 0.25
+
+    def test_fd_mode_stops_at_the_floor(self):
+        # 30 h^2 = 3e-9 < 1e-8 for h = 1e-5
+        p = Patch.box(1, 0.0, 4e-5, 5)
+        assert report.default_tolerance(p, "fd", 1e-8, 30.0) == 1e-8
 
 
 class TestReportSerialisation:
@@ -416,6 +449,21 @@ class TestCliWorkflows:
                     "--chart", "overclaim", "--no-meta"])
         assert code == 1
 
+    def test_spencer_verify_takes_the_scene_check_tolerance(self, tmp_path, capsys):
+        data = json.loads((SCENES / "type1.json").read_text())
+        data["tolerances"] = {"check": 1e-30}
+        scene = tmp_path / "strict.json"
+        scene.write_text(json.dumps(data))
+        # fd residuals are truncation-sized: above 1e-30, below the fd default
+        argv = ["spencer", "verify", scene, "--chart", "type1", "--mode", "fd",
+                "--no-meta"]
+        assert run(argv) == 1
+        assert json.loads(capsys.readouterr().out)["results"]["pattern"][
+            "tolerance"] == 1e-30
+        data["tolerances"] = {}
+        scene.write_text(json.dumps(data))
+        assert run(argv) == 0
+
     def test_convergence_orders(self, capsys):
         code = run(["convergence", SCENES / "pullback2d.json",
                     "--check", "pluri", "--field", "pluri", "--grid", "9",
@@ -435,6 +483,20 @@ class TestGridCsv:
         back = read_field_csv(target)
         assert back.patch == p
         assert np.array_equal(back.samples, field.samples)
+
+    @pytest.mark.parametrize("header, rows, message", [
+        ("axes,x1\nresolution,9\nbounds,0.0,1.0", 9, "even number of axes"),
+        ("axes,x1,x2\nresolution,9\nbounds,0.0,1.0,0.0,1.0", 81, "2 resolutions"),
+        ("axes,x1,x2\nresolution,9,9\nbounds,0.0,1.0,0.0", 81, "4 bounds"),
+        ("axes,x1,x2\nbounds,0.0,1.0,0.0,1.0\nresolution,9,9", 81, "2 resolutions"),
+        ("axes,x1,x2\nresolution,9,9\nbounds,0.0,1.0,0.0,1.0", 80, "81 values"),
+    ])
+    def test_malformed_dump_names_the_file(self, tmp_path, header, rows, message):
+        target = tmp_path / "bad.csv"
+        target.write_text(header + "\ndata\n" + "0.5\n" * rows)
+        with pytest.raises(ValueError, match=message) as err:
+            read_field_csv(target)
+        assert str(err.value).startswith(f"{target}: ")
 
     def test_4d_round_trip(self, tmp_path):
         p = Patch.box(2, 0.0, 1.0, 5)

@@ -316,12 +316,25 @@ class TestQuaternionic:
         h = flat_hypercomplex(patch4d)
         cos = ScalarField.from_expr(patch4d, "cos(0.5*x1 + 0.5)")
         sin = ScalarField.from_expr(patch4d, "sin(0.5*x1 + 0.5)")
-        tilted = validate_acs(h.K.j_cot.map(lambda e: e * cos)
-                              + h.J.j_cot.map(lambda e: e * sin))
+
+        def times(m, f):
+            return MatrixField(patch4d, [[e * f for e in row] for row in m.entries])
+
+        tilted = validate_acs(times(h.K.j_cot, cos) + times(h.J.j_cot, sin))
         with pytest.raises(InvalidStructureError) as err:
             make_hypercomplex(h.J, tilted)
         assert err.value.node == (6, 0, 0, 0)
         assert err.value.residual == pytest.approx(2 * np.sin(1.0))
+
+    def test_off_spectrum_base_reports_eigenvalue_gap_at_base_node(self, patch2d):
+        # J^2 = -1.001 E passes a 1e-2 square tolerance, but the eigenvalues
+        # +-i sqrt(1.001) lie 5.0e-4 off +-i at every node, the base included
+        acs = structure_from_cot(patch2d, [["0", "1"], ["-1.001", "0"]],
+                                 tolerance=1e-2)
+        with pytest.raises(InvalidStructureError, match="eigenvalues") as err:
+            normalize_at_origin(acs, (3, 5))
+        assert err.value.node == (3, 5)
+        assert err.value.residual == pytest.approx(np.sqrt(1.001) - 1.0)
 
     def test_singular_q_names_first_singular_node(self, patch2d):
         # Q = x1 - 0.5 vanishes on the nodes (4, *) of the 9-node unit grid
