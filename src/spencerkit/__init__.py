@@ -12,11 +12,9 @@ from .fields import (
     EvaluationError,
     MatrixField,
     ModeError,
-    OneForm,
     Patch,
     PatchError,
     ScalarField,
-    TwoForm,
     d_oneform,
     gradient,
     line_integral,

@@ -28,7 +28,6 @@ import scipy.sparse.linalg as spla
 
 from .fields import (
     MatrixField,
-    OneForm,
     Patch,
     ScalarField,
     d_oneform,
@@ -64,11 +63,13 @@ DIRECT_SOLVER_LIMIT = 20_000
 
 
 def potential_oneform(acs: AlmostComplexStructure, u: ScalarField,
-                      mode: str = "auto") -> OneForm:
-    """The 1-form with coefficients ``j_cot grad u``."""
+                      mode: str = "auto") -> MatrixField:
+    """The 1-form (d x 1) with coefficients ``j_cot grad u``."""
     mode = resolve_mode(mode, acs.is_exact and u.is_exact)
-    grad = gradient(u, mode)
-    return OneForm(acs.patch, matvec(acs.j_cot, grad))
+    # matvec sums term by term, so the coefficients do not depend on how a
+    # matrix product would order or fuse them
+    coefficients = matvec(acs.j_cot, gradient(u, mode))
+    return MatrixField(acs.patch, [[c] for c in coefficients])
 
 
 def potential_closedness_residual(acs: AlmostComplexStructure, u: ScalarField,
@@ -76,10 +77,11 @@ def potential_closedness_residual(acs: AlmostComplexStructure, u: ScalarField,
     """Sup norm of d(j_cot du); zero iff u has a closed potential form."""
     mode = resolve_mode(mode, acs.is_exact and u.is_exact)
     r = d_oneform(potential_oneform(acs, u, mode), mode)
-    pointwise = np.abs(r.values()).max(axis=(-2, -1))
+    pointwise = np.abs(r).max(axis=(-2, -1))
     depth = ring_depth(mode)
-    breakdown = {f"R_{s + 1}{q + 1}": interior_sup(f.samples, acs.patch, depth)
-                 for (s, q), f in r.upper.items()}
+    d = acs.patch.dim
+    breakdown = {f"R_{s + 1}{q + 1}": interior_sup(r[..., s, q], acs.patch, depth)
+                 for s in range(d) for q in range(s + 1, d)}
     return report_from_pointwise(pointwise, acs.patch, mode, breakdown, depth)
 
 
@@ -229,28 +231,19 @@ def apply_operator(op: EllipticOperator, u: ScalarField) -> ScalarField:
     return ScalarField.from_samples(op.patch, out)
 
 
-def _second_derivatives(u: ScalarField, mode: str) -> np.ndarray:
-    """Hessian samples (*grid, d, d); FD values are reliable on the interior."""
-    patch = u.patch
-    d = patch.dim
-    out = np.empty(patch.resolution + (d, d))
-    firsts = [u.diff(s, mode) for s in range(1, d + 1)]
-    for s in range(d):
-        for p in range(s, d):
-            val = firsts[s].diff(p + 1, mode).samples
-            out[..., s, p] = val
-            out[..., p, s] = val
-    return out
-
-
 def apply_pointwise(op: EllipticOperator, u: ScalarField, mode: str = "auto",
                     ) -> np.ndarray:
-    """L u from the coefficient fields (not the stencil); full-grid array."""
+    """L u from the coefficient fields (not the stencil); full-grid array.
+    FD values are reliable on the interior."""
     mode = resolve_mode(mode, u.is_exact and op.mode == "exact")
-    hess = _second_derivatives(u, mode)
+    grad = MatrixField(u.patch, [[g] for g in gradient(u, mode)])
+    # Hessian: d/dx^s (du/dx^p) for s >= p, mirrored onto s < p
+    hess = grad.derivatives(mode)[..., 0]
+    i, j = np.triu_indices(u.patch.dim, 1)
+    hess[..., i, j] = hess[..., j, i]
     acc = np.einsum("...sp,...sp->...", op.A.values, hess)
     for p, b in enumerate(op.B):
-        acc = acc + b.samples * u.diff(p + 1, mode).samples
+        acc = acc + b.samples * grad.values[..., p, 0]
     return acc
 
 
@@ -267,7 +260,7 @@ def contraction_identity_residual(acs: AlmostComplexStructure, u: ScalarField,
     lhs = apply_pointwise(op, u, mode)
     r = d_oneform(potential_oneform(acs, u, mode), mode)
     jc = acs.cot_values()
-    rhs = np.einsum("...qs,...sq->...", jc, r.values())
+    rhs = np.einsum("...qs,...sq->...", jc, r)
     return report_from_pointwise(np.abs(lhs - rhs), acs.patch, mode,
                                  depth=ring_depth(mode))
 

@@ -10,6 +10,9 @@ Conventions used throughout the package:
   boundary).  ``auto`` picks ``exact`` whenever an expression is available.
 * Arithmetic on two expression-backed fields stays expression-backed, so
   residuals of composite quantities can still be differentiated exactly.
+* A 1-form is the d x 1 ``MatrixField`` of its coefficients, and its
+  exterior derivative (``d_oneform``) is an antisymmetric (*grid, d, d)
+  array.  Arrays of derivatives come from ``MatrixField.derivatives``.
 * All values are ordinary 64-bit floats.  "Exact" tolerances in reports mean
   roundoff-level, not truncation-level.
 """
@@ -23,7 +26,6 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .expr import Expr, Num, add, as_expr, evaluate_all, mul, neg, parse_expr, sub
-from .report import interior_sup
 
 __all__ = [
     "DEFAULT_POINT_BUDGET",
@@ -34,8 +36,6 @@ __all__ = [
     "ScalarField",
     "ComplexField",
     "MatrixField",
-    "OneForm",
-    "TwoForm",
     "gradient",
     "complex_gradient",
     "d_oneform",
@@ -584,63 +584,6 @@ class MatrixField:
         return out
 
 
-class OneForm:
-    """Covector field: coefficients of dx^1 .. dx^d."""
-
-    __slots__ = ("patch", "components")
-
-    def __init__(self, patch: Patch, components):
-        comps = tuple(components)
-        if len(comps) != patch.dim:
-            raise ValueError(f"expected {patch.dim} components, got {len(comps)}")
-        for c in comps:
-            if c.patch != patch:
-                raise ValueError("components must share the patch")
-        self.patch = patch
-        self.components = comps
-
-    @property
-    def is_exact(self) -> bool:
-        return all(c.is_exact for c in self.components)
-
-    def values(self) -> np.ndarray:
-        return np.stack([c.samples for c in self.components], axis=-1)
-
-
-class TwoForm:
-    """Antisymmetric coefficient field R_sq; the upper triangle is stored."""
-
-    __slots__ = ("patch", "upper")
-
-    def __init__(self, patch: Patch, upper: dict[tuple[int, int], ScalarField]):
-        for (s, q) in upper:
-            if not 0 <= s < q < patch.dim:
-                raise ValueError("upper-triangle keys must satisfy s < q")
-        self.patch = patch
-        self.upper = dict(upper)
-
-    def component(self, s: int, q: int) -> ScalarField:
-        """R_sq with 0-based indices; antisymmetry supplied by sign."""
-        if s == q:
-            return ScalarField.const(self.patch, 0.0)
-        if s < q:
-            return self.upper[(s, q)]
-        return -self.upper[(q, s)]
-
-    def values(self) -> np.ndarray:
-        """Full antisymmetric array of shape (*grid, d, d)."""
-        d = self.patch.dim
-        out = np.zeros(self.patch.resolution + (d, d))
-        for (s, q), f in self.upper.items():
-            out[..., s, q] = f.samples
-            out[..., q, s] = -f.samples
-        return out
-
-    def sup_interior(self) -> float:
-        return max([0.0] + [interior_sup(f.samples, self.patch)
-                            for f in self.upper.values()])
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -653,12 +596,8 @@ def gradient(u: ScalarField, mode: str = "auto") -> tuple[ScalarField, ...]:
 
 def complex_gradient(f: ComplexField, mode: str = "auto") -> np.ndarray:
     """Complex gradient stacked as an array of shape (*grid, d)."""
-    d = f.patch.dim
-    out = np.empty(f.patch.resolution + (d,), dtype=complex)
-    for k in range(1, d + 1):
-        out[..., k - 1] = (f.re.diff(k, mode).samples
-                           + 1j * f.im.diff(k, mode).samples)
-    return out
+    g = MatrixField(f.patch, [[f.re, f.im]]).derivatives(mode)[..., 0, :]
+    return g[..., 0] + 1j * g[..., 1]
 
 
 def matvec(m: MatrixField, vec) -> tuple:
@@ -677,20 +616,18 @@ def matvec(m: MatrixField, vec) -> tuple:
     return tuple(out)
 
 
-def d_oneform(omega: OneForm, mode: str = "auto") -> TwoForm:
-    """Exterior derivative: R_sq = d(omega_q)/dx^s - d(omega_s)/dx^q."""
-    mode = resolve_mode(mode, omega.is_exact)
-    d = omega.patch.dim
-    upper = {}
-    for s in range(d):
-        for q in range(s + 1, d):
-            upper[(s, q)] = (omega.components[q].diff(s + 1, mode)
-                             - omega.components[s].diff(q + 1, mode))
-    return TwoForm(omega.patch, upper)
+def d_oneform(omega: MatrixField, mode: str = "auto") -> np.ndarray:
+    """Exterior derivative of the 1-form ``omega``, a d x 1 matrix field:
+    the antisymmetric array R of shape (*grid, d, d) with
+    ``R[..., s, q] = d(omega_q)/dx^s - d(omega_s)/dx^q``."""
+    if omega.shape != (omega.patch.dim, 1):
+        raise ValueError(f"a 1-form is a d x 1 matrix field, not {omega.shape}")
+    dw = omega.derivatives(mode)[..., 0]  # dw[..., s, q] = d(omega_q)/dx^s
+    return dw - np.swapaxes(dw, -1, -2)
 
 
-def line_integral(omega: OneForm, polyline) -> float:
-    """Composite trapezoid quadrature of the 1-form along a polyline.
+def line_integral(omega: MatrixField, polyline) -> float:
+    """Composite trapezoid quadrature of the 1-form (d x 1) along a polyline.
 
     The polyline vertices are the quadrature nodes; refine the polyline to
     refine the quadrature.  A degenerate (zero-length) loop integrates to
@@ -704,7 +641,7 @@ def line_integral(omega: OneForm, polyline) -> float:
             raise ValueError(f"polyline point {tuple(p)} is outside the patch")
     if len(pts) < 2:
         return 0.0
-    vals = np.stack([c.eval_at(pts) for c in omega.components], axis=1)  # (k, d)
+    vals = np.stack([c.eval_at(pts) for c, in omega.entries], axis=1)  # (k, d)
     deltas = pts[1:] - pts[:-1]
     avg = 0.5 * (vals[1:] + vals[:-1])
     return float(np.sum(avg * deltas))

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ComplexField, MatrixField, Patch, ScalarField, complex_gradient, \
-    resolve_mode
+from .fields import ComplexField, MatrixField, Patch, ScalarField, resolve_mode
 from .report import ResidualReport, interior_sup, report_from_pointwise, ring_depth
 from .structures import AlmostComplexStructure, HypercomplexStructure
 from .holomorphy import antiholo_residual, holo_residual
@@ -156,11 +155,9 @@ def j_hyperholo_residual(h: HypercomplexStructure, F: QuaternionFunction,
     return _merge_reports(parts, mode)
 
 
-def _oneform_residual(acs: AlmostComplexStructure, a: ScalarField,
-                      b: ScalarField, sign: float, mode: str) -> ResidualReport:
+def _oneform_residual(acs: AlmostComplexStructure, grad_a: np.ndarray,
+                      grad_b: np.ndarray, sign: float, mode: str) -> ResidualReport:
     """Residual of K*da = sign * db as a pointwise covector norm."""
-    grad_a = complex_gradient(ComplexField.from_real(a), mode).real
-    grad_b = complex_gradient(ComplexField.from_real(b), mode).real
     jc = acs.cot_values()
     resid = np.einsum("...qp,...p->...q", jc, grad_a) - sign * grad_b
     return report_from_pointwise(np.linalg.norm(resid, axis=-1), acs.patch, mode)
@@ -174,11 +171,14 @@ def k_hyperholo_residual(h: HypercomplexStructure, G: QuaternionFunction,
     mode = resolve_mode(mode, h.K.is_exact and
                         all(c.is_exact for c in G.components()))
     k = h.K
+    # the columns of the (*grid, d, 4) Jacobian are the component gradients
+    jac = MatrixField(h.patch, [G.components()]).derivatives(mode)[..., 0, :]
+    du, dv, dzeta, deta = np.moveaxis(jac, -1, 0)
     parts = {
-        "du": _oneform_residual(k, G.u, G.zeta, -1.0, mode),
-        "dzeta": _oneform_residual(k, G.zeta, G.u, +1.0, mode),
-        "dv": _oneform_residual(k, G.v, G.eta, -1.0, mode),
-        "deta": _oneform_residual(k, G.eta, G.v, +1.0, mode),
+        "du": _oneform_residual(k, du, dzeta, -1.0, mode),
+        "dzeta": _oneform_residual(k, dzeta, du, +1.0, mode),
+        "dv": _oneform_residual(k, dv, deta, -1.0, mode),
+        "deta": _oneform_residual(k, deta, dv, +1.0, mode),
     }
     return _merge_reports(parts, mode)
 
@@ -261,9 +261,9 @@ def hyper_potential_residual(h: HypercomplexStructure, u: ScalarField,
     rj = d_oneform(potential_oneform(h.J, u, mode), mode)
     rk = d_oneform(potential_oneform(h.K, zeta, mode), mode)
     patch, depth = h.patch, ring_depth(mode)
-    coupled = interior_sup(rj.values() + rk.values(), patch, depth)
-    j_sup = interior_sup(rj.values(), patch, depth)
-    k_sup = interior_sup(rk.values(), patch, depth)
+    coupled = interior_sup(rj + rk, patch, depth)
+    j_sup = interior_sup(rj, patch, depth)
+    k_sup = interior_sup(rk, patch, depth)
     lap_j = interior_sup(apply_pointwise(assemble_operator(h.J, mode), u, mode),
                          patch, depth)
     lap_k = interior_sup(apply_pointwise(assemble_operator(h.K, mode), zeta, mode),

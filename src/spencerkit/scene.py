@@ -97,8 +97,7 @@ class Scene:
         try:
             f.samples
             if self.mode != "fd":
-                for k in range(1, self.patch.dim + 1):
-                    f.diff(k, "exact").samples
+                MatrixField(self.patch, [[f]]).derivatives("exact")
         except EvaluationError as exc:
             raise SceneError(f"{where}: {exc}") from None
         return f

@@ -139,7 +139,7 @@ def _pattern_blocks(acs: AlmostComplexStructure, basis: np.ndarray, m: int,
     patch = acs.patch
     n = patch.dim_half
     jc = acs.cot_values().astype(complex)
-    M = np.linalg.solve(basis, np.einsum("...ij,...jk->...ik", jc, basis))
+    M = np.linalg.solve(basis, jc @ basis)
     eye = np.eye(m)
     blocks = {
         "lead_identity": max(

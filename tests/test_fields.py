@@ -3,20 +3,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spencerkit.elliptic import EllipticOperator, apply_pointwise, potential_oneform
 from spencerkit.fields import (
     ComplexField,
     EvaluationError,
     MatrixField,
     ModeError,
-    OneForm,
     Patch,
     PatchError,
     ScalarField,
+    complex_gradient,
     d_oneform,
     gradient,
     line_integral,
     matvec,
 )
+from spencerkit.fixtures import conjugated_hypercomplex
+from spencerkit.hypercomplex import k_hyperholo_residual
+from spencerkit.report import interior_sup, report_from_pointwise
 from spencerkit.scene import load_scene
 
 from conftest import reference_evaluate
@@ -137,38 +141,40 @@ class TestGradient:
 class TestDOneForm:
     def test_d_of_du_vanishes_exact(self, patch2d):
         u = ScalarField.from_expr(patch2d, "x1*x2")
-        omega = OneForm(patch2d, gradient(u, "exact"))
+        omega = MatrixField(patch2d, [[c] for c in gradient(u, "exact")])
         r = d_oneform(omega, "exact")
-        assert r.sup_interior() == 0.0
+        assert interior_sup(r, patch2d) == 0.0
 
     def test_rotation_form(self, patch2d):
-        omega = OneForm(patch2d, (ScalarField.from_expr(patch2d, "-x2"),
-                                  ScalarField.from_expr(patch2d, "x1")))
+        omega = MatrixField(patch2d, [[c] for c in (
+            ScalarField.from_expr(patch2d, "-x2"),
+            ScalarField.from_expr(patch2d, "x1"))])
         r = d_oneform(omega, "exact")
-        assert np.abs(r.component(0, 1).samples - 2.0).max() == 0.0
+        assert np.abs(r[..., 0, 1] - 2.0).max() == 0.0
 
     def test_quadratic_component(self, patch2d):
-        omega = OneForm(patch2d, (ScalarField.from_expr(patch2d, "x2^2"),
-                                  ScalarField.from_expr(patch2d, "0")))
+        omega = MatrixField(patch2d, [[c] for c in (
+            ScalarField.from_expr(patch2d, "x2^2"),
+            ScalarField.from_expr(patch2d, "0"))])
         r = d_oneform(omega, "exact")
         x2 = patch2d.mesh[1]
-        assert np.abs(r.component(0, 1).samples + 2 * x2).max() < 1e-14
+        assert np.abs(r[..., 0, 1] + 2 * x2).max() < 1e-14
 
     def test_antisymmetry_access(self, patch2d):
-        omega = OneForm(patch2d, (ScalarField.from_expr(patch2d, "x2^2"),
-                                  ScalarField.from_expr(patch2d, "x1")))
+        omega = MatrixField(patch2d, [[c] for c in (
+            ScalarField.from_expr(patch2d, "x2^2"),
+            ScalarField.from_expr(patch2d, "x1"))])
         r = d_oneform(omega, "exact")
-        assert np.array_equal(r.component(1, 0).samples,
-                              -r.component(0, 1).samples)
+        assert np.array_equal(r[..., 1, 0], -r[..., 0, 1])
 
     def test_dd_zero_fd_mode(self):
         # smooth fixture, h = 1/32: mixed FD partials commute to roundoff
         p = Patch.box(1, 0.0, 1.0, 33)
         u = ScalarField.from_expr(p, "exp(x1)*sin(x2)").sampled()
-        omega = OneForm(p, gradient(u, "fd"))
+        omega = MatrixField(p, [[c] for c in gradient(u, "fd")])
         r = d_oneform(omega, "fd")
         scale = np.abs(u.samples).max()
-        assert r.sup_interior() <= 1e-8 * scale
+        assert interior_sup(r, p) <= 1e-8 * scale
 
 
 class TestLineIntegral:
@@ -182,14 +188,15 @@ class TestLineIntegral:
         return np.array(pts)
 
     def test_green_area_form(self, patch2d):
-        omega = OneForm(patch2d, (ScalarField.from_expr(patch2d, "-x2"),
-                                  ScalarField.from_expr(patch2d, "x1")))
+        omega = MatrixField(patch2d, [[c] for c in (
+            ScalarField.from_expr(patch2d, "-x2"),
+            ScalarField.from_expr(patch2d, "x1"))])
         val = line_integral(omega, self._square_loop(0.0, 1.0, 16))
         assert val == pytest.approx(2.0, abs=1e-12)
 
     def test_exact_form_closed_loop(self, patch2d):
         u = ScalarField.from_expr(patch2d, "x1^2*x2 + x2^3")
-        omega = OneForm(patch2d, gradient(u, "exact"))
+        omega = MatrixField(patch2d, [[c] for c in gradient(u, "exact")])
         val = line_integral(omega, self._square_loop(0.0, 1.0, 32))
         assert val == pytest.approx(0.0, abs=1e-10)
 
@@ -199,28 +206,30 @@ class TestLineIntegral:
         u = ScalarField.from_expr(patch2d, "x1^2 - x2^2")
         g = gradient(u, "exact")
         jcot = MatrixField.from_exprs(patch2d, [["0", "1"], ["-1", "0"]])
-        omega = OneForm(patch2d, matvec(jcot, g))
+        omega = MatrixField(patch2d, [[c] for c in matvec(jcot, g)])
         vals = [abs(line_integral(omega, self._square_loop(0.25, 0.75, n)))
                 for n in (4, 8, 16)]
         assert vals[-1] <= 1e-12
         assert all(v <= 1e-10 for v in vals)
 
     def test_degenerate_loop_exactly_zero(self, patch2d):
-        omega = OneForm(patch2d, (ScalarField.from_expr(patch2d, "x1"),
-                                  ScalarField.from_expr(patch2d, "x2")))
+        omega = MatrixField(patch2d, [[c] for c in (
+            ScalarField.from_expr(patch2d, "x1"),
+            ScalarField.from_expr(patch2d, "x2"))])
         pts = np.array([[0.5, 0.5]] * 4)
         assert line_integral(omega, pts) == 0.0
 
     def test_point_outside_patch(self, patch2d):
-        omega = OneForm(patch2d, (ScalarField.from_expr(patch2d, "x1"),
-                                  ScalarField.from_expr(patch2d, "x2")))
+        omega = MatrixField(patch2d, [[c] for c in (
+            ScalarField.from_expr(patch2d, "x1"),
+            ScalarField.from_expr(patch2d, "x2"))])
         with pytest.raises(ValueError, match="outside"):
             line_integral(omega, np.array([[0.0, 0.0], [2.0, 0.0]]))
 
     def test_sampled_components_interpolated(self, patch2d):
-        omega = OneForm(patch2d, (
+        omega = MatrixField(patch2d, [[c] for c in (
             ScalarField.from_expr(patch2d, "-x2").sampled(),
-            ScalarField.from_expr(patch2d, "x1").sampled()))
+            ScalarField.from_expr(patch2d, "x1").sampled())])
         val = line_integral(omega, self._square_loop(0.0, 1.0, 8))
         assert val == pytest.approx(2.0, abs=1e-12)
 
@@ -343,3 +352,87 @@ def test_open_mesh_samples_match_full_mesh(path):
             full = reference_evaluate(f.expr, scene.patch.mesh)
         full = np.broadcast_to(np.asarray(full, dtype=float), scene.patch.resolution)
         assert f.samples.tobytes() == full.tobytes(), str(f.expr)
+
+
+# -- the form core against per-entry ScalarField.diff ---------------------------
+
+FORM_SCENES = [p for p in sorted(SCENES.glob("*.json")) if p.stem != "hyper_flat"]
+
+
+def _hessian_entry(u, s, p, mode):
+    """(d_s d_p u) read through ``apply_pointwise`` with A = e_s e_p^T, B = 0."""
+    patch = u.patch
+    a = np.zeros(patch.resolution + (patch.dim, patch.dim))
+    a[..., s, p] = 1.0
+    zero = ScalarField.from_samples(patch, np.zeros(patch.resolution))
+    op = EllipticOperator(patch, MatrixField.from_values(patch, a),
+                          (zero,) * patch.dim, mode)
+    return apply_pointwise(op, u, mode)
+
+
+@pytest.mark.parametrize("mode", ["exact", "fd"])
+@pytest.mark.parametrize("path", FORM_SCENES, ids=lambda p: p.stem)
+class TestFormCore:
+    def test_d_oneform_is_antisymmetric_curl_bitwise(self, path, mode):
+        scene = load_scene(path)
+        acs = scene.structure()
+        d = scene.patch.dim
+        for u in _scene_scalar_fields(scene):
+            omega = potential_oneform(acs, u, mode)
+            assert omega.shape == (d, 1)
+            r = d_oneform(omega, mode)
+            assert r.shape == scene.patch.resolution + (d, d)
+            assert np.array_equal(r, -np.swapaxes(r, -1, -2))
+            for s in range(d):
+                for q in range(d):
+                    ref = (omega[q, 0].diff(s + 1, mode).samples
+                           - omega[s, 0].diff(q + 1, mode).samples)
+                    assert r[..., s, q].tobytes() == ref.tobytes()
+
+    def test_complex_gradient_is_per_part_diff_bitwise(self, path, mode):
+        scene = load_scene(path)
+        for name, spec in scene.field_specs.items():
+            if isinstance(spec, str):
+                continue
+            f = scene.complex_field(name)
+            g = complex_gradient(f, mode)
+            for k in range(scene.patch.dim):
+                ref = (f.re.diff(k + 1, mode).samples
+                       + 1j * f.im.diff(k + 1, mode).samples)
+                assert g[..., k].tobytes() == ref.tobytes()
+
+    def test_hessian_is_symmetric_and_per_entry_bitwise(self, path, mode):
+        scene = load_scene(path)
+        d = scene.patch.dim
+        for u in _scene_scalar_fields(scene):
+            for s in range(d):
+                for p in range(s, d):
+                    upper = _hessian_entry(u, s, p, mode)
+                    ref = u.diff(s + 1, mode).diff(p + 1, mode).samples
+                    assert np.array_equal(upper, ref)
+                    assert np.array_equal(_hessian_entry(u, p, s, mode), upper)
+
+
+@pytest.mark.parametrize("mode", ["exact", "fd"])
+@pytest.mark.parametrize("name", ["identity", "conjugate", "square"])
+def test_k_hyperholo_matches_per_component_reference(name, mode):
+    scene = load_scene(SCENES / "hyper_flat.json")
+    frame = np.eye(4) + 0.15 * np.random.default_rng(21).normal(size=(4, 4))
+    h = conjugated_hypercomplex(scene.patch, frame)
+    G = scene.quaternion_function(name)
+    grads = {c: np.stack([getattr(G, c).diff(k, mode).samples
+                          for k in range(1, 5)], axis=-1)
+             for c in ("u", "v", "zeta", "eta")}
+    jc = h.K.cot_values()
+    ref = {}
+    for part, a, b, sign in (("du", "u", "zeta", -1.0), ("dzeta", "zeta", "u", 1.0),
+                             ("dv", "v", "eta", -1.0), ("deta", "eta", "v", 1.0)):
+        resid = np.einsum("...qp,...p->...q", jc, grads[a]) - sign * grads[b]
+        ref[part] = report_from_pointwise(np.linalg.norm(resid, axis=-1),
+                                          scene.patch, mode)
+    rep = k_hyperholo_residual(h, G, mode)
+    for part, want in ref.items():
+        assert abs(rep.breakdown[part] - want.sup_norm) <= 1e-15
+    worst = max(ref.values(), key=lambda r: r.sup_norm)
+    assert abs(rep.l2_norm - max(r.l2_norm for r in ref.values())) <= 1e-15
+    assert rep.worst_node == worst.worst_node

@@ -365,6 +365,50 @@ class TestCliReports:
         assert out["results"]["nijenhuis_residual"] <= 1e-10
 
 
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call sees another's
+    arguments."""
+
+    SEQUENCE = [
+        ["acs", "from-pq", SCENES / "pq_n1.json", "-o", "{tmp}/rec.json"],
+        ["acs", "check", SCENES / "standard2d.json", "--samples", "50"],
+        ["pluri", "check", SCENES / "standard2d.json"],  # no --field: exit 2
+        ["holo", "residual", SCENES / "standard2d.json", "--field", "z",
+         "--tol", "1e-8"],
+        ["acs", "check", "{tmp}/rec.json", "--seed", "3", "--samples", "50"],
+        ["pluri", "check", SCENES / "standard2d.json", "--field", "bump"],
+    ]
+
+    def _run_all(self, tmp_path, capsys, fresh: bool) -> list:
+        results = []
+        for argv in self.SEQUENCE:
+            if fresh:
+                cli._parser.cache_clear()
+            argv = [str(a).format(tmp=tmp_path) for a in argv] + ["--no-meta"]
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def test_reused_parser_gives_the_reports_of_separate_runs(self, tmp_path, capsys):
+        separate = self._run_all(tmp_path, capsys, fresh=True)
+        cli._parser.cache_clear()
+        reused = self._run_all(tmp_path, capsys, fresh=False)
+        assert cli._parser.cache_info().misses == 1
+        assert reused == separate
+        assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0, 0]
+        assert "--field" in reused[2][2]
+        # from-pq sends its report to stdout; the next call has no --out
+        assert json.loads(reused[0][1])["check"] == "acs.from_pq"
+        assert json.loads(reused[1][1])["check"] == "acs.check"
+
+    def test_build_parser_still_builds_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+
 class TestCliWorkflows:
     def test_from_pq_then_check_round_trip(self, tmp_path, capsys):
         target = tmp_path / "reconstructed.json"
