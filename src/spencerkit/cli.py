@@ -40,7 +40,7 @@ from .elliptic import (
 )
 from .brackets import bracket_j, bracket_law_check, potential_vf_residual
 from .gridio import read_field_csv, write_field_csv
-from .holomorphy import antiholo_residual, holo_residual, \
+from .holomorphy import antiholo_residual, holo_residual, reduced_system, \
     reduced_system_residual, reduction_equivalence_check
 from .hypercomplex import (
     hyper_potential_residual,
@@ -208,8 +208,9 @@ def cmd_holo_reduced(args) -> int:
     f = scene.complex_field(args.field)
     bd = normalize_at_origin(acs, _base_node(args, scene.patch))
     pq = extract_pq(bd)
-    rep = reduced_system_residual(bd, pq, f, scene.mode)
-    equiv = reduction_equivalence_check(acs, bd, pq, f, scene.mode)
+    system = reduced_system(bd, f, scene.mode)
+    rep = reduced_system_residual(bd, pq, f, system=system)
+    equiv = reduction_equivalence_check(acs, bd, pq, f, system=system)
     tol = args.tol
     passed = equiv.identity_residual <= 1e-8 and \
         (True if tol is None else rep.sup_norm <= tol)
@@ -315,7 +316,8 @@ def cmd_hyper_check(args) -> int:
         results["tolerance"] = tol
         passed = jres.sup_norm <= tol and kres.sup_norm <= tol
         if passed:
-            trans = k_translation_consistency(h, F, scene.mode, tol)
+            trans = k_translation_consistency(h, F, scene.mode, tol,
+                                              kres=kres, jres=jres)
             results["translation"] = trans
             passed = passed and trans.passes
     if args.u and args.zeta:

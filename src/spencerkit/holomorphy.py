@@ -23,6 +23,8 @@ __all__ = [
     "reduced_system_residual",
     "reduction_equivalence_check",
     "BlockIdentityReport",
+    "ReducedSystem",
+    "reduced_system",
 ]
 
 def _cr_residual(acs: AlmostComplexStructure, f: ComplexField, sign: float,
@@ -57,16 +59,34 @@ def antiholo_residual(acs: AlmostComplexStructure, f: ComplexField,
     return _cr_residual(acs, f, -1.0, mode)
 
 
-def _frame_gradient(bd: BlockDecomposition, f: ComplexField, mode: str,
-                    ) -> np.ndarray:
-    """Gradient components in the normalized frame: G^-1 grad f."""
-    grad = complex_gradient(f, mode)
-    ginv = np.linalg.inv(bd.G)
-    return np.einsum("ij,...j->...i", ginv, grad)
+@dataclass(frozen=True, eq=False)
+class ReducedSystem:
+    """What both reduction checks need of f: the halves (h1, h2) of its
+    gradient in the normalized frame, ``G^-1 grad f``, the solution w of
+    ``(C - E) w = D - iE``, and the reduced rows ``h1 + w h2``."""
+
+    h1: np.ndarray
+    h2: np.ndarray
+    w: np.ndarray
+    rows: np.ndarray
+    mode: str
+
+
+def reduced_system(bd: BlockDecomposition, f: ComplexField, mode: str = "auto",
+                   ) -> ReducedSystem:
+    """The frame gradient of f and the reduction of its system, computed
+    once for both reduction checks."""
+    mode = resolve_mode(mode, f.is_exact)
+    h = np.einsum("ij,...j->...i", np.linalg.inv(bd.G), complex_gradient(f, mode))
+    eye = np.eye(bd.n)
+    w = np.linalg.solve(bd.C.values - eye, bd.D.values - 1j * eye)
+    h1, h2 = h[..., :bd.n], h[..., bd.n:]
+    return ReducedSystem(h1, h2, w, h1 + np.einsum("...ij,...j->...i", w, h2), mode)
 
 
 def reduced_system_residual(bd: BlockDecomposition, pq: PQPair,
                             f: ComplexField, mode: str = "auto",
+                            system: ReducedSystem | None = None,
                             ) -> ResidualReport:
     """Residual of the reduced n-equation system in the normalized frame.
 
@@ -74,23 +94,18 @@ def reduced_system_residual(bd: BlockDecomposition, pq: PQPair,
     where (h1, h2) are the first/last n components of the frame gradient.
     The factored form of the reduced operator in moduli coordinates is
     ``P - iQ``; the gap between the two is reported as a consistency entry.
+    ``system`` is ``reduced_system(bd, f, mode)`` when the caller has it.
     """
-    n = bd.n
-    mode = resolve_mode(mode, f.is_exact)
-    h = _frame_gradient(bd, f, mode)
-    h1, h2 = h[..., :n], h[..., n:]
-    eye = np.eye(n)
-    cm = bd.C.values - eye
-    w = np.linalg.solve(cm, bd.D.values - 1j * eye)
-    rows = h1 + np.einsum("...ij,...j->...i", w, h2)
+    system = system or reduced_system(bd, f, mode)
+    rows = system.rows
     pointwise = np.linalg.norm(rows, axis=-1)
     factored = pq.P.values - 1j * pq.Q.values
     breakdown = {
-        "factored_form_gap": float(np.abs(w - factored).max()),
+        "factored_form_gap": float(np.abs(system.w - factored).max()),
     }
-    for i in range(n):
+    for i in range(bd.n):
         breakdown[f"eq_{i + 1}"] = interior_sup(rows[..., i], bd.patch)
-    return report_from_pointwise(pointwise, bd.patch, mode, breakdown)
+    return report_from_pointwise(pointwise, bd.patch, system.mode, breakdown)
 
 
 @dataclass
@@ -108,15 +123,18 @@ class BlockIdentityReport:
 def reduction_equivalence_check(acs: AlmostComplexStructure,
                                 bd: BlockDecomposition, pq: PQPair,
                                 f: ComplexField, mode: str = "auto",
-                                tolerance: float = 1e-10) -> BlockIdentityReport:
+                                tolerance: float = 1e-10,
+                                system: ReducedSystem | None = None,
+                                ) -> BlockIdentityReport:
     """Verify the block identity behind the system reduction.
 
     Pointwise, ``[A - iE, B + E] = (A - iE)(C - E)^-1 [C - E, D - iE]``;
     consequently a vanishing reduced residual forces a vanishing full
     residual, with amplification factor ``kappa = |(A - iE)(C - E)^-1| + 1``.
+    ``system`` is ``reduced_system(bd, f, mode)`` when the caller has it.
     """
+    system = system or reduced_system(bd, f, mode)
     n = bd.n
-    mode = resolve_mode(mode, f.is_exact)
     eye = np.eye(n)
     a = bd.A.values
     bp = bd.B.values + eye
@@ -129,17 +147,14 @@ def reduction_equivalence_check(acs: AlmostComplexStructure,
     tail_gap = np.abs(k @ dm - bp).max()
     identity_residual = float(max(lead_gap, tail_gap))
 
-    h = _frame_gradient(bd, f, mode)
-    h1, h2 = h[..., :n], h[..., n:]
+    h1, h2 = system.h1, system.h2
     full_top = np.einsum("...ij,...j->...i", am, h1) \
         + np.einsum("...ij,...j->...i", bp.astype(complex), h2)
     full_bottom = np.einsum("...ij,...j->...i", cm.astype(complex), h1) \
         + np.einsum("...ij,...j->...i", dm, h2)
     full = np.maximum(np.linalg.norm(full_top, axis=-1),
                       np.linalg.norm(full_bottom, axis=-1))
-    reduced = np.linalg.norm(
-        h1 + np.einsum("...ij,...j->...i", np.linalg.solve(cm, bd.D.values)
-                       - 1j * cminv, h2), axis=-1)
+    reduced = np.linalg.norm(system.rows, axis=-1)
     kappa = np.abs(k).sum(axis=-1).max(axis=-1) + 1.0
     sl = bd.patch.interior()
     bound_holds = bool(np.all(full[sl] <= kappa[sl] * reduced[sl] + tolerance))
@@ -149,5 +164,5 @@ def reduction_equivalence_check(acs: AlmostComplexStructure,
         reduced_residual=float(reduced[sl].max()),
         kappa=float(kappa.max()),
         bound_holds=bound_holds,
-        mode=mode,
+        mode=system.mode,
     )

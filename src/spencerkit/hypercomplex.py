@@ -208,7 +208,10 @@ class TranslationReport:
 
 def k_translation_consistency(h: HypercomplexStructure, G: QuaternionFunction,
                               mode: str = "auto", tolerance: float = 1e-8,
-                              kappa: float = 2.0) -> TranslationReport:
+                              kappa: float = 2.0,
+                              kres: ResidualReport | None = None,
+                              jres: ResidualReport | None = None,
+                              ) -> TranslationReport:
     """J-consequences of K-hyperholomorphy on flat-pair fixtures.
 
     Precondition: ``k_hyperholo_residual(G) <= tolerance``.  Then checks
@@ -216,22 +219,27 @@ def k_translation_consistency(h: HypercomplexStructure, G: QuaternionFunction,
     within kappa * tolerance (kappa absorbs the change between the two
     splittings).  These consequences hold for the affine fixture family on
     the flat pair; they are not a theorem for arbitrary K-hyperholomorphic
-    functions, which is why the check is fixture-scoped.
+    functions, which is why the check is fixture-scoped.  ``kres`` and
+    ``jres`` are ``k_hyperholo_residual`` and ``j_hyperholo_residual`` of G
+    when the caller has them; the two J residuals are the parts of ``jres``.
     """
-    kres = k_hyperholo_residual(h, G, mode)
+    if kres is None:
+        kres = k_hyperholo_residual(h, G, mode)
     if kres.sup_norm > tolerance:
         raise EigenPreconditionError(
             f"G is not K-hyperholomorphic (residual {kres.sup_norm:.2e} "
             f"> {tolerance:.1e}); nothing to check")
-    anti = antiholo_residual(h.J, G.phi, mode)
-    holo = holo_residual(h.J, G.f, mode)
+    if jres is None:
+        jres = j_hyperholo_residual(h, G, mode)
+    anti = jres.breakdown["phi_antiholomorphic"]
+    holo = jres.breakdown["f_holomorphic"]
     threshold = kappa * max(tolerance, kres.sup_norm, 1e-14)
     return TranslationReport(
-        antiholo_residual=anti.sup_norm,
-        holo_residual=holo.sup_norm,
+        antiholo_residual=anti,
+        holo_residual=holo,
         threshold=threshold,
-        passes=bool(anti.sup_norm <= threshold and holo.sup_norm <= threshold),
-        mode=anti.mode,
+        passes=bool(anti <= threshold and holo <= threshold),
+        mode=jres.mode,
     )
 
 

@@ -17,7 +17,7 @@ from spencerkit.elliptic import (
 )
 from spencerkit.fields import MatrixField, Patch, ScalarField
 from spencerkit.fixtures import pullback_structure, standard_structure, \
-    structure_from_cot
+    structure_from_cot, type1_structure
 from spencerkit.structures import reconstruct_from_pq
 
 from test_structures import random_pq
@@ -357,6 +357,49 @@ class TestSolve:
         assert stats.iterations > 0
         assert np.abs(direct.samples - iterative.samples).max() <= 1e-6
 
+    @staticmethod
+    def _fixture_n1(res):
+        patch = Patch.box(1, -1.0, 1.0, res)
+        return structure_from_cot(patch, [["x2", "x2^2 + 1"], ["-1", "-x2"]])
+
+    def test_multigrid_iterations_flat_in_h(self):
+        # the V-cycle preconditioner makes the GMRES count independent of h
+        counts = []
+        for res in (65, 129, 257):
+            op = assemble_operator(self._fixture_n1(res))
+            bc = ScalarField.from_expr(op.patch, "1 + x1 + 0.5*x2 + x1*x2")
+            _, stats = solve_dirichlet(DirichletProblem(op, bc, method="iterative"))
+            assert stats.converged and stats.method == "iterative"
+            counts.append(stats.iterations)
+        assert max(counts) <= 20
+        assert max(counts) - min(counts) <= 5
+
+    @pytest.mark.parametrize("acs, bc", [
+        # mixed-derivative and convection terms
+        (lambda: TestSolve._fixture_n1(65), "exp(x1)*cos(x2)"),
+        (lambda: type1_structure(Patch.box(2, -1.0, 1.0, 9)), "x1*x3 + x2^2 - x4"),
+    ], ids=["fixture_n1-65", "type1-9"])
+    def test_iterative_agrees_with_direct_beyond_the_laplacian(self, acs, bc):
+        op = assemble_operator(acs())
+        bc = ScalarField.from_expr(op.patch, bc)
+        direct, _ = solve_dirichlet(DirichletProblem(op, bc, method="direct"))
+        iterative, stats = solve_dirichlet(
+            DirichletProblem(op, bc, method="iterative", tolerance=1e-10))
+        assert stats.converged and stats.iterations > 0
+        assert np.abs(direct.samples - iterative.samples).max() <= 1e-6
+
+    @pytest.mark.parametrize("acs", [
+        lambda: TestSolve._fixture_n1(146),
+        lambda: type1_structure(Patch.box(2, -1.0, 1.0, 12)),
+    ], ids=["2d-146", "4d-12"])
+    def test_grid_that_cannot_be_halved_converges(self, acs):
+        # r - 1 is odd: no coarse level, and no LU of the whole fine system
+        op = assemble_operator(acs())
+        bc = ScalarField.from_expr(op.patch, "1 + x1 + 0.5*x2 + x1*x2")
+        sol, stats = solve_dirichlet(DirichletProblem(op, bc, method="iterative"))
+        assert stats.converged and stats.iterations > 0
+        assert np.isfinite(sol.samples).all()
+
     def test_nonconvergence_reports_best_iterate(self):
         p = Patch.box(1, 0.0, 1.0, 33)
         std = standard_structure(p)
@@ -367,6 +410,17 @@ class TestSolve:
                                              tolerance=1e-14, max_iterations=1))
         assert err.value.best is not None
         assert err.value.stats.converged is False
+
+    @pytest.mark.parametrize("cap", [1, 5])
+    def test_max_iterations_caps_inner_iterations(self, cap):
+        # the cap counts what SolveStats.iterations counts, not restart cycles
+        p = Patch.box(1, 0.0, 1.0, 33)
+        op = assemble_operator(standard_structure(p))
+        bc = ScalarField.from_expr(p, "exp(x1)*cos(x2)")
+        with pytest.raises(ConvergenceError) as err:
+            solve_dirichlet(DirichletProblem(op, bc, method="iterative",
+                                             tolerance=1e-14, max_iterations=cap))
+        assert err.value.stats.iterations == cap
 
     def test_peclet_warning_on_coarse_drifty_grid(self):
         # steep structure on a coarse grid: drift overwhelms the spacing
