@@ -22,13 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
-    ComplexField,
-    Patch,
-    ScalarField,
-    matvec,
-    resolve_mode,
-)
+from .fields import ComplexField, Patch, matvec, resolve_mode
 from .report import interior_sup
 from .structures import AlmostComplexStructure
 
@@ -78,10 +72,8 @@ class VectorFieldC:
     @classmethod
     def coordinate(cls, patch: Patch, axis: int) -> "VectorFieldC":
         """The coordinate field d/dx^axis (1-based)."""
-        comps = tuple(
-            ComplexField.from_real(
-                ScalarField.const(patch, 1.0 if k == axis else 0.0))
-            for k in range(1, patch.dim + 1))
+        comps = tuple(ComplexField.of(patch, 1.0 if k == axis else 0.0)
+                      for k in range(1, patch.dim + 1))
         return cls(patch, comps)
 
     def is_exact(self) -> bool:
@@ -100,17 +92,9 @@ class VectorFieldC:
                             tuple(c * factor for c in self.components))
 
 
-def _as_complex_function(patch: Patch, u) -> ComplexField:
-    if isinstance(u, ComplexField):
-        return u
-    if isinstance(u, ScalarField):
-        return ComplexField.from_real(u)
-    raise TypeError("expected a scalar or complex field")
-
-
 def apply_vf(x: VectorFieldC, u, mode: str = "auto") -> ComplexField:
     """Directional action X(u) = sum_k X^k du/dx^k."""
-    u = _as_complex_function(x.patch, u)
+    u = ComplexField.of(x.patch, u)
     if u.patch != x.patch:
         raise ValueError("field and function live on different patches")
     acc = None
@@ -274,8 +258,8 @@ def leibniz_defect_check(acs: AlmostComplexStructure, x: VectorFieldC,
     The first-order correction terms are exactly the failure of
     [X, Y]_J to be a derivation.
     """
-    f = _as_complex_function(acs.patch, f)
-    h = _as_complex_function(acs.patch, h)
+    f = ComplexField.of(acs.patch, f)
+    h = ComplexField.of(acs.patch, h)
     mode = resolve_mode(mode, acs.is_exact and f.is_exact and h.is_exact
                         and x.is_exact() and y.is_exact())
     jx = j_action(acs, x)

@@ -371,6 +371,8 @@ class Pow(Expr):
         return args[0] ** self.exponent
 
     def _derive(self, dargs, axis):
+        if self._mvi == 0:  # a constant: the power rule would give 0 * 0^-1 for 0^0
+            return Num(0.0)
         return mul(mul(Num(float(self.exponent)), powi(self.base, self.exponent - 1)),
                    dargs[0])
 

@@ -4,6 +4,11 @@ Conventions used throughout the package:
 
 * Grids are vertex-centered and uniform per axis.  A patch of dimension
   ``d = 2*dim_half`` carries coordinates ``x1 .. xd``.
+* Every field is stored as one ``MatrixField``: the r x c expressions of
+  its entries, when all have one, and one (*grid, r, c) array of samples,
+  taken lazily.  A ``ScalarField`` is the 1 x 1 case and a ``ComplexField``
+  wraps the 1 x 2 field of its (re, im) parts, so sampling, ``diff`` and
+  algebra exist once, in ``MatrixField``.
 * Every field offers two differentiation modes.  ``exact`` differentiates
   the backing expression symbolically and evaluates the result on the grid;
   ``fd`` applies order-2 central differences (order-2 one-sided at the
@@ -222,206 +227,6 @@ def _sample(patch: Patch, exprs) -> np.ndarray:
     return out
 
 
-class ScalarField:
-    """Real function on a patch, backed by an expression, samples, or both."""
-
-    __slots__ = ("patch", "expr", "_samples")
-
-    def __init__(self, patch: Patch, expr: Expr | str | None = None,
-                 samples: np.ndarray | None = None):
-        if expr is None and samples is None:
-            raise ValueError("a field needs an expression or samples")
-        if expr is not None:
-            expr = _field_expr(patch, expr)
-        if samples is not None:
-            samples = np.asarray(samples, dtype=float)
-            if samples.shape != patch.resolution:
-                raise ValueError(
-                    f"sample shape {samples.shape} != resolution {patch.resolution}")
-        self.patch = patch
-        self.expr = expr
-        self._samples = samples
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_expr(cls, patch: Patch, text_or_expr) -> "ScalarField":
-        return cls(patch, expr=text_or_expr)
-
-    @classmethod
-    def const(cls, patch: Patch, value: float) -> "ScalarField":
-        return cls(patch, expr=Num(float(value)))
-
-    @classmethod
-    def from_samples(cls, patch: Patch, samples) -> "ScalarField":
-        return cls(patch, samples=samples)
-
-    # -- evaluation --------------------------------------------------------
-
-    @property
-    def is_exact(self) -> bool:
-        return self.expr is not None
-
-    @property
-    def samples(self) -> np.ndarray:
-        if self._samples is None:
-            self._samples = _sample(self.patch, [self.expr])[..., 0]
-        return self._samples
-
-    def sampled(self) -> "ScalarField":
-        """Sample-backed copy: the field's values at every grid node."""
-        return ScalarField(self.patch, samples=self.samples)
-
-    def eval_at(self, points: np.ndarray) -> np.ndarray:
-        """Values at arbitrary in-patch points (k, dim).
-
-        Expression-backed fields evaluate exactly; sampled fields use
-        multilinear interpolation.
-        """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.is_exact:
-            vals = _evaluate([self.expr], tuple(points[:, k] for k in range(self.patch.dim)),
-                             self.patch.nearest_node(points[0]))[0]
-            vals = np.broadcast_to(np.asarray(vals, dtype=float), (points.shape[0],)).copy()
-            bad = _first_non_finite(vals)
-            if bad is not None:
-                raise EvaluationError(
-                    f"non-finite value at point {bad} of the point evaluation",
-                    self.patch.nearest_node(points[bad]))
-            return vals
-        interp = RegularGridInterpolator(self.patch.axes, self.samples)
-        return interp(points)
-
-    # -- calculus ----------------------------------------------------------
-
-    def diff(self, axis: int, mode: str = "auto") -> "ScalarField":
-        """Partial derivative along 1-based ``axis``."""
-        mode = resolve_mode(mode, self.is_exact)
-        if mode == "exact":
-            return ScalarField(self.patch, expr=self.expr.derivative(axis))
-        h = self.patch.spacing[axis - 1]
-        return ScalarField(
-            self.patch,
-            samples=np.gradient(self.samples, h, axis=axis - 1, edge_order=2))
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _coerce(self, other) -> "ScalarField":
-        if isinstance(other, ScalarField):
-            if other.patch is not self.patch and other.patch != self.patch:
-                raise ValueError("fields live on different patches")
-            return other
-        if isinstance(other, (int, float)):
-            return ScalarField.const(self.patch, float(other))
-        return NotImplemented
-
-    def _combine(self, other, expr_op, sample_op):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_exact and other.is_exact:
-            return ScalarField(self.patch, expr=expr_op(self.expr, other.expr))
-        with np.errstate(all="ignore"):
-            return ScalarField(self.patch, samples=sample_op(self.samples, other.samples))
-
-    def __add__(self, other):
-        return self._combine(other, add, np.add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, sub, np.subtract)
-
-    def __rsub__(self, other):
-        out = self._combine(other, lambda a, b: sub(b, a), lambda a, b: b - a)
-        return out
-
-    def __mul__(self, other):
-        return self._combine(other, mul, np.multiply)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        if self.is_exact:
-            return ScalarField(self.patch, expr=neg(self.expr))
-        return ScalarField(self.patch, samples=-self.samples)
-
-
-@dataclass(frozen=True, eq=False)
-class ComplexField:
-    """Complex-valued field stored as a (re, im) pair of real fields."""
-
-    re: ScalarField
-    im: ScalarField
-
-    def __post_init__(self):
-        if self.re.patch != self.im.patch:
-            raise ValueError("real and imaginary parts live on different patches")
-
-    @property
-    def patch(self) -> Patch:
-        return self.re.patch
-
-    @property
-    def is_exact(self) -> bool:
-        return self.re.is_exact and self.im.is_exact
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.re.samples + 1j * self.im.samples
-
-    @classmethod
-    def from_exprs(cls, patch: Patch, re_text, im_text) -> "ComplexField":
-        return cls(ScalarField.from_expr(patch, re_text),
-                   ScalarField.from_expr(patch, im_text))
-
-    @classmethod
-    def from_real(cls, field: ScalarField) -> "ComplexField":
-        return cls(field, ScalarField.const(field.patch, 0.0))
-
-    def conjugate(self) -> "ComplexField":
-        return ComplexField(self.re, -self.im)
-
-    def diff(self, axis: int, mode: str = "auto") -> "ComplexField":
-        return ComplexField(self.re.diff(axis, mode), self.im.diff(axis, mode))
-
-    def __add__(self, other):
-        other = _as_complex(self.patch, other)
-        return ComplexField(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_complex(self.patch, other)
-        return ComplexField(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return _as_complex(self.patch, other) - self
-
-    def __mul__(self, other):
-        other = _as_complex(self.patch, other)
-        return ComplexField(self.re * other.re - self.im * other.im,
-                            self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ComplexField(-self.re, -self.im)
-
-
-def _as_complex(patch: Patch, value) -> ComplexField:
-    if isinstance(value, ComplexField):
-        return value
-    if isinstance(value, ScalarField):
-        return ComplexField.from_real(value)
-    if isinstance(value, complex):
-        return ComplexField(ScalarField.const(patch, value.real),
-                            ScalarField.const(patch, value.imag))
-    if isinstance(value, (int, float)):
-        return ComplexField.from_real(ScalarField.const(patch, float(value)))
-    raise TypeError(f"cannot use {type(value).__name__} as a complex field")
-
-
 def _rectangular(rows) -> tuple[tuple, ...]:
     rows = tuple(tuple(row) for row in rows)
     if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
@@ -438,18 +243,21 @@ class MatrixField:
     __slots__ = ("patch", "exprs", "_values")
 
     def __init__(self, patch: Patch, rows):
-        """Matrix of the scalar fields in ``rows``, a nested sequence."""
+        """Matrix of the scalar fields in ``rows``, a nested sequence.  It
+        keeps their expressions if all have one, and stacks their samples
+        if some has none or all are sampled already."""
         rows = _rectangular(rows)
-        for e in (e for row in rows for e in row):
+        entries = [e for row in rows for e in row]
+        for e in entries:
             if not isinstance(e, ScalarField):
                 raise TypeError("entries must be ScalarField")
-            if e.patch != patch:
+            if e.patch is not patch and e.patch != patch:
                 raise ValueError("all entries must share the patch")
         self.patch = patch
         self.exprs = self._values = None
-        if all(e.is_exact for row in rows for e in row):
+        if all(e.is_exact for e in entries):
             self.exprs = tuple(tuple(e.expr for e in row) for row in rows)
-        else:
+        if self.exprs is None or all(e._values is not None for e in entries):
             self._values = np.stack([np.stack([e.samples for e in row], axis=-1)
                                      for row in rows], axis=-2)
 
@@ -497,25 +305,35 @@ class MatrixField:
     def is_square(self) -> bool:
         return self.shape[0] == self.shape[1]
 
-    @property
-    def values(self) -> np.ndarray:
-        """Samples of shape (*grid, rows, cols)."""
+    def _sampled(self) -> np.ndarray:
+        # ``values`` and ``ScalarField.samples`` both read the array here, so
+        # perfbench's tracer, which wraps each of them, counts a sampling once
         if self._values is None:
             self._values = _sample(self.patch, sum(self.exprs, ())).reshape(
                 self.patch.resolution + self.shape)
         return self._values
 
-    def __getitem__(self, key) -> ScalarField:
+    @property
+    def values(self) -> np.ndarray:
+        """Samples of shape (*grid, rows, cols)."""
+        return self._sampled()
+
+    def _entry(self, i: int, j: int, values) -> "ScalarField":
+        """Entry (i, j) with its expression, if any, and a view of ``values``,
+        if given."""
+        return ScalarField._of(
+            self.patch, self.exprs and ((self.exprs[i][j],),),
+            None if values is None else values[..., i:i + 1, j:j + 1])
+
+    def __getitem__(self, key) -> "ScalarField":
         """Entry (i, j): its expression, if any, and a view of the samples."""
-        i, j = key
         # a cached array is read as is: perfbench's tracer reads the entries
         # after each operation and must not enter the traced ``values``
         values = self.values if self._values is None else self._values
-        return ScalarField(self.patch, self.exprs[i][j] if self.is_exact else None,
-                           values[..., i, j])
+        return self._entry(*key, values)
 
     @property
-    def entries(self) -> tuple[tuple[ScalarField, ...], ...]:
+    def entries(self) -> tuple[tuple["ScalarField", ...], ...]:
         return tuple(tuple(self[i, j] for j in range(self.shape[1]))
                      for i in range(self.shape[0]))
 
@@ -523,14 +341,27 @@ class MatrixField:
 
     def _apply(self, others, expr_op, array_op) -> "MatrixField":
         """``expr_op`` entry by entry on the expression matrices of ``self``
-        and ``others`` when all have them, else ``array_op`` on the arrays."""
-        operands = (self, *others)
-        if any(m.shape != self.shape for m in others):
-            raise ValueError("matrix shapes differ")
-        if all(m.is_exact for m in operands):
-            return MatrixField._of(self.patch, tuple(
-                tuple(map(expr_op, *rows)) for rows in zip(*(m.exprs for m in operands))))
-        return MatrixField._of(self.patch, values=array_op(*(m.values for m in operands)))
+        and ``others`` when all have them, else ``array_op`` on the arrays.
+        A number is the constant matrix of that value; any other operand
+        that is not a matrix field gives ``NotImplemented``."""
+        patch, shape = self.patch, self.shape
+        operands = [self]
+        for m in others:
+            if not isinstance(m, MatrixField):
+                if not isinstance(m, (int, float)):
+                    return NotImplemented
+                m = MatrixField.constant(patch, np.full(shape, m))
+            if m.shape != shape:
+                raise ValueError("matrix shapes differ")
+            if m.patch is not patch and m.patch != patch:
+                raise ValueError("fields live on different patches")
+            operands.append(m)
+        exprs = [m.exprs for m in operands]
+        if None not in exprs:
+            return type(self)._of(patch, tuple(tuple(map(expr_op, *rows))
+                                               for rows in zip(*exprs)))
+        with np.errstate(all="ignore"):
+            return type(self)._of(patch, values=array_op(*(m.values for m in operands)))
 
     def transpose(self) -> "MatrixField":
         exprs = tuple(zip(*self.exprs)) if self.is_exact else None
@@ -554,8 +385,13 @@ class MatrixField:
     def __add__(self, other):
         return self._apply((other,), add, np.add)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         return self._apply((other,), sub, np.subtract)
+
+    def __rsub__(self, other):
+        return self._apply((other,), lambda a, b: sub(b, a), lambda a, b: b - a)
 
     def __neg__(self):
         return self._apply((), neg, np.negative)
@@ -571,7 +407,7 @@ class MatrixField:
         if resolve_mode(mode, self.is_exact) == "exact":
             return self._apply((), lambda e: e.derivative(axis), None)
         h = self.patch.spacing[axis - 1]
-        return MatrixField._of(self.patch, values=np.gradient(
+        return type(self)._of(self.patch, values=np.gradient(
             self.values, h, axis=axis - 1, edge_order=2))
 
     def derivatives(self, mode: str = "auto") -> np.ndarray:
@@ -582,6 +418,177 @@ class MatrixField:
         for s in range(d):
             out[..., s, :, :] = self.diff(s + 1, mode).values
         return out
+
+
+class ScalarField(MatrixField):
+    """Real function on a patch: the 1 x 1 matrix field of its expression,
+    its samples, or both."""
+
+    __slots__ = ()
+
+    def __init__(self, patch: Patch, expr: Expr | str | None = None,
+                 samples: np.ndarray | None = None):
+        if expr is None and samples is None:
+            raise ValueError("a field needs an expression or samples")
+        exprs = None if expr is None else ((_field_expr(patch, expr),),)
+        if samples is not None:
+            samples = np.asarray(samples, dtype=float)
+            if samples.shape != patch.resolution:
+                raise ValueError(
+                    f"sample shape {samples.shape} != resolution {patch.resolution}")
+            samples = samples[..., None, None]
+        self.patch, self.exprs, self._values = patch, exprs, samples
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_expr(cls, patch: Patch, text_or_expr) -> "ScalarField":
+        return cls(patch, expr=text_or_expr)
+
+    @classmethod
+    def const(cls, patch: Patch, value: float) -> "ScalarField":
+        return cls(patch, expr=Num(float(value)))
+
+    @classmethod
+    def from_samples(cls, patch: Patch, samples) -> "ScalarField":
+        return cls(patch, samples=samples)
+
+    # -- evaluation --------------------------------------------------------
+
+    @property
+    def expr(self) -> Expr | None:
+        return self.exprs[0][0] if self.exprs else None
+
+    @property
+    def _samples(self) -> np.ndarray | None:
+        """The samples taken so far, or None."""
+        return None if self._values is None else self._values[..., 0, 0]
+
+    @property
+    def samples(self) -> np.ndarray:
+        return self._sampled()[..., 0, 0]
+
+    # perfbench's tracer wraps ``ScalarField.diff`` and ``.samples`` by name
+    diff = MatrixField.diff
+
+    def sampled(self) -> "ScalarField":
+        """Sample-backed copy: the field's values at every grid node."""
+        return ScalarField._of(self.patch, values=self.values)
+
+    def eval_at(self, points: np.ndarray) -> np.ndarray:
+        """Values at arbitrary in-patch points (k, dim).
+
+        Expression-backed fields evaluate exactly; sampled fields use
+        multilinear interpolation.
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if self.is_exact:
+            vals = _evaluate([self.expr], tuple(points[:, k] for k in range(self.patch.dim)),
+                             self.patch.nearest_node(points[0]))[0]
+            vals = np.broadcast_to(np.asarray(vals, dtype=float), (points.shape[0],)).copy()
+            bad = _first_non_finite(vals)
+            if bad is not None:
+                raise EvaluationError(
+                    f"non-finite value at point {bad} of the point evaluation",
+                    self.patch.nearest_node(points[bad]))
+            return vals
+        interp = RegularGridInterpolator(self.patch.axes, self.samples)
+        return interp(points)
+
+    # -- arithmetic --------------------------------------------------------
+
+    def __mul__(self, other):
+        return self._apply((other,), mul, np.multiply)
+
+    __rmul__ = __mul__
+
+
+class ComplexField:
+    """Complex-valued field: ``parts`` is the 1 x 2 matrix field (re, im)."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, re: ScalarField, im: ScalarField):
+        self.parts = MatrixField(re.patch, [[re, im]])
+
+    @classmethod
+    def _of(cls, parts: MatrixField) -> "ComplexField":
+        out = cls.__new__(cls)
+        out.parts = parts
+        return out
+
+    @classmethod
+    def from_exprs(cls, patch: Patch, re_text, im_text) -> "ComplexField":
+        return cls._of(MatrixField.from_exprs(patch, [[re_text, im_text]]))
+
+    @classmethod
+    def from_real(cls, field: ScalarField) -> "ComplexField":
+        return cls(field, ScalarField.const(field.patch, 0.0))
+
+    @classmethod
+    def of(cls, patch: Patch, value) -> "ComplexField":
+        """``value`` as a complex field on ``patch``: a complex field as it
+        is, a real field with imaginary part 0, a number as constants."""
+        if isinstance(value, ComplexField):
+            return value
+        if isinstance(value, ScalarField):
+            return cls.from_real(value)
+        if isinstance(value, (int, float, complex)):
+            value = complex(value)
+            return cls(ScalarField.const(patch, value.real),
+                       ScalarField.const(patch, value.imag))
+        raise TypeError(f"cannot use {type(value).__name__} as a complex field")
+
+    @property
+    def patch(self) -> Patch:
+        return self.parts.patch
+
+    @property
+    def is_exact(self) -> bool:
+        return self.parts.is_exact
+
+    # unlike ``parts[0, j]``, these do not sample an expression-backed field
+    @property
+    def re(self) -> ScalarField:
+        return self.parts._entry(0, 0, self.parts._values)
+
+    @property
+    def im(self) -> ScalarField:
+        return self.parts._entry(0, 1, self.parts._values)
+
+    @property
+    def values(self) -> np.ndarray:
+        v = self.parts.values
+        return v[..., 0, 0] + 1j * v[..., 0, 1]
+
+    def conjugate(self) -> "ComplexField":
+        return ComplexField(self.re, -self.im)
+
+    def diff(self, axis: int, mode: str = "auto") -> "ComplexField":
+        return ComplexField._of(self.parts.diff(axis, mode))
+
+    def __add__(self, other):
+        return ComplexField._of(self.parts + ComplexField.of(self.patch, other).parts)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return ComplexField._of(self.parts - ComplexField.of(self.patch, other).parts)
+
+    def __rsub__(self, other):
+        return ComplexField.of(self.patch, other) - self
+
+    def __mul__(self, other):
+        other = ComplexField.of(self.patch, other)
+        if not (self.is_exact and other.is_exact):
+            self.parts.values, other.parts.values  # sample each factor once
+        (a, b), (c, d) = (self.re, self.im), (other.re, other.im)
+        return ComplexField(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return ComplexField._of(-self.parts)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +603,7 @@ def gradient(u: ScalarField, mode: str = "auto") -> tuple[ScalarField, ...]:
 
 def complex_gradient(f: ComplexField, mode: str = "auto") -> np.ndarray:
     """Complex gradient stacked as an array of shape (*grid, d)."""
-    g = MatrixField(f.patch, [[f.re, f.im]]).derivatives(mode)[..., 0, :]
+    g = f.parts.derivatives(mode)[..., 0, :]
     return g[..., 0] + 1j * g[..., 1]
 
 

@@ -97,15 +97,14 @@ class Scene:
         try:
             f.samples
             if self.mode != "fd":
-                MatrixField(self.patch, [[f]]).derivatives("exact")
+                f.derivatives("exact")
         except EvaluationError as exc:
             raise SceneError(f"{where}: {exc}") from None
         return f
 
     def _complex(self, spec, where: str) -> ComplexField:
         if isinstance(spec, str):
-            return ComplexField(self._real(spec, where),
-                                ScalarField.const(self.patch, 0.0))
+            return ComplexField.from_real(self._real(spec, where))
         _check_keys(spec, {"re", "im"}, where)
         _require("re" in spec and "im" in spec, f"{where} needs 're' and 'im'")
         return ComplexField(self._real(spec["re"], f"{where}.re"),

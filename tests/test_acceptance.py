@@ -84,8 +84,7 @@ def test_criterion_1_generation_rule_section_property():
         patch = Patch.box(n, -0.5, 0.5, 5)
         for _ in range(cases):
             pq = random_pq(rng, patch, scale=0.3)
-            symbolic = "auto" if n <= 2 else "never"
-            acs = reconstruct_from_pq(pq, symbolic=symbolic)
+            acs = reconstruct_from_pq(pq, symbolic="auto")
             worst = max(worst, acs.acs_residual)
             count += 1
     elapsed = time.perf_counter() - start

@@ -274,6 +274,7 @@ class TestMatrixArray:
 
     def test_fd_diff_is_per_entry_gradient_bitwise(self, patch2d):
         m = MatrixField.from_exprs(patch2d, self.ROWS)
+        z = ComplexField.from_exprs(patch2d, *self.ROWS[1][:2])
         for axis in (1, 2):
             h = patch2d.spacing[axis - 1]
             stacked = m.diff(axis, "fd").values
@@ -281,6 +282,10 @@ class TestMatrixArray:
                 for j in range(3):
                     ref = np.gradient(m[i, j].samples, h, axis=axis - 1, edge_order=2)
                     assert stacked[..., i, j].tobytes() == ref.tobytes()
+            dz = z.diff(axis, "fd")
+            for part, base in ((dz.re, z.re), (dz.im, z.im)):
+                ref = np.gradient(base.samples, h, axis=axis - 1, edge_order=2)
+                assert part.samples.tobytes() == ref.tobytes()
 
     def test_entry_samples_are_views_of_the_array(self, patch2d):
         m = MatrixField.from_exprs(patch2d, self.ROWS)
@@ -299,6 +304,19 @@ class TestMatrixArray:
             for s in (1, 2):
                 assert np.array_equal(stacked[..., s - 1, :, :],
                                       m.diff(s, mode).values)
+
+    def test_scalar_and_complex_fields_are_views_on_matrix_storage(self, patch2d):
+        u = ScalarField(patch2d, "x1*x2")
+        assert isinstance(u, MatrixField) and u.shape == (1, 1)
+        assert ScalarField.__slots__ == ()
+        assert u._samples is None
+        assert np.shares_memory(u.samples, u.values) and u._samples is not None
+        z = ComplexField.from_exprs(patch2d, "x1^2", "sin(x2)")
+        assert z.parts.shape == (1, 2) and z.re.expr is z.parts.exprs[0][0]
+        z.values
+        for j, part in enumerate((z.re, z.im)):
+            assert np.shares_memory(part.samples, z.parts.values)
+            assert np.array_equal(part.samples, z.parts.values[..., 0, j])
 
     def test_state_is_expressions_and_one_array(self, patch2d):
         m = MatrixField.from_exprs(patch2d, self.ROWS)
@@ -319,6 +337,17 @@ class TestMatrixArray:
                                 s.block(slice(1, 2), slice(0, 2)))):
             assert exact.is_exact and not sampled.is_exact
             assert np.abs(exact.values - sampled.values).max() <= 1e-15
+
+    def test_exact_and_sampled_complex_products_agree(self, patch2d):
+        z = ComplexField.from_exprs(patch2d, "x1", "x2 - x1^2")
+        w = ComplexField.from_exprs(patch2d, "x1*x2", "1 - exp(x1)")
+        u = ScalarField(patch2d, "sin(x2)")
+        zs, ws = (ComplexField(f.re.sampled(), f.im.sampled()) for f in (z, w))
+        for exact, sampled in ((z * w, zs * ws), (u * z, u.sampled() * zs),
+                               (z * 0.5j, zs * 0.5j), (1 - z * w, 1 - zs * ws),
+                               (z.conjugate() + w, zs.conjugate() + ws)):
+            assert exact.is_exact and not sampled.is_exact
+            assert np.array_equal(exact.values, sampled.values)
 
 
 def _scene_scalar_fields(scene):

@@ -38,10 +38,19 @@ def test_tracer_records_the_field_and_check_layers(capsys):
             cli.main(["hyper", "check", str(SCENES / "hyper_flat.json"),
                       "--function", "identity", "--no-meta"]),
         ]
+        # a scalar field counts once when it is sampled, not when read again
+        counted = tracer.counts["fields.samples_materialized"]
+        u = fields.ScalarField.from_expr(fields.Patch.box(1, 0.0, 1.0, 5), "x1")
+        u.samples, u.samples
+        scalar_count = tracer.counts["fields.samples_materialized"] - counted
     finally:
         tracer.remove()
     capsys.readouterr()
     assert codes == [0, 0, 0]
     layers = {span[0] for span in tracer.spans}
     assert {"cli", "fields", "holomorphy", "hypercomplex"} <= layers
+    # the counter reads ``ScalarField._samples`` and ``MatrixField._values``
+    # before each sampling; a cache that never reads None counts nothing
+    assert tracer.counts["fields.samples_materialized"] > 0
+    assert scalar_count == 1
     assert (cli.main, fields.d_oneform, fields.matvec, np.einsum) == originals
