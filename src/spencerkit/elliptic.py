@@ -155,8 +155,12 @@ def assemble_operator(acs: AlmostComplexStructure, mode: str = "auto",
     d = patch.dim
     # Sums of products term by term, not by matmul, whose fused multiply-add
     # leaves roundoff where terms cancel: a nonzero A_sp adds stencil offsets.
+    # Accumulated in place from zeros, in the order of a plain sum from 0,
+    # so a sum of signed zeros still reads +0.
     c = acs.cot_values()
-    a = sum(c[..., q, :, None] * c[..., q, None, :] for q in range(d))
+    a = np.zeros(patch.resolution + (d, d))
+    for q in range(d):
+        a += c[..., q, :, None] * c[..., q, None, :]
     a[..., range(d), range(d)] += 1.0
     # B_p = sum_sq (C[q,s] - C[s,q]) dC[q,p]/dx^s, the formula above with s
     # and q swapped in its second term; one dC/dx^s is alive at a time

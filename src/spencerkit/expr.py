@@ -13,15 +13,16 @@ them, and an expression is a graph whose expanded tree can be far larger.
 Every operation works on that graph:
 
 * each node records ``max_var_index()`` when it is built, and caches
-  ``str()`` and ``derivative(axis)`` (one entry per axis) on first use.
-  These live in the instance dictionary, outside the dataclass fields, so
-  structural ``==``, ``hash`` and ``repr`` are unaffected;
+  ``str()``, ``hash()`` and ``derivative(axis)`` (one entry per axis) on
+  first use.  These live in the instance dictionary, outside the dataclass
+  fields, so structural ``==``, ``hash`` and ``repr`` are unaffected;
 * ``evaluate``, ``evaluate_all`` and ``substitute`` compute each distinct
   node once per call, children first, and drop a node's value after its
   last parent used it;
-* every walk keeps an explicit stack, so deep expressions (a sum of
-  thousands of terms) need no recursion.  Only the parser recurses, and it
-  bounds parenthesis and unary-minus nesting by ``MAX_NESTING``.
+* every walk keeps an explicit stack, ``==``, ``hash`` and ``repr``
+  included, so deep expressions (a sum of thousands of terms) need no
+  recursion.  Only the parser recurses, and it bounds parenthesis and
+  unary-minus nesting by ``MAX_NESTING``.
 
 ``parse_expr`` and ``str()`` round-trip: parsing the printed form of an AST
 reproduces the AST.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -157,18 +158,52 @@ def evaluate_all(exprs, coords) -> list:
 class Expr:
     """Base class for expression nodes.
 
-    Subclasses are frozen dataclasses: ``==``, ``hash`` and ``repr`` are
-    structural.  The caches below live in the instance ``__dict__``, outside
-    the dataclass fields, so they never take part in those.
+    Subclasses are frozen dataclasses whose ``==``, ``hash`` and ``repr``
+    are structural and defined here, over the graph with an explicit stack.
+    The caches below live in the instance ``__dict__``, outside the
+    dataclass fields, so they never take part in those.
     """
 
     _prec = _PREC_ATOM
     _mvi = 0  # max_var_index(), set by __post_init__ of Var and of inner nodes
     _str: str | None = None  # cached str()
+    _hash: int | None = None  # cached hash()
     _dcache: dict | None = None  # cached derivative(axis), keyed by axis
 
     def _kids(self) -> tuple["Expr", ...]:
+        """Child nodes, in the order of their dataclass fields."""
         return ()
+
+    def _data(self) -> tuple:
+        """The node's fields other than its children."""
+        return tuple(v for v in (getattr(self, f.name) for f in fields(self))
+                     if not isinstance(v, Expr))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # a pair of shared subgraphs is compared once, and one node with
+        # itself not at all
+        stack, seen = [(self, other)], set()
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if a.__class__ is not b.__class__ or a._data() != b._data():
+                return False
+            seen.add((id(a), id(b)))
+            stack.extend(zip(a._kids(), b._kids()))
+        return True
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            for node in _walk((self,), lambda n: n._hash is not None):
+                node.__dict__["_hash"] = hash((node.__class__, node._data(),
+                                               tuple(k._hash for k in node._kids())))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return _fold((self,), "_repr", None)[0]
 
     def evaluate(self, coords):
         """Evaluate on coordinate arrays.
@@ -222,12 +257,23 @@ class Expr:
     def _format(self, texts, _) -> str:
         raise NotImplementedError
 
+    def _repr(self, texts, _) -> str:
+        kids = iter(texts)
+        args = ", ".join(
+            f"{f.name}={next(kids) if isinstance(v, Expr) else repr(v)}"
+            for f, v in ((f, getattr(self, f.name)) for f in fields(self)))
+        return f"{type(self).__qualname__}({args})"
+
+
+# Expr defines ==, hash and repr; the dataclass adds fields and immutability.
+_node = dataclass(frozen=True, eq=False, repr=False)
+
 
 def _wrap(child: Expr, text: str, min_prec: int) -> str:
     return f"({text})" if child._prec < min_prec else text
 
 
-@dataclass(frozen=True)
+@_node
 class Num(Expr):
     value: float
 
@@ -246,7 +292,7 @@ class Num(Expr):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     index: int  # 1-based; prints as x<index>
 
@@ -268,7 +314,7 @@ class Var(Expr):
         return f"x{self.index}"
 
 
-@dataclass(frozen=True)
+@_node
 class ConstSym(Expr):
     name: str  # "pi" or "e"
 
@@ -284,7 +330,7 @@ class ConstSym(Expr):
         return self.name
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Expr):
     arg: Expr
 
@@ -309,7 +355,7 @@ class Neg(Expr):
         return f"-{_wrap(self.arg, texts[0], _PREC_NEG)}"
 
 
-@dataclass(frozen=True)
+@_node
 class BinOp(Expr):
     op: str  # one of "+-*/"
     left: Expr
@@ -354,7 +400,7 @@ class BinOp(Expr):
         return f"{left} {self.op} {right}"
 
 
-@dataclass(frozen=True)
+@_node
 class Pow(Expr):
     base: Expr
     exponent: int
@@ -383,7 +429,7 @@ class Pow(Expr):
         return f"{_wrap(self.base, texts[0], _PREC_ATOM)}^{self.exponent}"
 
 
-@dataclass(frozen=True)
+@_node
 class Call(Expr):
     func: str
     arg: Expr

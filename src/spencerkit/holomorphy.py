@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ComplexField, complex_gradient, resolve_mode
-from .report import ResidualReport, interior_sup, report_from_pointwise
+from .report import ResidualReport, interior_sup, node_sup, report_from_pointwise, \
+    slab_map
 from .structures import AlmostComplexStructure, BlockDecomposition, PQPair, pointwise_inverse
 
 __all__ = [
@@ -32,19 +33,26 @@ def _cr_residual(acs: AlmostComplexStructure, f: ComplexField, sign: float,
     if f.patch != acs.patch:
         raise ValueError("function and structure live on different patches")
     mode = resolve_mode(mode, acs.is_exact and f.is_exact)
-    grad = complex_gradient(f, mode)  # (*grid, d)
-    jc = acs.cot_values()
-    resid = np.einsum("...qp,...p->...q", jc, grad) - sign * 1j * grad
-    pointwise = np.linalg.norm(resid, axis=-1)
-    # real halves: J*du + sign*dv and J*dv - sign*du
-    gu, gv = grad.real, grad.imag
-    ju = np.einsum("...qp,...p->...q", jc, gu)
-    jv = np.einsum("...qp,...p->...q", jc, gv)
+    patch = acs.patch
+    d = patch.dim
+
+    def residuals(jc, grad):
+        resid = np.einsum("...qp,...p->...q", jc, grad) - sign * 1j * grad
+        # real halves: J*du + sign*dv and J*dv - sign*du
+        gu, gv = grad.real, grad.imag
+        ju = np.einsum("...qp,...p->...q", jc, gu)
+        jv = np.einsum("...qp,...p->...q", jc, gv)
+        return np.stack([np.linalg.norm(resid, axis=-1),
+                         node_sup(ju + sign * gv), node_sup(jv - sign * gu)], axis=-1)
+
+    # the largest intermediate is einsum's complex copy of the structure
+    per_node = slab_map(residuals, patch.resolution, 16 * d * d,
+                        acs.cot_values(), complex_gradient(f, mode))
     breakdown = {
-        "du_system": interior_sup(ju + sign * gv, acs.patch),
-        "dv_system": interior_sup(jv - sign * gu, acs.patch),
+        "du_system": interior_sup(per_node[..., 1], patch),
+        "dv_system": interior_sup(per_node[..., 2], patch),
     }
-    return report_from_pointwise(pointwise, acs.patch, mode, breakdown)
+    return report_from_pointwise(per_node[..., 0], patch, mode, breakdown)
 
 
 def holo_residual(acs: AlmostComplexStructure, f: ComplexField,

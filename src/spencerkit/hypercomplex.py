@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ComplexField, MatrixField, Patch, ScalarField, resolve_mode
-from .report import ResidualReport, interior_sup, report_from_pointwise, ring_depth
+from .report import ResidualReport, interior_sup, report_from_pointwise, ring_depth, \
+    slab_map
 from .structures import AlmostComplexStructure, HypercomplexStructure
 from .holomorphy import antiholo_residual, holo_residual
 from .elliptic import apply_pointwise, assemble_operator, d_oneform, potential_oneform
@@ -158,9 +159,13 @@ def j_hyperholo_residual(h: HypercomplexStructure, F: QuaternionFunction,
 def _oneform_residual(acs: AlmostComplexStructure, grad_a: np.ndarray,
                       grad_b: np.ndarray, sign: float, mode: str) -> ResidualReport:
     """Residual of K*da = sign * db as a pointwise covector norm."""
-    jc = acs.cot_values()
-    resid = np.einsum("...qp,...p->...q", jc, grad_a) - sign * grad_b
-    return report_from_pointwise(np.linalg.norm(resid, axis=-1), acs.patch, mode)
+    def norm(jc, a, b):
+        return np.linalg.norm(np.einsum("...qp,...p->...q", jc, a) - sign * b, axis=-1)
+
+    patch = acs.patch
+    pointwise = slab_map(norm, patch.resolution, 8 * patch.dim,
+                         acs.cot_values(), grad_a, grad_b)
+    return report_from_pointwise(pointwise, patch, mode)
 
 
 def k_hyperholo_residual(h: HypercomplexStructure, G: QuaternionFunction,

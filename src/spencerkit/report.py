@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
+from functools import reduce
 
 import numpy as np
 
 __all__ = ["ResidualReport", "report_from_pointwise", "interior_sup",
-           "ring_depth", "default_tolerance", "jsonable"]
+           "ring_depth", "default_tolerance", "jsonable", "slab_map",
+           "node_sup", "SLAB_BYTES"]
+
+# Pointwise kernels run over slabs of nodes sized so that the kernel's
+# largest intermediate array stays under this many bytes; only the kernel's
+# inputs and its small per-node result span the whole grid.
+SLAB_BYTES = 8 << 20
 
 
 def ring_depth(mode: str) -> int:
@@ -34,6 +42,40 @@ def default_tolerance(patch, mode: str, floor: float, coefficient: float) -> flo
 def interior_sup(values: np.ndarray, patch, depth: int = 1) -> float:
     """Sup of ``|values|`` over interior nodes; grid axes lead ``values``."""
     return float(np.abs(values[patch.interior(depth)]).max())
+
+
+def slab_map(kernel, grid: tuple[int, ...], node_bytes: int, *arrays) -> np.ndarray:
+    """Per-node results of a pointwise ``kernel`` over the grid, slab by slab.
+
+    Each of ``arrays`` has the grid axes ``grid`` leading and is viewed
+    node-major, as (N, ...) with the nodes in C order; the view must not
+    need a copy.  ``kernel`` is called on consecutive slabs of those views,
+    ``arr[a:b]``, of ``SLAB_BYTES // node_bytes`` nodes (at least one), where
+    ``node_bytes`` is the size per node of the kernel's largest
+    intermediate.  It returns the slab's per-node results, shape (n,) or
+    (n, k), which fill one array of shape ``grid`` or ``grid + (k,)``; the
+    reductions over the grid then run on that array.
+    """
+    n = math.prod(grid)
+    views = [a.reshape((n,) + a.shape[len(grid):], copy=False) for a in arrays]
+    step = max(1, SLAB_BYTES // node_bytes)
+    out = None
+    for start in range(0, n, step):
+        part = kernel(*(v[start:start + step] for v in views))
+        if out is None:
+            out = np.empty((n,) + part.shape[1:], part.dtype)
+        out[start:start + step] = part
+    return out.reshape(tuple(grid) + out.shape[1:])
+
+
+def node_sup(slab: np.ndarray) -> np.ndarray:
+    """max |entry| of each node of a node-major slab (n, ...); 0 for a node
+    with no entries."""
+    a = np.abs(slab).reshape(len(slab), math.prod(slab.shape[1:]))
+    if a.shape[1] > 16:
+        return a.max(axis=1)
+    # numpy reduces a short trailing axis slowly: fold it column by column
+    return reduce(np.maximum, a.T, np.zeros(len(a)))
 
 
 def jsonable(value):

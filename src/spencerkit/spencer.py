@@ -15,13 +15,14 @@ Chart discovery is out of scope: only verification of supplied charts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .fields import ComplexField, Patch, complex_gradient, resolve_mode
 from .report import ResidualReport, default_tolerance, interior_sup, \
-    report_from_pointwise
+    node_sup, report_from_pointwise, slab_map
 from .structures import AlmostComplexStructure, HypercomplexStructure
 from .holomorphy import antiholo_residual, holo_residual
 from .hypercomplex import (
@@ -109,10 +110,13 @@ def _basis_columns(chart: SpencerChart, mode: str) -> np.ndarray:
 
 def _normalized_det(basis: np.ndarray) -> np.ndarray:
     """|det| scaled by the product of column norms (Hadamard normalized)."""
-    det = np.abs(np.linalg.det(basis))
-    norms = np.linalg.norm(basis, axis=-2)
-    scale = np.prod(np.maximum(norms, 1e-300), axis=-1)
-    return det / scale
+    def normalized(b):
+        det = np.abs(np.linalg.det(b))
+        norms = np.linalg.norm(b, axis=-2)
+        return det / np.prod(np.maximum(norms, 1e-300), axis=-1)
+
+    d = basis.shape[-1]
+    return slab_map(normalized, basis.shape[:-2], basis.itemsize * d * d, basis)
 
 
 @dataclass
@@ -138,27 +142,30 @@ def _pattern_blocks(acs: AlmostComplexStructure, basis: np.ndarray, m: int,
     """
     patch = acs.patch
     n = patch.dim_half
-    jc = acs.cot_values().astype(complex)
-    M = np.linalg.solve(basis, jc @ basis)
     eye = np.eye(m)
-    blocks = {
-        "lead_identity": max(
-            interior_sup(M[..., 0:m, 0:m] - 1j * eye, patch),
-            interior_sup(M[..., n:n + m, n:n + m] + 1j * eye, patch)),
-        "zero_complement": max(
-            interior_sup(M[..., m:n, 0:m], patch),
-            interior_sup(M[..., n + m:2 * n, n:n + m], patch)) if m < n else 0.0,
-        "zero_conjugate": max(
-            interior_sup(M[..., n:n + m, 0:m], patch),
-            interior_sup(M[..., 0:m, n:n + m], patch)),
-        "zero_conj_complement": max(
-            interior_sup(M[..., n + m:2 * n, 0:m], patch),
-            interior_sup(M[..., m:n, n:n + m], patch)) if m < n else 0.0,
-    }
-    gap = M[..., :, 0:m].copy()
-    gap[..., 0:m, :] -= 1j * eye
-    per_node = np.abs(gap).max(axis=(-2, -1))[patch.interior()]
-    node = np.unravel_index(int(np.argmax(per_node)), per_node.shape)
+
+    def sup(*parts):
+        # per node; a block is empty when m = n, and then reads 0
+        return reduce(np.maximum, map(node_sup, parts))
+
+    def block_sups(jc, basis):
+        M = np.linalg.solve(basis, jc.astype(complex) @ basis)
+        gap = M[:, :, 0:m].copy()
+        gap[:, 0:m, :] -= 1j * eye
+        return np.stack([
+            sup(M[:, 0:m, 0:m] - 1j * eye, M[:, n:n + m, n:n + m] + 1j * eye),
+            sup(M[:, m:n, 0:m], M[:, n + m:2 * n, n:n + m]),
+            sup(M[:, n:n + m, 0:m], M[:, 0:m, n:n + m]),
+            sup(M[:, n + m:2 * n, 0:m], M[:, m:n, n:n + m]),
+            sup(gap)], axis=-1)
+
+    # the largest intermediates are complex (d, d) matrices per node
+    per_node = slab_map(block_sups, patch.resolution, 16 * patch.dim ** 2,
+                        acs.cot_values(), basis)
+    names = ("lead_identity", "zero_complement", "zero_conjugate", "zero_conj_complement")
+    blocks = {name: interior_sup(per_node[..., k], patch) for k, name in enumerate(names)}
+    inner = per_node[..., 4][patch.interior()]
+    node = np.unravel_index(int(np.argmax(inner)), inner.shape)
     worst = tuple(int(i) + 1 for i in node)
     return blocks, worst
 

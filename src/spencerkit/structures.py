@@ -27,7 +27,7 @@ import numpy as np
 
 from .expr import Num, add, div, mul, neg, sub
 from .fields import MatrixField, Patch, resolve_mode
-from .report import interior_sup
+from .report import interior_sup, node_sup, slab_map
 
 __all__ = [
     "InvalidStructureError",
@@ -70,30 +70,35 @@ class SingularMatrixError(ValueError):
         self.node = node
 
 
-def _sup_and_node(gap: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    """Sup norm of a (*grid, r, c) array and the node where it is reached."""
-    per_node = np.abs(gap).max(axis=(-2, -1))
+def _sup_and_node(per_node: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """Largest of per-node values on the grid and the first node, in C
+    order, where it is reached."""
     node = np.unravel_index(int(np.argmax(per_node)), per_node.shape)
     return float(per_node.max()), tuple(int(i) for i in node)
 
 
 def _square_residual(values: np.ndarray) -> tuple[float, tuple[int, ...]]:
     d = values.shape[-1]
-    return _sup_and_node(values @ values + np.eye(d))
+    eye = np.eye(d)
+    return _sup_and_node(slab_map(lambda v: node_sup(v @ v + eye),
+                                  values.shape[:-2], values.itemsize * d * d, values))
 
 
 def _det_scale(values: np.ndarray) -> np.ndarray:
     """Relative singularity scale max(1, max|entry|)^n per node."""
     n = values.shape[-1]
-    mag = np.abs(values).max(axis=(-2, -1))
-    return np.maximum(1.0, mag) ** n
+    return np.maximum(1.0, node_sup(values)) ** n
 
 
 def _require_nonsingular(values: np.ndarray, message: str,
                          threshold: float = 1e-12) -> None:
     """Raise ``SingularMatrixError`` at the first (near) singular node."""
-    det = np.linalg.det(values)
-    bad = np.abs(det) <= threshold * _det_scale(values)
+    n = values.shape[-1]
+
+    def singular(v):
+        return np.abs(np.linalg.det(v)) <= threshold * _det_scale(v)
+
+    bad = slab_map(singular, values.shape[:-2], values.itemsize * n * n, values)
     if bad.any():
         node = tuple(int(i) for i in np.argwhere(bad)[0])
         raise SingularMatrixError(message, node)
@@ -433,7 +438,9 @@ def make_hypercomplex(J: AlmostComplexStructure, K: AlmostComplexStructure,
     if J.patch.dim % 4 != 0:
         raise ValueError("hypercomplex structures need dimension 4n")
     jt, kt = J.tan_values(), K.tan_values()
-    anti, node = _sup_and_node(jt @ kt + kt @ jt)
+    d = J.patch.dim
+    anti, node = _sup_and_node(slab_map(lambda j, k: node_sup(j @ k + k @ j),
+                                        J.patch.resolution, 8 * d * d, jt, kt))
     if anti > tolerance:
         raise InvalidStructureError(anti, node, tolerance, "JK + KJ has sup norm")
     return HypercomplexStructure(J.patch, J, K, anti)
@@ -464,11 +471,14 @@ def nijenhuis_residual(acs: AlmostComplexStructure, mode: str = "auto") -> float
     mode = resolve_mode(mode, acs.is_exact)
     patch = acs.patch
     d = patch.dim
-    npnts = patch.n_points
-    T = acs.tan_values().reshape(npnts, d, d)
-    # [node, s, k, j] = d_s T[k, j]
-    DT = acs.j_tan.derivatives(mode).reshape(npnts, d, d, d)
-    term1 = np.einsum("nsi,nskj->nkij", T, DT)
-    term3 = np.einsum("nks,njsi->nkij", T, DT)
-    N = term1 - term1.transpose(0, 1, 3, 2) + term3 - term3.transpose(0, 1, 3, 2)
-    return interior_sup(N.reshape(patch.resolution + (d, d, d)), patch)
+
+    def max_abs_n(T, DT):
+        # DT[node, s, k, j] = d_s T[k, j]
+        term1 = np.einsum("nsi,nskj->nkij", T, DT)
+        term3 = np.einsum("nks,njsi->nkij", T, DT)
+        return node_sup(term1 - term1.transpose(0, 1, 3, 2)
+                        + term3 - term3.transpose(0, 1, 3, 2))
+
+    per_node = slab_map(max_abs_n, patch.resolution, 8 * d ** 3,
+                        acs.tan_values(), acs.j_tan.derivatives(mode))
+    return interior_sup(per_node, patch)

@@ -190,16 +190,35 @@ class TestDeepExpressions:
         text = str(e)
         assert text == " + ".join(["0.5 * x1"] * self.TERMS)
         back = parse_expr(text, 1)
-        # compare along the left spine: == recurses, and would need a stack
-        # as deep as the sum is long
-        a, b = e, back
-        for _ in range(self.TERMS - 1):
-            assert isinstance(b, BinOp) and b.op == "+" and b.right == a.right
-            a, b = a.left, b.left
-        assert a == b
+        assert back == e
         assert back.max_var_index() == 1
         assert back.evaluate((2.0,)) == float(self.TERMS)
         assert back.derivative(1) == Num(0.5 * self.TERMS)
+
+
+    def test_long_sum_equality_hash_and_repr(self):
+        text = " + ".join(f"{k}*x1" for k in range(1, self.TERMS + 1))
+        a, b = parse_expr(text, 1), parse_expr(text, 1)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert repr(a) == repr(b) and repr(a).startswith("BinOp(op='+', left=BinOp(")
+        # one differing leaf at the bottom of the spine
+        c = parse_expr(text.replace("1*x1", "1*x2", 1), 2)
+        assert a != c and not a == c
+
+    def test_equality_on_shared_graph(self):
+        # each derivative of a long product shares its subgraphs many times
+        e = parse_expr("*".join(f"sin({k}*x1)" for k in range(1, 40)), 1)
+        d1, d2 = e.derivative(1), parse_expr(str(e), 1).derivative(1)
+        assert d1 == d2 and hash(d1) == hash(d2)
+        assert d1 != e.derivative(1).derivative(1)
+
+    def test_structural_semantics_kept(self):
+        assert Num(0.0) == Num(-0.0) and hash(Num(0.0)) == hash(Num(-0.0))
+        assert Num(1.0) != Var(1) and Num(1.0) != 1.0
+        assert BinOp("+", Var(1), Num(2.0)) != BinOp("-", Var(1), Num(2.0))
+        assert repr(parse_expr("-sin(x2)^3", 2)) == \
+            "Neg(arg=Pow(base=Call(func='sin', arg=Var(index=2)), exponent=3))"
 
 
 class TestDerivative:
