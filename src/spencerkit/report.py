@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -57,7 +56,7 @@ def slab_map(kernel, grid: tuple[int, ...], node_bytes: int, *arrays) -> np.ndar
     reductions over the grid then run on that array.
     """
     n = math.prod(grid)
-    views = [a.reshape((n,) + a.shape[len(grid):], copy=False) for a in arrays]
+    views = [_node_major(a, n, len(grid)) for a in arrays]
     step = max(1, SLAB_BYTES // node_bytes)
     out = None
     for start in range(0, n, step):
@@ -68,14 +67,20 @@ def slab_map(kernel, grid: tuple[int, ...], node_bytes: int, *arrays) -> np.ndar
     return out.reshape(tuple(grid) + out.shape[1:])
 
 
+def _node_major(a: np.ndarray, n: int, grid_axes: int) -> np.ndarray:
+    """``a`` viewed as (n, ...) with its ``grid_axes`` leading axes merged;
+    raises if that needs a copy, which would span the whole grid."""
+    view = a.reshape((n,) + a.shape[grid_axes:])
+    if view.size and not np.may_share_memory(view, a):
+        raise ValueError("slab_map needs arrays whose grid axes merge without a copy")
+    return view
+
+
 def node_sup(slab: np.ndarray) -> np.ndarray:
     """max |entry| of each node of a node-major slab (n, ...); 0 for a node
     with no entries."""
     a = np.abs(slab).reshape(len(slab), math.prod(slab.shape[1:]))
-    if a.shape[1] > 16:
-        return a.max(axis=1)
-    # numpy reduces a short trailing axis slowly: fold it column by column
-    return reduce(np.maximum, a.T, np.zeros(len(a)))
+    return a.max(axis=1, initial=0.0)
 
 
 def jsonable(value):

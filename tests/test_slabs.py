@@ -87,6 +87,22 @@ def test_slab_map_cuts_node_major_slabs(monkeypatch):
     assert sizes == [1] * 12
 
 
+def test_slab_map_refuses_a_grid_that_needs_a_copy():
+    values = np.arange(24.0).reshape(4, 3, 2).transpose(1, 0, 2)
+    with pytest.raises(ValueError, match="without a copy"):
+        report.slab_map(lambda v: v[:, 0], (3, 4), 16, values)
+    # a leading-axis slice still merges without a copy
+    part = np.arange(48.0).reshape(6, 4, 2)[1:4]
+    out = report.slab_map(lambda v: v[:, 0], (3, 4), 16, part)
+    assert np.array_equal(out, part[..., 0])
+
+
+def test_node_sup():
+    slab = np.array([[[-3.0, 1.0]], [[0.5, -0.25]]])
+    assert np.array_equal(report.node_sup(slab), [3.0, 0.5])
+    assert np.array_equal(report.node_sup(np.zeros((3, 0))), np.zeros(3))
+
+
 def test_nijenhuis_residual(monkeypatch, pair):
     whole, slabbed = whole_and_slabbed(monkeypatch, lambda: nijenhuis_residual(pair.J, "fd"))
     assert whole > 0.0 and slabbed == whole
