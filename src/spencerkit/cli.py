@@ -301,6 +301,9 @@ def cmd_bracket_check(args) -> int:
 
 
 def cmd_hyper_check(args) -> int:
+    if (args.u is None) != (args.zeta is None):
+        given, missing = ("u", "zeta") if args.zeta is None else ("zeta", "u")
+        raise SceneError(f"hyper check --{given} needs --{missing}")
     scene = _scene(args)
     h = scene.hypercomplex()
     results: dict = {"anti_residual": h.anti_residual}
@@ -320,7 +323,7 @@ def cmd_hyper_check(args) -> int:
                                               kres=kres, jres=jres)
             results["translation"] = trans
             passed = passed and trans.passes
-    if args.u and args.zeta:
+    if args.u is not None:
         rep = hyper_potential_residual(h, scene.scalar_field(args.u),
                                        scene.scalar_field(args.zeta),
                                        scene.mode)
@@ -332,15 +335,16 @@ def cmd_spencer_verify(args) -> int:
     scene = _scene(args)
     acs = scene.structure()
     chart = scene.chart(args.chart)
+    h = scene.complex_field(args.superpose) if args.superpose else None
     tol = _tolerance(args, scene)
     rep = verify_chart(acs, chart, scene.mode, tol)
     results = {"chart": args.chart, "pattern": rep}
     passed = rep.passes
-    if args.superpose:
-        h = scene.complex_field(args.superpose)
+    # superposition is defined on a verified chart only
+    if h is not None and passed:
         sup = superposition_check(acs, chart, h, scene.mode, tol)
         results["superposition"] = sup
-        passed = passed and sup.sup_norm <= tol
+        passed = sup.sup_norm <= tol
     return emit("spencer.verify", results, passed, args)
 
 

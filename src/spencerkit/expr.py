@@ -16,9 +16,9 @@ Every operation works on that graph:
   ``str()``, ``hash()`` and ``derivative(axis)`` (one entry per axis) on
   first use.  These live in the instance dictionary, outside the dataclass
   fields, so structural ``==``, ``hash`` and ``repr`` are unaffected;
-* ``evaluate``, ``evaluate_all`` and ``substitute`` compute each distinct
-  node once per call, children first, and drop a node's value after its
-  last parent used it;
+* ``evaluate`` and ``evaluate_all`` compute each distinct node once per
+  call, children first, and drop a node's value after its last parent used
+  it;
 * every walk keeps an explicit stack, ``==``, ``hash`` and ``repr``
   included, so deep expressions (a sum of thousands of terms) need no
   recursion.  Only the parser recurses, and it bounds parenthesis and
@@ -232,10 +232,6 @@ class Expr:
         """Largest variable index used, 0 for a constant expression."""
         return self._mvi
 
-    def substitute(self, mapping: dict[int, "Expr"]) -> "Expr":
-        """Replace variables by expressions (for composing with maps)."""
-        return _fold((self,), "_rebuild", mapping)[0]
-
     def __str__(self) -> str:
         # Only the node asked is cached: keeping the text of every subnode
         # would cost memory quadratic in the depth of the graph.
@@ -250,9 +246,6 @@ class Expr:
 
     def _derive(self, dargs, axis) -> "Expr":
         raise NotImplementedError
-
-    def _rebuild(self, args, mapping) -> "Expr":
-        return self
 
     def _format(self, texts, _) -> str:
         raise NotImplementedError
@@ -307,9 +300,6 @@ class Var(Expr):
     def _derive(self, dargs, axis):
         return Num(1.0 if axis == self.index else 0.0)
 
-    def _rebuild(self, args, mapping):
-        return mapping.get(self.index, self)
-
     def _format(self, texts, _):
         return f"x{self.index}"
 
@@ -348,9 +338,6 @@ class Neg(Expr):
     def _derive(self, dargs, axis):
         return neg(dargs[0])
 
-    def _rebuild(self, args, mapping):
-        return neg(args[0])
-
     def _format(self, texts, _):
         return f"-{_wrap(self.arg, texts[0], _PREC_NEG)}"
 
@@ -388,9 +375,6 @@ class BinOp(Expr):
             return add(mul(da, self.right), mul(self.left, db))
         return div(sub(mul(da, self.right), mul(self.left, db)), powi(self.right, 2))
 
-    def _rebuild(self, args, mapping):
-        return {"+": add, "-": sub, "*": mul, "/": div}[self.op](*args)
-
     def _format(self, texts, _):
         prec = self._prec
         left = _wrap(self.left, texts[0], prec)
@@ -421,9 +405,6 @@ class Pow(Expr):
             return Num(0.0)
         return mul(mul(Num(float(self.exponent)), powi(self.base, self.exponent - 1)),
                    dargs[0])
-
-    def _rebuild(self, args, mapping):
-        return powi(args[0], self.exponent)
 
     def _format(self, texts, _):
         return f"{_wrap(self.base, texts[0], _PREC_ATOM)}^{self.exponent}"
@@ -461,9 +442,6 @@ class Call(Expr):
         if self.func == "exp":
             return mul(self, dx)
         return div(dx, mul(Num(2.0), self))
-
-    def _rebuild(self, args, mapping):
-        return Call(self.func, args[0])
 
     def _format(self, texts, _):
         return f"{self.func}({texts[0]})"

@@ -28,26 +28,32 @@ __all__ = [
     "reduced_system",
 ]
 
-def _cr_residual(acs: AlmostComplexStructure, f: ComplexField, sign: float,
-                 mode: str) -> ResidualReport:
+def _checked_gradient(acs: AlmostComplexStructure, f: ComplexField,
+                      mode: str) -> tuple[np.ndarray, str]:
+    """The complex gradient of f on the structure's patch, and its mode."""
     if f.patch != acs.patch:
         raise ValueError("function and structure live on different patches")
     mode = resolve_mode(mode, acs.is_exact and f.is_exact)
+    return complex_gradient(f, mode), mode
+
+
+def _cr_residual(acs: AlmostComplexStructure, grad: np.ndarray, mode: str,
+                 sign: float) -> ResidualReport:
+    """Residual of ``J*df = sign * i df`` from the complex gradient of f,
+    ``grad`` of shape (*grid, d), taken in ``mode``."""
     patch = acs.patch
     d = patch.dim
 
     def residuals(jc, grad):
         resid = np.einsum("...qp,...p->...q", jc, grad) - sign * 1j * grad
-        # real halves: J*du + sign*dv and J*dv - sign*du
-        gu, gv = grad.real, grad.imag
-        ju = np.einsum("...qp,...p->...q", jc, gu)
-        jv = np.einsum("...qp,...p->...q", jc, gv)
+        # its real and imaginary parts are the real halves
+        # J*du + sign*dv and J*dv - sign*du
         return np.stack([np.linalg.norm(resid, axis=-1),
-                         node_sup(ju + sign * gv), node_sup(jv - sign * gu)], axis=-1)
+                         node_sup(resid.real), node_sup(resid.imag)], axis=-1)
 
     # the largest intermediate is einsum's complex copy of the structure
     per_node = slab_map(residuals, patch.resolution, 16 * d * d,
-                        acs.cot_values(), complex_gradient(f, mode))
+                        acs.cot_values(), grad)
     breakdown = {
         "du_system": interior_sup(per_node[..., 1], patch),
         "dv_system": interior_sup(per_node[..., 2], patch),
@@ -58,13 +64,13 @@ def _cr_residual(acs: AlmostComplexStructure, f: ComplexField, sign: float,
 def holo_residual(acs: AlmostComplexStructure, f: ComplexField,
                   mode: str = "auto") -> ResidualReport:
     """Residual of the almost-holomorphy system ``J*df = i df``."""
-    return _cr_residual(acs, f, +1.0, mode)
+    return _cr_residual(acs, *_checked_gradient(acs, f, mode), +1.0)
 
 
 def antiholo_residual(acs: AlmostComplexStructure, f: ComplexField,
                       mode: str = "auto") -> ResidualReport:
     """Residual of the almost-antiholomorphy system ``J*df = -i df``."""
-    return _cr_residual(acs, f, -1.0, mode)
+    return _cr_residual(acs, *_checked_gradient(acs, f, mode), -1.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,7 @@ Structure specs: {"kind": "standard"}, {"kind": "matrix", "entries": [[...]],
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -197,10 +197,7 @@ class Scene:
         return table[name]
 
     def with_patch(self, patch: Patch) -> "Scene":
-        return Scene(self.name, self.dim_half, patch, self.structure_spec,
-                     self.field_specs, self.chart_specs,
-                     self.vector_field_specs, self.quaternion_specs,
-                     self.mode, self.tolerances)
+        return replace(self, patch=patch)
 
     def refined(self, factor: int) -> "Scene":
         return self.with_patch(self.patch.refined(factor))

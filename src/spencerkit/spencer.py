@@ -14,7 +14,7 @@ Chart discovery is out of scope: only verification of supplied charts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations_with_replacement
 
@@ -24,7 +24,7 @@ from .fields import ComplexField, Patch, complex_gradient, resolve_mode
 from .report import ResidualReport, default_tolerance, interior_sup, \
     node_sup, report_from_pointwise, slab_map
 from .structures import AlmostComplexStructure, HypercomplexStructure
-from .holomorphy import antiholo_residual, holo_residual
+from .holomorphy import _checked_gradient, _cr_residual
 from .hypercomplex import (
     QuaternionFunction,
     j_hyperholo_residual,
@@ -95,9 +95,13 @@ class SpencerChart:
         return self.holo + self.complement
 
 
-def _basis_columns(chart: SpencerChart, mode: str) -> np.ndarray:
-    """Complex basis matrix per node, columns = chart 1-form coefficients."""
-    patch = chart.patch
+def _basis_columns(acs: AlmostComplexStructure, chart: SpencerChart,
+                   mode: str) -> np.ndarray:
+    """Complex basis matrix per node, columns = chart 1-form coefficients;
+    raises ``DegenerateChartError`` where they are nearly dependent."""
+    if chart.patch != acs.patch:
+        raise ValueError("chart and structure live on different patches")
+    patch = acs.patch
     d = patch.dim
     funcs = chart.functions()
     cols = np.empty(patch.resolution + (d, d), dtype=complex)
@@ -105,6 +109,10 @@ def _basis_columns(chart: SpencerChart, mode: str) -> np.ndarray:
         g = complex_gradient(fn, mode)
         cols[..., :, j] = g
         cols[..., :, j + patch.dim_half] = g.conj()
+    ndet = _normalized_det(cols)
+    if ndet.min() <= 1e-8:
+        node = np.unravel_index(int(np.argmin(ndet)), patch.resolution)
+        raise DegenerateChartError(tuple(int(i) for i in node), float(ndet.min()))
     return cols
 
 
@@ -132,16 +140,24 @@ class PatternReport:
     worst_node: tuple[int, ...] = ()
 
 
-def _pattern_blocks(acs: AlmostComplexStructure, basis: np.ndarray, m: int,
-                    ) -> tuple[dict[str, float], tuple[int, ...]]:
-    """Residuals of the constrained blocks in the chart representation.
+def _verified(acs: AlmostComplexStructure, chart: SpencerChart, mode: str,
+              tolerance: float | None, orders=(slice(None),),
+              ) -> tuple[list[PatternReport], np.ndarray]:
+    """Pattern reports of a chart and the chart basis B they were read from.
 
-    The representation is M = B^-1 j_cot B; the first m columns must be
-    i*e_j and the conjugate columns (offset n) -i*e_j.  Returns the block
-    sup norms plus the interior node where the constraint is worst.
+    Each of ``orders`` gives the report of the basis B[:, order], whose
+    representation is M = B^-1 j_cot B with rows and columns in that order:
+    one solve per node serves every order.  The first m columns of the
+    representation must be i*e_j and the conjugate columns (offset n)
+    -i*e_j; the first m basis columns must be holomorphic.
     """
+    exact_ok = acs.is_exact and all(f.is_exact for f in chart.functions())
+    mode = resolve_mode(mode, exact_ok)
+    if tolerance is None:
+        tolerance = default_tolerance(acs.patch, mode, 1e-8, 30.0)
+    basis = _basis_columns(acs, chart, mode)
     patch = acs.patch
-    n = patch.dim_half
+    m, n = chart.m, chart.n
     eye = np.eye(m)
 
     def sup(*parts):
@@ -150,24 +166,41 @@ def _pattern_blocks(acs: AlmostComplexStructure, basis: np.ndarray, m: int,
 
     def block_sups(jc, basis):
         M = np.linalg.solve(basis, jc.astype(complex) @ basis)
-        gap = M[:, :, 0:m].copy()
-        gap[:, 0:m, :] -= 1j * eye
-        return np.stack([
-            sup(M[:, 0:m, 0:m] - 1j * eye, M[:, n:n + m, n:n + m] + 1j * eye),
-            sup(M[:, m:n, 0:m], M[:, n + m:2 * n, n:n + m]),
-            sup(M[:, n:n + m, 0:m], M[:, 0:m, n:n + m]),
-            sup(M[:, n + m:2 * n, 0:m], M[:, m:n, n:n + m]),
-            sup(gap)], axis=-1)
+        sups = []
+        for order in orders:
+            P = M[:, order][:, :, order]
+            lead = P[:, 0:m, 0:m] - 1j * eye
+            sups += [
+                sup(lead, P[:, n:n + m, n:n + m] + 1j * eye),
+                sup(P[:, m:n, 0:m], P[:, n + m:2 * n, n:n + m]),
+                sup(P[:, n:n + m, 0:m], P[:, 0:m, n:n + m]),
+                sup(P[:, n + m:2 * n, 0:m], P[:, m:n, n:n + m]),
+                sup(lead, P[:, m:, 0:m])]  # the first m columns
+        return np.stack(sups, axis=-1)
 
     # the largest intermediates are complex (d, d) matrices per node
     per_node = slab_map(block_sups, patch.resolution, 16 * patch.dim ** 2,
                         acs.cot_values(), basis)
     names = ("lead_identity", "zero_complement", "zero_conjugate", "zero_conj_complement")
-    blocks = {name: interior_sup(per_node[..., k], patch) for k, name in enumerate(names)}
-    inner = per_node[..., 4][patch.interior()]
-    node = np.unravel_index(int(np.argmax(inner)), inner.shape)
-    worst = tuple(int(i) + 1 for i in node)
-    return blocks, worst
+    reports = []
+    for k, order in enumerate(orders):
+        holo_sups = tuple(_cr_residual(acs, basis[..., j], mode, +1.0).sup_norm
+                          for j in np.arange(2 * n)[order][:m])
+        blocks = {name: interior_sup(per_node[..., 5 * k + i], patch)
+                  for i, name in enumerate(names)}
+        inner = per_node[..., 5 * k + 4][patch.interior()]
+        node = np.unravel_index(int(np.argmax(inner)), inner.shape)
+        worst = max(list(blocks.values()) + list(holo_sups))
+        reports.append(PatternReport(
+            m=m,
+            block_residuals=blocks,
+            holo_residuals=holo_sups,
+            passes=bool(worst <= tolerance),
+            tolerance=tolerance,
+            mode=mode,
+            worst_node=tuple(int(i) + 1 for i in node),
+        ))
+    return reports, basis
 
 
 def verify_chart(acs: AlmostComplexStructure, chart: SpencerChart,
@@ -179,29 +212,7 @@ def verify_chart(acs: AlmostComplexStructure, chart: SpencerChart,
     singular at some node; tolerance failures are returned as a
     non-passing report carrying the block residuals.
     """
-    if chart.patch != acs.patch:
-        raise ValueError("chart and structure live on different patches")
-    exact_ok = acs.is_exact and all(f.is_exact for f in chart.functions())
-    mode = resolve_mode(mode, exact_ok)
-    if tolerance is None:
-        tolerance = default_tolerance(acs.patch, mode, 1e-8, 30.0)
-    basis = _basis_columns(chart, mode)
-    ndet = _normalized_det(basis)
-    if ndet.min() <= 1e-8:
-        node = np.unravel_index(int(np.argmin(ndet)), acs.patch.resolution)
-        raise DegenerateChartError(tuple(int(i) for i in node), float(ndet.min()))
-    holo_sups = tuple(holo_residual(acs, w, mode).sup_norm for w in chart.holo)
-    blocks, worst_node = _pattern_blocks(acs, basis, chart.m)
-    worst = max(list(blocks.values()) + list(holo_sups))
-    return PatternReport(
-        m=chart.m,
-        block_residuals=blocks,
-        holo_residuals=holo_sups,
-        passes=bool(worst <= tolerance),
-        tolerance=tolerance,
-        mode=mode,
-        worst_node=worst_node,
-    )
+    return _verified(acs, chart, mode, tolerance)[0][0]
 
 
 def independence_rank(chart: SpencerChart, mode: str = "auto") -> int:
@@ -212,13 +223,6 @@ def independence_rank(chart: SpencerChart, mode: str = "auto") -> int:
     scale = np.abs(rows).max()
     ranks = np.linalg.matrix_rank(rows, tol=1e-8 * max(scale, 1.0))
     return int(ranks.min())
-
-
-def _chart_coefficients(chart: SpencerChart, h: ComplexField, mode: str,
-                        ) -> np.ndarray:
-    basis = _basis_columns(chart, mode)
-    g = complex_gradient(h, mode)
-    return np.linalg.solve(basis, g[..., None])[..., 0]
 
 
 def superposition_check(acs: AlmostComplexStructure, chart: SpencerChart,
@@ -232,18 +236,18 @@ def superposition_check(acs: AlmostComplexStructure, chart: SpencerChart,
     vanish.  Requires a verified chart and a holomorphic h (errors
     otherwise).
     """
-    pattern = verify_chart(acs, chart, mode)
+    (pattern,), basis = _verified(acs, chart, mode, None)
     if not pattern.passes:
         raise ChartError("chart failed verification; superposition is undefined")
-    mode = pattern.mode
     if tolerance is None:
         tolerance = pattern.tolerance
-    hres = holo_residual(acs, h, mode)
+    grad, mode = _checked_gradient(acs, h, pattern.mode)
+    hres = _cr_residual(acs, grad, mode, +1.0)
     if hres.sup_norm > tolerance:
         raise ChartError(
             f"h is not almost holomorphic (residual {hres.sup_norm:.2e} "
             f"> {tolerance:.1e})")
-    coeffs = _chart_coefficients(chart, h, mode)
+    coeffs = np.linalg.solve(basis, grad[..., None])[..., 0]
     n = chart.n
     m = chart.m
     patch = chart.patch
@@ -262,32 +266,35 @@ def transition_holomorphy_check(chart_a: SpencerChart, chart_b: SpencerChart,
                                 mode: str = "auto") -> ResidualReport:
     """Cauchy-Riemann residual of the transition between two charts.
 
-    Both charts are verified first (errors on failure).  By the chain rule
-    the differential of each w_b^j expands over chart A's basis; the
+    Both charts are verified first, in the mode of the transition, and
+    their bases are reused (errors on failure).  By the chain rule the
+    differential of each w_b^j expands over chart A's basis; the
     coefficients on the conjugate and complement elements are exactly the
     conjugate-derivative components of the transition map, so their sup is
-    the classical CR residual of the transition evaluated on the grid (or
-    on ``sample_nodes``, flat indices into the grid).
+    the classical CR residual of the transition evaluated on the grid (or on
+    ``sample_nodes``, flat indices into the grid).
     """
     if chart_a.patch != chart_b.patch:
         raise ChartError("charts live on disjoint patches; no overlap to check")
     if chart_a.m != chart_b.m:
         raise ChartError("charts declare different types")
-    for name, chart in (("first", chart_a), ("second", chart_b)):
-        if not verify_chart(acs, chart, mode).passes:
-            raise ChartError(f"{name} chart failed verification; "
-                             "no transition is attempted")
     mode = resolve_mode(mode, acs.is_exact
                         and all(f.is_exact for f in chart_a.functions())
                         and all(f.is_exact for f in chart_b.functions()))
+    bases = []
+    for name, chart in (("first", chart_a), ("second", chart_b)):
+        (pattern,), basis = _verified(acs, chart, mode, None)
+        if not pattern.passes:
+            raise ChartError(f"{name} chart failed verification; "
+                             "no transition is attempted")
+        bases.append(basis)
     m = chart_a.m
-    pointwise = None
-    breakdown = {}
-    for j, wb in enumerate(chart_b.holo, start=1):
-        coeffs = _chart_coefficients(chart_a, wb, mode)
-        tail = np.abs(coeffs[..., m:]).max(axis=-1)
-        pointwise = tail if pointwise is None else np.maximum(pointwise, tail)
-        breakdown[f"w{j}"] = interior_sup(tail, chart_a.patch)
+    # chart B's first m basis columns are its dw_b^j: expand them over chart A's
+    coeffs = np.linalg.solve(bases[0], bases[1][..., :m])
+    tails = np.abs(coeffs[..., m:, :]).max(axis=-2)
+    pointwise = tails.max(axis=-1)
+    breakdown = {f"w{j + 1}": interior_sup(tails[..., j], chart_a.patch)
+                 for j in range(m)}
     if sample_nodes is not None:
         flat = pointwise.ravel()[np.asarray(sample_nodes, dtype=int)]
         worst = int(np.asarray(sample_nodes)[int(np.argmax(flat))])
@@ -355,31 +362,23 @@ def hyper_spencer_pattern_check(h: HypercomplexStructure,
     if len(chart) != len(antichart):
         raise ValueError("chart and antichart must have the same length")
     m = len(chart)
-    acs = h.J
-    exact_ok = acs.is_exact and all(f.is_exact for f in chart + antichart)
-    mode = resolve_mode(mode, exact_ok)
-    if tolerance is None:
-        tolerance = default_tolerance(h.patch, mode, 1e-8, 30.0)
-    pre = {}
-    for j, f in enumerate(chart, start=1):
-        pre[f"holo_{j}"] = holo_residual(acs, f, mode).sup_norm
-    for j, f in enumerate(antichart, start=1):
-        pre[f"antiholo_{j}"] = antiholo_residual(acs, f, mode).sup_norm
-
     # chart-led basis: complement by the conjugated antichart (J-holomorphic)
     lead = SpencerChart(m, tuple(chart),
                         tuple(f.conjugate() for f in antichart))
-    holo_pattern = verify_chart(acs, lead, mode, tolerance)
-    # antichart-led basis: conjugating swaps the pattern sign to -i*E_m
-    mirror = SpencerChart(m, tuple(f.conjugate() for f in antichart),
-                          tuple(chart))
-    mirror_pattern = verify_chart(acs, mirror, mode, tolerance)
-    antiholo_pattern = replace(mirror_pattern, holo_residuals=tuple(
-        pre[f"antiholo_{j}"] for j in range(1, m + 1)))
+    # antichart-led basis: the same four column blocks of width m, with the
+    # two in each half swapped; conjugating swaps the pattern sign to -i*E_m
+    swapped = np.arange(4 * m).reshape(4, m)[[1, 0, 3, 2]].ravel()
+    (holo_pattern, antiholo_pattern), _ = _verified(
+        h.J, lead, mode, tolerance, (slice(None), swapped))
+    mode, tolerance = holo_pattern.mode, holo_pattern.tolerance
+    # the holomorphy residual of conj(f) is the antiholomorphy residual of f
+    pre = {f"holo_{j}": r for j, r in enumerate(holo_pattern.holo_residuals, start=1)}
+    pre.update({f"antiholo_{j}": r
+                for j, r in enumerate(antiholo_pattern.holo_residuals, start=1)})
 
     transition_info: dict[str, float] = {}
-    passes = (holo_pattern.passes and antiholo_pattern.passes
-              and max(pre.values()) <= tolerance)
+    # each pattern's verdict covers its coordinates' holomorphy residuals
+    passes = holo_pattern.passes and antiholo_pattern.passes
     if transition is not None:
         jres = j_hyperholo_residual(h, transition, mode)
         kres = k_hyperholo_residual(h, transition, mode)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spencerkit.fields import ComplexField, MatrixField, Patch
+from spencerkit.fields import ComplexField, MatrixField, Patch, complex_gradient
 from spencerkit.fixtures import (
     coordinate_function,
     standard_structure,
@@ -13,6 +13,7 @@ from spencerkit.holomorphy import (
     reduced_system_residual,
     reduction_equivalence_check,
 )
+from spencerkit.report import interior_sup
 from spencerkit.structures import PQPair, extract_pq, normalize_at_origin, \
     reconstruct_from_pq
 
@@ -35,6 +36,23 @@ class TestHoloResidual:
         assert rep.sup_norm == pytest.approx(ROOT8, rel=1e-14)
         assert rep.breakdown["du_system"] == pytest.approx(2.0)
         assert rep.breakdown["dv_system"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("mode", ["exact", "fd"])
+    @pytest.mark.parametrize("sign, check", [(1.0, holo_residual),
+                                             (-1.0, antiholo_residual)])
+    def test_real_halves_are_the_real_systems(self, patch4d, mode, sign, check):
+        # the breakdown reads the halves off the complex residual; the real
+        # systems J*du + sign*dv and J*dv - sign*du are the reference
+        acs = type1_structure(patch4d)
+        f = ComplexField.from_exprs(patch4d, "x1*x3 + 0.4*x2^3", "x4^2 - x1*x2")
+        g = complex_gradient(f, mode)
+        ju = np.einsum("...qp,...p->...q", acs.cot_values(), g.real)
+        jv = np.einsum("...qp,...p->...q", acs.cot_values(), g.imag)
+        rep = check(acs, f, mode)
+        du = interior_sup(np.abs(ju + sign * g.imag).max(axis=-1), patch4d)
+        dv = interior_sup(np.abs(jv - sign * g.real).max(axis=-1), patch4d)
+        assert du > 0.0 and dv > 0.0
+        assert rep.breakdown == {"du_system": du, "dv_system": dv}
 
     def test_type1_coordinate_zero(self, patch4d):
         acs = type1_structure(patch4d)

@@ -174,6 +174,8 @@ _PROBES = [
     ("pluri-without-field", ["convergence", "{scene}", "--check", "pluri"], 2,
      "--field"),
     ("zero-samples", ["acs", "check", "{scene}", "--samples", "0"], 2, "--samples"),
+    ("hyper-u-without-zeta", ["hyper", "check", "{scene}", "--u", "div"], 2, "--zeta"),
+    ("hyper-zeta-without-u", ["hyper", "check", "{scene}", "--zeta", "div"], 2, "--u"),
     ("unconverged-solve", ["elliptic", "solve", "{scene}", "--bc", "x1^2 - x2^2"], 1,
      "stats"),
     ("unconverged-convergence-solve", ["convergence", "{scene}", "--check", "solve",
@@ -493,6 +495,15 @@ class TestCliWorkflows:
         code = run(["spencer", "verify", SCENES / "type1.json",
                     "--chart", "overclaim", "--no-meta"])
         assert code == 1
+
+    def test_spencer_superpose_on_a_failing_chart_reports_the_pattern(self, capsys):
+        code = run(["spencer", "verify", SCENES / "type1.json",
+                    "--chart", "overclaim", "--superpose", "zsq", "--no-meta"])
+        assert code == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["passed"] is False
+        assert out["results"]["pattern"]["passes"] is False
+        assert "superposition" not in out["results"]
 
     def test_spencer_verify_takes_the_scene_check_tolerance(self, tmp_path, capsys):
         data = json.loads((SCENES / "type1.json").read_text())

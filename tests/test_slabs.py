@@ -139,7 +139,7 @@ def test_chart_pattern_and_determinant(monkeypatch, pair, m):
     chart = SpencerChart(m, (z1, z2)[:m], (z1, z2)[m:])
 
     def check():
-        return verify_chart(pair.J, chart), _normalized_det(_basis_columns(chart, "fd"))
+        return verify_chart(pair.J, chart), _normalized_det(_basis_columns(pair.J, chart, "fd"))
 
     (whole, ndet), (slabbed, ndet_slabbed) = whole_and_slabbed(monkeypatch, check)
     assert whole.block_residuals["lead_identity"] > 0.0

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from spencerkit.fields import ComplexField, Patch
+from spencerkit.fields import ComplexField, MatrixField, Patch
 from spencerkit.fixtures import (
+    conjugated_hypercomplex,
     coordinate_function,
     flat_hypercomplex,
     standard_structure,
     type1_chart_functions,
     type1_structure,
 )
+from spencerkit.holomorphy import antiholo_residual, holo_residual
 from spencerkit.hypercomplex import QuaternionFunction
 from spencerkit.spencer import (
     ChartError,
@@ -41,7 +43,7 @@ class TestVerifyChart:
         # integrable case: even the unconstrained blocks are structured
         # (the full representation is diag(i, i, -i, -i))
         from spencerkit.spencer import _basis_columns
-        basis = _basis_columns(chart, "exact")
+        basis = _basis_columns(std, chart, "exact")
         jc = std.cot_values().astype(complex)
         M = np.linalg.solve(basis, np.einsum("...ij,...jk->...ik", jc, basis))
         ref = np.diag([1j, 1j, -1j, -1j])
@@ -54,7 +56,7 @@ class TestVerifyChart:
         assert max(rep.block_residuals.values()) <= 1e-10
         # the unconstrained complement column genuinely carries the structure
         from spencerkit.spencer import _basis_columns
-        basis = _basis_columns(chart, "exact")
+        basis = _basis_columns(acs, chart, "exact")
         jc = acs.cot_values().astype(complex)
         M = np.linalg.solve(basis, np.einsum("...ij,...jk->...ik", jc, basis))
         star = np.abs(M[..., 2, 1])  # dz_bar row of the dw column
@@ -232,7 +234,7 @@ class TestHyperPattern:
         assert rep.transition["k_residual"] > 0.1
         assert "affine_fit_residual" not in rep.transition
 
-    def test_two_quaternionic_coordinates_on_h2(self):
+    def test_two_quaternionic_coordinates_on_h2(self, monkeypatch):
         # full chart on the 8-dimensional flat pair: both coordinate pairs
         p8 = Patch.box(4, -1.0, 1.0, 5)
         h = flat_hypercomplex(p8)
@@ -240,9 +242,89 @@ class TestHyperPattern:
         phi1 = coordinate_function(p8, 2)
         f2 = coordinate_function(p8, 3)
         phi2 = coordinate_function(p8, 4)
-        rep = hyper_spencer_pattern_check(h, [f1, f2], [phi1, phi2])
+        # one gradient per coordinate, all four in one chart basis
+        calls, rep = _derivative_calls(
+            monkeypatch, lambda: hyper_spencer_pattern_check(h, [f1, f2], [phi1, phi2]))
+        assert calls <= 4
         assert rep.passes
         assert rep.holo_pattern.m == 2
+
+
+def _conjugated_pair(patch):
+    frame = np.eye(4) + 0.1 * np.random.default_rng(5).normal(size=(4, 4))
+    return conjugated_hypercomplex(patch, frame)
+
+
+class TestMirrorPattern:
+    """The antichart-led pattern is read from the chart-led solve; the
+    antichart-led chart verified on its own is the reference."""
+
+    @pytest.mark.parametrize("pair, curved, passes", [
+        ("flat", False, True), ("conjugated", False, False), ("conjugated", True, False)])
+    @pytest.mark.parametrize("mode", ["exact", "fd"])
+    def test_antiholo_pattern_matches_the_mirror_chart(self, patch4d, pair, curved,
+                                                       passes, mode):
+        h = flat_hypercomplex(patch4d) if pair == "flat" else _conjugated_pair(patch4d)
+        F = QuaternionFunction.identity(patch4d)
+        f, phi = F.f, F.phi
+        if curved:  # worst nodes away from the first interior node
+            f = f + ComplexField.from_exprs(patch4d, "0.2*x1^2*x3", "0.1*x2*x4^2")
+            phi = phi + ComplexField.from_exprs(patch4d, "0.1*x3^3", "0.2*x1*x2")
+        rep = hyper_spencer_pattern_check(h, [f], [phi], mode=mode, tolerance=1e-8)
+        mirror = verify_chart(h.J, SpencerChart(1, (phi.conjugate(),), (f,)), mode, 1e-8)
+        anti = rep.antiholo_pattern
+        assert anti.passes is mirror.passes is passes
+        assert anti.block_residuals.keys() == mirror.block_residuals.keys()
+        for name, value in mirror.block_residuals.items():
+            assert abs(anti.block_residuals[name] - value) <= 1e-15
+        assert anti.worst_node == mirror.worst_node
+        if curved:
+            assert anti.worst_node != (1, 1, 1, 1)
+        assert rep.precondition_residuals == {
+            "holo_1": holo_residual(h.J, f, mode).sup_norm,
+            "antiholo_1": antiholo_residual(h.J, phi, mode).sup_norm}
+        assert rep.holo_pattern == verify_chart(
+            h.J, SpencerChart(1, (f,), (phi.conjugate(),)), mode, 1e-8)
+
+
+def _derivative_calls(monkeypatch, check):
+    """The number of ``MatrixField.derivatives`` calls during ``check()``,
+    and its result."""
+    calls = []
+    derivatives = MatrixField.derivatives
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return derivatives(self, *args, **kwargs)
+
+    monkeypatch.setattr(MatrixField, "derivatives", counting)
+    result = check()
+    return len(calls), result
+
+
+class TestOneBasisPerChart:
+    """Each chart check takes each gradient it needs once (the 8-dim hyper
+    check is counted in TestHyperPattern)."""
+
+    def test_verify_chart(self, monkeypatch, type1):
+        acs, chart = type1
+        calls, _ = _derivative_calls(monkeypatch, lambda: verify_chart(acs, chart))
+        assert calls <= 2
+
+    def test_superposition(self, monkeypatch, type1):
+        acs, chart = type1
+        h = chart.holo[0] * chart.holo[0]
+        calls, _ = _derivative_calls(monkeypatch,
+                                     lambda: superposition_check(acs, chart, h))
+        assert calls <= 3
+
+    def test_transition(self, monkeypatch, patch2d_sym):
+        std = standard_structure(patch2d_sym)
+        z = ComplexField.from_exprs(patch2d_sym, "x1", "x2")
+        ca, cb = SpencerChart(1, (z,), ()), SpencerChart(1, (z * 2.0 + 1.0,), ())
+        calls, _ = _derivative_calls(monkeypatch,
+                                     lambda: transition_holomorphy_check(ca, cb, std))
+        assert calls <= 2
 
 
 class TestPolynomialFit:
