@@ -237,6 +237,13 @@ def cmd_pluri_check(args) -> int:
 
 
 def cmd_elliptic_solve(args) -> int:
+    sources = [flag for flag, value in (("--bc", args.bc), ("--bc-field", args.bc_field),
+                                        ("--bc-csv", args.bc_csv)) if value]
+    if not sources:
+        raise SceneError("elliptic solve needs --bc, --bc-field or --bc-csv")
+    if len(sources) > 1:
+        raise SceneError(f"elliptic solve takes one boundary source, got "
+                         f"{' and '.join(sources)}")
     scene = _scene(args)
     acs = scene.structure()
     op = assemble_operator(acs, scene.mode)
@@ -244,12 +251,10 @@ def cmd_elliptic_solve(args) -> int:
         boundary = ScalarField.from_expr(scene.patch, args.bc)
     elif args.bc_field:
         boundary = scene.scalar_field(args.bc_field)
-    elif args.bc_csv:
+    else:
         boundary = read_field_csv(args.bc_csv)
         if boundary.patch != scene.patch:
             raise SceneError("boundary CSV grid does not match the scene patch")
-    else:
-        raise SceneError("elliptic solve needs --bc, --bc-field or --bc-csv")
     problem = DirichletProblem(op, boundary,
                                tolerance=scene.tolerance("solver", 1e-8))
     try:

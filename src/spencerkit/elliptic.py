@@ -37,7 +37,7 @@ from .fields import (
     resolve_mode,
 )
 from .report import ResidualReport, default_tolerance, interior_sup, \
-    report_from_pointwise, ring_depth
+    report_from_pointwise, ring_depth, sup_and_node
 from .structures import AlmostComplexStructure
 
 __all__ = [
@@ -207,32 +207,35 @@ def ellipticity_certificate(op: EllipticOperator, sample_count: int = 10_000,
     ctc = a_sel - np.eye(d)
     ident = np.einsum("ni,nij,nj->n", xi, ctc, xi) + 1.0
     gap = float(np.abs(quad - ident).max())
-    worst = int(nodes[np.argmin(quad)])
+    neg_min, (k,) = sup_and_node(-quad)  # k: the sample where xi^T A xi is least
     return CertificateReport(
-        min_quadratic_form=float(quad.min()),
+        min_quadratic_form=-neg_min,
         identity_gap=gap,
         samples=sample_count,
         seed=seed,
-        passes=bool(quad.min() >= 1.0 - tolerance and gap <= tolerance),
-        worst_node=tuple(int(i) for i in
-                         np.unravel_index(worst, patch.resolution)),
+        passes=bool(-neg_min >= 1.0 - tolerance and gap <= tolerance),
+        worst_node=tuple(int(i) for i in np.unravel_index(nodes[k], patch.resolution)),
     )
+
+
+def _stencil_sum(op: EllipticOperator, values: np.ndarray) -> np.ndarray:
+    """The stencil applied to grid ``values``, on the interior nodes: the sum,
+    offset by offset in stencil order, of coefficient times neighbour value."""
+    res = op.patch.resolution
+    inner = op.patch.interior()
+    acc = np.zeros(tuple(r - 2 for r in res))
+    for off, coeff in op.stencil.items():
+        shifted = tuple(slice(1 + o, r - 1 + o) for o, r in zip(off, res))
+        acc = acc + coeff[inner] * values[shifted]
+    return acc
 
 
 def apply_operator(op: EllipticOperator, u: ScalarField) -> ScalarField:
     """Stencil application at interior nodes; boundary entries are NaN."""
     if u.patch != op.patch:
         raise ValueError("field and operator live on different patches")
-    us = u.samples
-    res = op.patch.resolution
-    inner = op.patch.interior()
-    out = np.full(res, np.nan)
-    acc = np.zeros(tuple(r - 2 for r in res))
-    for off, coeff in op.stencil.items():
-        shifted = tuple(slice(1 + o, r - 1 + o) for o, r in zip(off, res))
-        cc = coeff[inner] if isinstance(coeff, np.ndarray) else coeff
-        acc = acc + cc * us[shifted]
-    out[inner] = acc
+    out = np.full(op.patch.resolution, np.nan)
+    out[op.patch.interior()] = _stencil_sum(op, u.samples)
     return ScalarField.from_samples(op.patch, out)
 
 
@@ -345,37 +348,31 @@ class ConvergenceError(RuntimeError):
 
 
 def _assemble_system(op: EllipticOperator, boundary: np.ndarray,
-                     ) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-    patch = op.patch
-    res = patch.resolution
-    size = patch.n_points
-    idx = np.arange(size).reshape(res)
-    inner = patch.interior()
-    interior_ids = idx[inner].ravel()
-    unknown_of = np.full(size, -1, dtype=np.int64)
-    unknown_of[interior_ids] = np.arange(interior_ids.size)
+                     ) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """Matrix and right-hand side of the interior unknowns, in C order.
 
+    The matrix holds the stencil entries between two interior nodes.  The
+    right-hand side moves the boundary terms across: it is minus the stencil
+    applied to the boundary data with its interior zeroed (``0.0 -`` keeps
+    +0.0 in a row with no boundary neighbour).
+    """
+    inner = op.patch.interior()
+    shape = tuple(r - 2 for r in op.patch.resolution)
+    ids = np.arange(math.prod(shape)).reshape(shape)
     rows, cols, data = [], [], []
-    rhs = np.zeros(interior_ids.size)
-    row_ids = np.arange(interior_ids.size)
-    bflat = boundary.ravel()
     for off, coeff in op.stencil.items():
-        neigh = idx[tuple(slice(1 + o, r - 1 + o) for o, r in zip(off, res))].ravel()
-        cvals = coeff[inner].ravel() if isinstance(coeff, np.ndarray) else \
-            np.full(interior_ids.size, coeff)
-        target = unknown_of[neigh]
-        is_unknown = target >= 0
-        rows.append(row_ids[is_unknown])
-        cols.append(target[is_unknown])
-        data.append(cvals[is_unknown])
-        outside = ~is_unknown
-        if outside.any():
-            np.subtract.at(rhs, row_ids[outside],
-                           cvals[outside] * bflat[neigh[outside]])
+        # the interior nodes whose neighbour at ``off`` is interior too
+        src = tuple(slice(max(0, -o), m - max(0, o)) for o, m in zip(off, shape))
+        rows.append(ids[src].ravel())
+        cols.append(ids[tuple(slice(s.start + o, s.stop + o)
+                              for s, o in zip(src, off))].ravel())
+        data.append(coeff[inner][src].ravel())
     matrix = sparse.csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(interior_ids.size, interior_ids.size))
-    return matrix, rhs, interior_ids
+        shape=(ids.size, ids.size))
+    outside = boundary.copy()
+    outside[inner] = 0.0
+    return matrix, (0.0 - _stencil_sum(op, outside)).ravel()
 
 
 # Fill-reducing ordering for every LU: minimum degree on the pattern of
@@ -452,7 +449,7 @@ def solve_dirichlet(problem: DirichletProblem) -> tuple[ScalarField, SolveStats]
     bvals = problem.boundary.samples
     if not np.isfinite(bvals).all():
         raise ValueError("boundary data contains non-finite values")
-    matrix, rhs, interior_ids = _assemble_system(op, bvals)
+    matrix, rhs = _assemble_system(op, bvals)
     n_unknowns = rhs.size
     peclet = op.mesh_peclet()
     monotone = peclet <= 1.0
@@ -489,9 +486,10 @@ def solve_dirichlet(problem: DirichletProblem) -> tuple[ScalarField, SolveStats]
 
     denom = float(np.linalg.norm(rhs)) or 1.0
     residual = float(np.linalg.norm(matrix @ solution - rhs)) / denom
-    full = bvals.copy().ravel()
-    full[interior_ids] = solution
-    out_field = ScalarField.from_samples(op.patch, full.reshape(op.patch.resolution))
+    inner = op.patch.interior()
+    full = bvals.copy()
+    full[inner] = solution.reshape(full[inner].shape)
+    out_field = ScalarField.from_samples(op.patch, full)
     stats = SolveStats(
         method=method,
         iterations=iterations,

@@ -31,6 +31,7 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .expr import Expr, Num, add, as_expr, evaluate_all, mul, neg, parse_expr, sub
+from .report import sup_and_node
 
 __all__ = [
     "DEFAULT_POINT_BUDGET",
@@ -128,7 +129,7 @@ class Patch:
 
     def interior(self, depth: int = 1) -> tuple[slice, ...]:
         """Index of the nodes ``depth`` or more rings inside the boundary."""
-        return (slice(depth, -depth),) * self.dim
+        return tuple(slice(depth, r - depth) for r in self.resolution)
 
     def nearest_node(self, point) -> tuple[int, ...]:
         """Grid node closest to ``point``, clamped onto the patch."""
@@ -165,12 +166,6 @@ def resolve_mode(mode: str, exact_available: bool) -> str:
     if mode not in ("exact", "fd"):
         raise ValueError(f"unknown mode {mode!r}")
     return mode
-
-
-def _first_non_finite(arr: np.ndarray) -> int | None:
-    """Flat index of the first non-finite entry, or None."""
-    finite = np.isfinite(arr)
-    return None if finite.all() else int(np.argmin(finite))
 
 
 def _evaluate(exprs, coords, node: tuple[int, ...]) -> list:
@@ -219,11 +214,10 @@ def _sample(patch: Patch, exprs) -> np.ndarray:
     for k in range(len(exprs)):
         out[..., k] = values[k]
         values[k] = None  # drop each raw value once copied
-    bad = _first_non_finite(np.moveaxis(out, -1, 0))  # expression by expression
-    if bad is not None:
-        k, flat = divmod(bad, patch.n_points)
-        node = tuple(int(i) for i in np.unravel_index(flat, patch.resolution))
-        raise EvaluationError(f"non-finite value in field '{exprs[k]}'", node)
+    if not np.isfinite(out).all():
+        # expression by expression, then node by node
+        _, (k, *node) = sup_and_node(~np.isfinite(np.moveaxis(out, -1, 0)))
+        raise EvaluationError(f"non-finite value in field '{exprs[k]}'", tuple(node))
     return out
 
 
@@ -486,8 +480,8 @@ class ScalarField(MatrixField):
             vals = _evaluate([self.expr], tuple(points[:, k] for k in range(self.patch.dim)),
                              self.patch.nearest_node(points[0]))[0]
             vals = np.broadcast_to(np.asarray(vals, dtype=float), (points.shape[0],)).copy()
-            bad = _first_non_finite(vals)
-            if bad is not None:
+            if not np.isfinite(vals).all():
+                _, (bad,) = sup_and_node(~np.isfinite(vals))
                 raise EvaluationError(
                     f"non-finite value at point {bad} of the point evaluation",
                     self.patch.nearest_node(points[bad]))

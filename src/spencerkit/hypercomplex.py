@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ComplexField, MatrixField, Patch, ScalarField, resolve_mode
-from .report import ResidualReport, interior_sup, report_from_pointwise, ring_depth, \
-    slab_map
+from .report import ResidualReport, interior_sup, merge_reports, \
+    report_from_pointwise, ring_depth, slab_map
 from .structures import AlmostComplexStructure, HypercomplexStructure
 from .holomorphy import antiholo_residual, holo_residual
 from .elliptic import apply_pointwise, assemble_operator, d_oneform, potential_oneform
@@ -130,19 +130,6 @@ class EigenPreconditionError(ValueError):
     """Input function fails the hyperholomorphy precondition."""
 
 
-def _merge_reports(parts: dict[str, ResidualReport], mode: str) -> ResidualReport:
-    worst_name = max(parts, key=lambda k: parts[k].sup_norm)
-    worst = parts[worst_name]
-    breakdown = {name: rep.sup_norm for name, rep in parts.items()}
-    return ResidualReport(
-        sup_norm=worst.sup_norm,
-        l2_norm=max(rep.l2_norm for rep in parts.values()),
-        worst_node=worst.worst_node,
-        mode=mode,
-        breakdown=breakdown,
-    )
-
-
 def j_hyperholo_residual(h: HypercomplexStructure, F: QuaternionFunction,
                          mode: str = "auto") -> ResidualReport:
     """Residual of dF o J = S o dF through the complex splitting."""
@@ -153,7 +140,7 @@ def j_hyperholo_residual(h: HypercomplexStructure, F: QuaternionFunction,
         "f_holomorphic": holo_residual(h.J, F.f, mode),
         "phi_antiholomorphic": antiholo_residual(h.J, F.phi, mode),
     }
-    return _merge_reports(parts, mode)
+    return merge_reports(parts, mode)
 
 
 def _oneform_residual(acs: AlmostComplexStructure, grad_a: np.ndarray,
@@ -185,7 +172,7 @@ def k_hyperholo_residual(h: HypercomplexStructure, G: QuaternionFunction,
         "dv": _oneform_residual(k, dv, deta, -1.0, mode),
         "deta": _oneform_residual(k, deta, dv, +1.0, mode),
     }
-    return _merge_reports(parts, mode)
+    return merge_reports(parts, mode)
 
 
 def matrix_condition_residual(acs: AlmostComplexStructure, F: QuaternionFunction,

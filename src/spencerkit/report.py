@@ -7,9 +7,9 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-__all__ = ["ResidualReport", "report_from_pointwise", "interior_sup",
-           "ring_depth", "default_tolerance", "jsonable", "slab_map",
-           "node_sup", "SLAB_BYTES"]
+__all__ = ["ResidualReport", "report_from_pointwise", "merge_reports",
+           "sup_and_node", "interior_sup", "ring_depth", "default_tolerance",
+           "jsonable", "slab_map", "node_sup", "SLAB_BYTES"]
 
 # Pointwise kernels run over slabs of nodes sized so that the kernel's
 # largest intermediate array stays under this many bytes; only the kernel's
@@ -41,6 +41,21 @@ def default_tolerance(patch, mode: str, floor: float, coefficient: float) -> flo
 def interior_sup(values: np.ndarray, patch, depth: int = 1) -> float:
     """Sup of ``|values|`` over interior nodes; grid axes lead ``values``."""
     return float(np.abs(values[patch.interior(depth)]).max())
+
+
+def sup_and_node(values: np.ndarray, depth: int = 0,
+                 ) -> tuple[float, tuple[int, ...]]:
+    """Largest of per-node ``values`` over the nodes ``depth`` or more rings
+    inside the grid, and the first such node, in C order, where it is reached.
+
+    Every axis of ``values`` is a grid axis.  A NaN counts as the largest
+    value, and a boolean array gives its first True node.  A minimum and its
+    node are those of ``-values``, since negation is exact.
+    """
+    inner = values[tuple(slice(depth, r - depth) for r in values.shape)]
+    flat = int(np.argmax(inner))
+    node = np.unravel_index(flat, inner.shape)
+    return float(inner.flat[flat]), tuple(int(i) + depth for i in node)
 
 
 def slab_map(kernel, grid: tuple[int, ...], node_bytes: int, *arrays) -> np.ndarray:
@@ -127,14 +142,25 @@ def report_from_pointwise(pointwise: np.ndarray, patch, mode: str,
     worst node is always an interior node.
     """
     pointwise = np.asarray(pointwise, dtype=float).reshape(patch.resolution)
+    sup, worst = sup_and_node(pointwise, depth)
     inner = pointwise[patch.interior(depth)]
-    flat = int(np.argmax(inner))
-    node_inner = np.unravel_index(flat, inner.shape)
-    worst = tuple(int(i) + depth for i in node_inner)
     return ResidualReport(
-        sup_norm=float(inner.max()),
+        sup_norm=sup,
         l2_norm=float(np.sqrt(np.mean(inner**2))),
         worst_node=worst,
         mode=mode,
         breakdown=breakdown or {},
+    )
+
+
+def merge_reports(parts: dict[str, ResidualReport], mode: str) -> ResidualReport:
+    """One report of several: the sup norm and worst node of the worst part,
+    the largest l2 norm, and each part's sup norm as the breakdown."""
+    worst = parts[max(parts, key=lambda k: parts[k].sup_norm)]
+    return ResidualReport(
+        sup_norm=worst.sup_norm,
+        l2_norm=max(rep.l2_norm for rep in parts.values()),
+        worst_node=worst.worst_node,
+        mode=mode,
+        breakdown={name: rep.sup_norm for name, rep in parts.items()},
     )

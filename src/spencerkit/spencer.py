@@ -22,7 +22,7 @@ import numpy as np
 
 from .fields import ComplexField, Patch, complex_gradient, resolve_mode
 from .report import ResidualReport, default_tolerance, interior_sup, \
-    node_sup, report_from_pointwise, slab_map
+    node_sup, report_from_pointwise, slab_map, sup_and_node
 from .structures import AlmostComplexStructure, HypercomplexStructure
 from .holomorphy import _checked_gradient, _cr_residual
 from .hypercomplex import (
@@ -109,10 +109,9 @@ def _basis_columns(acs: AlmostComplexStructure, chart: SpencerChart,
         g = complex_gradient(fn, mode)
         cols[..., :, j] = g
         cols[..., :, j + patch.dim_half] = g.conj()
-    ndet = _normalized_det(cols)
-    if ndet.min() <= 1e-8:
-        node = np.unravel_index(int(np.argmin(ndet)), patch.resolution)
-        raise DegenerateChartError(tuple(int(i) for i in node), float(ndet.min()))
+    neg_min, node = sup_and_node(-_normalized_det(cols))
+    if -neg_min <= 1e-8:
+        raise DegenerateChartError(node, -neg_min)
     return cols
 
 
@@ -188,8 +187,7 @@ def _verified(acs: AlmostComplexStructure, chart: SpencerChart, mode: str,
                           for j in np.arange(2 * n)[order][:m])
         blocks = {name: interior_sup(per_node[..., 5 * k + i], patch)
                   for i, name in enumerate(names)}
-        inner = per_node[..., 5 * k + 4][patch.interior()]
-        node = np.unravel_index(int(np.argmax(inner)), inner.shape)
+        _, node = sup_and_node(per_node[..., 5 * k + 4], 1)
         worst = max(list(blocks.values()) + list(holo_sups))
         reports.append(PatternReport(
             m=m,
@@ -198,7 +196,7 @@ def _verified(acs: AlmostComplexStructure, chart: SpencerChart, mode: str,
             passes=bool(worst <= tolerance),
             tolerance=tolerance,
             mode=mode,
-            worst_node=tuple(int(i) + 1 for i in node),
+            worst_node=node,
         ))
     return reports, basis
 
@@ -233,14 +231,13 @@ def superposition_check(acs: AlmostComplexStructure, chart: SpencerChart,
     This is the differential form of the statement that every almost
     holomorphic function on the chart factors through (w^1, .., w^m); the
     coefficients of dh on the complement and conjugate basis elements must
-    vanish.  Requires a verified chart and a holomorphic h (errors
-    otherwise).
+    vanish.  Requires a chart that verifies and a holomorphic h, both at
+    ``tolerance`` (by default the chart tolerance), and errors otherwise.
     """
-    (pattern,), basis = _verified(acs, chart, mode, None)
+    (pattern,), basis = _verified(acs, chart, mode, tolerance)
     if not pattern.passes:
         raise ChartError("chart failed verification; superposition is undefined")
-    if tolerance is None:
-        tolerance = pattern.tolerance
+    tolerance = pattern.tolerance
     grad, mode = _checked_gradient(acs, h, pattern.mode)
     hres = _cr_residual(acs, grad, mode, +1.0)
     if hres.sup_norm > tolerance:
@@ -262,7 +259,6 @@ def superposition_check(acs: AlmostComplexStructure, chart: SpencerChart,
 
 def transition_holomorphy_check(chart_a: SpencerChart, chart_b: SpencerChart,
                                 acs: AlmostComplexStructure,
-                                sample_nodes: np.ndarray | None = None,
                                 mode: str = "auto") -> ResidualReport:
     """Cauchy-Riemann residual of the transition between two charts.
 
@@ -271,8 +267,7 @@ def transition_holomorphy_check(chart_a: SpencerChart, chart_b: SpencerChart,
     differential of each w_b^j expands over chart A's basis; the
     coefficients on the conjugate and complement elements are exactly the
     conjugate-derivative components of the transition map, so their sup is
-    the classical CR residual of the transition evaluated on the grid (or on
-    ``sample_nodes``, flat indices into the grid).
+    the classical CR residual of the transition evaluated on the grid.
     """
     if chart_a.patch != chart_b.patch:
         raise ChartError("charts live on disjoint patches; no overlap to check")
@@ -295,17 +290,6 @@ def transition_holomorphy_check(chart_a: SpencerChart, chart_b: SpencerChart,
     pointwise = tails.max(axis=-1)
     breakdown = {f"w{j + 1}": interior_sup(tails[..., j], chart_a.patch)
                  for j in range(m)}
-    if sample_nodes is not None:
-        flat = pointwise.ravel()[np.asarray(sample_nodes, dtype=int)]
-        worst = int(np.asarray(sample_nodes)[int(np.argmax(flat))])
-        return ResidualReport(
-            sup_norm=float(flat.max()),
-            l2_norm=float(np.sqrt(np.mean(flat**2))),
-            worst_node=tuple(int(i) for i in
-                             np.unravel_index(worst, chart_a.patch.resolution)),
-            mode=mode,
-            breakdown=breakdown,
-        )
     return report_from_pointwise(pointwise, chart_a.patch, mode, breakdown)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .expr import Num, add, div, mul, neg, sub
 from .fields import MatrixField, Patch, resolve_mode
-from .report import interior_sup, node_sup, slab_map
+from .report import interior_sup, node_sup, slab_map, sup_and_node
 
 __all__ = [
     "InvalidStructureError",
@@ -70,18 +70,11 @@ class SingularMatrixError(ValueError):
         self.node = node
 
 
-def _sup_and_node(per_node: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    """Largest of per-node values on the grid and the first node, in C
-    order, where it is reached."""
-    node = np.unravel_index(int(np.argmax(per_node)), per_node.shape)
-    return float(per_node.max()), tuple(int(i) for i in node)
-
-
 def _square_residual(values: np.ndarray) -> tuple[float, tuple[int, ...]]:
     d = values.shape[-1]
     eye = np.eye(d)
-    return _sup_and_node(slab_map(lambda v: node_sup(v @ v + eye),
-                                  values.shape[:-2], values.itemsize * d * d, values))
+    return sup_and_node(slab_map(lambda v: node_sup(v @ v + eye),
+                                 values.shape[:-2], values.itemsize * d * d, values))
 
 
 def _det_scale(values: np.ndarray) -> np.ndarray:
@@ -98,9 +91,9 @@ def _require_nonsingular(values: np.ndarray, message: str,
     def singular(v):
         return np.abs(np.linalg.det(v)) <= threshold * _det_scale(v)
 
-    bad = slab_map(singular, values.shape[:-2], values.itemsize * n * n, values)
-    if bad.any():
-        node = tuple(int(i) for i in np.argwhere(bad)[0])
+    bad, node = sup_and_node(slab_map(singular, values.shape[:-2],
+                                      values.itemsize * n * n, values))
+    if bad:
         raise SingularMatrixError(message, node)
 
 
@@ -190,12 +183,10 @@ class PQPair:
         qinv = pointwise_inverse(qv, "Q")
         norm = np.abs(qv).sum(axis=-1).max(axis=-1)
         inv_norm = np.abs(qinv).sum(axis=-1).max(axis=-1)
-        cond = float((norm * inv_norm).max())
+        cond, node = sup_and_node(norm * inv_norm)
         if cond >= 1e12:
-            raise SingularMatrixError(
-                f"Q condition estimate {cond:.2e} exceeds 1e12",
-                tuple(int(i) for i in
-                      np.unravel_index(int(np.argmax(norm * inv_norm)), norm.shape)))
+            raise SingularMatrixError(f"Q condition estimate {cond:.2e} exceeds 1e12",
+                                      node)
         self.q_condition = cond
 
 
@@ -310,18 +301,6 @@ class BlockDecomposition:
         }
 
 
-_NORMAL_FORM_CACHE: dict[int, np.ndarray] = {}
-
-
-def _normal_form(n: int) -> np.ndarray:
-    # [[0, E], [-E, 0]]: the cotangent matrix of the normalized structure
-    if n not in _NORMAL_FORM_CACHE:
-        z = np.zeros((n, n))
-        e = np.eye(n)
-        _NORMAL_FORM_CACHE[n] = np.block([[z, e], [-e, z]])
-    return _NORMAL_FORM_CACHE[n]
-
-
 def normalizing_frame(m0: np.ndarray, tolerance: float = 1e-8, *,
                       node: tuple[int, ...]) -> np.ndarray:
     """Constant G with G^-1 m0 G = [[0, E], [-E, 0]].
@@ -332,7 +311,9 @@ def normalizing_frame(m0: np.ndarray, tolerance: float = 1e-8, *,
     """
     d = m0.shape[0]
     n = d // 2
-    if np.abs(m0 - _normal_form(n)).max() <= 1e-12:
+    z, e = np.zeros((n, n)), np.eye(n)
+    # [[0, E], [-E, 0]]: the cotangent matrix of the normalized structure
+    if np.abs(m0 - np.block([[z, e], [-e, z]])).max() <= 1e-12:
         return np.eye(d)
     w, v = np.linalg.eig(m0)
     order = np.argsort(np.abs(w - 1j))
@@ -439,8 +420,8 @@ def make_hypercomplex(J: AlmostComplexStructure, K: AlmostComplexStructure,
         raise ValueError("hypercomplex structures need dimension 4n")
     jt, kt = J.tan_values(), K.tan_values()
     d = J.patch.dim
-    anti, node = _sup_and_node(slab_map(lambda j, k: node_sup(j @ k + k @ j),
-                                        J.patch.resolution, 8 * d * d, jt, kt))
+    anti, node = sup_and_node(slab_map(lambda j, k: node_sup(j @ k + k @ j),
+                                       J.patch.resolution, 8 * d * d, jt, kt))
     if anti > tolerance:
         raise InvalidStructureError(anti, node, tolerance, "JK + KJ has sup norm")
     return HypercomplexStructure(J.patch, J, K, anti)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import scipy.sparse as sparse
+
 from spencerkit.elliptic import (
     ConvergenceError,
     DirichletProblem,
@@ -15,6 +17,7 @@ from spencerkit.elliptic import (
     solve_dirichlet,
     theorem_check,
 )
+from spencerkit.elliptic import _assemble_system
 from spencerkit.fields import MatrixField, Patch, ScalarField
 from spencerkit.fixtures import pullback_structure, standard_structure, \
     structure_from_cot, type1_structure
@@ -278,6 +281,68 @@ class TestTheorem:
             acs = reconstruct_from_pq(random_pq(rng, patch))
             u = ScalarField.from_expr(patch, "x1^2*x2 + x2^2")
             assert theorem_check(acs, u).passes
+
+
+def _assemble_by_subtraction(op, boundary):
+    """The Dirichlet system built node by node: each stencil neighbour is an
+    unknown or a boundary node, whose term ``np.subtract.at`` moves to the
+    right-hand side."""
+    patch = op.patch
+    res = patch.resolution
+    idx = np.arange(patch.n_points).reshape(res)
+    inner = patch.interior()
+    interior_ids = idx[inner].ravel()
+    unknown_of = np.full(patch.n_points, -1, dtype=np.int64)
+    unknown_of[interior_ids] = np.arange(interior_ids.size)
+    rows, cols, data = [], [], []
+    rhs = np.zeros(interior_ids.size)
+    row_ids = np.arange(interior_ids.size)
+    bflat = boundary.ravel()
+    for off, coeff in op.stencil.items():
+        neigh = idx[tuple(slice(1 + o, r - 1 + o) for o, r in zip(off, res))].ravel()
+        cvals = coeff[inner].ravel()
+        target = unknown_of[neigh]
+        is_unknown = target >= 0
+        rows.append(row_ids[is_unknown])
+        cols.append(target[is_unknown])
+        data.append(cvals[is_unknown])
+        outside = ~is_unknown
+        np.subtract.at(rhs, row_ids[outside], cvals[outside] * bflat[neigh[outside]])
+    matrix = sparse.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(interior_ids.size, interior_ids.size))
+    return matrix, rhs
+
+
+def _same_bits(a, b):
+    """Equal dtype, shape and bytes: zeros must agree in sign too."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+class TestAssembleSystem:
+    @pytest.mark.parametrize("case", ["2d-standard", "2d-fixture", "4d-exact", "4d-fd"])
+    def test_right_hand_side_is_the_stencil_on_the_boundary(self, case):
+        if case.startswith("2d"):
+            p = Patch.box(1, -1.0, 1.0, 11)
+            acs = standard_structure(p) if case == "2d-standard" else structure_from_cot(
+                p, [["x2", "x2^2 + 1"], ["-1", "-x2"]], tolerance=1e-12)
+            # exact zeros of both signs on the boundary
+            bc = "x1*x2 - x2"
+        else:
+            p = Patch.box(2, -1.0, 1.0, 7)
+            acs = type1_structure(p)
+            bc = "x1*x3 - x2*x4 + sin(x1)"
+        op = assemble_operator(acs, "fd" if case == "4d-fd" else "auto")
+        boundary = ScalarField.from_expr(p, bc).samples
+        matrix, rhs = _assemble_system(op, boundary)
+        ref_matrix, ref_rhs = _assemble_by_subtraction(op, boundary)
+        assert _same_bits(rhs, ref_rhs)
+        for part in ("data", "indices", "indptr"):
+            assert _same_bits(getattr(matrix, part), getattr(ref_matrix, part))
+        # the rows with no boundary neighbour hold +0.0
+        assert (rhs == 0.0).any() and not np.signbit(rhs[rhs == 0.0]).any()
 
 
 class TestSolve:

@@ -35,6 +35,17 @@ class TestPatch:
         assert p.spacing == (0.25, 0.25)
         assert p.n_points == 45
 
+    def test_interior_rings(self):
+        p = Patch(1, ((0.0, 1.0), (0.0, 2.0)), (5, 9))
+        v = np.arange(45.0).reshape(5, 9)
+        assert v[p.interior(0)].shape == (5, 9)
+        assert v[p.interior()].shape == (3, 7)
+        assert v[p.interior(2)].shape == (1, 5)
+        # depth 0 reports on every node, as ``sup_and_node`` searches them
+        rep = report_from_pointwise(v, p, "exact", depth=0)
+        assert rep.sup_norm == 44.0 and rep.worst_node == (4, 8)
+        assert rep.l2_norm == np.sqrt(np.mean(v**2))
+
     def test_invalid_bounds(self):
         with pytest.raises(PatchError):
             Patch(1, ((1.0, 0.0), (0.0, 1.0)), (5, 5))

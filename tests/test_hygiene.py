@@ -1,8 +1,12 @@
-"""Source hygiene of the package: no module imports a name it never uses.
+"""Source hygiene of the package.
 
-``__init__.py`` only re-exports, so it is exempt.  A name counts as used
-when the module reads it anywhere, lists it in ``__all__``, or names it in
-a quoted annotation.
+No module imports a name it never uses.  ``__init__.py`` only re-exports,
+so it is exempt.  A name counts as used when the module reads it anywhere,
+lists it in ``__all__``, or names it in a quoted annotation.
+
+Only ``report.py`` searches for a worst node or builds a ``ResidualReport``:
+every other module goes through ``report.sup_and_node`` and the report
+builders, so one rule names the worst node.
 """
 
 import ast
@@ -45,3 +49,36 @@ def test_the_check_sees_an_unused_import():
     source = "import os\nfrom numpy import array, zeros\n__all__ = ['zeros']\n" \
              "def f(x: 'array') -> None:\n    pass\n"
     assert _unused_imports(source) == ["os (line 1)"]
+
+
+NODE_SEARCHES = {"argmax", "argmin", "argwhere", "nanargmax", "nanargmin",
+                 "ResidualReport"}
+
+
+def _node_searches(source: str) -> list[str]:
+    """Calls of a numpy node search or of the ``ResidualReport`` constructor,
+    in source order."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in NODE_SEARCHES:
+                hits.append((node.lineno, node.col_offset,
+                             f"{name} (line {node.lineno})"))
+    return [hit for *_, hit in sorted(hits)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "report.py"],
+                         ids=lambda p: p.name)
+def test_only_report_searches_for_a_node(path):
+    assert _node_searches(path.read_text()) == []
+
+
+def test_the_check_sees_a_node_search():
+    source = "import numpy as np\nfrom numpy import argwhere\n" \
+             "def f(x, rep):\n    k = int(np.argmax(x))\n" \
+             "    return argwhere(x), x.argmin(), rep.ResidualReport(1.0)\n" \
+             "y = np.max(np.arange(3))\n"
+    assert _node_searches(source) == [
+        "argmax (line 4)", "argwhere (line 5)", "argmin (line 5)",
+        "ResidualReport (line 5)"]

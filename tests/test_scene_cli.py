@@ -182,6 +182,8 @@ _PROBES = [
                                        "--bc", "x1", "--oracle", "x1"], 1, "stats"),
     ("short-csv-bounds", ["elliptic", "solve", "{scene}", "--bc-csv", "{csv}"], 2,
      "probe.csv: "),
+    ("solve-two-boundary-sources", ["elliptic", "solve", "{scene}", "--bc", "x1",
+                                    "--bc-field", "zeropow"], 2, "--bc and --bc-field"),
 ]
 
 
@@ -502,6 +504,23 @@ class TestCliWorkflows:
         assert code == 1
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is False
+        assert out["results"]["pattern"]["passes"] is False
+        assert "superposition" not in out["results"]
+
+    def test_spencer_superpose_verifies_the_chart_at_the_given_tolerance(
+            self, tmp_path, capsys):
+        data = json.loads((SCENES / "type1.json").read_text())
+        data["charts"]["c"] = {"m": 1, "holo": [{"re": "x1 + 0.001*x3^2", "im": "x2"}],
+                               "complement": [{"re": "x3", "im": "x4"}]}
+        scene = tmp_path / "bent.json"
+        scene.write_text(json.dumps(data))
+        argv = ["spencer", "verify", scene, "--chart", "c", "--superpose", "zsq",
+                "--no-meta", "--tol"]
+        assert run(argv + ["0.1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert 1e-3 < out["results"]["superposition"]["sup_norm"] < 2e-3
+        assert run(argv + ["1e-3"]) == 1
+        out = json.loads(capsys.readouterr().out)
         assert out["results"]["pattern"]["passes"] is False
         assert "superposition" not in out["results"]
 

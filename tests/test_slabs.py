@@ -103,6 +103,44 @@ def test_node_sup():
     assert np.array_equal(report.node_sup(np.zeros((3, 0))), np.zeros(3))
 
 
+class TestSupAndNode:
+    """``report.sup_and_node``, the one search for a worst node."""
+
+    values = np.array([[9.0, 0.0, 0.0, 0.0],
+                       [0.0, 1.0, 2.0, 0.0],
+                       [0.0, 3.0, 2.0, 0.0],
+                       [0.0, 0.0, 0.0, 5.0]])
+
+    def test_depth_0_searches_every_node(self):
+        assert report.sup_and_node(self.values) == (9.0, (0, 0))
+
+    def test_depth_1_skips_the_boundary_ring(self):
+        assert report.sup_and_node(self.values, 1) == (3.0, (2, 1))
+
+    def test_a_tie_goes_to_the_first_node_in_c_order(self):
+        tied = np.zeros((3, 4, 5))
+        tied[2, 0, 1] = tied[1, 3, 4] = tied[1, 3, 0] = 7.0
+        assert report.sup_and_node(tied) == (7.0, (1, 3, 0))
+
+    def test_nan_is_the_largest_value(self):
+        v = self.values.copy()
+        v[1, 2] = v[2, 1] = np.nan
+        sup, node = report.sup_and_node(v, 1)
+        assert np.isnan(sup) and node == (1, 2)
+
+    def test_a_boolean_array_gives_its_first_true(self):
+        mask = np.zeros((4, 5), dtype=bool)
+        mask[3, 0] = mask[2, 4] = True
+        assert report.sup_and_node(mask) == (1.0, (2, 4))
+        assert report.sup_and_node(np.zeros((4, 5), dtype=bool)) == (0.0, (0, 0))
+
+    def test_a_1d_array_and_a_minimum(self):
+        v = np.array([3.0, -1.0, 4.0, -1.0, 5.0])
+        assert report.sup_and_node(v) == (5.0, (4,))
+        assert report.sup_and_node(-v) == (1.0, (1,))
+        assert report.sup_and_node(v, 2) == (4.0, (2,))
+
+
 def test_nijenhuis_residual(monkeypatch, pair):
     whole, slabbed = whole_and_slabbed(monkeypatch, lambda: nijenhuis_residual(pair.J, "fd"))
     assert whole > 0.0 and slabbed == whole

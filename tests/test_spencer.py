@@ -143,6 +143,19 @@ class TestSuperposition:
         with pytest.raises(ChartError, match="not almost holomorphic"):
             superposition_check(acs, chart, h)
 
+    def test_chart_is_verified_at_the_given_tolerance(self, type1):
+        acs, chart = type1
+        z = chart.holo[0]
+        # off holomorphic by O(1e-3): passes at 0.1, fails the default 1e-8
+        bent = SpencerChart(1, (z + ComplexField.from_exprs(z.patch, "0.001*x3^2", "0"),),
+                            chart.complement)
+        with pytest.raises(ChartError, match="chart failed verification"):
+            superposition_check(acs, bent, z * z)
+        rep = superposition_check(acs, bent, z * z, tolerance=0.1)
+        assert 1e-3 < rep.sup_norm < 2e-3
+        with pytest.raises(ChartError, match="chart failed verification"):
+            superposition_check(acs, bent, z * z, tolerance=1e-3)
+
     def test_coefficients_covariant_under_recombination(self, patch4d):
         std = standard_structure(patch4d)
         z1 = coordinate_function(patch4d, 1)
@@ -193,15 +206,6 @@ class TestTransition:
         with pytest.raises(ChartError, match="disjoint"):
             transition_holomorphy_check(SpencerChart(1, (z,), ()),
                                         SpencerChart(1, (zo,), ()), std)
-
-    def test_sample_node_subset(self, patch2d_sym):
-        std = standard_structure(patch2d_sym)
-        z = ComplexField.from_exprs(patch2d_sym, "x1", "x2")
-        ca = SpencerChart(1, (z,), ())
-        cb = SpencerChart(1, (z * (-1.5) + 2.0,), ())
-        nodes = np.array([12, 13, 40])
-        rep = transition_holomorphy_check(ca, cb, std, sample_nodes=nodes)
-        assert rep.sup_norm <= 1e-12
 
 
 class TestHyperPattern:
