@@ -50,7 +50,7 @@ from .hypercomplex import (
 )
 from .report import default_tolerance, interior_sup, jsonable
 from .scene import Scene, SceneError, load_scene
-from .spencer import superposition_check, verify_chart
+from .spencer import _superposition, _verified
 from .structures import extract_pq, nijenhuis_residual, normalize_at_origin, \
     reconstruct_from_pq
 
@@ -67,6 +67,12 @@ DESCRIPTIONS = {
     "spencer.verify": "chart pattern and superposition verification",
     "convergence": "re-run a check on refined grids and report orders",
 }
+
+
+# The certificate holds its node indices, directions and cotangent matrices
+# for all samples at once: a larger --samples is a usage error, not a
+# MemoryError.
+MAX_SAMPLES = 1_000_000
 
 
 def emit(check: str, results: dict, passed: bool, args) -> int:
@@ -122,10 +128,11 @@ def _base_node(args, patch: Patch) -> tuple[int, ...]:
 def cmd_acs_check(args) -> int:
     if args.samples < 1:
         raise SceneError("--samples must be at least 1")
+    if args.samples > MAX_SAMPLES:
+        raise SceneError(f"--samples must be at most {MAX_SAMPLES:,}")
     scene = _scene(args)
     acs = scene.structure()
-    op = assemble_operator(acs, scene.mode)
-    cert = ellipticity_certificate(op, sample_count=args.samples, seed=args.seed)
+    cert = ellipticity_certificate(acs, sample_count=args.samples, seed=args.seed)
     results = {
         "acs_residual": acs.acs_residual,
         "tolerance": acs.tolerance,
@@ -342,12 +349,12 @@ def cmd_spencer_verify(args) -> int:
     chart = scene.chart(args.chart)
     h = scene.complex_field(args.superpose) if args.superpose else None
     tol = _tolerance(args, scene)
-    rep = verify_chart(acs, chart, scene.mode, tol)
+    (rep,), basis = _verified(acs, chart, scene.mode, tol)
     results = {"chart": args.chart, "pattern": rep}
     passed = rep.passes
     # superposition is defined on a verified chart only
     if h is not None and passed:
-        sup = superposition_check(acs, chart, h, scene.mode, tol)
+        sup = _superposition(acs, chart, h, rep, basis)
         results["superposition"] = sup
         passed = sup.sup_norm <= tol
     return emit("spencer.verify", results, passed, args)

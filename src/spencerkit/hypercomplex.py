@@ -189,6 +189,9 @@ def matrix_condition_residual(acs: AlmostComplexStructure, F: QuaternionFunction
     return interior_sup(acs.cot_values() @ dt - dt @ rightmult, acs.patch)
 
 
+_KAPPA = 2.0  # translation-check threshold over the K-hyperholomorphy tolerance
+
+
 @dataclass
 class TranslationReport:
     antiholo_residual: float
@@ -200,7 +203,6 @@ class TranslationReport:
 
 def k_translation_consistency(h: HypercomplexStructure, G: QuaternionFunction,
                               mode: str = "auto", tolerance: float = 1e-8,
-                              kappa: float = 2.0,
                               kres: ResidualReport | None = None,
                               jres: ResidualReport | None = None,
                               ) -> TranslationReport:
@@ -208,12 +210,13 @@ def k_translation_consistency(h: HypercomplexStructure, G: QuaternionFunction,
 
     Precondition: ``k_hyperholo_residual(G) <= tolerance``.  Then checks
     that zeta + i*eta is J-antiholomorphic and u + iv is J-holomorphic,
-    within kappa * tolerance (kappa absorbs the change between the two
-    splittings).  These consequences hold for the affine fixture family on
-    the flat pair; they are not a theorem for arbitrary K-hyperholomorphic
-    functions, which is why the check is fixture-scoped.  ``kres`` and
-    ``jres`` are ``k_hyperholo_residual`` and ``j_hyperholo_residual`` of G
-    when the caller has them; the two J residuals are the parts of ``jres``.
+    within 2 * tolerance (the factor 2, ``_KAPPA``, absorbs the change
+    between the two splittings).  These consequences hold for the affine
+    fixture family on the flat pair; they are not a theorem for arbitrary
+    K-hyperholomorphic functions, which is why the check is fixture-scoped.
+    ``kres`` and ``jres`` are ``k_hyperholo_residual`` and
+    ``j_hyperholo_residual`` of G when the caller has them; the two J
+    residuals are the parts of ``jres``.
     """
     if kres is None:
         kres = k_hyperholo_residual(h, G, mode)
@@ -225,7 +228,7 @@ def k_translation_consistency(h: HypercomplexStructure, G: QuaternionFunction,
         jres = j_hyperholo_residual(h, G, mode)
     anti = jres.breakdown["phi_antiholomorphic"]
     holo = jres.breakdown["f_holomorphic"]
-    threshold = kappa * max(tolerance, kres.sup_norm, 1e-14)
+    threshold = _KAPPA * max(tolerance, kres.sup_norm, 1e-14)
     return TranslationReport(
         antiholo_residual=anti,
         holo_residual=holo,

@@ -237,6 +237,14 @@ def superposition_check(acs: AlmostComplexStructure, chart: SpencerChart,
     (pattern,), basis = _verified(acs, chart, mode, tolerance)
     if not pattern.passes:
         raise ChartError("chart failed verification; superposition is undefined")
+    return _superposition(acs, chart, h, pattern, basis)
+
+
+def _superposition(acs: AlmostComplexStructure, chart: SpencerChart,
+                   h: ComplexField, pattern: PatternReport, basis: np.ndarray,
+                   ) -> ResidualReport:
+    """``superposition_check`` on a chart that passed as ``pattern``, with
+    the chart ``basis`` that pattern was read from (see ``_verified``)."""
     tolerance = pattern.tolerance
     grad, mode = _checked_gradient(acs, h, pattern.mode)
     hres = _cr_residual(acs, grad, mode, +1.0)

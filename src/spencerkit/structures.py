@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 ACS_TOLERANCE = 1e-8
+_SINGULAR_THRESHOLD = 1e-12  # relative |det| below which a matrix is singular
 
 
 class InvalidStructureError(ValueError):
@@ -83,13 +84,13 @@ def _det_scale(values: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, node_sup(values)) ** n
 
 
-def _require_nonsingular(values: np.ndarray, message: str,
-                         threshold: float = 1e-12) -> None:
-    """Raise ``SingularMatrixError`` at the first (near) singular node."""
+def _require_nonsingular(values: np.ndarray, message: str) -> None:
+    """Raise ``SingularMatrixError`` at the first (near) singular node: one
+    where |det| <= 1e-12 (``_SINGULAR_THRESHOLD``) times ``_det_scale``."""
     n = values.shape[-1]
 
     def singular(v):
-        return np.abs(np.linalg.det(v)) <= threshold * _det_scale(v)
+        return np.abs(np.linalg.det(v)) <= _SINGULAR_THRESHOLD * _det_scale(v)
 
     bad, node = sup_and_node(slab_map(singular, values.shape[:-2],
                                       values.itemsize * n * n, values))
@@ -97,10 +98,10 @@ def _require_nonsingular(values: np.ndarray, message: str,
         raise SingularMatrixError(message, node)
 
 
-def pointwise_inverse(values: np.ndarray, what: str = "matrix",
-                      threshold: float = 1e-12) -> np.ndarray:
-    """LU-based inverse at every node, with a detectable singularity guard."""
-    _require_nonsingular(values, f"{what} is singular", threshold)
+def pointwise_inverse(values: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """LU-based inverse at every node, with a detectable singularity guard
+    (``_require_nonsingular``, relative determinant threshold 1e-12)."""
+    _require_nonsingular(values, f"{what} is singular")
     return np.linalg.inv(values)
 
 

@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy as sp
 
 import scipy.sparse as sparse
 
+from spencerkit import elliptic
 from spencerkit.elliptic import (
     ConvergenceError,
     DirichletProblem,
@@ -21,9 +24,12 @@ from spencerkit.elliptic import _assemble_system
 from spencerkit.fields import MatrixField, Patch, ScalarField
 from spencerkit.fixtures import pullback_structure, standard_structure, \
     structure_from_cot, type1_structure
-from spencerkit.structures import reconstruct_from_pq
+from spencerkit.scene import load_scene
+from spencerkit.structures import reconstruct_from_pq, validate_acs
 
 from test_structures import random_pq
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 @pytest.fixture
@@ -105,16 +111,35 @@ class TestAssemble:
         assert eigs.min() >= -1e-12
 
 
+class TestPrincipalPart:
+    @staticmethod
+    def _loop(c):
+        # the plain per-node sum A = sum_q C[q, :]^T C[q, :] from zeros, + E
+        d = c.shape[-1]
+        a = np.zeros(c.shape)
+        for q in range(d):
+            a += c[..., q, :, None] * c[..., q, None, :]
+        a[..., range(d), range(d)] += 1.0
+        return a
+
+    @pytest.mark.parametrize("shape", [(7, 9, 2, 2), (300, 4, 4), (3, 4, 5, 6, 6, 6)])
+    def test_bits_of_the_per_node_sum(self, shape):
+        c = np.random.default_rng(8).normal(size=shape)
+        c[..., 0, :] = -0.0  # a sum of signed zeros reads +0
+        for view in (c, np.swapaxes(c, -1, -2)):
+            a = elliptic._principal_part(view)
+            assert a.shape == view.shape and a.flags.c_contiguous
+            assert a.tobytes() == self._loop(view).tobytes()
+
+
 class TestCertificate:
     def test_standard_quadratic_form_is_two(self, patch2d):
-        op = assemble_operator(standard_structure(patch2d))
-        cert = ellipticity_certificate(op, 2000, seed=3)
+        cert = ellipticity_certificate(standard_structure(patch2d), 2000, seed=3)
         assert cert.min_quadratic_form == pytest.approx(2.0, abs=1e-12)
         assert cert.passes
 
     def test_lower_bound_on_fixtures(self, fixture_acs):
-        op = assemble_operator(fixture_acs)
-        cert = ellipticity_certificate(op, 5000, seed=1)
+        cert = ellipticity_certificate(fixture_acs, 5000, seed=1)
         assert cert.min_quadratic_form >= 1.0 - 1e-10
         assert cert.identity_gap <= 1e-10
 
@@ -129,11 +154,56 @@ class TestCertificate:
         assert xi @ a @ xi == pytest.approx(3.0, abs=1e-12)
 
     def test_deterministic_under_seed(self, fixture_acs):
-        op = assemble_operator(fixture_acs)
-        a = ellipticity_certificate(op, 500, seed=9)
-        b = ellipticity_certificate(op, 500, seed=9)
+        a = ellipticity_certificate(fixture_acs, 500, seed=9)
+        b = ellipticity_certificate(fixture_acs, 500, seed=9)
         assert a.min_quadratic_form == b.min_quadratic_form
         assert a.worst_node == b.worst_node
+
+    def test_refuses_an_invalid_structure(self, patch2d):
+        acs = validate_acs(MatrixField.constant(patch2d, np.eye(2)), strict=False)
+        with pytest.raises(ValueError, match="invalid structure"):
+            ellipticity_certificate(acs)
+
+    @pytest.mark.parametrize("case", ["trace-free", "pullback-tan", "type1", "pq"])
+    def test_matches_the_operator_at_the_same_nodes(self, case, fixture_acs,
+                                                   patch4d):
+        acs = {
+            "trace-free": lambda: fixture_acs,
+            "pullback-tan": lambda: pullback_structure(
+                Patch.box(1, 0.0, 1.0, 9), ["x1", "x2 + 0.3*x1^2"]),
+            "type1": lambda: type1_structure(patch4d),
+            "pq": lambda: reconstruct_from_pq(random_pq(
+                np.random.default_rng(4), Patch.box(1, -0.4, 0.4, 9))),
+        }[case]()
+        # the certificate as read from the full-grid operator: same draws
+        av = assemble_operator(acs).A.values.reshape(-1, acs.dim, acs.dim)
+        rng = np.random.default_rng(11)
+        nodes = rng.integers(0, av.shape[0], size=3000)
+        xi = rng.normal(size=(3000, acs.dim))
+        xi /= np.linalg.norm(xi, axis=1, keepdims=True)
+        quad = np.einsum("ni,nij,nj->n", xi, av[nodes], xi)
+        k = int(np.argmin(quad))
+        cert = ellipticity_certificate(acs, 3000, seed=11)
+        assert cert.min_quadratic_form == quad[k]
+        assert cert.worst_node == tuple(
+            int(i) for i in np.unravel_index(nodes[k], acs.patch.resolution))
+        assert cert.passes and quad[k] >= 1.0 - 1e-10
+
+    def test_identity_fails_for_the_transposed_principal_part(self, monkeypatch):
+        # C C^T + E differs from C^T C + E where C is not normal, as it is
+        # for the fixture_n1 scene; the identity gap is read from C itself
+        acs = load_scene(SCENES / "fixture_n1.json").structure()
+        assert ellipticity_certificate(acs).passes
+
+        principal_part = elliptic._principal_part
+
+        def transposed(c):
+            return principal_part(np.swapaxes(c, -1, -2))
+
+        monkeypatch.setattr(elliptic, "_principal_part", transposed)
+        cert = ellipticity_certificate(acs)
+        assert not cert.passes
+        assert cert.identity_gap > 1.0
 
 
 class TestApply:

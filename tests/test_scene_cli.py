@@ -174,6 +174,9 @@ _PROBES = [
     ("pluri-without-field", ["convergence", "{scene}", "--check", "pluri"], 2,
      "--field"),
     ("zero-samples", ["acs", "check", "{scene}", "--samples", "0"], 2, "--samples"),
+    ("samples-over-bound", ["acs", "check", "{scene}", "--samples",
+                            str(cli.MAX_SAMPLES + 1)], 2,
+     "--samples must be at most 1,000,000"),
     ("hyper-u-without-zeta", ["hyper", "check", "{scene}", "--u", "div"], 2, "--zeta"),
     ("hyper-zeta-without-u", ["hyper", "check", "{scene}", "--zeta", "div"], 2, "--u"),
     ("unconverged-solve", ["elliptic", "solve", "{scene}", "--bc", "x1^2 - x2^2"], 1,
@@ -363,6 +366,20 @@ class TestCliReports:
         assert data["check"] == "acs.check"
         assert data["results"]["certificate"]["passes"]
 
+    @pytest.mark.parametrize("scene", ["fixture_n1", "pq_n1", "pullback2d",
+                                       "standard2d", "type1"])
+    def test_acs_check_builds_no_operator(self, scene, capsys, monkeypatch):
+        def no_operator(*args, **kwargs):
+            raise AssertionError("acs check assembled the operator")
+
+        monkeypatch.setattr(elliptic, "assemble_operator", no_operator)
+        monkeypatch.setattr(cli, "assemble_operator", no_operator)
+        for mode in ("exact", "fd"):
+            for extra in ([], ["--nijenhuis"]):
+                assert run(["acs", "check", SCENES / f"{scene}.json", "--mode", mode,
+                            "--no-meta"] + extra) == 0
+        capsys.readouterr()
+
     def test_nijenhuis_flag(self, capsys):
         run(["acs", "check", SCENES / "pullback2d.json", "--nijenhuis",
              "--no-meta"])
@@ -492,6 +509,21 @@ class TestCliWorkflows:
         code = run(["spencer", "verify", SCENES / "type1.json",
                     "--chart", "type1", "--superpose", "zsq", "--no-meta"])
         assert code == 0
+
+    def test_spencer_superpose_builds_the_chart_basis_once(self, capsys, monkeypatch):
+        calls = []
+        basis_columns = spencer._basis_columns
+
+        def counting(*args):
+            calls.append(args)
+            return basis_columns(*args)
+
+        monkeypatch.setattr(spencer, "_basis_columns", counting)
+        code = run(["spencer", "verify", SCENES / "type1.json",
+                    "--chart", "type1", "--superpose", "zsq", "--no-meta"])
+        assert code == 0
+        assert "superposition" in json.loads(capsys.readouterr().out)["results"]
+        assert len(calls) == 1
 
     def test_spencer_overclaim_fails(self, capsys):
         code = run(["spencer", "verify", SCENES / "type1.json",
