@@ -23,6 +23,7 @@ import argparse
 import datetime
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -414,11 +415,29 @@ def cmd_convergence(args) -> int:
 # -- argument wiring ----------------------------------------------------------
 
 
+def _finite(text: str) -> float:
+    """A finite float flag: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return value
+
+
+def _finite_non_negative(text: str) -> float:
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
 def _common(p: argparse.ArgumentParser):
     p.add_argument("scene", help="scene JSON file")
     p.add_argument("--grid", type=int, default=None,
                    help="override resolution on every axis")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_finite_non_negative, default=None,
                    help="pass/fail tolerance for the check")
     p.add_argument("--mode", choices=("exact", "fd", "auto"), default=None,
                    help="differentiation mode override")
@@ -526,8 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--field", default=None)
     conv.add_argument("--bc", default=None)
     conv.add_argument("--oracle", default=None)
-    conv.add_argument("--expect-order", type=float, default=None)
-    conv.add_argument("--order-window", type=float, default=0.5)
+    conv.add_argument("--expect-order", type=_finite, default=None)
+    conv.add_argument("--order-window", type=_finite_non_negative, default=0.5)
     conv.set_defaults(fn=cmd_convergence)
     return parser
 

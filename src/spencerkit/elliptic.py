@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 from .fields import (
     MatrixField,
@@ -62,6 +60,23 @@ __all__ = [
 
 DIRECT_SOLVER_LIMIT = 20_000
 _CERTIFICATE_TOLERANCE = 1e-10
+
+
+def __getattr__(name: str):
+    """``sparse`` and ``spla``, scipy's sparse modules, imported on first use.
+
+    Importing them costs more than most checks, and only the Dirichlet solve
+    needs them.  The solver functions read the bare global names, so each one
+    that is entered from outside calls this first.  ``setdefault`` leaves a
+    name that is already bound as it is, e.g. ``spla`` replaced by a wrapper.
+    """
+    if name not in ("sparse", "spla"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import scipy.sparse
+    import scipy.sparse.linalg
+    globals().setdefault("sparse", scipy.sparse)
+    globals().setdefault("spla", scipy.sparse.linalg)
+    return globals()[name]
 
 
 def potential_oneform(acs: AlmostComplexStructure, u: ScalarField,
@@ -373,6 +388,7 @@ def _assemble_system(op: EllipticOperator, boundary: np.ndarray,
     applied to the boundary data with its interior zeroed (``0.0 -`` keeps
     +0.0 in a row with no boundary neighbour).
     """
+    __getattr__("sparse")
     inner = op.patch.interior()
     shape = tuple(r - 2 for r in op.patch.resolution)
     ids = np.arange(math.prod(shape)).reshape(shape)
@@ -405,6 +421,7 @@ _COARSE_LU_LIMIT = 5_000  # above this the coarsest level is only smoothed
 def _interpolation(m: int) -> sparse.csr_matrix:
     """1-D linear interpolation from m coarse to 2m + 1 fine interior nodes;
     the boundary nodes around them carry no correction."""
+    __getattr__("sparse")
     j = np.arange(m)
     rows = np.concatenate([2 * j, 2 * j + 1, 2 * j + 2])
     weights = np.repeat([0.5, 1.0, 0.5], m)
@@ -424,6 +441,7 @@ def _vcycle(matrix: sparse.csr_matrix, shape: tuple[int, ...]) -> spla.LinearOpe
     smoothed otherwise, so a grid that cannot be halved never factors the
     whole fine system.
     """
+    __getattr__("spla")
     ops, prolong = [matrix], []
     while ops[-1].shape[0] > _COARSEST and all(m % 2 and m > 1 for m in shape):
         shape = tuple(m // 2 for m in shape)

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .expr import Expr, Num, add, as_expr, evaluate_all, mul, neg, parse_expr, sub
 from .report import sup_and_node
@@ -486,6 +485,7 @@ class ScalarField(MatrixField):
                     f"non-finite value at point {bad} of the point evaluation",
                     self.patch.nearest_node(points[bad]))
             return vals
+        from scipy.interpolate import RegularGridInterpolator
         interp = RegularGridInterpolator(self.patch.axes, self.samples)
         return interp(points)
 

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy as sp
 
+import spencerkit
 from spencerkit.expr import BinOp, Call, ConstSym, Expr, Neg, Num, Pow, Var
 from spencerkit.fields import Patch
 
@@ -86,3 +91,15 @@ def random_poly_text(rng: np.random.Generator, dim: int, degree: int = 2,
         coeff = rng.uniform(-scale, scale)
         terms.append(f"({coeff!r})*" + "*".join(factors))
     return " + ".join(terms)
+
+
+def fresh_python(*args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter, with text output captured, that imports the
+    package this one imported."""
+    # the child finds the package where this interpreter found it, also
+    # when pytest's pythonpath setting, not PYTHONPATH, put src/ on the path
+    package_root = str(Path(spencerkit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)

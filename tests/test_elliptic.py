@@ -27,6 +27,7 @@ from spencerkit.fixtures import pullback_structure, standard_structure, \
 from spencerkit.scene import load_scene
 from spencerkit.structures import reconstruct_from_pq, validate_acs
 
+from conftest import fresh_python
 from test_structures import random_pq
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -568,3 +569,23 @@ class TestSolve:
         bc = ScalarField.const(p, 1.0)
         with pytest.warns(RuntimeWarning, match="Peclet"):
             solve_dirichlet(DirichletProblem(op, bc))
+
+
+class TestScipyAtFirstUse:
+    """The solver's helpers find scipy's sparse modules when a caller enters
+    them directly, in an interpreter where no solve has loaded them yet."""
+
+    @pytest.mark.parametrize("code", [
+        "from spencerkit import elliptic\n"
+        "assert elliptic._interpolation(3).shape == (7, 3)",
+        "import numpy as np, scipy.sparse\nfrom spencerkit import elliptic\n"
+        "m = elliptic._vcycle(scipy.sparse.identity(4, format='csr'), (2, 2))\n"
+        "assert np.array_equal(m.matvec(np.ones(4)), np.ones(4))",
+    ], ids=["interpolation", "vcycle"])
+    def test_helper_entered_first(self, code):
+        proc = fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_other_names_are_still_missing(self):
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            elliptic.nope

@@ -7,6 +7,9 @@ lists it in ``__all__``, or names it in a quoted annotation.
 Only ``report.py`` searches for a worst node or builds a ``ResidualReport``:
 every other module goes through ``report.sup_and_node`` and the report
 builders, so one rule names the worst node.
+
+No module imports scipy when it loads: importing it costs more than most
+checks, so only the functions that use it import it.
 """
 
 import ast
@@ -82,3 +85,38 @@ def test_the_check_sees_a_node_search():
     assert _node_searches(source) == [
         "argmax (line 4)", "argwhere (line 5)", "argmin (line 5)",
         "ResidualReport (line 5)"]
+
+
+def _import_time_scipy(source: str) -> list[str]:
+    """``import scipy…`` and ``from scipy…`` that run when the module loads:
+    anywhere but inside a function."""
+    hits, todo = [], [ast.parse(source)]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            names = []
+        hits += [(node.lineno, f"{name} (line {node.lineno})") for name in names
+                 if name.split(".")[0] == "scipy"]
+        todo.extend(ast.iter_child_nodes(node))
+    return [hit for _, hit in sorted(hits)]
+
+
+@pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"],
+                         ids=lambda p: p.name)
+def test_scipy_loads_at_first_use(path):
+    assert _import_time_scipy(path.read_text()) == []
+
+
+def test_the_check_sees_an_import_time_scipy():
+    source = "import numpy as np, scipy.sparse as sparse\n" \
+             "try:\n    from scipy.linalg import lu\nexcept ImportError:\n    pass\n" \
+             "class C:\n    import scipy\n" \
+             "def f():\n    from scipy.interpolate import interpn\n    return interpn\n"
+    assert _import_time_scipy(source) == [
+        "scipy.sparse (line 1)", "scipy.linalg (line 3)", "scipy (line 7)"]

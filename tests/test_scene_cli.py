@@ -1,14 +1,11 @@
 import json
-import os
 from dataclasses import fields, is_dataclass
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import spencerkit
+from conftest import fresh_python
 from spencerkit import brackets, cli, elliptic, holomorphy, hypercomplex, report, \
     spencer
 from spencerkit.cli import main
@@ -111,6 +108,26 @@ class TestCliExitCodes:
         code = run(["holo", "residual", SCENES / "standard2d.json",
                     "--field", "z", "--tol", "1e-10", "--no-meta"])
         assert code == 0
+
+    _HOLO = ["holo", "residual", SCENES / "standard2d.json", "--field", "z"]
+    _ORDERS = ["convergence", SCENES / "pullback2d.json", "--check", "pluri",
+               "--field", "pluri", "--grid", "9"]
+
+    # a NaN tolerance or order would reach the report as a bare NaN token,
+    # which is not JSON, and a negative tolerance fails every residual
+    @pytest.mark.parametrize("argv, flag, values", [
+        (_HOLO, "--tol", ["nan", "inf", "-1", "x"]),
+        (_ORDERS + ["--expect-order", "2"], "--order-window", ["nan", "inf", "-0.5"]),
+        (_ORDERS, "--expect-order", ["nan", "inf", "-inf"]),
+    ], ids=["tol", "order-window", "expect-order"])
+    def test_bad_float_flag_is_a_usage_error(self, capsys, argv, flag, values):
+        for value in values:
+            with pytest.raises(SystemExit) as err:
+                run(argv + [f"{flag}={value}", "--no-meta"])
+            out, stderr = capsys.readouterr()
+            assert err.value.code == 2, value
+            assert out == "" and "Traceback" not in stderr
+            assert f"error: argument {flag}: '{value}' is " in stderr
 
 
 class TestCliDeepExpressions:
@@ -616,14 +633,52 @@ class TestGridCsv:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
-        # the child finds the package where this interpreter found it, also
-        # when pytest's pythonpath setting, not PYTHONPATH, put src/ on the path
-        package_root = str(Path(spencerkit.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "spencerkit.cli", "acs", "check",
-             str(SCENES / "standard2d.json"), "--no-meta"],
-            capture_output=True, text=True, env=env)
+        proc = fresh_python("-m", "spencerkit.cli", "acs", "check",
+                            str(SCENES / "standard2d.json"), "--no-meta")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["passed"] is True
+
+
+# Prints the scipy modules loaded after each step, as one JSON object.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {}
+import spencerkit
+loaded["import spencerkit"] = scipy_modules()
+from spencerkit import cli, elliptic
+cli.build_parser()
+loaded["build_parser"] = scipy_modules()
+scene = sys.argv[1]
+runs = {"acs check": ["acs", "check", scene, "--nijenhuis"],
+        "holo residual": ["holo", "residual", scene, "--field", "z"],
+        "elliptic solve": ["elliptic", "solve", scene, "--bc", "x1^2 - x2^2"]}
+for step, argv in runs.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        loaded[step + " exit"] = cli.main(argv + ["--no-meta"])
+    loaded[step] = scipy_modules()
+import scipy.sparse.linalg
+loaded["spla is scipy.sparse.linalg"] = elliptic.spla is scipy.sparse.linalg
+print(json.dumps(loaded))
+"""
+
+
+class TestStartUp:
+    """scipy loads at its first use, not when the package or the CLI does.
+    The probe runs in a fresh interpreter, because other tests import scipy
+    into this one."""
+
+    def test_only_a_solve_loads_scipy(self):
+        proc = fresh_python("-c", _SCIPY_PROBE, str(SCENES / "standard2d.json"))
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)
+        for step in ("import spencerkit", "build_parser", "acs check",
+                     "holo residual"):
+            assert loaded[step] == [], step
+        assert loaded["acs check exit"] == loaded["holo residual exit"] == 0
+        assert loaded["elliptic solve exit"] == 0
+        assert "scipy.sparse.linalg" in loaded["elliptic solve"]
+        assert loaded["spla is scipy.sparse.linalg"] is True

@@ -7,10 +7,12 @@ point fails here and not only in the traced benchmark.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 
+from conftest import fresh_python
 from spencerkit import cli, fields
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,3 +56,41 @@ def test_tracer_records_the_field_and_check_layers(capsys):
     assert tracer.counts["fields.samples_materialized"] > 0
     assert scalar_count == 1
     assert (cli.main, fields.d_oneform, fields.matvec, np.einsum) == originals
+
+
+# Installs the tracer before anything has imported scipy, runs an LU solve and
+# removes the tracer; prints what it saw as one JSON object.
+_LAZY_SPLA = """
+import contextlib, importlib.util, io, json, sys
+from spencerkit import cli, elliptic
+
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+seen = {"bound before install": "spla" in vars(elliptic)}
+tracer = tracing.Tracer()
+tracer.install()
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen["exit"] = cli.main(["elliptic", "solve", sys.argv[2], "--grid", "33",
+                                 "--bc", "x1^2 - x2^2", "--no-meta"])
+finally:
+    tracer.remove()
+import scipy.sparse.linalg
+seen["layers"] = sorted({span[0] for span in tracer.spans})
+seen["spla restored"] = elliptic.spla is scipy.sparse.linalg
+print(json.dumps(seen))
+"""
+
+
+def test_tracer_wraps_the_solver_that_loads_at_first_use():
+    # the tracer rebinds elliptic.spla; the first solve loads scipy and must
+    # keep that binding, or the factor spans are silently lost
+    proc = fresh_python("-c", _LAZY_SPLA, str(ROOT / "perfbench" / "tracing.py"),
+                        str(SCENES / "standard2d.json"))
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["bound before install"] is False
+    assert seen["exit"] == 0
+    assert {"elliptic.system", "elliptic.factor"} <= set(seen["layers"])
+    assert seen["spla restored"] is True
