@@ -433,6 +433,16 @@ def _finite_non_negative(text: str) -> float:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
 def _common(p: argparse.ArgumentParser):
     p.add_argument("scene", help="scene JSON file")
     p.add_argument("--grid", type=int, default=None,
@@ -441,7 +451,7 @@ def _common(p: argparse.ArgumentParser):
                    help="pass/fail tolerance for the check")
     p.add_argument("--mode", choices=("exact", "fd", "auto"), default=None,
                    help="differentiation mode override")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_non_negative_int, default=0,
                    help="seed for randomized certificates")
     p.add_argument("--out", "-o", default=None, help="write the report here")
     p.add_argument("--no-meta", action="store_true",

@@ -33,6 +33,7 @@ Structure specs: {"kind": "standard"}, {"kind": "matrix", "entries": [[...]],
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path as FsPath
 
@@ -70,6 +71,18 @@ def _check_keys(obj: dict, allowed: set[str], where: str):
     _require(isinstance(obj, dict), f"{where} must be an object")
     unknown = set(obj) - allowed
     _require(not unknown, f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _tolerance(key: str, value) -> float:
+    """A scene tolerance takes the ``--tol`` rule: finite and not below 0
+    (``json`` reads the ``NaN`` and ``Infinity`` literals)."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        tol = math.nan
+    _require(math.isfinite(tol) and tol >= 0,
+             f"tolerances.{key} must be a finite number, 0 or more; got {value!r}")
+    return tol
 
 
 @dataclass
@@ -251,6 +264,7 @@ def parse_scene(data: dict, grid_override: int | None = None,
     _check_keys(structure, _STRUCTURE_KEYS[kind], "structure")
     tolerances = data.get("tolerances", {})
     _check_keys(tolerances, _TOL_KEYS, "tolerances")
+    tolerances = {key: _tolerance(key, value) for key, value in tolerances.items()}
     mode = mode_override or data.get("mode", "auto")
     _require(mode in ("auto", "exact", "fd"), f"unknown mode {mode!r}")
     return Scene(

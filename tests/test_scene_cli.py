@@ -114,12 +114,14 @@ class TestCliExitCodes:
                "--field", "pluri", "--grid", "9"]
 
     # a NaN tolerance or order would reach the report as a bare NaN token,
-    # which is not JSON, and a negative tolerance fails every residual
+    # which is not JSON, a negative tolerance fails every residual, and
+    # numpy rejects a negative seed without naming the flag
     @pytest.mark.parametrize("argv, flag, values", [
         (_HOLO, "--tol", ["nan", "inf", "-1", "x"]),
         (_ORDERS + ["--expect-order", "2"], "--order-window", ["nan", "inf", "-0.5"]),
         (_ORDERS, "--expect-order", ["nan", "inf", "-inf"]),
-    ], ids=["tol", "order-window", "expect-order"])
+        (["acs", "check", SCENES / "standard2d.json"], "--seed", ["-1", "1.5", "x"]),
+    ], ids=["tol", "order-window", "expect-order", "seed"])
     def test_bad_float_flag_is_a_usage_error(self, capsys, argv, flag, values):
         for value in values:
             with pytest.raises(SystemExit) as err:
@@ -128,6 +130,17 @@ class TestCliExitCodes:
             assert err.value.code == 2, value
             assert out == "" and "Traceback" not in stderr
             assert f"error: argument {flag}: '{value}' is " in stderr
+
+    # json reads a bare NaN token; a scene tolerance takes the --tol rule
+    @pytest.mark.parametrize("value", [float("nan"), -1.0], ids=["nan", "negative"])
+    def test_bad_scene_tolerance_is_2(self, tmp_path, capsys, value):
+        scene = json.loads((SCENES / "standard2d.json").read_text())
+        scene["tolerances"] = {"check": value}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scene))
+        assert run(["spencer", "verify", path, "--chart", "identity", "--no-meta"]) == 2
+        out, stderr = capsys.readouterr()
+        assert out == "" and "tolerances.check must be a finite number" in stderr
 
 
 class TestCliDeepExpressions:
