@@ -148,7 +148,9 @@ def cmd_acs_check(args) -> int:
 def cmd_acs_from_pq(args) -> int:
     scene = _scene(args)
     pq = scene.pq_pair()
-    acs = reconstruct_from_pq(pq, symbolic="always")
+    if not pq.reconstructs_exactly:  # the written scene needs entry expressions
+        raise SceneError("symbolic reconstruction unavailable for this pair")
+    acs = reconstruct_from_pq(pq)
     entries = [[str(e) for e in row] for row in acs.j_cot.exprs]
     out_scene = {
         "schema": 1,
@@ -180,7 +182,7 @@ def cmd_acs_extract_pq(args) -> int:
     base = _base_node(args, scene.patch)
     bd = normalize_at_origin(acs, base)
     pq = extract_pq(bd)
-    back = reconstruct_from_pq(pq, symbolic="never")
+    back = reconstruct_from_pq(pq)
     gap = float(np.abs(back.cot_values() - bd.reassembled()).max())
     identities = bd.identity_residuals()
     tol = _tolerance(args, scene, 1e-10)
@@ -217,8 +219,8 @@ def cmd_holo_reduced(args) -> int:
     bd = normalize_at_origin(acs, _base_node(args, scene.patch))
     pq = extract_pq(bd)
     system = reduced_system(bd, f, scene.mode)
-    rep = reduced_system_residual(bd, pq, f, system=system)
-    equiv = reduction_equivalence_check(acs, bd, pq, f, system=system)
+    rep = reduced_system_residual(bd, pq, system)
+    equiv = reduction_equivalence_check(bd, system)
     tol = args.tol
     passed = equiv.identity_residual <= 1e-8 and \
         (True if tol is None else rep.sup_norm <= tol)
@@ -332,8 +334,7 @@ def cmd_hyper_check(args) -> int:
         results["tolerance"] = tol
         passed = jres.sup_norm <= tol and kres.sup_norm <= tol
         if passed:
-            trans = k_translation_consistency(h, F, scene.mode, tol,
-                                              kres=kres, jres=jres)
+            trans = k_translation_consistency(kres, jres, tol)
             results["translation"] = trans
             passed = passed and trans.passes
     if args.u is not None:
@@ -495,8 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_holo_residual)
     q = holo_sub.add_parser("reduced", help="reduced system residual")
     _common(q)
-    q.add_argument("--field", required=True)
-    q.add_argument("--base", default=None)
+    q.add_argument("--field", required=True, help="named complex field")
+    q.add_argument("--base", default=None,
+                   help="base node indices, comma separated")
     q.set_defaults(fn=cmd_holo_reduced)
 
     pluri = groups.add_parser("pluri", help="potential-form checks")
@@ -527,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--field", required=True, help="function the bracket acts on")
     q.add_argument("--case", default=None,
                    choices=("holo_holo", "antiholo_antiholo",
-                            "holo_antiholo", "antiholo_holo"))
+                            "holo_antiholo", "antiholo_holo"),
+                   help="also check the bracket law for this pair of types")
     q.set_defaults(fn=cmd_bracket_check)
 
     hyp = groups.add_parser("hyper", help="hypercomplex checks")
@@ -551,12 +554,18 @@ def build_parser() -> argparse.ArgumentParser:
     conv = groups.add_parser("convergence",
                              help="re-run a check at h, h/2, h/4")
     _common(conv)
-    conv.add_argument("--check", required=True, choices=_CONV_CHECKS)
-    conv.add_argument("--field", default=None)
-    conv.add_argument("--bc", default=None)
-    conv.add_argument("--oracle", default=None)
-    conv.add_argument("--expect-order", type=_finite, default=None)
-    conv.add_argument("--order-window", type=_finite_non_negative, default=0.5)
+    conv.add_argument("--check", required=True, choices=_CONV_CHECKS,
+                      help="check to re-run on each grid")
+    conv.add_argument("--field", default=None,
+                      help="named field for the holo and pluri checks")
+    conv.add_argument("--bc", default=None,
+                      help="boundary expression for the solve check")
+    conv.add_argument("--oracle", default=None,
+                      help="expression the solve check compares against")
+    conv.add_argument("--expect-order", type=_finite, default=None,
+                      help="fail unless every order is this one, within the window")
+    conv.add_argument("--order-window", type=_finite_non_negative, default=0.5,
+                      help="allowed distance from --expect-order")
     conv.set_defaults(fn=cmd_convergence)
     return parser
 

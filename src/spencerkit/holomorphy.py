@@ -99,18 +99,15 @@ def reduced_system(bd: BlockDecomposition, f: ComplexField, mode: str = "auto",
 
 
 def reduced_system_residual(bd: BlockDecomposition, pq: PQPair,
-                            f: ComplexField, mode: str = "auto",
-                            system: ReducedSystem | None = None,
-                            ) -> ResidualReport:
+                            system: ReducedSystem) -> ResidualReport:
     """Residual of the reduced n-equation system in the normalized frame.
 
     The full 2n-equation system collapses to ``h1 + (C-E)^-1 (D-iE) h2 = 0``
     where (h1, h2) are the first/last n components of the frame gradient.
     The factored form of the reduced operator in moduli coordinates is
     ``P - iQ``; the gap between the two is reported as a consistency entry.
-    ``system`` is ``reduced_system(bd, f, mode)`` when the caller has it.
+    ``system`` is ``reduced_system(bd, f, mode)``.
     """
-    system = system or reduced_system(bd, f, mode)
     rows = system.rows
     pointwise = np.linalg.norm(rows, axis=-1)
     factored = pq.P.values - 1j * pq.Q.values
@@ -134,20 +131,15 @@ class BlockIdentityReport:
     mode: str
 
 
-def reduction_equivalence_check(acs: AlmostComplexStructure,
-                                bd: BlockDecomposition, pq: PQPair,
-                                f: ComplexField, mode: str = "auto",
-                                tolerance: float = 1e-10,
-                                system: ReducedSystem | None = None,
-                                ) -> BlockIdentityReport:
+def reduction_equivalence_check(bd: BlockDecomposition, system: ReducedSystem,
+                                tolerance: float = 1e-10) -> BlockIdentityReport:
     """Verify the block identity behind the system reduction.
 
     Pointwise, ``[A - iE, B + E] = (A - iE)(C - E)^-1 [C - E, D - iE]``;
     consequently a vanishing reduced residual forces a vanishing full
     residual, with amplification factor ``kappa = |(A - iE)(C - E)^-1| + 1``.
-    ``system`` is ``reduced_system(bd, f, mode)`` when the caller has it.
+    ``system`` is ``reduced_system(bd, f, mode)``.
     """
-    system = system or reduced_system(bd, f, mode)
     n = bd.n
     eye = np.eye(n)
     a = bd.A.values
@@ -155,7 +147,7 @@ def reduction_equivalence_check(acs: AlmostComplexStructure,
     cm = bd.C.values - eye
     dm = bd.D.values - 1j * eye
     am = a - 1j * eye
-    cminv = pointwise_inverse(cm.astype(complex), "C(x) - E")
+    cminv = pointwise_inverse(cm.astype(complex), "C(x) - E is singular")
     k = am @ cminv
     lead_gap = np.abs(k @ cm - am).max()
     tail_gap = np.abs(k @ dm - bp).max()

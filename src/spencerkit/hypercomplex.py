@@ -201,31 +201,24 @@ class TranslationReport:
     mode: str
 
 
-def k_translation_consistency(h: HypercomplexStructure, G: QuaternionFunction,
-                              mode: str = "auto", tolerance: float = 1e-8,
-                              kres: ResidualReport | None = None,
-                              jres: ResidualReport | None = None,
-                              ) -> TranslationReport:
+def k_translation_consistency(kres: ResidualReport, jres: ResidualReport,
+                              tolerance: float = 1e-8) -> TranslationReport:
     """J-consequences of K-hyperholomorphy on flat-pair fixtures.
 
-    Precondition: ``k_hyperholo_residual(G) <= tolerance``.  Then checks
-    that zeta + i*eta is J-antiholomorphic and u + iv is J-holomorphic,
-    within 2 * tolerance (the factor 2, ``_KAPPA``, absorbs the change
-    between the two splittings).  These consequences hold for the affine
-    fixture family on the flat pair; they are not a theorem for arbitrary
-    K-hyperholomorphic functions, which is why the check is fixture-scoped.
     ``kres`` and ``jres`` are ``k_hyperholo_residual`` and
-    ``j_hyperholo_residual`` of G when the caller has them; the two J
-    residuals are the parts of ``jres``.
+    ``j_hyperholo_residual`` of one function G.  Precondition:
+    ``kres.sup_norm <= tolerance``.  Then checks that zeta + i*eta is
+    J-antiholomorphic and u + iv is J-holomorphic (the two parts of
+    ``jres``), within 2 * tolerance (the factor 2, ``_KAPPA``, absorbs the
+    change between the two splittings).  These consequences hold for the
+    affine fixture family on the flat pair; they are not a theorem for
+    arbitrary K-hyperholomorphic functions, which is why the check is
+    fixture-scoped.
     """
-    if kres is None:
-        kres = k_hyperholo_residual(h, G, mode)
     if kres.sup_norm > tolerance:
         raise EigenPreconditionError(
             f"G is not K-hyperholomorphic (residual {kres.sup_norm:.2e} "
             f"> {tolerance:.1e}); nothing to check")
-    if jres is None:
-        jres = j_hyperholo_residual(h, G, mode)
     anti = jres.breakdown["phi_antiholomorphic"]
     holo = jres.breakdown["f_holomorphic"]
     threshold = _KAPPA * max(tolerance, kres.sup_norm, 1e-14)

@@ -21,7 +21,7 @@ and satisfies ``j_cot^2 = -E`` identically, for every such pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,9 +84,13 @@ def _det_scale(values: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, node_sup(values)) ** n
 
 
-def _require_nonsingular(values: np.ndarray, message: str) -> None:
-    """Raise ``SingularMatrixError`` at the first (near) singular node: one
-    where |det| <= 1e-12 (``_SINGULAR_THRESHOLD``) times ``_det_scale``."""
+def pointwise_inverse(values: np.ndarray, message: str) -> np.ndarray:
+    """LU-based inverse at every node.
+
+    Raises ``SingularMatrixError`` with ``message`` at the first (near)
+    singular node: one where |det| <= 1e-12 (``_SINGULAR_THRESHOLD``) times
+    ``_det_scale``.
+    """
     n = values.shape[-1]
 
     def singular(v):
@@ -96,12 +100,6 @@ def _require_nonsingular(values: np.ndarray, message: str) -> None:
                                       values.itemsize * n * n, values))
     if bad:
         raise SingularMatrixError(message, node)
-
-
-def pointwise_inverse(values: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """LU-based inverse at every node, with a detectable singularity guard
-    (``_require_nonsingular``, relative determinant threshold 1e-12)."""
-    _require_nonsingular(values, f"{what} is singular")
     return np.linalg.inv(values)
 
 
@@ -169,19 +167,23 @@ def validate_acs(m: MatrixField, rep: str = "cot", tolerance: float = ACS_TOLERA
 
 @dataclass(eq=False)
 class PQPair:
-    """Local moduli coordinates: n x n matrix fields with Q invertible."""
+    """Local moduli coordinates: n x n matrix fields with Q invertible.
+
+    ``qinv`` is Q^-1 at every node, inverted once, by the singularity guard.
+    """
 
     patch: Patch
     P: MatrixField
     Q: MatrixField
     q_condition: float = 0.0
+    qinv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.patch.dim_half
         if self.P.shape != (n, n) or self.Q.shape != (n, n):
             raise ValueError(f"P and Q must be {n} x {n} matrix fields")
         qv = self.Q.values
-        qinv = pointwise_inverse(qv, "Q")
+        self.qinv = qinv = pointwise_inverse(qv, "Q is singular")
         norm = np.abs(qv).sum(axis=-1).max(axis=-1)
         inv_norm = np.abs(qinv).sum(axis=-1).max(axis=-1)
         cond, node = sup_and_node(norm * inv_norm)
@@ -189,6 +191,12 @@ class PQPair:
             raise SingularMatrixError(f"Q condition estimate {cond:.2e} exceeds 1e12",
                                       node)
         self.q_condition = cond
+
+    @property
+    def reconstructs_exactly(self) -> bool:
+        """Whether ``reconstruct_from_pq`` keeps expression entries: P and Q
+        are expression-backed and n <= 3."""
+        return self.P.is_exact and self.Q.is_exact and self.patch.dim_half <= 3
 
 
 # -- symbolic adjugate inversion (small matrices of expression entries) -----
@@ -231,20 +239,16 @@ def symbolic_inverse(m: MatrixField) -> MatrixField:
                                             for i in range(n)])
 
 
-def reconstruct_from_pq(pq: PQPair, symbolic: str = "auto") -> AlmostComplexStructure:
+def reconstruct_from_pq(pq: PQPair) -> AlmostComplexStructure:
     """Generate the cotangent matrix of a structure from a (P, Q) pair.
 
     The result squares to -E identically; the reported residual is pure
-    roundoff.  With ``symbolic`` "auto" the entries stay expression-backed
-    whenever P and Q are expression-backed and n <= 3 (so the structure can
-    be differentiated exactly downstream); "never" forces sampled entries,
-    "always" errors if the symbolic path is unavailable.
+    roundoff.  The entries stay expression-backed when the pair
+    ``reconstructs_exactly`` (so the structure can be differentiated exactly
+    downstream); otherwise they are sampled, from the pair's ``qinv``.
     """
     n = pq.patch.dim_half
-    want_sym = symbolic != "never" and pq.P.is_exact and pq.Q.is_exact and n <= 3
-    if symbolic == "always" and not want_sym:
-        raise ValueError("symbolic reconstruction unavailable for this pair")
-    if want_sym:
+    if pq.reconstructs_exactly:
         qinv = symbolic_inverse(pq.Q)
         tl = -(pq.P @ qinv)
         tr = -(pq.P @ qinv @ pq.P) - pq.Q
@@ -254,8 +258,7 @@ def reconstruct_from_pq(pq: PQPair, symbolic: str = "auto") -> AlmostComplexStru
         rows += [bl.exprs[i] + br.exprs[i] for i in range(n)]
         j_cot = MatrixField.from_exprs(pq.patch, rows)
     else:
-        pv, qv = pq.P.values, pq.Q.values
-        qinv = pointwise_inverse(qv, "Q")
+        pv, qv, qinv = pq.P.values, pq.Q.values, pq.qinv
         pqinv = pv @ qinv
         j_cot = MatrixField.from_values(pq.patch, np.block(
             [[-pqinv, -(pqinv @ pv) - qv], [qinv, qinv @ pv]]))
@@ -264,7 +267,11 @@ def reconstruct_from_pq(pq: PQPair, symbolic: str = "auto") -> AlmostComplexStru
 
 @dataclass(eq=False)
 class BlockDecomposition:
-    """Constant change of frame G with G^-1 j_cot G = [[A, B+E], [C-E, D]]."""
+    """Constant change of frame G with G^-1 j_cot G = [[A, B+E], [C-E, D]].
+
+    ``cminv`` is (C - E)^-1 at every node, inverted once, by the guard of
+    ``normalize_at_origin``.
+    """
 
     patch: Patch
     G: np.ndarray
@@ -272,6 +279,7 @@ class BlockDecomposition:
     B: MatrixField
     C: MatrixField
     D: MatrixField
+    cminv: np.ndarray
 
     @property
     def n(self) -> int:
@@ -349,8 +357,9 @@ def normalize_at_origin(acs: AlmostComplexStructure,
 
     Computes a constant frame G taking ``j_cot(base)`` to ``[[0, E], [-E, 0]]``
     (so A, B, C, D all vanish at the base node), then the four block fields on
-    the whole patch.  Fails if ``C(x) - E`` becomes singular somewhere on the
-    patch, which signals that the structure left the normalized neighborhood.
+    the whole patch, and inverts ``C(x) - E`` for ``extract_pq``.  Fails if
+    ``C(x) - E`` becomes singular somewhere on the patch, which signals that
+    the structure left the normalized neighborhood.
     """
     patch = acs.patch
     n = patch.dim_half
@@ -368,21 +377,17 @@ def normalize_at_origin(acs: AlmostComplexStructure,
     B = jg.block(slice(0, n), slice(n, 2 * n)) - eye
     C = jg.block(slice(n, 2 * n), slice(0, n)) + eye
     D = jg.block(slice(n, 2 * n), slice(n, 2 * n))
-    _require_nonsingular(C.values - np.eye(n),
-                         "C(x) - E is singular (structure leaves the normalized "
-                         "neighborhood; try a smaller patch)")
-    return BlockDecomposition(patch, G, A, B, C, D)
+    cminv = pointwise_inverse(C.values - np.eye(n),
+                              "C(x) - E is singular (structure leaves the "
+                              "normalized neighborhood; try a smaller patch)")
+    return BlockDecomposition(patch, G, A, B, C, D, cminv)
 
 
 def extract_pq(bd: BlockDecomposition) -> PQPair:
-    """Moduli pair of a decomposition: P = (C-E)^-1 D, Q = (C-E)^-1."""
-    n = bd.n
-    cm = bd.C.values - np.eye(n)
-    cminv = pointwise_inverse(cm, "C(x) - E")
-    qv = cminv
-    pv = cminv @ bd.D.values
-    P = MatrixField.from_values(bd.patch, pv)
-    Q = MatrixField.from_values(bd.patch, qv)
+    """Moduli pair of a decomposition: Q = (C-E)^-1 (the kept ``cminv``),
+    P = Q D."""
+    P = MatrixField.from_values(bd.patch, bd.cminv @ bd.D.values)
+    Q = MatrixField.from_values(bd.patch, bd.cminv)
     return PQPair(bd.patch, P, Q)
 
 

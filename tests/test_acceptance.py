@@ -32,7 +32,7 @@ from spencerkit.fixtures import (
     type1_chart_functions,
     type1_structure,
 )
-from spencerkit.holomorphy import reduced_system_residual, \
+from spencerkit.holomorphy import reduced_system, reduced_system_residual, \
     reduction_equivalence_check
 from spencerkit.hypercomplex import QuaternionFunction, j_hyperholo_residual, \
     k_hyperholo_residual
@@ -84,7 +84,7 @@ def test_criterion_1_generation_rule_section_property():
         patch = Patch.box(n, -0.5, 0.5, 5)
         for _ in range(cases):
             pq = random_pq(rng, patch, scale=0.3)
-            acs = reconstruct_from_pq(pq, symbolic="auto")
+            acs = reconstruct_from_pq(pq)
             worst = max(worst, acs.acs_residual)
             count += 1
     elapsed = time.perf_counter() - start
@@ -127,10 +127,9 @@ def test_criterion_3_block_reduction_proposition():
         pq, center = normalized_random_pq(rng, patch)
         acs = reconstruct_from_pq(pq)
         bd = normalize_at_origin(acs, center)
-        out = extract_pq(bd)
         f = ComplexField.from_exprs(patch, random_poly_text(rng, patch.dim),
                                     random_poly_text(rng, patch.dim))
-        rep = reduction_equivalence_check(acs, bd, out, f)
+        rep = reduction_equivalence_check(bd, reduced_system(bd, f))
         worst_identity = max(worst_identity, rep.identity_residual)
     assert worst_identity <= 1e-10
 
@@ -158,9 +157,10 @@ def test_criterion_3_block_reduction_proposition():
         im = " + ".join(f"({float(grad[q].imag)!r})*x{q + 1}"
                         for q in range(patch.dim))
         f = ComplexField.from_exprs(patch, re, im)
-        rep = reduced_system_residual(bd, out, f)
+        system = reduced_system(bd, f)
+        rep = reduced_system_residual(bd, out, system)
         assert rep.sup_norm <= 1e-10
-        equiv = reduction_equivalence_check(acs, bd, out, f)
+        equiv = reduction_equivalence_check(bd, system)
         worst_full = max(worst_full, equiv.full_residual)
     assert worst_full <= 1e-8
     report(3, f"identity residual {worst_identity:.2e} on 100 fixtures; "

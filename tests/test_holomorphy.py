@@ -10,6 +10,7 @@ from spencerkit.fixtures import (
 from spencerkit.holomorphy import (
     antiholo_residual,
     holo_residual,
+    reduced_system,
     reduced_system_residual,
     reduction_equivalence_check,
 )
@@ -139,7 +140,7 @@ class TestReducedSystem:
     def test_holomorphic_zero(self, patch2d):
         acs, bd, pq = self._normalized(patch2d)
         f = ComplexField.from_exprs(patch2d, "x1", "x2")
-        rep = reduced_system_residual(bd, pq, f)
+        rep = reduced_system_residual(bd, pq, reduced_system(bd, f))
         assert rep.sup_norm <= 1e-14
         assert rep.breakdown["factored_form_gap"] <= 1e-14
 
@@ -159,7 +160,7 @@ class TestReducedSystem:
         # hand computation: row (1, i) applied to (1, -i) gives 2
         acs, bd, pq = self._normalized(patch2d)
         f = ComplexField.from_exprs(patch2d, "x1", "-x2")
-        rep = reduced_system_residual(bd, pq, f)
+        rep = reduced_system_residual(bd, pq, reduced_system(bd, f))
         assert rep.sup_norm == pytest.approx(2.0, rel=1e-14)
 
     def test_full_residual_zero_implies_reduced_zero(self, patch2d_sym):
@@ -172,7 +173,7 @@ class TestReducedSystem:
         # residual is always dominated by the full one
         f = ComplexField.from_exprs(patch, "x1", "x2")
         full = holo_residual(acs, f)
-        rep = reduced_system_residual(bd, pq, f)
+        rep = reduced_system_residual(bd, pq, reduced_system(bd, f))
         assert rep.sup_norm <= full.sup_norm * np.abs(np.linalg.inv(bd.G)).sum() + 1e-10
 
 
@@ -183,7 +184,7 @@ class TestReductionEquivalence:
         acs = reconstruct_from_pq(pq)
         bd = normalize_at_origin(acs, (0, 0))
         f = ComplexField.from_exprs(patch2d, "x1", "x2")
-        rep = reduction_equivalence_check(acs, bd, extract_pq(bd), f)
+        rep = reduction_equivalence_check(bd, reduced_system(bd, f))
         assert rep.identity_residual <= 1e-14
         assert rep.bound_holds
 
@@ -193,9 +194,8 @@ class TestReductionEquivalence:
         for _ in range(20):
             acs = reconstruct_from_pq(random_pq(rng, patch))
             bd = normalize_at_origin(acs, (4, 4))
-            pq = extract_pq(bd)
             f = ComplexField.from_exprs(patch, "x1*x2", "x1 - x2")
-            rep = reduction_equivalence_check(acs, bd, pq, f)
+            rep = reduction_equivalence_check(bd, reduced_system(bd, f))
             assert rep.identity_residual <= 1e-10
             assert rep.bound_holds
 
@@ -207,6 +207,6 @@ class TestReductionEquivalence:
         bd = normalize_at_origin(acs, (0, 0))
         z = ComplexField.from_exprs(patch2d, "x1", "x2")
         zsq = z * z
-        rep = reduction_equivalence_check(acs, bd, extract_pq(bd), zsq)
+        rep = reduction_equivalence_check(bd, reduced_system(bd, zsq))
         assert rep.reduced_residual <= 1e-10
         assert rep.full_residual <= 1e-8

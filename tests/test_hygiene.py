@@ -10,6 +10,10 @@ builders, so one rule names the worst node.
 
 No module imports scipy when it loads: importing it costs more than most
 checks, so only the functions that use it import it.
+
+No module-level function takes a parameter it never reads: a caller would
+build an argument for nothing.  Methods are exempt, since they may keep a
+signature their class shares.
 """
 
 import ast
@@ -120,3 +124,34 @@ def test_the_check_sees_an_import_time_scipy():
              "def f():\n    from scipy.interpolate import interpn\n    return interpn\n"
     assert _import_time_scipy(source) == [
         "scipy.sparse (line 1)", "scipy.linalg (line 3)", "scipy (line 7)"]
+
+
+def _unused_parameters(source: str) -> list[str]:
+    """Parameters of module-level functions that the function body never
+    reads, nested functions included."""
+    hits = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                  + [args.vararg, args.kwarg] if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        hits += [f"{node.name}: {name} (line {node.lineno})" for name in params
+                 if name not in read]
+    return hits
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert _unused_parameters(path.read_text()) == []
+
+
+def test_the_check_sees_an_unused_parameter():
+    source = "def f(a, b=1, *args, c, **kw):\n    def g():\n        return a\n" \
+             "    return g() + len(args)\n" \
+             "class C:\n    def m(self, unused):\n        pass\n" \
+             "async def h(x, y=lambda y: y):\n    return x\n"
+    assert _unused_parameters(source) == [
+        "f: b (line 1)", "f: c (line 1)", "f: kw (line 1)", "h: y (line 8)"]

@@ -1,4 +1,6 @@
+import argparse
 import json
+from collections import Counter
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -130,6 +132,25 @@ class TestCliExitCodes:
             assert err.value.code == 2, value
             assert out == "" and "Traceback" not in stderr
             assert f"error: argument {flag}: '{value}' is " in stderr
+
+    def test_from_pq_without_expressions_is_2(self, tmp_path, capsys):
+        # n = 4 is past the symbolic reconstruction, whose expressions the
+        # written scene needs (5 nodes per axis is the smallest 8D grid)
+        p = [[f"0.1*x{i + j + 1}" for j in range(4)] for i in range(4)]
+        q = [["-1" if i == j else "0" for j in range(4)] for i in range(4)]
+        scene = {
+            "schema": 1,
+            "dim_half": 4,
+            "patch": {"bounds": [-0.2, 0.2], "resolution": 5},
+            "structure": {"kind": "pq", "p": p, "q": q},
+        }
+        path, target = tmp_path / "pq4.json", tmp_path / "rec.json"
+        path.write_text(json.dumps(scene))
+        assert run(["acs", "from-pq", path, "-o", target, "--no-meta"]) == 2
+        out, stderr = capsys.readouterr()
+        assert out == "" and "Traceback" not in stderr
+        assert "symbolic reconstruction unavailable for this pair" in stderr
+        assert not target.exists()
 
     # json reads a bare NaN token; a scene tolerance takes the --tol rule
     @pytest.mark.parametrize("value", [float("nan"), -1.0], ids=["nan", "negative"])
@@ -341,6 +362,67 @@ _PINNED_PLURI_BUMP = """\
 """
 
 
+# the round trip of pq_n1 closes to roundoff, so a moved bit in either
+# inverse of the moduli pipeline shows in these reports
+_PINNED_EXTRACT_PQ_N1 = """\
+{
+  "check": "acs.extract_pq",
+  "description": "block decomposition, moduli pair and round trip",
+  "passed": true,
+  "results": {
+    "base_node": [
+      4,
+      4
+    ],
+    "identity_residuals": {
+      "off_bottom": 0.0,
+      "off_top": 0.0,
+      "sq_bottom": 2.220446049250313e-16,
+      "sq_top": 2.220446049250313e-16
+    },
+    "q_condition": 1.0,
+    "round_trip_gap": 2.220446049250313e-16,
+    "tolerance": 1e-10
+  },
+  "schema": 1
+}
+"""
+
+
+_PINNED_REDUCED_LINEAR = """\
+{
+  "check": "holo.reduced",
+  "description": "reduced n-equation residual in the normalized frame",
+  "passed": true,
+  "results": {
+    "equivalence": {
+      "bound_holds": true,
+      "full_residual": 2.8236324815076412,
+      "identity_residual": 0.0,
+      "kappa": 2.414213562373095,
+      "mode": "exact",
+      "reduced_residual": 2.125
+    },
+    "field": "linear",
+    "residual": {
+      "breakdown": {
+        "eq_1": 2.125,
+        "factored_form_gap": 0.0
+      },
+      "l2_norm": 1.5138251770487459,
+      "mode": "exact",
+      "sup_norm": 2.125,
+      "worst_node": [
+        1,
+        15
+      ]
+    }
+  },
+  "schema": 1
+}
+"""
+
+
 class TestDefaultTolerance:
     def test_exact_mode_is_the_floor(self):
         assert report.default_tolerance(Patch.box(1, 0.0, 1.0, 9), "exact",
@@ -370,6 +452,15 @@ class TestReportSerialisation:
         assert run(["pluri", "check", SCENES / "standard2d.json", "--field", "bump",
                     "--no-meta"]) == 0
         assert capsys.readouterr().out == _PINNED_PLURI_BUMP
+
+    @pytest.mark.parametrize("argv, pinned", [
+        (["acs", "extract-pq", SCENES / "pq_n1.json"], _PINNED_EXTRACT_PQ_N1),
+        (["holo", "reduced", SCENES / "fixture_n1.json", "--field", "linear"],
+         _PINNED_REDUCED_LINEAR),
+    ], ids=["extract-pq", "holo-reduced"])
+    def test_moduli_reports_are_pinned(self, capsys, argv, pinned):
+        assert run(argv + ["--no-meta"]) == 0
+        assert capsys.readouterr().out == pinned
 
 
 class TestCliReports:
@@ -415,6 +506,50 @@ class TestCliReports:
              "--no-meta"])
         out = json.loads(capsys.readouterr().out)
         assert out["results"]["nijenhuis_residual"] <= 1e-10
+
+
+def _grid_linalg_calls(monkeypatch, argv) -> dict:
+    """The numpy ``det`` and ``inv`` calls on a grid of matrices in one CLI
+    run.  These grids fit one slab, so each ``det`` call is one pass of the
+    singular-matrix guard."""
+    calls = Counter()
+    for name in ("det", "inv"):
+        def counting(a, name=name, original=getattr(np.linalg, name)):
+            if np.ndim(a) > 2:
+                calls[name] += 1
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    assert run(argv + ["--no-meta"]) == 0
+    return dict(calls)
+
+
+class TestOneInversePerMatrix:
+    """The moduli pipeline guards and inverts C - E and Q once each."""
+
+    def test_extract_pq(self, capsys, monkeypatch):
+        argv = ["acs", "extract-pq", SCENES / "type1.json", "--grid", "5"]
+        assert _grid_linalg_calls(monkeypatch, argv) == {"det": 2, "inv": 2}
+        capsys.readouterr()
+
+    def test_holo_reduced(self, capsys, monkeypatch):
+        # the third of each is the complex (C - E)^-1 of the equivalence check
+        argv = ["holo", "reduced", SCENES / "fixture_n1.json", "--field", "linear"]
+        assert _grid_linalg_calls(monkeypatch, argv) == {"det": 3, "inv": 3}
+        capsys.readouterr()
+
+
+class TestFlagHelp:
+    def test_every_flag_has_help(self):
+        missing, todo = [], [cli.build_parser()]
+        while todo:
+            parser = todo.pop()
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    todo.extend(action.choices.values())
+                elif not action.help:
+                    missing.append(f"{parser.prog} {'/'.join(action.option_strings)}")
+        assert missing == []
 
 
 class TestParserReuse:

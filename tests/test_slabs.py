@@ -219,7 +219,7 @@ def test_first_singular_node_in_a_later_slab(monkeypatch):
 
     def check():
         with pytest.raises(SingularMatrixError) as err:
-            pointwise_inverse(values, "Q")
+            pointwise_inverse(values, "Q is singular")
         return err.value.node
 
     assert whole_and_slabbed(monkeypatch, check) == ((4, 2, 3, 1), (4, 2, 3, 1))

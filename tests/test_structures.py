@@ -246,7 +246,7 @@ class TestExtract:
         for _ in range(20):
             acs = reconstruct_from_pq(random_pq(rng, patch))
             bd = normalize_at_origin(acs, (4, 4))
-            back = reconstruct_from_pq(extract_pq(bd), symbolic="never")
+            back = reconstruct_from_pq(extract_pq(bd))
             assert np.abs(back.cot_values() - bd.reassembled()).max() <= 1e-10
 
     def test_normalized_pair_recovered_exactly(self, patch2d_sym):
@@ -265,7 +265,7 @@ class TestExtract:
         acs = structure_from_cot(patch2d_sym,
                                  [["x2", "x2^2 + 1"], ["-1", "-x2"]])
         bd = normalize_at_origin(acs, (4, 4))
-        back = reconstruct_from_pq(extract_pq(bd), symbolic="never")
+        back = reconstruct_from_pq(extract_pq(bd))
         assert np.abs(back.cot_values() - bd.reassembled()).max() <= 1e-10
 
     def test_type1_fixture_through_moduli_pipeline(self, patch4d):
@@ -279,7 +279,7 @@ class TestExtract:
         for block in (bd.A, bd.B, bd.C, bd.D):
             assert np.abs(block.values[base]).max() <= 1e-10
         assert max(bd.identity_residuals().values()) <= 1e-10
-        back = reconstruct_from_pq(extract_pq(bd), symbolic="never")
+        back = reconstruct_from_pq(extract_pq(bd))
         assert np.abs(back.cot_values() - bd.reassembled()).max() <= 1e-10
 
 
