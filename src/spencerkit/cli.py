@@ -52,8 +52,8 @@ from .hypercomplex import (
 from .report import default_tolerance, interior_sup, jsonable
 from .scene import Scene, SceneError, load_scene
 from .spencer import _superposition, _verified
-from .structures import extract_pq, nijenhuis_residual, normalize_at_origin, \
-    reconstruct_from_pq
+from .structures import PQPair, extract_pq, nijenhuis_residual, normalize_at_origin, \
+    reconstruct_from_pq, reconstructs_exactly
 
 DESCRIPTIONS = {
     "acs.check": "structure squares to -E; quadratic form bounded below",
@@ -114,6 +114,21 @@ def _tolerance(args, scene: Scene, floor: float = 1e-8) -> float:
     return default_tolerance(scene.patch, scene.mode, floor, 30.0)
 
 
+def _solve(scene: Scene, op, boundary: ScalarField, oracle: str | None):
+    """Dirichlet solve at ``tolerances.solver``: the solution (the best one
+    if the solver does not converge), its stats, and its interior error
+    against the ``oracle`` expression, if given."""
+    try:
+        solution, stats = solve_dirichlet(DirichletProblem(
+            op, boundary, tolerance=scene.tolerance("solver", 1e-8)))
+    except ConvergenceError as exc:  # the caller reports it, passed false
+        solution, stats = exc.best, exc.stats
+    if oracle is None:
+        return solution, stats, None
+    exact = ScalarField.from_expr(scene.patch, oracle).samples
+    return solution, stats, interior_sup(solution.samples - exact, scene.patch)
+
+
 def _base_node(args, patch: Patch) -> tuple[int, ...]:
     if args.base:
         node = tuple(int(v) for v in args.base.split(","))
@@ -146,10 +161,12 @@ def cmd_acs_check(args) -> int:
 
 
 def cmd_acs_from_pq(args) -> int:
-    scene = _scene(args)
-    pq = scene.pq_pair()
-    if not pq.reconstructs_exactly:  # the written scene needs entry expressions
+    scene = load_scene(args.scene, grid_override=args.grid)
+    p, q = scene.pq_matrices()
+    # the written scene needs entry expressions; decided before Q is sampled
+    if not reconstructs_exactly(p, q):
         raise SceneError("symbolic reconstruction unavailable for this pair")
+    pq = PQPair(scene.patch, p, q)
     acs = reconstruct_from_pq(pq)
     entries = [[str(e) for e in row] for row in acs.j_cot.exprs]
     out_scene = {
@@ -265,12 +282,7 @@ def cmd_elliptic_solve(args) -> int:
         boundary = read_field_csv(args.bc_csv)
         if boundary.patch != scene.patch:
             raise SceneError("boundary CSV grid does not match the scene patch")
-    problem = DirichletProblem(op, boundary,
-                               tolerance=scene.tolerance("solver", 1e-8))
-    try:
-        solution, stats = solve_dirichlet(problem)
-    except ConvergenceError as exc:  # reported below, with passed false
-        solution, stats = exc.best, exc.stats
+    solution, stats, err = _solve(scene, op, boundary, args.oracle or None)
     boundary_mask = np.ones(scene.patch.resolution, dtype=bool)
     boundary_mask[scene.patch.interior()] = False
     results = {
@@ -279,9 +291,7 @@ def cmd_elliptic_solve(args) -> int:
         "boundary_abs_max": float(np.abs(boundary.samples[boundary_mask]).max()),
     }
     passed = stats.converged
-    if args.oracle:
-        oracle = ScalarField.from_expr(scene.patch, args.oracle)
-        err = interior_sup(solution.samples - oracle.samples, scene.patch)
+    if err is not None:
         results["oracle_max_error"] = err
         if args.tol is not None:
             passed = passed and err <= args.tol
@@ -383,17 +393,13 @@ def cmd_convergence(args) -> int:
                 acs, scene.scalar_field(args.field), "fd")
             values.append(rep.sup_norm)
         else:
-            op = assemble_operator(acs, "fd")
-            boundary = ScalarField.from_expr(scene.patch, args.bc)
-            problem = DirichletProblem(op, boundary,
-                                       tolerance=scene.tolerance("solver", 1e-8))
-            try:
-                solution, _ = solve_dirichlet(problem)
-            except ConvergenceError as exc:
-                results = {"check": args.check, "values": values, "stats": exc.stats}
+            _, stats, err = _solve(scene, assemble_operator(acs, "fd"),
+                                   ScalarField.from_expr(scene.patch, args.bc),
+                                   args.oracle)
+            if not stats.converged:
+                results = {"check": args.check, "values": values, "stats": stats}
                 return emit("convergence", results, False, args)
-            oracle = ScalarField.from_expr(scene.patch, args.oracle)
-            values.append(interior_sup(solution.samples - oracle.samples, scene.patch))
+            values.append(err)
     orders = []
     for a, b in zip(values, values[1:]):
         # order undefined when a level is exactly resolved (residual 0)
@@ -444,19 +450,31 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _common(p: argparse.ArgumentParser):
+# Flags that only some commands read; each command names the ones it takes.
+_SHARED = {
+    "--mode": dict(choices=("exact", "fd", "auto"), default=None,
+                   help="differentiation mode override"),
+    "--tol": dict(type=_finite_non_negative, default=None,
+                  help="pass/fail tolerance for the check"),
+    "--seed": dict(type=_non_negative_int, default=0,
+                   help="seed for randomized certificates"),
+}
+
+
+def _command(sub, name: str, fn, help: str, *shared: str) -> argparse.ArgumentParser:
+    """Subcommand ``name`` of ``sub`` that runs ``fn``: the flags every
+    command reads, then the ``_SHARED`` flags named."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(fn=fn)
     p.add_argument("scene", help="scene JSON file")
     p.add_argument("--grid", type=int, default=None,
                    help="override resolution on every axis")
-    p.add_argument("--tol", type=_finite_non_negative, default=None,
-                   help="pass/fail tolerance for the check")
-    p.add_argument("--mode", choices=("exact", "fd", "auto"), default=None,
-                   help="differentiation mode override")
-    p.add_argument("--seed", type=_non_negative_int, default=0,
-                   help="seed for randomized certificates")
     p.add_argument("--out", "-o", default=None, help="write the report here")
     p.add_argument("--no-meta", action="store_true",
                    help="omit timestamps for byte-identical output")
+    for flag in shared:
+        p.add_argument(flag, **_SHARED[flag])
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,63 +485,50 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     groups = parser.add_subparsers(dest="group", required=True)
 
-    acs = groups.add_parser("acs", help="structure validation and moduli")
-    acs_sub = acs.add_subparsers(dest="command", required=True)
-    q = acs_sub.add_parser("check", help="validate and certify ellipticity")
-    _common(q)
+    def group(name: str, help: str):
+        return groups.add_parser(name, help=help).add_subparsers(dest="command",
+                                                                 required=True)
+
+    checks = ("--mode", "--tol")  # the shared flags of most commands
+    acs = group("acs", "structure validation and moduli")
+    q = _command(acs, "check", cmd_acs_check, "validate and certify ellipticity",
+                 "--mode", "--seed")
     q.add_argument("--nijenhuis", action="store_true",
                    help="also evaluate the Nijenhuis residual")
     q.add_argument("--samples", type=int, default=10_000,
                    help="certificate sample count")
-    q.set_defaults(fn=cmd_acs_check)
-    q = acs_sub.add_parser("from-pq", help="generate a structure from (P, Q)")
-    _common(q)
-    q.set_defaults(fn=cmd_acs_from_pq)
-    q = acs_sub.add_parser("extract-pq",
-                           help="normalize, decompose and round-trip")
-    _common(q)
+    _command(acs, "from-pq", cmd_acs_from_pq, "generate a structure from (P, Q)")
+    q = _command(acs, "extract-pq", cmd_acs_extract_pq,
+                 "normalize, decompose and round-trip", *checks)
     q.add_argument("--base", default=None,
                    help="base node indices, comma separated")
-    q.set_defaults(fn=cmd_acs_extract_pq)
 
-    holo = groups.add_parser("holo", help="holomorphy residuals")
-    holo_sub = holo.add_subparsers(dest="command", required=True)
-    q = holo_sub.add_parser("residual", help="full Cauchy-Riemann residual")
-    _common(q)
+    holo = group("holo", "holomorphy residuals")
+    q = _command(holo, "residual", cmd_holo_residual, "full Cauchy-Riemann residual",
+                 *checks)
     q.add_argument("--field", required=True, help="named complex field")
     q.add_argument("--anti", action="store_true",
                    help="check antiholomorphy instead")
-    q.set_defaults(fn=cmd_holo_residual)
-    q = holo_sub.add_parser("reduced", help="reduced system residual")
-    _common(q)
+    q = _command(holo, "reduced", cmd_holo_reduced, "reduced system residual", *checks)
     q.add_argument("--field", required=True, help="named complex field")
     q.add_argument("--base", default=None,
                    help="base node indices, comma separated")
-    q.set_defaults(fn=cmd_holo_reduced)
 
-    pluri = groups.add_parser("pluri", help="potential-form checks")
-    pluri_sub = pluri.add_subparsers(dest="command", required=True)
-    q = pluri_sub.add_parser("check", help="closedness plus operator kernel")
-    _common(q)
+    q = _command(group("pluri", "potential-form checks"), "check", cmd_pluri_check,
+                 "closedness plus operator kernel", *checks)
     q.add_argument("--field", required=True, help="named real field")
-    q.set_defaults(fn=cmd_pluri_check)
 
-    ell = groups.add_parser("elliptic", help="operator assembly and solves")
-    ell_sub = ell.add_subparsers(dest="command", required=True)
-    q = ell_sub.add_parser("solve", help="Dirichlet solve")
-    _common(q)
+    q = _command(group("elliptic", "operator assembly and solves"), "solve",
+                 cmd_elliptic_solve, "Dirichlet solve", *checks)
     q.add_argument("--bc", default=None, help="boundary expression")
     q.add_argument("--bc-field", default=None, help="named boundary field")
     q.add_argument("--bc-csv", default=None, help="boundary trace from a grid dump")
     q.add_argument("--oracle", default=None,
                    help="expression to compare the solution against")
     q.add_argument("--csv", default=None, help="dump the solution grid here")
-    q.set_defaults(fn=cmd_elliptic_solve)
 
-    br = groups.add_parser("bracket", help="twisted bracket checks")
-    br_sub = br.add_subparsers(dest="command", required=True)
-    q = br_sub.add_parser("check", help="bracket laws and potential residual")
-    _common(q)
+    q = _command(group("bracket", "twisted bracket checks"), "check",
+                 cmd_bracket_check, "bracket laws and potential residual", *checks)
     q.add_argument("--x", required=True, help="named vector field")
     q.add_argument("--y", required=True, help="named vector field")
     q.add_argument("--field", required=True, help="function the bracket acts on")
@@ -531,42 +536,33 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("holo_holo", "antiholo_antiholo",
                             "holo_antiholo", "antiholo_holo"),
                    help="also check the bracket law for this pair of types")
-    q.set_defaults(fn=cmd_bracket_check)
 
-    hyp = groups.add_parser("hyper", help="hypercomplex checks")
-    hyp_sub = hyp.add_subparsers(dest="command", required=True)
-    q = hyp_sub.add_parser("check", help="hyperholomorphy residuals")
-    _common(q)
+    q = _command(group("hyper", "hypercomplex checks"), "check", cmd_hyper_check,
+                 "hyperholomorphy residuals", *checks)
     q.add_argument("--function", default=None, help="named quaternion function")
     q.add_argument("--u", default=None, help="real field for the J potential")
     q.add_argument("--zeta", default=None, help="real field for the K potential")
-    q.set_defaults(fn=cmd_hyper_check)
 
-    sp = groups.add_parser("spencer", help="chart verification")
-    sp_sub = sp.add_subparsers(dest="command", required=True)
-    q = sp_sub.add_parser("verify", help="pattern and superposition checks")
-    _common(q)
+    q = _command(group("spencer", "chart verification"), "verify", cmd_spencer_verify,
+                 "pattern and superposition checks", *checks)
     q.add_argument("--chart", required=True, help="named chart")
     q.add_argument("--superpose", default=None,
                    help="holomorphic field to expand over the chart")
-    q.set_defaults(fn=cmd_spencer_verify)
 
-    conv = groups.add_parser("convergence",
-                             help="re-run a check at h, h/2, h/4")
-    _common(conv)
-    conv.add_argument("--check", required=True, choices=_CONV_CHECKS,
-                      help="check to re-run on each grid")
-    conv.add_argument("--field", default=None,
-                      help="named field for the holo and pluri checks")
-    conv.add_argument("--bc", default=None,
-                      help="boundary expression for the solve check")
-    conv.add_argument("--oracle", default=None,
-                      help="expression the solve check compares against")
-    conv.add_argument("--expect-order", type=_finite, default=None,
-                      help="fail unless every order is this one, within the window")
-    conv.add_argument("--order-window", type=_finite_non_negative, default=0.5,
-                      help="allowed distance from --expect-order")
-    conv.set_defaults(fn=cmd_convergence)
+    # always in fd mode, with the pass/fail rule of --expect-order
+    q = _command(groups, "convergence", cmd_convergence, "re-run a check at h, h/2, h/4")
+    q.add_argument("--check", required=True, choices=_CONV_CHECKS,
+                   help="check to re-run on each grid")
+    q.add_argument("--field", default=None,
+                   help="named field for the holo and pluri checks")
+    q.add_argument("--bc", default=None,
+                   help="boundary expression for the solve check")
+    q.add_argument("--oracle", default=None,
+                   help="expression the solve check compares against")
+    q.add_argument("--expect-order", type=_finite, default=None,
+                   help="fail unless every order is this one, within the window")
+    q.add_argument("--order-window", type=_finite_non_negative, default=0.5,
+                   help="allowed distance from --expect-order")
     return parser
 
 

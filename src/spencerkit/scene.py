@@ -147,12 +147,15 @@ class Scene:
         raise SceneError(f"structure kind {kind!r} is not an almost-complex "
                          "structure (use hyper commands for hypercomplex scenes)")
 
-    def pq_pair(self) -> PQPair:
+    def pq_matrices(self) -> tuple[MatrixField, MatrixField]:
+        """P and Q of a (P, Q) scene, unsampled."""
         spec = self.structure_spec
         _require(spec["kind"] == "pq", "scene structure is not a (P, Q) pair")
-        p = MatrixField.from_exprs(self.patch, spec["p"])
-        q = MatrixField.from_exprs(self.patch, spec["q"])
-        return PQPair(self.patch, p, q)
+        return (MatrixField.from_exprs(self.patch, spec["p"]),
+                MatrixField.from_exprs(self.patch, spec["q"]))
+
+    def pq_pair(self) -> PQPair:
+        return PQPair(self.patch, *self.pq_matrices())
 
     def hypercomplex(self) -> HypercomplexStructure:
         spec = self.structure_spec

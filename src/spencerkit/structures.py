@@ -38,6 +38,7 @@ __all__ = [
     "HypercomplexStructure",
     "validate_acs",
     "reconstruct_from_pq",
+    "reconstructs_exactly",
     "normalize_at_origin",
     "extract_pq",
     "quaternionic_standard",
@@ -192,11 +193,11 @@ class PQPair:
                                       node)
         self.q_condition = cond
 
-    @property
-    def reconstructs_exactly(self) -> bool:
-        """Whether ``reconstruct_from_pq`` keeps expression entries: P and Q
-        are expression-backed and n <= 3."""
-        return self.P.is_exact and self.Q.is_exact and self.patch.dim_half <= 3
+
+def reconstructs_exactly(P: MatrixField, Q: MatrixField) -> bool:
+    """Whether ``reconstruct_from_pq`` keeps expression entries for the pair
+    (P, Q): both are expression-backed and n <= 3.  Samples nothing."""
+    return P.is_exact and Q.is_exact and P.shape[0] <= 3
 
 
 # -- symbolic adjugate inversion (small matrices of expression entries) -----
@@ -248,7 +249,7 @@ def reconstruct_from_pq(pq: PQPair) -> AlmostComplexStructure:
     downstream); otherwise they are sampled, from the pair's ``qinv``.
     """
     n = pq.patch.dim_half
-    if pq.reconstructs_exactly:
+    if reconstructs_exactly(pq.P, pq.Q):
         qinv = symbolic_inverse(pq.Q)
         tl = -(pq.P @ qinv)
         tr = -(pq.P @ qinv @ pq.P) - pq.Q

@@ -14,8 +14,13 @@ checks, so only the functions that use it import it.
 No module-level function takes a parameter it never reads: a caller would
 build an argument for nothing.  Methods are exempt, since they may keep a
 signature their class shares.
+
+No ``spencerctl`` command declares a flag that it never reads: a user would
+type a value that changes nothing.  A command reads ``args.<dest>`` in its
+``fn`` or in a ``cli`` function that its ``fn`` passes ``args`` to.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -155,3 +160,73 @@ def test_the_check_sees_an_unused_parameter():
              "async def h(x, y=lambda y: y):\n    return x\n"
     assert _unused_parameters(source) == [
         "f: b (line 1)", "f: c (line 1)", "f: kw (line 1)", "h: y (line 8)"]
+
+
+def _args_reads(source: str) -> dict[str, set[str]]:
+    """The ``args.<dest>`` each module-level function reads, itself or
+    through the module-level functions it passes ``args`` to."""
+    funcs = {node.name: node for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef)}
+
+    def is_args(node) -> bool:
+        return isinstance(node, ast.Name) and node.id == "args"
+
+    direct, callees = {}, {}
+    for name, func in funcs.items():
+        nodes = list(ast.walk(func))
+        direct[name] = {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                        and isinstance(n.ctx, ast.Load) and is_args(n.value)}
+        callees[name] = {n.func.id for n in nodes if isinstance(n, ast.Call)
+                         and isinstance(n.func, ast.Name) and n.func.id in funcs
+                         and any(map(is_args, n.args + [k.value for k in n.keywords]))}
+    reads = {}
+    for name in funcs:
+        seen, todo = set(), [name]
+        while todo:
+            callee = todo.pop()
+            if callee not in seen:
+                seen.add(callee)
+                todo.extend(callees[callee])
+        reads[name] = set().union(*(direct[f] for f in seen))
+    return reads
+
+
+def _unread_flags(parser: argparse.ArgumentParser, source: str) -> list[str]:
+    """Arguments a subcommand of ``parser`` declares and its ``fn``, a
+    function of ``source``, never reads."""
+    reads = _args_reads(source)
+    hits, todo = [], [(parser, "")]
+    while todo:
+        p, path = todo.pop()
+        fn = p.get_default("fn")
+        for action in p._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                todo += [(sub, f"{path} {name}".strip())
+                         for name, sub in action.choices.items()]
+            elif fn is not None and not isinstance(action, argparse._HelpAction) \
+                    and action.dest not in reads[fn.__name__]:
+                hits.append(f"{path}: {(action.option_strings or [action.dest])[0]}")
+    return sorted(hits)
+
+
+def test_every_flag_is_read():
+    from spencerkit import cli
+
+    assert _unread_flags(cli.build_parser(), (PACKAGE / "cli.py").read_text()) == []
+
+
+def test_the_check_sees_an_unread_flag():
+    source = "def _load(args):\n    return args.scene\n" \
+             "def run(args):\n    args.out = None\n    return _load(args), args.deep\n" \
+             "def other(args):\n    return args.scene\n"
+    namespace = {}
+    exec(source, namespace)
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers()
+    for name, flags in (("run", ["--deep", "--out"]), ("other", ["--seed"])):
+        p = sub.add_parser(name)
+        p.add_argument("scene")
+        for flag in flags:
+            p.add_argument(flag)
+        p.set_defaults(fn=namespace[name])
+    assert _unread_flags(parser, source) == ["other: --seed", "run: --out"]

@@ -1,5 +1,8 @@
 import argparse
 import json
+import re
+import shlex
+import shutil
 from collections import Counter
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -16,7 +19,8 @@ from spencerkit.fields import Patch, ScalarField
 from spencerkit.report import jsonable
 from spencerkit.scene import SceneError, load_scene, parse_scene
 
-SCENES = Path(__file__).resolve().parent.parent / "scenes"
+ROOT = Path(__file__).resolve().parent.parent
+SCENES = ROOT / "scenes"
 
 
 def run(args):
@@ -133,9 +137,10 @@ class TestCliExitCodes:
             assert out == "" and "Traceback" not in stderr
             assert f"error: argument {flag}: '{value}' is " in stderr
 
-    def test_from_pq_without_expressions_is_2(self, tmp_path, capsys):
+    def test_from_pq_without_expressions_is_2(self, tmp_path, capsys, monkeypatch):
         # n = 4 is past the symbolic reconstruction, whose expressions the
-        # written scene needs (5 nodes per axis is the smallest 8D grid)
+        # written scene needs (5 nodes per axis is the smallest 8D grid);
+        # P, Q and n decide it, before any grid of Q is guarded or inverted
         p = [[f"0.1*x{i + j + 1}" for j in range(4)] for i in range(4)]
         q = [["-1" if i == j else "0" for j in range(4)] for i in range(4)]
         scene = {
@@ -146,11 +151,27 @@ class TestCliExitCodes:
         }
         path, target = tmp_path / "pq4.json", tmp_path / "rec.json"
         path.write_text(json.dumps(scene))
-        assert run(["acs", "from-pq", path, "-o", target, "--no-meta"]) == 2
+        argv = ["acs", "from-pq", path, "-o", target]
+        assert _grid_linalg_calls(monkeypatch, argv) == (2, {})
         out, stderr = capsys.readouterr()
         assert out == "" and "Traceback" not in stderr
         assert "symbolic reconstruction unavailable for this pair" in stderr
         assert not target.exists()
+
+    # each command takes only the flags it reads: convergence always runs in
+    # fd mode, acs check has no tolerance, and --seed is acs check's alone
+    @pytest.mark.parametrize("argv, flag", [
+        (_ORDERS + ["--mode", "exact"], "--mode"),
+        (["acs", "check", SCENES / "standard2d.json", "--tol", "1e-3"], "--tol"),
+        (_HOLO + ["--seed", "1"], "--seed"),
+    ], ids=["convergence-mode", "acs-check-tol", "holo-residual-seed"])
+    def test_flag_a_command_does_not_read_is_a_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as err:
+            run(argv + ["--no-meta"])
+        out, stderr = capsys.readouterr()
+        assert err.value.code == 2
+        assert out == "" and "Traceback" not in stderr
+        assert f"error: unrecognized arguments: {flag} " in stderr
 
     # json reads a bare NaN token; a scene tolerance takes the --tol rule
     @pytest.mark.parametrize("value", [float("nan"), -1.0], ids=["nan", "negative"])
@@ -508,10 +529,10 @@ class TestCliReports:
         assert out["results"]["nijenhuis_residual"] <= 1e-10
 
 
-def _grid_linalg_calls(monkeypatch, argv) -> dict:
-    """The numpy ``det`` and ``inv`` calls on a grid of matrices in one CLI
-    run.  These grids fit one slab, so each ``det`` call is one pass of the
-    singular-matrix guard."""
+def _grid_linalg_calls(monkeypatch, argv) -> tuple[int, dict]:
+    """The exit code of one CLI run and its numpy ``det`` and ``inv`` calls
+    on a grid of matrices.  These grids fit one slab, so each ``det`` call
+    is one pass of the singular-matrix guard."""
     calls = Counter()
     for name in ("det", "inv"):
         def counting(a, name=name, original=getattr(np.linalg, name)):
@@ -520,8 +541,7 @@ def _grid_linalg_calls(monkeypatch, argv) -> dict:
             return original(a)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    assert run(argv + ["--no-meta"]) == 0
-    return dict(calls)
+    return run(argv + ["--no-meta"]), dict(calls)
 
 
 class TestOneInversePerMatrix:
@@ -529,13 +549,13 @@ class TestOneInversePerMatrix:
 
     def test_extract_pq(self, capsys, monkeypatch):
         argv = ["acs", "extract-pq", SCENES / "type1.json", "--grid", "5"]
-        assert _grid_linalg_calls(monkeypatch, argv) == {"det": 2, "inv": 2}
+        assert _grid_linalg_calls(monkeypatch, argv) == (0, {"det": 2, "inv": 2})
         capsys.readouterr()
 
     def test_holo_reduced(self, capsys, monkeypatch):
-        # the third of each is the complex (C - E)^-1 of the equivalence check
+        # the equivalence check reads the decomposition's (C - E)^-1
         argv = ["holo", "reduced", SCENES / "fixture_n1.json", "--field", "linear"]
-        assert _grid_linalg_calls(monkeypatch, argv) == {"det": 3, "inv": 3}
+        assert _grid_linalg_calls(monkeypatch, argv) == (0, {"det": 2, "inv": 2})
         capsys.readouterr()
 
 
@@ -777,6 +797,31 @@ class TestGridCsv:
         write_field_csv(field, target)
         back = read_field_csv(target)
         assert np.array_equal(back.samples, field.samples)
+
+
+def _readme_commands() -> list[list[str]]:
+    """The spencerctl commands of the ``sh`` block under "Command line" in
+    the README, each without the leading ``spencerctl``."""
+    section = ROOT.joinpath("README.md").read_text().split("## Command line")[1]
+    block = re.search(r"```sh\n(.*?)```", section.split("\n## ")[0], re.S).group(1)
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        for command in line.split("&&"):
+            words = shlex.split(command)
+            assert words[0] == "spencerctl", command
+            commands.append(words[1:])
+    return commands
+
+
+class TestReadmeExamples:
+    def test_examples_exit_0(self, tmp_path, capsys, monkeypatch):
+        shutil.copytree(SCENES, tmp_path / "scenes")
+        monkeypatch.chdir(tmp_path)
+        commands = _readme_commands()
+        assert len(commands) >= 5
+        for argv in commands:
+            assert main(argv) == 0, argv
+        capsys.readouterr()
 
 
 class TestConsoleEntry:
