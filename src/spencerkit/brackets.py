@@ -76,9 +76,6 @@ class VectorFieldC:
                       for k in range(1, patch.dim + 1))
         return cls(patch, comps)
 
-    def is_exact(self) -> bool:
-        return all(c.is_exact for c in self.components)
-
     def __add__(self, other: "VectorFieldC") -> "VectorFieldC":
         return VectorFieldC(self.patch, tuple(a + b for a, b in
                                               zip(self.components, other.components)))
@@ -214,7 +211,8 @@ def bracket_law_check(acs: AlmostComplexStructure, x: VectorFieldC,
         raise EigenfieldError(
             f"fields are not in the declared eigenspaces for {case!r} "
             f"(residuals {ex:.2e}, {ey:.2e})")
-    mode = resolve_mode(mode, acs.is_exact and x.is_exact() and y.is_exact())
+    u = ComplexField.of(acs.patch, u)
+    mode = resolve_mode(mode, acs, *x.components, *y.components, u)
     lhs = bracket_j(acs, x, y, u, mode)
     if sx == sy:
         law = bracket(x, y, u, mode) * (sx * 1j)
@@ -260,8 +258,7 @@ def leibniz_defect_check(acs: AlmostComplexStructure, x: VectorFieldC,
     """
     f = ComplexField.of(acs.patch, f)
     h = ComplexField.of(acs.patch, h)
-    mode = resolve_mode(mode, acs.is_exact and f.is_exact and h.is_exact
-                        and x.is_exact() and y.is_exact())
+    mode = resolve_mode(mode, acs, *x.components, *y.components, f, h)
     jx = j_action(acs, x)
     jy = j_action(acs, y)
     lhs = bracket_j(acs, x, y, f * h, mode)

@@ -234,9 +234,8 @@ def cmd_holo_reduced(args) -> int:
     acs = scene.structure()
     f = scene.complex_field(args.field)
     bd = normalize_at_origin(acs, _base_node(args, scene.patch))
-    pq = extract_pq(bd)
     system = reduced_system(bd, f, scene.mode)
-    rep = reduced_system_residual(bd, pq, system)
+    rep = reduced_system_residual(bd, system)
     equiv = reduction_equivalence_check(bd, system)
     tol = args.tol
     passed = equiv.identity_residual <= 1e-8 and \

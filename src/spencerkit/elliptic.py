@@ -82,7 +82,7 @@ def __getattr__(name: str):
 def potential_oneform(acs: AlmostComplexStructure, u: ScalarField,
                       mode: str = "auto") -> MatrixField:
     """The 1-form (d x 1) with coefficients ``j_cot grad u``."""
-    mode = resolve_mode(mode, acs.is_exact and u.is_exact)
+    mode = resolve_mode(mode, acs, u)
     # matvec sums term by term, so the coefficients do not depend on how a
     # matrix product would order or fuse them
     coefficients = matvec(acs.j_cot, gradient(u, mode))
@@ -92,7 +92,7 @@ def potential_oneform(acs: AlmostComplexStructure, u: ScalarField,
 def potential_closedness_residual(acs: AlmostComplexStructure, u: ScalarField,
                                   mode: str = "auto") -> ResidualReport:
     """Sup norm of d(j_cot du); zero iff u has a closed potential form."""
-    mode = resolve_mode(mode, acs.is_exact and u.is_exact)
+    mode = resolve_mode(mode, acs, u)
     r = d_oneform(potential_oneform(acs, u, mode), mode)
     pointwise = np.abs(r).max(axis=(-2, -1))
     depth = ring_depth(mode)
@@ -110,6 +110,10 @@ class EllipticOperator:
     A: MatrixField
     B: tuple[ScalarField, ...]
     mode: str
+
+    @property
+    def is_exact(self) -> bool:
+        return self.mode == "exact"
 
     @cached_property
     def stencil(self) -> dict[tuple[int, ...], np.ndarray]:
@@ -186,7 +190,7 @@ def assemble_operator(acs: AlmostComplexStructure, mode: str = "auto",
     """
     if not acs.valid:
         raise ValueError("cannot assemble the operator of an invalid structure")
-    mode = resolve_mode(mode, acs.is_exact)
+    mode = resolve_mode(mode, acs)
     patch = acs.patch
     d = patch.dim
     c = acs.cot_values()
@@ -275,7 +279,7 @@ def apply_pointwise(op: EllipticOperator, u: ScalarField, mode: str = "auto",
                     ) -> np.ndarray:
     """L u from the coefficient fields (not the stencil); full-grid array.
     FD values are reliable on the interior."""
-    mode = resolve_mode(mode, u.is_exact and op.mode == "exact")
+    mode = resolve_mode(mode, op, u)
     grad = MatrixField(u.patch, [[g] for g in gradient(u, mode)])
     # Hessian: d/dx^s (du/dx^p) for s >= p, mirrored onto s < p
     hess = grad.derivatives(mode)[..., 0]
@@ -295,7 +299,7 @@ def contraction_identity_residual(acs: AlmostComplexStructure, u: ScalarField,
     holds for every structure and every C^2 function; in exact mode the
     residual is pure roundoff.
     """
-    mode = resolve_mode(mode, acs.is_exact and u.is_exact)
+    mode = resolve_mode(mode, acs, u)
     op = assemble_operator(acs, mode)
     lhs = apply_pointwise(op, u, mode)
     r = d_oneform(potential_oneform(acs, u, mode), mode)
@@ -325,7 +329,7 @@ def theorem_check(acs: AlmostComplexStructure, u: ScalarField,
     tolerance.  In particular functions with closed potential form satisfy
     L u = 0.
     """
-    mode = resolve_mode(mode, acs.is_exact and u.is_exact)
+    mode = resolve_mode(mode, acs, u)
     closed = potential_closedness_residual(acs, u, mode)
     op = assemble_operator(acs, mode)
     lap_sup = interior_sup(apply_pointwise(op, u, mode), acs.patch, ring_depth(mode))

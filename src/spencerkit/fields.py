@@ -12,7 +12,9 @@ Conventions used throughout the package:
 * Every field offers two differentiation modes.  ``exact`` differentiates
   the backing expression symbolically and evaluates the result on the grid;
   ``fd`` applies order-2 central differences (order-2 one-sided at the
-  boundary).  ``auto`` picks ``exact`` whenever an expression is available.
+  boundary).  ``auto`` picks ``exact`` when every input a check reads is
+  expression-backed, and inputs on different patches are a ``ValueError``
+  (``resolve_mode``).
 * Arithmetic on two expression-backed fields stays expression-backed, so
   residuals of composite quantities can still be differentiated exactly.
 * A 1-form is the d x 1 ``MatrixField`` of its coefficients, and its
@@ -24,7 +26,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -75,7 +77,6 @@ class Patch:
     dim_half: int
     bounds: tuple[tuple[float, float], ...]
     resolution: tuple[int, ...]
-    point_budget: int = field(default=DEFAULT_POINT_BUDGET, compare=False)
 
     def __post_init__(self):
         n = self.dim_half
@@ -95,9 +96,9 @@ class Patch:
         for k, r in enumerate(resolution):
             if r < 5:
                 raise PatchError(f"resolution must be at least 5 per axis (axis {k + 1})")
-        if self.n_points > self.point_budget:
+        if self.n_points > DEFAULT_POINT_BUDGET:
             raise PatchError(
-                f"grid has {self.n_points} points, budget is {self.point_budget}")
+                f"grid has {self.n_points} points, budget is {DEFAULT_POINT_BUDGET}")
 
     @property
     def dim(self) -> int:
@@ -149,7 +150,7 @@ class Patch:
     def refined(self, factor: int = 2) -> "Patch":
         """Patch with spacing divided by ``factor`` (same bounds)."""
         res = tuple(factor * (r - 1) + 1 for r in self.resolution)
-        return Patch(self.dim_half, self.bounds, res, self.point_budget)
+        return Patch(self.dim_half, self.bounds, res)
 
     @classmethod
     def box(cls, dim_half: int, lo: float, hi: float, resolution: int) -> "Patch":
@@ -157,7 +158,15 @@ class Patch:
         return cls(dim_half, ((lo, hi),) * d, (resolution,) * d)
 
 
-def resolve_mode(mode: str, exact_available: bool) -> str:
+def resolve_mode(mode: str, *inputs) -> str:
+    """The mode of a check that reads ``inputs``: fields, structures or
+    operators, each with a ``patch`` and ``is_exact``.  ``auto`` gives
+    ``exact`` when every input is expression-backed and ``fd`` otherwise.
+    Raises ``ValueError`` unless every input has the first one's patch."""
+    for x in inputs:
+        if x.patch is not inputs[0].patch and x.patch != inputs[0].patch:
+            raise ValueError("inputs live on different patches")
+    exact_available = all(x.is_exact for x in inputs)
     if mode == "auto":
         return "exact" if exact_available else "fd"
     if mode == "exact" and not exact_available:
@@ -397,7 +406,7 @@ class MatrixField:
 
     def diff(self, axis: int, mode: str = "auto") -> "MatrixField":
         """Partial derivative along 1-based ``axis``."""
-        if resolve_mode(mode, self.is_exact) == "exact":
+        if resolve_mode(mode, self) == "exact":
             return self._apply((), lambda e: e.derivative(axis), None)
         h = self.patch.spacing[axis - 1]
         return type(self)._of(self.patch, values=np.gradient(

@@ -16,7 +16,7 @@ import numpy as np
 from .fields import ComplexField, complex_gradient, resolve_mode
 from .report import ResidualReport, interior_sup, node_sup, report_from_pointwise, \
     slab_map
-from .structures import AlmostComplexStructure, BlockDecomposition, PQPair
+from .structures import AlmostComplexStructure, BlockDecomposition
 
 __all__ = [
     "holo_residual",
@@ -31,9 +31,7 @@ __all__ = [
 def _checked_gradient(acs: AlmostComplexStructure, f: ComplexField,
                       mode: str) -> tuple[np.ndarray, str]:
     """The complex gradient of f on the structure's patch, and its mode."""
-    if f.patch != acs.patch:
-        raise ValueError("function and structure live on different patches")
-    mode = resolve_mode(mode, acs.is_exact and f.is_exact)
+    mode = resolve_mode(mode, acs, f)
     return complex_gradient(f, mode), mode
 
 
@@ -90,7 +88,7 @@ def reduced_system(bd: BlockDecomposition, f: ComplexField, mode: str = "auto",
                    ) -> ReducedSystem:
     """The frame gradient of f and the reduction of its system, computed
     once for both reduction checks."""
-    mode = resolve_mode(mode, f.is_exact)
+    mode = resolve_mode(mode, bd.C, bd.D, f)
     h = np.einsum("ij,...j->...i", np.linalg.inv(bd.G), complex_gradient(f, mode))
     eye = np.eye(bd.n)
     w = np.linalg.solve(bd.C.values - eye, bd.D.values - 1j * eye)
@@ -98,19 +96,20 @@ def reduced_system(bd: BlockDecomposition, f: ComplexField, mode: str = "auto",
     return ReducedSystem(h1, h2, w, h1 + np.einsum("...ij,...j->...i", w, h2), mode)
 
 
-def reduced_system_residual(bd: BlockDecomposition, pq: PQPair,
+def reduced_system_residual(bd: BlockDecomposition,
                             system: ReducedSystem) -> ResidualReport:
     """Residual of the reduced n-equation system in the normalized frame.
 
     The full 2n-equation system collapses to ``h1 + (C-E)^-1 (D-iE) h2 = 0``
     where (h1, h2) are the first/last n components of the frame gradient.
     The factored form of the reduced operator in moduli coordinates is
-    ``P - iQ``; the gap between the two is reported as a consistency entry.
+    ``P - iQ = (C-E)^-1 (D - iE)``, read from the decomposition's ``cminv``;
+    the gap between the two is reported as a consistency entry.
     ``system`` is ``reduced_system(bd, f, mode)``.
     """
     rows = system.rows
     pointwise = np.linalg.norm(rows, axis=-1)
-    factored = pq.P.values - 1j * pq.Q.values
+    factored = bd.cminv @ bd.D.values - 1j * bd.cminv
     breakdown = {
         "factored_form_gap": float(np.abs(system.w - factored).max()),
     }

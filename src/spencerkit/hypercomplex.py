@@ -78,12 +78,6 @@ class QuaternionFunction:
         """Second complex projection zeta + i*eta."""
         return ComplexField(self.zeta, self.eta)
 
-    @property
-    def g(self) -> ComplexField:
-        """First K-splitting pair u + i*zeta (K-holomorphic when the
-        function is K-hyperholomorphic)."""
-        return ComplexField(self.u, self.zeta)
-
     def components(self) -> tuple[ScalarField, ScalarField, ScalarField, ScalarField]:
         return (self.u, self.v, self.zeta, self.eta)
 
@@ -133,9 +127,7 @@ class EigenPreconditionError(ValueError):
 def j_hyperholo_residual(h: HypercomplexStructure, F: QuaternionFunction,
                          mode: str = "auto") -> ResidualReport:
     """Residual of dF o J = S o dF through the complex splitting."""
-    if F.patch != h.patch:
-        raise ValueError("function and structure live on different patches")
-    mode = resolve_mode(mode, h.J.is_exact and F.f.is_exact and F.phi.is_exact)
+    mode = resolve_mode(mode, h.J, *F.components())
     parts = {
         "f_holomorphic": holo_residual(h.J, F.f, mode),
         "phi_antiholomorphic": antiholo_residual(h.J, F.phi, mode),
@@ -158,10 +150,7 @@ def _oneform_residual(acs: AlmostComplexStructure, grad_a: np.ndarray,
 def k_hyperholo_residual(h: HypercomplexStructure, G: QuaternionFunction,
                          mode: str = "auto") -> ResidualReport:
     """Residual of dG o K = T o dG as four translated 1-form systems."""
-    if G.patch != h.patch:
-        raise ValueError("function and structure live on different patches")
-    mode = resolve_mode(mode, h.K.is_exact and
-                        all(c.is_exact for c in G.components()))
+    mode = resolve_mode(mode, h.K, *G.components())
     k = h.K
     # the columns of the (*grid, d, 4) Jacobian are the component gradients
     jac = MatrixField(h.patch, [G.components()]).derivatives(mode)[..., 0, :]
@@ -182,8 +171,7 @@ def matrix_condition_residual(acs: AlmostComplexStructure, F: QuaternionFunction
     This is the unsplit matrix form of the hyperholomorphy condition; it
     vanishes together with the splitting residual.
     """
-    mode = resolve_mode(mode, acs.is_exact and
-                        all(c.is_exact for c in F.components()))
+    mode = resolve_mode(mode, acs, *F.components())
     # D^T columns are the gradients of the four components
     dt = MatrixField(acs.patch, [F.components()]).derivatives(mode)[..., 0, :]
     return interior_sup(acs.cot_values() @ dt - dt @ rightmult, acs.patch)
@@ -250,10 +238,7 @@ def hyper_potential_residual(h: HypercomplexStructure, u: ScalarField,
     closedness residuals, and the induced operator values: a closed J-part
     forces L_J u = 0 and a closed K-part forces L_K zeta = 0.
     """
-    if u.patch != h.patch or zeta.patch != h.patch:
-        raise ValueError("fields must live on the structure patch")
-    mode = resolve_mode(mode, h.J.is_exact and h.K.is_exact
-                        and u.is_exact and zeta.is_exact)
+    mode = resolve_mode(mode, h.J, h.K, u, zeta)
     rj = d_oneform(potential_oneform(h.J, u, mode), mode)
     rk = d_oneform(potential_oneform(h.K, zeta, mode), mode)
     patch, depth = h.patch, ring_depth(mode)

@@ -99,8 +99,6 @@ def _basis_columns(acs: AlmostComplexStructure, chart: SpencerChart,
                    mode: str) -> np.ndarray:
     """Complex basis matrix per node, columns = chart 1-form coefficients;
     raises ``DegenerateChartError`` where they are nearly dependent."""
-    if chart.patch != acs.patch:
-        raise ValueError("chart and structure live on different patches")
     patch = acs.patch
     d = patch.dim
     funcs = chart.functions()
@@ -150,8 +148,7 @@ def _verified(acs: AlmostComplexStructure, chart: SpencerChart, mode: str,
     representation must be i*e_j and the conjugate columns (offset n)
     -i*e_j; the first m basis columns must be holomorphic.
     """
-    exact_ok = acs.is_exact and all(f.is_exact for f in chart.functions())
-    mode = resolve_mode(mode, exact_ok)
+    mode = resolve_mode(mode, acs, *chart.functions())
     if tolerance is None:
         tolerance = default_tolerance(acs.patch, mode, 1e-8, 30.0)
     basis = _basis_columns(acs, chart, mode)
@@ -215,8 +212,7 @@ def verify_chart(acs: AlmostComplexStructure, chart: SpencerChart,
 
 def independence_rank(chart: SpencerChart, mode: str = "auto") -> int:
     """Minimum over grid nodes of the rank of the complex m x 2n Jacobian."""
-    exact_ok = all(f.is_exact for f in chart.holo)
-    mode = resolve_mode(mode, exact_ok)
+    mode = resolve_mode(mode, *chart.holo)
     rows = np.stack([complex_gradient(w, mode) for w in chart.holo], axis=-2)
     scale = np.abs(rows).max()
     ranks = np.linalg.matrix_rank(rows, tol=1e-8 * max(scale, 1.0))
@@ -234,6 +230,7 @@ def superposition_check(acs: AlmostComplexStructure, chart: SpencerChart,
     vanish.  Requires a chart that verifies and a holomorphic h, both at
     ``tolerance`` (by default the chart tolerance), and errors otherwise.
     """
+    mode = resolve_mode(mode, acs, *chart.functions(), h)
     (pattern,), basis = _verified(acs, chart, mode, tolerance)
     if not pattern.passes:
         raise ChartError("chart failed verification; superposition is undefined")
@@ -281,9 +278,7 @@ def transition_holomorphy_check(chart_a: SpencerChart, chart_b: SpencerChart,
         raise ChartError("charts live on disjoint patches; no overlap to check")
     if chart_a.m != chart_b.m:
         raise ChartError("charts declare different types")
-    mode = resolve_mode(mode, acs.is_exact
-                        and all(f.is_exact for f in chart_a.functions())
-                        and all(f.is_exact for f in chart_b.functions()))
+    mode = resolve_mode(mode, acs, *chart_a.functions(), *chart_b.functions())
     bases = []
     for name, chart in (("first", chart_a), ("second", chart_b)):
         (pattern,), basis = _verified(acs, chart, mode, None)
@@ -354,6 +349,10 @@ def hyper_spencer_pattern_check(h: HypercomplexStructure,
     if len(chart) != len(antichart):
         raise ValueError("chart and antichart must have the same length")
     m = len(chart)
+    inputs = (h.J, *chart, *antichart)
+    if transition is not None:
+        inputs += (h.K, *transition.components())
+    mode = resolve_mode(mode, *inputs)
     # chart-led basis: complement by the conjugated antichart (J-holomorphic)
     lead = SpencerChart(m, tuple(chart),
                         tuple(f.conjugate() for f in antichart))

@@ -474,7 +474,7 @@ def nijenhuis_residual(acs: AlmostComplexStructure, mode: str = "auto") -> float
     N from two batched matrix products, antisymmetrized once
     (``_nijenhuis_sup``).
     """
-    mode = resolve_mode(mode, acs.is_exact)
+    mode = resolve_mode(mode, acs)
     patch = acs.patch
     d = patch.dim
     per_node = slab_map(_nijenhuis_sup, patch.resolution, 8 * d ** 3,

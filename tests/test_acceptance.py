@@ -146,7 +146,6 @@ def test_criterion_3_block_reduction_proposition():
                     MatrixField.constant(patch, q0))
         acs = reconstruct_from_pq(pq)
         bd = normalize_at_origin(acs)
-        out = extract_pq(bd)
         w = np.linalg.solve(bd.C.values[(0,) * patch.dim] - np.eye(n),
                             bd.D.values[(0,) * patch.dim] - 1j * np.eye(n))
         h2 = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -158,7 +157,7 @@ def test_criterion_3_block_reduction_proposition():
                         for q in range(patch.dim))
         f = ComplexField.from_exprs(patch, re, im)
         system = reduced_system(bd, f)
-        rep = reduced_system_residual(bd, out, system)
+        rep = reduced_system_residual(bd, system)
         assert rep.sup_norm <= 1e-10
         equiv = reduction_equivalence_check(bd, system)
         worst_full = max(worst_full, equiv.full_residual)

@@ -223,6 +223,13 @@ class TestLaws:
                                 u, "antiholo_holo")
         assert rep.law_residual <= 1e-10
 
+    def test_sampled_function_runs_in_fd(self, std, patch2d_sym):
+        x = d_dz(patch2d_sym)
+        u = ScalarField.from_expr(patch2d_sym, "x1^2*x2").sampled()
+        rep = bracket_law_check(std, x, x, u, "holo_holo")
+        assert rep.mode == "fd"
+        assert rep.law_residual <= 1e-12
+
     def test_eigen_precondition_enforced(self, std, patch2d_sym):
         x = VectorFieldC.coordinate(patch2d_sym, 1)  # not an eigenfield
         u = ScalarField.from_expr(patch2d_sym, "x1")

@@ -225,6 +225,12 @@ class TestApply:
         sl = fixture_acs.patch.interior()
         assert np.abs(out.samples[sl] - op.B[0].samples[sl]).max() <= 1e-11
 
+    def test_pointwise_field_on_another_patch_is_an_error(self):
+        op = assemble_operator(standard_structure(Patch.box(1, 0.0, 1.0, 9)))
+        u = ScalarField.from_expr(Patch.box(1, -3.0, 3.0, 9), "x1*x2")
+        with pytest.raises(ValueError, match="different patches"):
+            apply_pointwise(op, u)
+
     def test_linearity_machine_precision(self, fixture_acs):
         patch = fixture_acs.patch
         op = assemble_operator(fixture_acs)

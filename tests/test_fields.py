@@ -17,6 +17,7 @@ from spencerkit.fields import (
     gradient,
     line_integral,
     matvec,
+    resolve_mode,
 )
 from spencerkit.fixtures import conjugated_hypercomplex
 from spencerkit.hypercomplex import k_hyperholo_residual
@@ -110,6 +111,27 @@ class TestEvalField:
         u = ScalarField.from_samples(patch2d, np.zeros(patch2d.resolution))
         with pytest.raises(ModeError):
             u.diff(1, "exact")
+
+
+class TestResolveMode:
+    def test_auto_is_exact_only_when_every_input_is(self, patch2d):
+        u = ScalarField.from_expr(patch2d, "x1*x2")
+        z = ComplexField.from_exprs(patch2d, "x1", "x2")
+        assert resolve_mode("auto", u, z) == "exact"
+        assert resolve_mode("auto", u, z, u.sampled()) == "fd"
+        assert resolve_mode("fd", u, z) == "fd"
+        with pytest.raises(ModeError):
+            resolve_mode("exact", u.sampled(), z)
+        with pytest.raises(ValueError, match="unknown mode"):
+            resolve_mode("symbolic", u)
+
+    def test_inputs_on_different_patches_are_an_error(self, patch2d):
+        u = ScalarField.from_expr(patch2d, "x1")
+        v = ScalarField.from_expr(Patch.box(1, -3.0, 3.0, 9), "x1")
+        assert v.patch.resolution == u.patch.resolution
+        for mode in ("auto", "exact", "fd"):
+            with pytest.raises(ValueError, match="different patches"):
+                resolve_mode(mode, u, v)
 
 
 class TestGradient:
@@ -313,8 +335,10 @@ class TestMatrixArray:
             stacked = m.derivatives(mode)
             assert stacked.shape == patch2d.resolution + (2, 2, 3)
             for s in (1, 2):
-                assert np.array_equal(stacked[..., s - 1, :, :],
-                                      m.diff(s, mode).values)
+                layer = m.diff(s, mode).values
+                assert np.array_equal(stacked[..., s - 1, :, :], layer)
+                # array_equal cannot tell -0.0 from +0.0; the bytes can
+                assert stacked[..., s - 1, :, :].tobytes() == layer.tobytes()
 
     def test_scalar_and_complex_fields_are_views_on_matrix_storage(self, patch2d):
         u = ScalarField(patch2d, "x1*x2")

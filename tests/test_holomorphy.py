@@ -138,9 +138,9 @@ class TestReducedSystem:
         return acs, bd, extract_pq(bd)
 
     def test_holomorphic_zero(self, patch2d):
-        acs, bd, pq = self._normalized(patch2d)
+        acs, bd, _ = self._normalized(patch2d)
         f = ComplexField.from_exprs(patch2d, "x1", "x2")
-        rep = reduced_system_residual(bd, pq, reduced_system(bd, f))
+        rep = reduced_system_residual(bd, reduced_system(bd, f))
         assert rep.sup_norm <= 1e-14
         assert rep.breakdown["factored_form_gap"] <= 1e-14
 
@@ -158,9 +158,9 @@ class TestReducedSystem:
 
     def test_conjugate_value_two(self, patch2d):
         # hand computation: row (1, i) applied to (1, -i) gives 2
-        acs, bd, pq = self._normalized(patch2d)
+        acs, bd, _ = self._normalized(patch2d)
         f = ComplexField.from_exprs(patch2d, "x1", "-x2")
-        rep = reduced_system_residual(bd, pq, reduced_system(bd, f))
+        rep = reduced_system_residual(bd, reduced_system(bd, f))
         assert rep.sup_norm == pytest.approx(2.0, rel=1e-14)
 
     def test_full_residual_zero_implies_reduced_zero(self, patch2d_sym):
@@ -168,13 +168,19 @@ class TestReducedSystem:
         patch = Patch.box(1, -0.4, 0.4, 9)
         acs = reconstruct_from_pq(random_pq(rng, patch))
         bd = normalize_at_origin(acs, (4, 4))
-        pq = extract_pq(bd)
         # z is generally not holomorphic for this structure, but the reduced
         # residual is always dominated by the full one
         f = ComplexField.from_exprs(patch, "x1", "x2")
         full = holo_residual(acs, f)
-        rep = reduced_system_residual(bd, pq, reduced_system(bd, f))
+        rep = reduced_system_residual(bd, reduced_system(bd, f))
         assert rep.sup_norm <= full.sup_norm * np.abs(np.linalg.inv(bd.G)).sum() + 1e-10
+
+
+    def test_field_on_another_patch_is_an_error(self):
+        bd = normalize_at_origin(standard_structure(Patch.box(1, 0.0, 1.0, 9)))
+        f = ComplexField.from_exprs(Patch.box(1, -3.0, 3.0, 9), "x1", "x2")
+        with pytest.raises(ValueError, match="different patches"):
+            reduced_system(bd, f)
 
 
 class TestReductionEquivalence:

@@ -18,6 +18,11 @@ signature their class shares.
 No ``spencerctl`` command declares a flag that it never reads: a user would
 type a value that changes nothing.  A command reads ``args.<dest>`` in its
 ``fn`` or in a ``cli`` function that its ``fn`` passes ``args`` to.
+
+Every ``resolve_mode`` call passes the inputs its check reads, never a flag
+computed from them (a boolean expression, a comparison, a constant, ``all``
+or ``any``, or a read of ``.is_exact``): the one rule in ``resolve_mode``
+then checks that they share a patch and picks the mode from all of them.
 """
 
 import argparse
@@ -230,3 +235,44 @@ def test_the_check_sees_an_unread_flag():
             p.add_argument(flag)
         p.set_defaults(fn=namespace[name])
     assert _unread_flags(parser, source) == ["other: --seed", "run: --out"]
+
+
+_FLAGS = (ast.BoolOp, ast.Compare, ast.UnaryOp, ast.Constant)
+
+
+def _mode_flags(source: str) -> list[str]:
+    """``resolve_mode`` calls that pass a computed flag in place of an input."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and "resolve_mode" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None))):
+            continue
+        inputs = node.args[1:] + [k.value for k in node.keywords if k.arg != "mode"]
+        for arg in inputs:
+            arg = arg.value if isinstance(arg, ast.Starred) else arg
+            if isinstance(arg, _FLAGS) or any(
+                    isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("all", "any")
+                    or isinstance(n, ast.Attribute) and n.attr == "is_exact"
+                    for n in ast.walk(arg)):
+                hits.append(node.lineno)
+                break
+    return [f"resolve_mode (line {line})" for line in sorted(hits)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_modes_resolve_from_inputs(path):
+    assert _mode_flags(path.read_text()) == []
+
+
+def test_the_check_sees_a_mode_flag():
+    source = "from . import fields\nfrom .fields import resolve_mode\n" \
+             "def f(acs, u, x, op, mode):\n" \
+             "    a = resolve_mode(mode, acs.is_exact and u.is_exact)\n" \
+             "    b = resolve_mode(mode, all(c.is_exact for c in x))\n" \
+             "    c = resolve_mode(mode, acs, u.is_exact)\n" \
+             "    d = resolve_mode(mode, not acs)\n" \
+             "    e = resolve_mode(mode, op.mode == 'exact')\n" \
+             "    g = fields.resolve_mode(mode, True)\n" \
+             "    h = resolve_mode(mode, *[any(x)])\n" \
+             "    return resolve_mode(mode, acs, *x, u.parts), a, b, c, d, e, g, h\n"
+    assert _mode_flags(source) == [f"resolve_mode (line {k})" for k in range(4, 11)]

@@ -553,9 +553,10 @@ class TestOneInversePerMatrix:
         capsys.readouterr()
 
     def test_holo_reduced(self, capsys, monkeypatch):
-        # the equivalence check reads the decomposition's (C - E)^-1
+        # the factored form and the equivalence check read the
+        # decomposition's (C - E)^-1; no moduli pair is built
         argv = ["holo", "reduced", SCENES / "fixture_n1.json", "--field", "linear"]
-        assert _grid_linalg_calls(monkeypatch, argv) == (0, {"det": 2, "inv": 2})
+        assert _grid_linalg_calls(monkeypatch, argv) == (0, {"det": 1, "inv": 1})
         capsys.readouterr()
 
 

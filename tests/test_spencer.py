@@ -137,6 +137,15 @@ class TestSuperposition:
         rep = superposition_check(std, chart, expz)
         assert rep.sup_norm <= 1e-10
 
+    def test_sampled_h_runs_in_fd(self, patch2d_sym):
+        std = standard_structure(patch2d_sym)
+        z = ComplexField.from_exprs(patch2d_sym, "x1", "x2")
+        h = z * z
+        sampled = ComplexField(h.re.sampled(), h.im.sampled())
+        rep = superposition_check(std, SpencerChart(1, (z,), ()), sampled)
+        assert rep.mode == "fd"
+        assert rep.sup_norm <= 1e-12
+
     def test_non_holomorphic_input_rejected(self, type1):
         acs, chart = type1
         h = chart.holo[0] + chart.complement[0]
@@ -226,6 +235,16 @@ class TestHyperPattern:
         assert rep.transition["affine_fit_residual"] <= 1e-9
         assert rep.transition["j_residual"] <= 1e-10
         assert rep.transition["k_residual"] <= 1e-10
+
+    def test_sampled_transition_runs_in_fd(self, patch4d):
+        h = flat_hypercomplex(patch4d)
+        F = QuaternionFunction.identity(patch4d)
+        trans = QuaternionFunction.affine(patch4d, (0.5, 1.0, -0.25, 2.0),
+                                          (0.0, 1.0, 0.0, -1.0))
+        sampled = QuaternionFunction(*(c.sampled() for c in trans.components()))
+        rep = hyper_spencer_pattern_check(h, [F.f], [F.phi], transition=sampled)
+        assert rep.holo_pattern.mode == "fd"
+        assert rep.passes
 
     def test_square_transition_fails_k(self, patch4d):
         h = flat_hypercomplex(patch4d)
