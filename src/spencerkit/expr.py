@@ -16,6 +16,9 @@ Every operation works on that graph:
   ``str()``, ``hash()`` and ``derivative(axis)`` (one entry per axis) on
   first use.  These live in the instance dictionary, outside the dataclass
   fields, so structural ``==``, ``hash`` and ``repr`` are unaffected;
+* ``derivatives(roots, axes)`` fills the derivative caches of every node
+  under ``roots`` for all requested axes in one walk; ``derivative(axis)``
+  is its one-axis case;
 * ``evaluate`` and ``evaluate_all`` compute each distinct node once per
   call, children first, and drop a node's value after its last parent used
   it;
@@ -49,6 +52,7 @@ __all__ = [
     "ExprNameError",
     "parse_expr",
     "evaluate_all",
+    "derivatives",
     "add",
     "sub",
     "mul",
@@ -147,6 +151,30 @@ def _fold(roots, rule: str, arg) -> list:
     return [values[id(root)] for root in roots]
 
 
+def derivatives(roots, axes) -> list[list["Expr"]]:
+    """Exact partial derivatives of every root along every 1-based axis:
+    ``[[d root / d x<axis> for root in roots] for axis in axes]``.
+
+    One walk fills each node's derivative cache for all ``axes``; a node is
+    entered unless its cache already holds every one of them.
+    """
+    axes = tuple(axes)
+    if min(axes, default=1) < 1:
+        raise ValueError("axis is 1-based")
+    wanted = set(axes)
+
+    def done(node):
+        return node._dcache is not None and node._dcache.keys() >= wanted
+
+    for node in _walk(roots, done):
+        kids = node._kids()
+        cache = node.__dict__.setdefault("_dcache", {})
+        for axis in axes:
+            if axis not in cache:
+                cache[axis] = node._derive([kid._dcache[axis] for kid in kids], axis)
+    return [[root._dcache[axis] for root in roots] for axis in axes]
+
+
 def evaluate_all(exprs, coords) -> list:
     """Values of several expressions on the same coordinates.
 
@@ -216,17 +244,10 @@ class Expr:
 
     def derivative(self, axis: int) -> "Expr":
         """Exact partial derivative with respect to ``x<axis>`` (1-based)."""
-        if axis < 1:
-            raise ValueError("axis is 1-based")
         cache = self._dcache
-        if cache is None or axis not in cache:
-            def done(node):
-                return node._dcache is not None and axis in node._dcache
-
-            for node in _walk((self,), done):
-                d = node._derive([kid._dcache[axis] for kid in node._kids()], axis)
-                node.__dict__.setdefault("_dcache", {})[axis] = d
-        return self._dcache[axis]
+        if cache is not None and axis in cache:
+            return cache[axis]
+        return derivatives((self,), (axis,))[0][0]
 
     def max_var_index(self) -> int:
         """Largest variable index used, 0 for a constant expression."""

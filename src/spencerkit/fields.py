@@ -31,7 +31,8 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .expr import Expr, Num, add, as_expr, evaluate_all, mul, neg, parse_expr, sub
+from .expr import (Expr, Num, add, as_expr, derivatives, evaluate_all, mul, neg,
+                   parse_expr, sub)
 from .report import sup_and_node
 
 __all__ = [
@@ -208,21 +209,46 @@ def _field_expr(patch: Patch, expr) -> Expr:
     return e
 
 
+# ``_sample`` writes an output larger than this through a root-major buffer
+# of about this size, or of one leading-axis row of all roots if that is more
+SAMPLE_BUFFER_BYTES = 1 << 20
+
+
 def _sample(patch: Patch, exprs) -> np.ndarray:
     """Samples of ``exprs`` stacked on a trailing axis: (*grid, len(exprs)).
 
     The expressions are evaluated together, so a node they share is computed
     once.  They are evaluated on the open mesh: a node that uses k of the d
     variables is computed on a k-dimensional array, and only each root is
-    broadcast to the full grid.  A non-finite sample raises
-    ``EvaluationError`` at the first such expression and node.
+    broadcast to the full grid.  An output larger than
+    ``SAMPLE_BUFFER_BYTES`` is written slab by slab of leading-axis rows:
+    each root fills its part of one root-major buffer of about that size (or
+    one row), and one transposing copy moves the buffer into the output,
+    which is so passed over once, not once per root.  A non-finite sample
+    raises ``EvaluationError`` at the first such expression and node.
     """
     values = _evaluate(exprs, patch.open_mesh, (0,) * patch.dim)
+    rows, *rest = patch.resolution
     out = np.empty(patch.resolution + (len(exprs),))
-    for k in range(len(exprs)):
-        out[..., k] = values[k]
-        values[k] = None  # drop each raw value once copied
-    if not np.isfinite(out).all():
+    if out.nbytes <= SAMPLE_BUFFER_BYTES:
+        # root by root: a buffer would be as large as this output
+        for k in range(len(values)):
+            out[..., k] = values[k]
+            values[k] = None  # drop each raw value once copied
+        finite = np.isfinite(out).all()
+    else:
+        step = max(1, SAMPLE_BUFFER_BYTES // out[0].nbytes)
+        buf = np.empty((len(exprs), step, *rest))
+        finite = True
+        for lo in range(0, rows, step):
+            slab = buf[:, :min(rows - lo, step)]
+            for k, v in enumerate(values):
+                # a root constant along the leading axis broadcasts as it is
+                slab[k] = v if np.ndim(v) == 0 or len(v) == 1 else v[lo:lo + step]
+            finite = finite and np.isfinite(slab).all()
+            out[lo:lo + step] = np.moveaxis(slab, 0, -1)
+        values = v = None  # drop the raw values once the last slab is written
+    if not finite:
         # expression by expression, then node by node
         _, (k, *node) = sup_and_node(~np.isfinite(np.moveaxis(out, -1, 0)))
         raise EvaluationError(f"non-finite value in field '{exprs[k]}'", tuple(node))
@@ -414,11 +440,26 @@ class MatrixField:
 
     def derivatives(self, mode: str = "auto") -> np.ndarray:
         """Samples of all d partial derivatives, shape (*grid, d, r, c);
-        ``[..., s, :, :]`` is the derivative along axis s + 1."""
-        d = self.patch.dim
-        out = np.empty(self.patch.resolution + (d,) + self.shape)
+        ``[..., s, :, :]`` is the derivative along axis s + 1.
+
+        In exact mode one walk builds the derivatives along every axis and
+        one evaluation samples them all, so a node they share is computed
+        once."""
+        patch, d = self.patch, self.patch.dim
+        if resolve_mode(mode, self) == "exact":
+            layers = derivatives(sum(self.exprs, ()), range(1, d + 1))
+            try:
+                out = _sample(patch, sum(layers, []))
+            except EvaluationError:
+                # the error the axis-by-axis sampling meets first: a raising
+                # constant on a later axis would otherwise name that axis
+                for layer in layers:
+                    _sample(patch, layer)
+                raise
+            return out.reshape(patch.resolution + (d,) + self.shape)
+        out = np.empty(patch.resolution + (d,) + self.shape)
         for s in range(d):
-            out[..., s, :, :] = self.diff(s + 1, mode).values
+            out[..., s, :, :] = self.diff(s + 1, "fd").values
         return out
 
 

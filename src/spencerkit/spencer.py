@@ -213,6 +213,8 @@ def verify_chart(acs: AlmostComplexStructure, chart: SpencerChart,
 def independence_rank(chart: SpencerChart, mode: str = "auto") -> int:
     """Minimum over grid nodes of the rank of the complex m x 2n Jacobian."""
     mode = resolve_mode(mode, *chart.holo)
+    if not chart.holo:  # a type-0 chart has no Jacobian rows
+        return 0
     rows = np.stack([complex_gradient(w, mode) for w in chart.holo], axis=-2)
     scale = np.abs(rows).max()
     ranks = np.linalg.matrix_rank(rows, tol=1e-8 * max(scale, 1.0))

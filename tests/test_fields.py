@@ -1,8 +1,10 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spencerkit import expr, fields
 from spencerkit.elliptic import EllipticOperator, apply_pointwise, potential_oneform
 from spencerkit.fields import (
     ComplexField,
@@ -19,7 +21,7 @@ from spencerkit.fields import (
     matvec,
     resolve_mode,
 )
-from spencerkit.fixtures import conjugated_hypercomplex
+from spencerkit.fixtures import conjugated_hypercomplex, type1_structure
 from spencerkit.hypercomplex import k_hyperholo_residual
 from spencerkit.report import interior_sup, report_from_pointwise
 from spencerkit.scene import load_scene
@@ -340,6 +342,52 @@ class TestMatrixArray:
                 # array_equal cannot tell -0.0 from +0.0; the bytes can
                 assert stacked[..., s - 1, :, :].tobytes() == layer.tobytes()
 
+    def test_exact_stack_is_one_walk_and_one_evaluation(self, patch2d, monkeypatch):
+        walks, evaluations = [], []
+        walk, evaluate_all = expr._walk, fields.evaluate_all
+
+        def counting_walk(roots, skip=None, uses=None):
+            if skip is not None:  # a derivative walk; evaluation passes uses
+                walks.append(len(roots))
+            return walk(roots, skip, uses)
+
+        def counting_evaluate_all(exprs, coords):
+            evaluations.append(len(exprs))
+            return evaluate_all(exprs, coords)
+
+        monkeypatch.setattr(expr, "_walk", counting_walk)
+        monkeypatch.setattr(fields, "evaluate_all", counting_evaluate_all)
+        MatrixField.from_exprs(patch2d, self.ROWS).derivatives("exact")
+        # one walk over the 2 x 3 entries, one evaluation of the 2 x 2 x 3 stack
+        assert walks == [6] and evaluations == [12]
+
+    @pytest.mark.parametrize("rows", [
+        [["x2", "sqrt(x1)"]],
+        # axis 1 has a non-finite value, axis 2 a raising constant (0^-1):
+        # the error is axis 1's, as when each axis was sampled on its own
+        [["sqrt(x1) + x2*0^-1"]],
+        [["x2*0^-1", "sqrt(x1)"]],
+    ])
+    def test_exact_stack_error_names_first_axis_entry_and_node(self, patch2d, rows):
+        m = MatrixField.from_exprs(patch2d, rows)
+        with pytest.raises(EvaluationError) as err:
+            m.derivatives("exact")
+        assert str(err.value) == \
+            "non-finite value in field '1.0 / (2.0 * sqrt(x1))' at node (0, 0)"
+        assert err.value.node == (0, 0)
+
+    def test_exact_stack_peak_memory_is_near_its_size(self):
+        # 4D grid 13: the stack is 13.9 MiB; sampling the axes one by one
+        # peaked at 1.28 times that, the batched slab write at 1.09
+        j_tan = type1_structure(Patch.box(2, -1.0, 1.0, 13)).j_tan
+        tracemalloc.start()
+        try:
+            stack = j_tan.derivatives("exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * stack.nbytes
+
     def test_scalar_and_complex_fields_are_views_on_matrix_storage(self, patch2d):
         u = ScalarField(patch2d, "x1*x2")
         assert isinstance(u, MatrixField) and u.shape == (1, 1)
@@ -383,6 +431,48 @@ class TestMatrixArray:
                                (z.conjugate() + w, zs.conjugate() + ws)):
             assert exact.is_exact and not sampled.is_exact
             assert np.array_equal(exact.values, sampled.values)
+
+
+class TestSampleSlabs:
+    # integer coordinates: x1 = 0 .. 10 on 11 rows, x2 = 0 .. 6 on 7 columns
+    PATCH = Patch(1, ((0.0, 10.0), (0.0, 6.0)), (11, 7))
+    # every shape evaluate_all returns: a Python float, a numpy scalar, open
+    # mesh arrays varying along one axis, (11, 1) and (1, 7), and the full
+    # grid
+    TEXTS = ["2.5", "sin(2)", "x1^2 - 3", "exp(x2)", "x1*x2 + sin(x1 - x2)",
+             "-1", "x1/7", "x2*cos(x1*x2)"]
+
+    # one row per slab, or three rows with a last slab of two; all eight
+    # roots, or two of them (an open mesh root and a full-grid one)
+    @pytest.mark.parametrize("texts", [TEXTS, TEXTS[3:5]])
+    @pytest.mark.parametrize("rows, slabs", [(1, 11), (3, 4)])
+    def test_slab_seams_do_not_change_bytes(self, monkeypatch, texts, rows, slabs):
+        exprs = [fields._field_expr(self.PATCH, t) for t in texts]
+        whole = fields._sample(self.PATCH, exprs)
+        copies = []
+        moveaxis = np.moveaxis
+        monkeypatch.setattr(np, "moveaxis", lambda *a: copies.append(a) or moveaxis(*a))
+        monkeypatch.setattr(fields, "SAMPLE_BUFFER_BYTES", rows * 7 * 8 * len(exprs))
+        slabbed = fields._sample(self.PATCH, exprs)
+        assert len(copies) == slabs  # one transposing copy per slab
+        assert slabbed.shape == (11, 7, len(exprs))
+        assert slabbed.tobytes() == whole.tobytes()
+        for k, e in enumerate(exprs):
+            with np.errstate(all="ignore"):
+                ref = reference_evaluate(e, self.PATCH.mesh)
+            assert slabbed[..., k].tobytes() == \
+                np.broadcast_to(ref, (11, 7)).astype(float).tobytes()
+
+    def test_non_finite_root_in_a_later_slab_is_named(self, monkeypatch):
+        # root 1 is infinite on row 9 only, root 2 on row 2 only, and the
+        # last row is finite: the first expression with a non-finite value
+        # is named, at its first node
+        exprs = [fields._field_expr(self.PATCH, t)
+                 for t in ["x1", "1/(x1 - 9)", "1/(x1 - 2)"] + self.TEXTS[:5]]
+        monkeypatch.setattr(fields, "SAMPLE_BUFFER_BYTES", 1)
+        with pytest.raises(EvaluationError) as err:
+            fields._sample(self.PATCH, exprs)
+        assert str(err.value) == "non-finite value in field '1.0 / (x1 - 9.0)' at node (9, 0)"
 
 
 def _scene_scalar_fields(scene):

@@ -120,6 +120,10 @@ class TestIndependenceRank:
             w2 = z1 * a[2] + z2 * a[3]
             assert independence_rank(SpencerChart(2, (w1, w2), ())) == 2
 
+    def test_type0_chart_has_rank_zero(self, patch2d):
+        chart = SpencerChart(0, (), (coordinate_function(patch2d, 1),))
+        assert independence_rank(chart) == 0
+
 
 class TestSuperposition:
     def test_square_of_holomorphic_coordinate(self, type1):
