@@ -26,6 +26,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .expr import (Expr, Num, add, as_expr, derivatives, evaluate_all, mul, neg,
                    parse_expr, sub)
-from .report import sup_and_node
+from .report import sup_and_node, tiles
 
 __all__ = [
     "DEFAULT_POINT_BUDGET",
@@ -210,26 +211,36 @@ def _field_expr(patch: Patch, expr) -> Expr:
 
 
 # ``_sample`` writes an output larger than this through a root-major buffer
-# of about this size, or of one leading-axis row of all roots if that is more
+# of about this size, or of one leading-axis row of all roots if that is
+# more; an fd derivative stack is built through buffers of about this size
 SAMPLE_BUFFER_BYTES = 1 << 20
 
 
-def _sample(patch: Patch, exprs) -> np.ndarray:
-    """Samples of ``exprs`` stacked on a trailing axis: (*grid, len(exprs)).
+def _sample(patch: Patch, exprs, tile: tuple[slice, ...] | None = None) -> np.ndarray:
+    """Samples of ``exprs`` stacked on a trailing axis: (*grid, len(exprs)),
+    or (*tile, len(exprs)) on the nodes of ``tile``, one ``slice(start,
+    stop)`` per grid axis.
 
     The expressions are evaluated together, so a node they share is computed
-    once.  They are evaluated on the open mesh: a node that uses k of the d
-    variables is computed on a k-dimensional array, and only each root is
-    broadcast to the full grid.  An output larger than
-    ``SAMPLE_BUFFER_BYTES`` is written slab by slab of leading-axis rows:
-    each root fills its part of one root-major buffer of about that size (or
-    one row), and one transposing copy moves the buffer into the output,
-    which is so passed over once, not once per root.  A non-finite sample
-    raises ``EvaluationError`` at the first such expression and node.
+    once.  They are evaluated on the open mesh (its part on the tile): a
+    node that uses k of the d variables is computed on a k-dimensional
+    array, and only each root is broadcast to the full output.  An output
+    larger than ``SAMPLE_BUFFER_BYTES`` is written slab by slab of
+    leading-axis rows: each root fills its part of one root-major buffer of
+    about that size (or one row), and one transposing copy moves the buffer
+    into the output, which is so passed over once, not once per root.  A
+    non-finite sample raises ``EvaluationError`` at the first such
+    expression and grid node.
     """
-    values = _evaluate(exprs, patch.open_mesh, (0,) * patch.dim)
-    rows, *rest = patch.resolution
-    out = np.empty(patch.resolution + (len(exprs),))
+    coords, corner, shape = patch.open_mesh, (0,) * patch.dim, patch.resolution
+    if tile is not None:
+        coords = tuple(m[(slice(None),) * k + (t,)]
+                       for k, (m, t) in enumerate(zip(coords, tile)))
+        corner = tuple(t.start for t in tile)
+        shape = tuple(t.stop - t.start for t in tile)
+    values = _evaluate(exprs, coords, corner)
+    rows, *rest = shape
+    out = np.empty(shape + (len(exprs),))
     if out.nbytes <= SAMPLE_BUFFER_BYTES:
         # root by root: a buffer would be as large as this output
         for k in range(len(values)):
@@ -251,7 +262,8 @@ def _sample(patch: Patch, exprs) -> np.ndarray:
     if not finite:
         # expression by expression, then node by node
         _, (k, *node) = sup_and_node(~np.isfinite(np.moveaxis(out, -1, 0)))
-        raise EvaluationError(f"non-finite value in field '{exprs[k]}'", tuple(node))
+        raise EvaluationError(f"non-finite value in field '{exprs[k]}'",
+                              tuple(i + c for i, c in zip(node, corner)))
     return out
 
 
@@ -434,33 +446,95 @@ class MatrixField:
         """Partial derivative along 1-based ``axis``."""
         if resolve_mode(mode, self) == "exact":
             return self._apply((), lambda e: e.derivative(axis), None)
-        h = self.patch.spacing[axis - 1]
-        return type(self)._of(self.patch, values=np.gradient(
-            self.values, h, axis=axis - 1, edge_order=2))
+        values = self.values
+        out = np.empty_like(values)  # in the layout of the samples
+        _fd_axis(values, self.patch.interior(0), axis - 1,
+                 self.patch.spacing[axis - 1], out)
+        return type(self)._of(self.patch, values=out)
 
-    def derivatives(self, mode: str = "auto") -> np.ndarray:
+    def derivatives(self, mode: str = "auto",
+                    tile: tuple[slice, ...] | None = None) -> np.ndarray:
         """Samples of all d partial derivatives, shape (*grid, d, r, c);
         ``[..., s, :, :]`` is the derivative along axis s + 1.
 
+        Given ``tile``, one ``slice(start, stop)`` per grid axis (a tile of
+        ``report.slab_map``), only the tile's nodes are built, shape
+        (*tile, d, r, c), with the bits of that block of the whole stack.
         In exact mode one walk builds the derivatives along every axis and
-        one evaluation samples them all, so a node they share is computed
-        once."""
+        one evaluation samples them all on the tile's part of the open mesh,
+        so a node they share is computed once.  A non-finite derivative
+        raises the ``EvaluationError`` that sampling the whole grid axis by
+        axis meets first, so the tile cannot change the axis, entry or node
+        it names.  In fd mode each axis is differenced (``_fd_axis``) from
+        the tile's samples and a halo of one node on each side the tile cuts,
+        or of three nodes at a grid edge.
+        """
         patch, d = self.patch, self.patch.dim
         if resolve_mode(mode, self) == "exact":
             layers = derivatives(sum(self.exprs, ()), range(1, d + 1))
             try:
-                out = _sample(patch, sum(layers, []))
+                out = _sample(patch, sum(layers, []), tile)
             except EvaluationError:
-                # the error the axis-by-axis sampling meets first: a raising
-                # constant on a later axis would otherwise name that axis
+                # the error the axis-by-axis sampling of the whole grid meets
+                # first: a raising constant on a later axis, or a non-finite
+                # value in this tile, would otherwise name another
                 for layer in layers:
                     _sample(patch, layer)
                 raise
-            return out.reshape(patch.resolution + (d,) + self.shape)
-        out = np.empty(patch.resolution + (d,) + self.shape)
-        for s in range(d):
-            out[..., s, :, :] = self.diff(s + 1, "fd").values
+            return out.reshape(out.shape[:-1] + (d,) + self.shape)
+        tile = tile or patch.interior(0)  # the whole grid
+        values = self.values
+        out = np.empty(tuple(t.stop - t.start for t in tile) + (d,) + self.shape)
+        # part by part of about SAMPLE_BUFFER_BYTES: each axis is differenced
+        # into one buffer laid out as the samples and copied into the stack,
+        # which is faster than differencing into the strided stack itself
+        node_bytes = values.itemsize * math.prod(self.shape)
+        for part in tiles(out.shape[:-3], max(1, SAMPLE_BUFFER_BYTES // node_bytes)):
+            at = tuple(slice(t.start + p.start, t.start + p.stop)
+                       for t, p in zip(tile, part))
+            buf = np.empty_like(values[at])  # in the layout of the samples
+            for s in range(d):
+                _fd_axis(values, at, s, patch.spacing[s], buf)
+                out[part][..., s, :, :] = buf
         return out
+
+
+def _fd_axis(f: np.ndarray, tile: tuple[slice, ...], axis: int, h: float,
+             out: np.ndarray) -> None:
+    """Order-2 differences of the samples ``f`` (grid axes leading) along
+    0-based ``axis`` with spacing ``h``, at the nodes of ``tile``, written
+    into ``out`` (the tile's axes leading).
+
+    These are the formulas of ``np.gradient(f, h, axis=axis,
+    edge_order=2)``, op for op, so the bits are the same: central
+    differences inside and one-sided ones at the grid's two edges.  Only the
+    tile's nodes and their neighbours along ``axis`` are read, and nothing
+    larger than one grid face is allocated.
+    """
+    lo, hi = tile[axis].start, tile[axis].stop
+    last = f.shape[axis] - 1
+
+    def f_at(a, b):  # f on the tile, with nodes a:b along ``axis``
+        return f[tile[:axis] + (slice(a, b),) + tile[axis + 1:]]
+
+    def out_at(a, b):  # out at the grid's nodes a:b along ``axis``
+        return out[(slice(None),) * axis + (slice(a - lo, b - lo),)]
+
+    a, b = max(lo, 1), min(hi, last)
+    if a < b:
+        inner = out_at(a, b)
+        np.subtract(f_at(a + 1, b + 1), f_at(a - 1, b - 1), out=inner)
+        np.divide(inner, 2.0 * h, out=inner)
+    # the one-sided formulas at the grid's edges: c0 f0 + c1 f1 + c2 f2 over
+    # the three nodes from ``near`` on, summed left to right
+    for node, near, coefficients in ((0, 0, (-1.5, 2.0, -0.5)),
+                                     (last, last - 2, (0.5, -2.0, 1.5))):
+        if lo <= node < hi:
+            c0, c1, c2 = (c / h for c in coefficients)
+            edge = c0 * f_at(near, near + 1)
+            edge += c1 * f_at(near + 1, near + 2)
+            edge += c2 * f_at(near + 2, near + 3)
+            out_at(node, node + 1)[...] = edge
 
 
 class ScalarField(MatrixField):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
@@ -9,11 +10,11 @@ import numpy as np
 
 __all__ = ["ResidualReport", "report_from_pointwise", "merge_reports",
            "sup_and_node", "interior_sup", "ring_depth", "default_tolerance",
-           "jsonable", "slab_map", "node_sup", "SLAB_BYTES"]
+           "jsonable", "slab_map", "tiles", "node_sup", "SLAB_BYTES"]
 
-# Pointwise kernels run over slabs of nodes sized so that the kernel's
+# Pointwise kernels run over tiles of nodes sized so that the kernel's
 # largest intermediate array stays under this many bytes; only the kernel's
-# inputs and its small per-node result span the whole grid.
+# array inputs and its small per-node result span the whole grid.
 SLAB_BYTES = 8 << 20
 
 
@@ -58,28 +59,53 @@ def sup_and_node(values: np.ndarray, depth: int = 0,
     return float(inner.flat[flat]), tuple(int(i) + depth for i in node)
 
 
-def slab_map(kernel, grid: tuple[int, ...], node_bytes: int, *arrays) -> np.ndarray:
-    """Per-node results of a pointwise ``kernel`` over the grid, slab by slab.
+def slab_map(kernel, grid: tuple[int, ...], node_bytes: int, *inputs) -> np.ndarray:
+    """Per-node results of a pointwise ``kernel`` over the grid, tile by tile.
 
-    Each of ``arrays`` has the grid axes ``grid`` leading and is viewed
-    node-major, as (N, ...) with the nodes in C order; the view must not
-    need a copy.  ``kernel`` is called on consecutive slabs of those views,
-    ``arr[a:b]``, of ``SLAB_BYTES // node_bytes`` nodes (at least one), where
-    ``node_bytes`` is the size per node of the kernel's largest
-    intermediate.  It returns the slab's per-node results, shape (n,) or
+    A tile is a block of the grid whose nodes are consecutive in C order: it
+    fixes one index on each axis before its cut axis, takes a range of
+    indices on the cut axis and spans every later axis.  It holds at most
+    ``SLAB_BYTES // node_bytes`` nodes (at least one), where ``node_bytes`` is
+    the size per node of the kernel's largest intermediate (``tiles``).
+
+    Each of ``inputs`` is an array with the grid axes ``grid`` leading, or a
+    callable that takes a tile, one ``slice(start, stop)`` per grid axis, and
+    returns the input's values on the tile's nodes, the tile's axes leading;
+    a callable builds what the kernel reads of, say, a derivative stack one
+    tile at a time.  Either is viewed node-major, as (n, ...) with the nodes
+    in C order, and the view must not need a copy.  ``kernel`` is called on
+    each tile's views and returns the tile's per-node results, shape (n,) or
     (n, k), which fill one array of shape ``grid`` or ``grid + (k,)``; the
     reductions over the grid then run on that array.
     """
     n = math.prod(grid)
-    views = [_node_major(a, n, len(grid)) for a in arrays]
-    step = max(1, SLAB_BYTES // node_bytes)
-    out = None
-    for start in range(0, n, step):
-        part = kernel(*(v[start:start + step] for v in views))
+    views = [x if callable(x) else _node_major(x, n, len(grid)) for x in inputs]
+    out, start = None, 0
+    for tile in tiles(grid, max(1, SLAB_BYTES // node_bytes)):
+        size = math.prod(t.stop - t.start for t in tile)
+        part = kernel(*(_node_major(v(tile), size, len(grid)) if callable(v)
+                        else v[start:start + size] for v in views))
         if out is None:
             out = np.empty((n,) + part.shape[1:], part.dtype)
-        out[start:start + step] = part
+        out[start:start + size] = part
+        start += size
     return out.reshape(tuple(grid) + out.shape[1:])
+
+
+def tiles(grid: tuple[int, ...], step: int):
+    """The tiles of ``grid`` in C order, each one ``slice(start, stop)`` per
+    axis, of at most ``step`` nodes (``step`` >= 1).
+
+    The cut axis is the first one whose single index, with every later axis,
+    holds at most ``step`` nodes; a tile takes as many of its indices as fit.
+    """
+    cut = next(k for k in range(len(grid)) if math.prod(grid[k + 1:]) <= step)
+    width = step // math.prod(grid[cut + 1:])
+    rest = tuple(slice(0, r) for r in grid[cut + 1:])
+    for lead in itertools.product(*map(range, grid[:cut])):
+        lead = tuple(slice(i, i + 1) for i in lead)
+        for lo in range(0, grid[cut], width):
+            yield lead + (slice(lo, min(lo + width, grid[cut])),) + rest
 
 
 def _node_major(a: np.ndarray, n: int, grid_axes: int) -> np.ndarray:

@@ -470,13 +470,14 @@ def nijenhuis_residual(acs: AlmostComplexStructure, mode: str = "auto") -> float
 
     ``N(e_i, e_j)^k`` is evaluated from the tangent representation and its
     derivatives at every interior node; the residual vanishes (up to mode
-    tolerance) exactly for integrable structures.  Each slab of nodes forms
-    N from two batched matrix products, antisymmetrized once
-    (``_nijenhuis_sup``).
+    tolerance) exactly for integrable structures.  Each tile of nodes builds
+    its own derivative stack and forms N from two batched matrix products,
+    antisymmetrized once (``_nijenhuis_sup``), so no stack spans the grid.
     """
     mode = resolve_mode(mode, acs)
     patch = acs.patch
     d = patch.dim
     per_node = slab_map(_nijenhuis_sup, patch.resolution, 8 * d ** 3,
-                        acs.cot_values(), acs.tan_values(), acs.j_tan.derivatives(mode))
+                        acs.cot_values(), acs.tan_values(),
+                        lambda tile: acs.j_tan.derivatives(mode, tile))
     return interior_sup(per_node, patch)

@@ -361,20 +361,29 @@ class TestMatrixArray:
         # one walk over the 2 x 3 entries, one evaluation of the 2 x 2 x 3 stack
         assert walks == [6] and evaluations == [12]
 
-    @pytest.mark.parametrize("rows", [
-        [["x2", "sqrt(x1)"]],
+    @pytest.mark.parametrize("rows, message, node, tiles", [
+        ([["x2", "sqrt(x1)"]], "'1.0 / (2.0 * sqrt(x1))'", (0, 0), ()),
         # axis 1 has a non-finite value, axis 2 a raising constant (0^-1):
         # the error is axis 1's, as when each axis was sampled on its own
-        [["sqrt(x1) + x2*0^-1"]],
-        [["x2*0^-1", "sqrt(x1)"]],
-    ])
-    def test_exact_stack_error_names_first_axis_entry_and_node(self, patch2d, rows):
+        ([["sqrt(x1) + x2*0^-1"]], "'1.0 / (2.0 * sqrt(x1))'", (0, 0),
+         [(slice(3, 5), slice(0, 9))]),
+        ([["x2*0^-1", "sqrt(x1)"]], "'1.0 / (2.0 * sqrt(x1))'", (0, 0),
+         [(slice(0, 2), slice(0, 9))]),
+        # axis 1 is non-finite from row 6 on, axis 2 on column 0 of every
+        # row: a tile of rows 0 and 1 meets only axis 2's error, and a tile
+        # of row 6 from column 3 on, axis 1's at another node
+        ([["sqrt(x2)", "sqrt(0.75 - x1)"]], "'(-1.0) / (2.0 * sqrt(0.75 - x1))'", (6, 0),
+         [(slice(0, 2), slice(0, 9)), (slice(6, 7), slice(3, 9)), (slice(8, 9), slice(0, 9))]),
+    ], ids=["rows0", "rows1", "rows2", "rows3"])
+    def test_exact_stack_error_names_first_axis_entry_and_node(self, patch2d, rows,
+                                                               message, node, tiles):
         m = MatrixField.from_exprs(patch2d, rows)
-        with pytest.raises(EvaluationError) as err:
-            m.derivatives("exact")
-        assert str(err.value) == \
-            "non-finite value in field '1.0 / (2.0 * sqrt(x1))' at node (0, 0)"
-        assert err.value.node == (0, 0)
+        # the whole grid, then tiles with a non-finite derivative
+        for tile in (None, *tiles):
+            with pytest.raises(EvaluationError) as err:
+                m.derivatives("exact", tile)
+            assert str(err.value) == f"non-finite value in field {message} at node {node}"
+            assert err.value.node == node
 
     def test_exact_stack_peak_memory_is_near_its_size(self):
         # 4D grid 13: the stack is 13.9 MiB; sampling the axes one by one

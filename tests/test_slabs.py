@@ -69,22 +69,34 @@ def pair():
 
 
 def test_slab_map_cuts_node_major_slabs(monkeypatch):
+    # a slab is a tile: a block of the grid whose nodes are consecutive in C
+    # order, cut on the first axis one index of which fits the budget
     monkeypatch.setattr(report, "SLAB_BYTES", 80)
     values = np.arange(24.0).reshape(3, 4, 2)
-    sizes = []
+    nodes = np.arange(12).reshape(3, 4)
+    for node_bytes, sizes in (
+            (1, [12]),         # 80 nodes a tile: the whole grid
+            (8, [8, 4]),       # 10 nodes: rows 0-1, then row 2, cut on axis 0
+            (16, [4, 4, 4]),   # 5 nodes: one row each
+            (27, [2] * 6),     # 2 nodes: two halves of each row, cut on axis 1
+            (1000, [1] * 12)):  # a node over the budget still makes one-node tiles
+        seen, tiles = [], []
 
-    def kernel(v):
-        sizes.append(len(v))
-        return np.stack([v.sum(axis=-1), v.max(axis=-1)], axis=-1)
+        def kernel(v, w):
+            seen.append(len(v))
+            assert v.tobytes() == w.tobytes()
+            return np.stack([v.sum(axis=-1), v.max(axis=-1)], axis=-1)
 
-    out = report.slab_map(kernel, (3, 4), 16, values)
-    assert sizes == [5, 5, 2]
-    assert out.shape == (3, 4, 2)
-    assert np.array_equal(out[..., 0], values.sum(axis=-1))
-    # a node larger than the slab budget still makes one-node slabs
-    sizes.clear()
-    report.slab_map(kernel, (3, 4), 1000, values)
-    assert sizes == [1] * 12
+        def tile_values(tile):  # a callable input: the tile's block, grid axes leading
+            tiles.append(tile)
+            return values[tile]
+
+        out = report.slab_map(kernel, (3, 4), node_bytes, values, tile_values)
+        assert seen == sizes
+        assert out.shape == (3, 4, 2)
+        assert out[..., 0].tobytes() == values.sum(axis=-1).tobytes()
+        # each tile starts at the node after the last one of the tile before
+        assert np.concatenate([nodes[t].ravel() for t in tiles]).tolist() == list(range(12))
 
 
 def test_slab_map_refuses_a_grid_that_needs_a_copy():
@@ -225,17 +237,69 @@ def test_first_singular_node_in_a_later_slab(monkeypatch):
     assert whole_and_slabbed(monkeypatch, check) == ((4, 2, 3, 1), (4, 2, 3, 1))
 
 
-def test_nijenhuis_peak_memory_is_bounded():
-    # Slabs keep the kernel's intermediates near report.SLAB_BYTES.  At 4D
-    # grid 15 (50,625 nodes) the full-grid kernel peaked at 112.9 MiB and the
-    # slabbed one at 57.4 MiB, of which the (*grid, d, d, d) derivative
-    # stack itself is 24.7 MiB.
-    acs = type1_structure(Patch.box(2, -1.0, 1.0, 15))
-    acs.tan_values()
+# Nodes a tile at PATCH's 4D grid 7, whose one index of axis 0 spans 343
+# nodes and of axis 1 49: axis 0 cut at every index, so one node from each
+# edge; axis 0 cut at 5; axis 1 cut at 6, one node from its top edge; axis
+# 1 cut at every index
+TILINGS = (343, 5 * 343, 6 * 49, 49)
+
+
+@pytest.mark.parametrize("mode", ["fd", "exact"])
+def test_nijenhuis_residual_in_every_tiling(monkeypatch, mode):
+    acs = type1_structure(PATCH)
+    assert report.SLAB_BYTES // (8 * 4 ** 3) >= PATCH.n_points
+    whole = np.float64(nijenhuis_residual(acs, mode))
+    assert whole > 0.0
+    for nodes in TILINGS:
+        monkeypatch.setattr(report, "SLAB_BYTES", nodes * 8 * 4 ** 3)
+        assert np.float64(nijenhuis_residual(acs, mode)).tobytes() == whole.tobytes()
+
+
+# fields whose derivative stacks are tiled: type1's tangent samples are a
+# transposed view of its cotangent ones, the pulled-back pair's are in C
+# order, and the last field's derivatives run through transcendental ufuncs
+FIELDS = {
+    "type1": lambda pair: type1_structure(PATCH).j_tan,
+    "pulled back": lambda pair: pair.J.j_tan,
+    "transcendental": lambda pair: MatrixField.from_exprs(
+        PATCH, [["sin(x1 + x2*x3)", "exp(x4)*x1"], ["x2^3 - x1*x4", "sqrt(2 + cos(x3))"]]),
+}
+
+
+@pytest.mark.parametrize("field, mode", [
+    ("type1", "fd"), ("type1", "exact"), ("pulled back", "fd"),
+    ("transcendental", "fd"), ("transcendental", "exact")])
+def test_derivative_stack_of_a_tile_is_its_block_of_the_whole(pair, field, mode):
+    m = FIELDS[field](pair)
+    whole = m.derivatives(mode)
+    for nodes in TILINGS + (6,):  # 6: axis 3 cut at 6, in 686 tiles
+        for tile in report.tiles(PATCH.resolution, nodes):
+            assert m.derivatives(mode, tile).tobytes() == whole[tile].tobytes()
+
+
+def _nijenhuis_peak(grid: int) -> int:
+    """``tracemalloc`` peak of the fd Nijenhuis residual of type1 at 4D
+    ``grid``, with its tangent and cotangent samples taken beforehand."""
+    acs = type1_structure(Patch.box(2, -1.0, 1.0, grid))
+    acs.tan_values(), acs.cot_values()
     tracemalloc.start()
     try:
         assert nijenhuis_residual(acs, "fd") == pytest.approx(2.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 80 * 2**20
+
+
+def test_nijenhuis_peak_memory_is_bounded():
+    # Tiles keep the kernel's intermediates, and the derivative stack each
+    # tile builds for it, near report.SLAB_BYTES.  At 4D grid 15 (50,625
+    # nodes) the full-grid kernel peaked at 112.9 MiB; slabbed over a
+    # full-grid (*grid, d, d, d) stack of 24.7 MiB, at 49.4 MiB; tiled, at
+    # 27.0 MiB, of which a tile's stack is 6.6 MiB.
+    assert _nijenhuis_peak(15) < 40 * 2**20
+
+
+def test_nijenhuis_peak_memory_at_grid_21_is_bounded():
+    # 194,481 nodes: a full-grid stack would be 95.0 MiB, and over it the
+    # slabbed kernel peaked at 140.3 MiB; tiled, it peaks at 19.8 MiB
+    assert _nijenhuis_peak(21) < 32 * 2**20
