@@ -200,7 +200,7 @@ def cmd_acs_extract_pq(args) -> int:
     bd = normalize_at_origin(acs, base)
     pq = extract_pq(bd)
     back = reconstruct_from_pq(pq)
-    gap = float(np.abs(back.cot_values() - bd.reassembled()).max())
+    gap = bd.round_trip_gap(back.cot_values())
     identities = bd.identity_residuals()
     tol = _tolerance(args, scene, 1e-10)
     passed = gap <= tol and max(identities.values()) <= tol

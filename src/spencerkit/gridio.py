@@ -30,9 +30,9 @@ def write_field_csv(field: ScalarField, path) -> None:
         "bounds," + ",".join(f"{b!r}" for pair in patch.bounds for b in pair),
         "data",
     ]
-    flat = field.samples.reshape(-1, patch.resolution[-1])
-    for row in flat:
-        lines.append(",".join(repr(float(v)) for v in row))
+    # tolist gives Python floats, whose repr is the shortest round trip
+    rows = field.samples.astype(float, copy=False).reshape(-1, patch.resolution[-1])
+    lines += [",".join(map(repr, row)) for row in rows.tolist()]
     FsPath(path).write_text("\n".join(lines) + "\n")
 
 

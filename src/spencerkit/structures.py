@@ -292,23 +292,43 @@ class BlockDecomposition:
         return np.block([[self.A.values, self.B.values + eye],
                          [self.C.values - eye, self.D.values]])
 
+    def _tiled_sups(self, kernel, *inputs) -> np.ndarray:
+        """Grid-wide max of ``kernel``'s per-node sups, one column each,
+        computed tile by tile (``report.slab_map``) on the blocks and
+        ``inputs``, so no intermediate spans the grid.  A max is exact, so
+        the tiles do not move its bits."""
+        n = self.n
+        per_node = slab_map(kernel, self.patch.resolution, 8 * 4 * n * n,
+                            self.A.values, self.B.values, self.C.values,
+                            self.D.values, *inputs)
+        return per_node.reshape(-1, per_node.shape[-1]).max(axis=0)
+
+    def round_trip_gap(self, cot: np.ndarray) -> float:
+        """max |cot - [[A, B+E], [C-E, D]]| over the grid, for cotangent
+        samples ``cot`` of shape (*grid, 2n, 2n)."""
+        n, eye = self.n, np.eye(self.n)
+
+        def gap(a, b, c, d, cot):
+            return np.stack([node_sup(cot[:, :n, :n] - a),
+                             node_sup(cot[:, :n, n:] - (b + eye)),
+                             node_sup(cot[:, n:, :n] - (c - eye)),
+                             node_sup(cot[:, n:, n:] - d)], axis=-1)
+
+        return float(self._tiled_sups(gap, cot).max())
+
     def identity_residuals(self) -> dict[str, float]:
         """Sup norms of the four block identities implied by J^2 = -E."""
-        n = self.n
-        eye = np.eye(n)
-        a, d = self.A.values, self.D.values
-        bp = self.B.values + eye
-        cm = self.C.values - eye
+        eye = np.eye(self.n)
 
-        def sup(x):
-            return float(np.abs(x).max())
+        def residuals(a, b, c, d):
+            bp, cm = b + eye, c - eye
+            return np.stack([node_sup(a @ a + bp @ cm + eye),
+                             node_sup(a @ bp + bp @ d),
+                             node_sup(cm @ a + d @ cm),
+                             node_sup(cm @ bp + d @ d + eye)], axis=-1)
 
-        return {
-            "sq_top": sup(a @ a + bp @ cm + eye),
-            "off_top": sup(a @ bp + bp @ d),
-            "off_bottom": sup(cm @ a + d @ cm),
-            "sq_bottom": sup(cm @ bp + d @ d + eye),
-        }
+        names = ("sq_top", "off_top", "off_bottom", "sq_bottom")
+        return dict(zip(names, map(float, self._tiled_sups(residuals))))
 
 
 def normalizing_frame(m0: np.ndarray, tolerance: float = 1e-8, *,

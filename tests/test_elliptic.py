@@ -1,4 +1,6 @@
+import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from spencerkit.elliptic import (
     theorem_check,
 )
 from spencerkit.elliptic import _assemble_system
-from spencerkit.fields import MatrixField, Patch, ScalarField
+from spencerkit.fields import DEFAULT_POINT_BUDGET, MatrixField, Patch, ScalarField
 from spencerkit.fixtures import pullback_structure, standard_structure, \
     structure_from_cot, type1_structure
 from spencerkit.scene import load_scene
@@ -575,6 +577,131 @@ class TestSolve:
         bc = ScalarField.const(p, 1.0)
         with pytest.warns(RuntimeWarning, match="Peclet"):
             solve_dirichlet(DirichletProblem(op, bc))
+
+
+class TestLuOrdering:
+    """``elliptic._lu_solver``: nested dissection for a stencil that couples
+    diagonal neighbours, minimum degree for an axis-only one."""
+
+    @pytest.mark.parametrize("shape, order", [
+        # 15 nodes: cut across axis 1 at index 2, lo and hi halves of 6
+        # nodes in C order, then the separator column
+        ((3, 5), [0, 1, 5, 6, 10, 11, 3, 4, 8, 9, 13, 14, 2, 7, 12]),
+        # equal axes: axis 0 is cut first, at row 2; each half of 10 nodes
+        # is cut again across axis 1
+        ((5, 5), [0, 1, 5, 6, 3, 4, 8, 9, 2, 7,
+                  15, 16, 20, 21, 18, 19, 23, 24, 17, 22,
+                  10, 11, 12, 13, 14]),
+    ], ids=["3x5", "5x5"])
+    def test_dissection_order_by_hand(self, shape, order):
+        assert elliptic._dissection_order(shape).tolist() == order
+
+    @staticmethod
+    def _dissection_by_recursion(shape):
+        """The numbering box by box, each box cut and numbered in turn."""
+        def number(box):
+            if box.size <= 8:
+                return box.ravel().tolist()
+            k = int(np.argmax(box.shape))
+            half = box.shape[k] // 2
+
+            def part(cut):
+                return box[(slice(None),) * k + (cut,)]
+
+            return number(part(slice(half))) + number(part(slice(half + 1, None))) \
+                + part(slice(half, half + 1)).ravel().tolist()
+
+        return number(np.arange(math.prod(shape)).reshape(shape))
+
+    @pytest.mark.parametrize("shape", [(9, 14), (17, 16), (8,) * 4, (6, 5, 7, 4), (3,) * 8])
+    def test_dissection_order_cuts_box_by_box(self, shape):
+        assert elliptic._dissection_order(shape).tolist() == self._dissection_by_recursion(shape)
+
+    @pytest.mark.parametrize("shape", [
+        (63, 63), (64, 64), (8,) * 4, (3,) * 8, (4,) * 8,
+        # the largest square 2D grid within the point budget
+        (math.isqrt(DEFAULT_POINT_BUDGET) - 2,) * 2,
+    ], ids=["2d-odd", "2d-even", "4d-8", "8d-3", "8d-4", "2d-budget"])
+    def test_dissection_order_is_a_permutation(self, shape):
+        order = elliptic._dissection_order(shape)
+        assert order.shape == (math.prod(shape),)
+        assert (np.bincount(order, minlength=order.size) == 1).all()
+
+    @staticmethod
+    def _recording(monkeypatch):
+        """Record the column ordering and the factor of every ``splu``."""
+        elliptic.__getattr__("spla")
+        real, calls = elliptic.spla, []
+
+        def splu(a, **kwargs):
+            lu = real.splu(a, **kwargs)
+            calls.append((kwargs["permc_spec"], lu))
+            return lu
+
+        monkeypatch.setattr(elliptic, "spla", SimpleNamespace(
+            splu=splu, gmres=real.gmres, LinearOperator=real.LinearOperator))
+        return calls
+
+    @staticmethod
+    def _system(acs, bc):
+        op = assemble_operator(acs)
+        boundary = ScalarField.from_expr(op.patch, bc).samples
+        matrix, rhs = _assemble_system(op, boundary)
+        return op, matrix, rhs, tuple(r - 2 for r in op.patch.resolution)
+
+    @pytest.mark.parametrize("acs, bc", [
+        (lambda: TestSolve._fixture_n1(33), "exp(x1)*cos(x2)"),
+        (lambda: type1_structure(Patch.box(2, -1.0, 1.0, 7)), "x1*x3 + x2^2 - x4"),
+    ], ids=["fixture_n1-33", "type1-7"])
+    def test_nested_dissection_matches_minimum_degree(self, monkeypatch, acs, bc):
+        op, matrix, rhs, shape = self._system(acs(), bc)
+        assert elliptic._couples_diagonal_neighbours(matrix, shape)
+        calls = self._recording(monkeypatch)
+        x = elliptic._lu_solver(matrix, shape)(rhs)
+        ((spec, lu),) = calls
+        assert spec == "NATURAL"
+        assert np.array_equal(lu.perm_r, np.arange(rhs.size))
+        mmd = elliptic.spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                 **elliptic._LU_OPTIONS)
+        ref = mmd.solve(rhs)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert lu.L.nnz + lu.U.nnz <= mmd.L.nnz + mmd.U.nnz
+
+    def test_standard_structure_keeps_minimum_degree_bytes(self, monkeypatch):
+        op, matrix, rhs, shape = self._system(
+            standard_structure(Patch.box(1, 0.0, 1.0, 33)), "exp(x1)*cos(x2)")
+        assert not elliptic._couples_diagonal_neighbours(matrix, shape)
+        calls = self._recording(monkeypatch)
+        sol, _ = solve_dirichlet(DirichletProblem(op, ScalarField.from_expr(
+            op.patch, "exp(x1)*cos(x2)")))
+        assert [spec for spec, _ in calls] == ["MMD_AT_PLUS_A"]
+        ref = elliptic.spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.1,
+                                 options={"SymmetricMode": True}).solve(rhs)
+        assert sol.samples[op.patch.interior()].tobytes() == ref.reshape(shape).tobytes()
+
+    def test_galerkin_coarse_level_couples_diagonal_neighbours(self, monkeypatch):
+        # the standard stencil is axis-only, but P^T A P of multilinear
+        # interpolation is not
+        op, matrix, rhs, shape = self._system(
+            standard_structure(Patch.box(1, 0.0, 1.0, 65)), "exp(x1)*cos(x2)")
+        calls = self._recording(monkeypatch)
+        elliptic._vcycle(matrix, shape)
+        assert [spec for spec, _ in calls] == ["NATURAL"]
+
+    @pytest.mark.parametrize("shape, pairs, coupled", [
+        ((4, 4), [(5, 6), (5, 9), (5, 1), (0, 12)], False),  # axis neighbours, a far pair
+        ((4, 4), [(5, 6), (5, 10)], True),                    # (1, 1) -> (2, 2)
+        ((4, 4), [(3, 4)], True),                             # (0, 3) -> (1, 0): flat shift 1
+        ((2, 3, 2), [(0, 1), (0, 2), (0, 6)], False),
+        ((2, 3, 2), [(0, 3)], True),                          # (0, 0, 0) -> (0, 1, 1)
+    ])
+    def test_diagonal_coupling_reads_every_entry(self, shape, pairs, coupled):
+        n = math.prod(shape)
+        rows, cols = zip(*pairs)
+        matrix = sparse.csr_matrix((np.ones(len(pairs)), (rows, cols)), shape=(n, n))
+        matrix = matrix + sparse.identity(n, format="csr")
+        assert elliptic._couples_diagonal_neighbours(matrix, shape) is coupled
 
 
 class TestScipyAtFirstUse:

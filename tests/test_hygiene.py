@@ -23,6 +23,10 @@ Every ``resolve_mode`` call passes the inputs its check reads, never a flag
 computed from them (a boolean expression, a comparison, a constant, ``all``
 or ``any``, or a read of ``.is_exact``): the one rule in ``resolve_mode``
 then checks that they share a patch and picks the mode from all of them.
+
+Only ``elliptic._lu_solver`` calls ``splu``: every sparse LU, direct or on
+the coarsest V-cycle level, gets the ordering that helper picks from the
+matrix, and perfbench's tracer sees every factorization there.
 """
 
 import argparse
@@ -276,3 +280,37 @@ def test_the_check_sees_a_mode_flag():
              "    h = resolve_mode(mode, *[any(x)])\n" \
              "    return resolve_mode(mode, acs, *x, u.parts), a, b, c, d, e, g, h\n"
     assert _mode_flags(source) == [f"resolve_mode (line {k})" for k in range(4, 11)]
+
+
+# the one function that factors a sparse matrix, and so picks its ordering
+LU_HELPER = ("elliptic.py", "_lu_solver")
+
+
+def _splu_calls(source: str, module: str) -> list[str]:
+    """``splu`` calls, as ``module:function (line)``, the function being the
+    top-level one they sit in ("<module>" at module level)."""
+    tree = ast.parse(source)
+    owner = {}
+    for top in tree.body:
+        for node in ast.walk(top):
+            owner[node] = top.name if isinstance(
+                top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else "<module>"
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and "splu" in (
+        getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+    return [f"{module}:{owner[node]} (line {node.lineno})"
+            for node in sorted(calls, key=lambda n: n.lineno)]
+
+
+def test_every_lu_goes_through_the_helper():
+    calls = [c for path in MODULES for c in _splu_calls(path.read_text(), path.name)]
+    assert calls and all(c.startswith(":".join(LU_HELPER) + " ") for c in calls), calls
+
+
+def test_the_check_sees_a_stray_splu():
+    source = "import scipy.sparse.linalg as spla\nfrom scipy.sparse.linalg import splu\n" \
+             "def _lu_solver(m):\n    return spla.splu(m)\n" \
+             "class Solver:\n    def factor(self, m):\n        return splu(m)\n" \
+             "lu = spla.splu(None)\n"
+    assert _splu_calls(source, "elliptic.py") == [
+        "elliptic.py:_lu_solver (line 4)", "elliptic.py:Solver (line 7)",
+        "elliptic.py:<module> (line 8)"]

@@ -791,6 +791,22 @@ class TestGridCsv:
             read_field_csv(target)
         assert str(err.value).startswith(f"{target}: ")
 
+    def test_rows_have_the_bytes_of_one_repr_per_value(self, tmp_path):
+        # signed zero, the least subnormal, a large integral value, integral
+        # values of both signs and long fractions
+        p = Patch.box(1, 0.0, 1.0, 5)
+        samples = np.array([[-0.0, 0.0, 5e-324, 1e22, 3.0],
+                            [-2.0, 1.0 / 3.0, -1e-300, 2.0 ** 53, 0.1],
+                            [1e16, -1e22, 123456789.0, -5e-324, 2.5],
+                            [np.pi, -np.e, 7.0, 1e-5, -0.5],
+                            [0.2, 4.0, -8.0, 1.7976931348623157e308, 6e-7]])
+        target = tmp_path / "exact.csv"
+        write_field_csv(ScalarField.from_samples(p, samples), target)
+        rows = [",".join(repr(float(v)) for v in row) for row in samples]
+        assert target.read_text().splitlines()[4:] == rows
+        assert np.array_equal(read_field_csv(target).samples, samples)
+        assert np.signbit(read_field_csv(target).samples[0, 0])
+
     def test_4d_round_trip(self, tmp_path):
         p = Patch.box(2, 0.0, 1.0, 5)
         field = ScalarField.from_expr(p, "x1 + 2*x3 - x4").sampled()

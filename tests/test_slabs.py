@@ -20,10 +20,13 @@ from spencerkit.spencer import SpencerChart, _basis_columns, _normalized_det, ve
 from spencerkit.structures import (
     InvalidStructureError,
     SingularMatrixError,
+    extract_pq,
     make_hypercomplex,
     nijenhuis_residual,
+    normalize_at_origin,
     pointwise_inverse,
     quaternionic_standard,
+    reconstruct_from_pq,
     validate_acs,
 )
 
@@ -35,6 +38,8 @@ PATCH = Patch.box(2, -1.5, 1.5, 7)
 SMALL_SLABS = 32 * 700
 # two interior nodes with flat indices 400 and 2000: slabs 0 and 2
 FIRST, LATER = (1, 1, 1, 1), (5, 5, 5, 5)
+# PATCH's grid on a box small enough for random moduli pairs
+SMALL_PATCH = Patch.box(2, -0.4, 0.4, 7)
 
 
 def whole_and_slabbed(monkeypatch, check):
@@ -113,6 +118,17 @@ def test_node_sup():
     slab = np.array([[[-3.0, 1.0]], [[0.5, -0.25]]])
     assert np.array_equal(report.node_sup(slab), [3.0, 0.5])
     assert np.array_equal(report.node_sup(np.zeros((3, 0))), np.zeros(3))
+
+
+@pytest.mark.parametrize("entries", [(1,), (3,), (2, 2), (7,), (8,), (3, 3), (4, 4)])
+def test_node_sup_of_few_and_many_entries(entries):
+    # below 8 entries the columns are folded one by one, from 8 on numpy
+    # reduces each node: both give each node's max |entry|, NaN included
+    slab = np.random.default_rng(3).normal(size=(50,) + entries)
+    slab[7].flat[-1] = -1e300
+    slab[9].flat[0] = np.nan
+    expected = [np.abs(node).max() for node in slab]
+    assert report.node_sup(slab).tobytes() == np.array(expected).tobytes()
 
 
 class TestSupAndNode:
@@ -253,6 +269,40 @@ def test_nijenhuis_residual_in_every_tiling(monkeypatch, mode):
     for nodes in TILINGS:
         monkeypatch.setattr(report, "SLAB_BYTES", nodes * 8 * 4 ** 3)
         assert np.float64(nijenhuis_residual(acs, mode)).tobytes() == whole.tobytes()
+
+
+def _untiled_gap_and_identities(bd, back):
+    """The round-trip gap and the block identities of ``acs extract-pq``,
+    each a sup over whole-grid arrays."""
+    eye = np.eye(bd.n)
+    a, d = bd.A.values, bd.D.values
+    bp, cm = bd.B.values + eye, bd.C.values - eye
+    return [float(np.abs(x).max()) for x in (
+        back.cot_values() - bd.reassembled(),
+        a @ a + bp @ cm + eye, a @ bp + bp @ d, cm @ a + d @ cm, cm @ bp + d @ d + eye)]
+
+
+def _random_moduli_structure(pair):
+    from test_structures import random_pq  # which imports this module
+    return reconstruct_from_pq(random_pq(np.random.default_rng(5), SMALL_PATCH))
+
+
+@pytest.mark.parametrize("acs", [
+    _random_moduli_structure,  # exact blocks
+    lambda pair: pair.J,       # sample-backed blocks
+], ids=["random pair", "pulled back"])
+def test_extract_pq_gap_and_identities_in_every_tiling(monkeypatch, pair, acs):
+    acs = acs(pair)
+    bd = normalize_at_origin(acs, (2, 3, 4, 3))
+    back = reconstruct_from_pq(extract_pq(bd))
+    untiled = _untiled_gap_and_identities(bd, back)
+    assert max(untiled) > 0.0
+    node_bytes = 8 * 4 * bd.n ** 2
+    assert report.SLAB_BYTES // node_bytes >= PATCH.n_points
+    for nodes in (acs.patch.n_points,) + TILINGS:  # one tile, then many
+        monkeypatch.setattr(report, "SLAB_BYTES", nodes * node_bytes)
+        tiled = [bd.round_trip_gap(back.cot_values()), *bd.identity_residuals().values()]
+        assert np.array(tiled).tobytes() == np.array(untiled).tobytes()
 
 
 # fields whose derivative stacks are tiled: type1's tangent samples are a
