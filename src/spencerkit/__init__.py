@@ -42,7 +42,6 @@ from .holomorphy import (
     reduction_equivalence_check,
 )
 from .elliptic import (
-    DirichletProblem,
     EllipticOperator,
     apply_operator,
     assemble_operator,

@@ -32,7 +32,6 @@ from . import __version__
 from .fields import Patch, ScalarField
 from .elliptic import (
     ConvergenceError,
-    DirichletProblem,
     assemble_operator,
     ellipticity_certificate,
     potential_closedness_residual,
@@ -119,8 +118,8 @@ def _solve(scene: Scene, op, boundary: ScalarField, oracle: str | None):
     if the solver does not converge), its stats, and its interior error
     against the ``oracle`` expression, if given."""
     try:
-        solution, stats = solve_dirichlet(DirichletProblem(
-            op, boundary, tolerance=scene.tolerance("solver", 1e-8)))
+        solution, stats = solve_dirichlet(op, boundary,
+                                          scene.tolerance("solver", 1e-8))
     except ConvergenceError as exc:  # the caller reports it, passed false
         solution, stats = exc.best, exc.stats
     if oracle is None:
@@ -131,7 +130,10 @@ def _solve(scene: Scene, op, boundary: ScalarField, oracle: str | None):
 
 def _base_node(args, patch: Patch) -> tuple[int, ...]:
     if args.base:
-        node = tuple(int(v) for v in args.base.split(","))
+        try:
+            node = tuple(int(v) for v in args.base.split(","))
+        except ValueError:
+            raise SceneError(f"--base needs integer indices, got {args.base!r}") from None
         if len(node) != patch.dim:
             raise SceneError(f"--base needs {patch.dim} indices")
         return node
@@ -256,8 +258,8 @@ def cmd_pluri_check(args) -> int:
     u = scene.scalar_field(args.field)
     theorem = theorem_check(acs, u, scene.mode)
     tol = _tolerance(args, scene)
-    passed = theorem.passes and (args.tol is None
-                                 or theorem.closedness.sup_norm <= tol)
+    applied = args.tol is not None or "check" in scene.tolerances
+    passed = theorem.passes and (not applied or theorem.closedness.sup_norm <= tol)
     results = {"field": args.field, "tolerance": tol, **jsonable(theorem)}
     return emit("pluri.check", results, passed, args)
 

@@ -40,7 +40,6 @@ from .structures import AlmostComplexStructure
 
 __all__ = [
     "EllipticOperator",
-    "DirichletProblem",
     "SolveStats",
     "ConvergenceError",
     "CertificateReport",
@@ -59,6 +58,7 @@ __all__ = [
 ]
 
 DIRECT_SOLVER_LIMIT = 20_000
+_MAX_ITERATIONS = 2000  # GMRES iterations, rounded up to whole restarts
 _CERTIFICATE_TOLERANCE = 1e-10
 
 
@@ -347,21 +347,6 @@ def theorem_check(acs: AlmostComplexStructure, u: ScalarField,
     )
 
 
-@dataclass(eq=False)
-class DirichletProblem:
-    op: EllipticOperator
-    boundary: ScalarField
-    tolerance: float = 1e-8
-    max_iterations: int = 2000  # GMRES iterations, rounded up to whole restarts
-    method: str = "auto"  # auto | direct | iterative
-
-    def __post_init__(self):
-        if self.boundary.patch != self.op.patch:
-            raise ValueError("boundary data lives on a different patch")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-
-
 @dataclass
 class SolveStats:
     method: str
@@ -422,28 +407,6 @@ _COARSEST = 400  # coarsen while a level has more unknowns than this
 _COARSE_LU_LIMIT = 5_000  # above this the coarsest level is only smoothed
 
 
-def _couples_diagonal_neighbours(matrix: sparse.csr_matrix,
-                                 shape: tuple[int, ...]) -> bool:
-    """Whether an entry of the matrix joins two nodes of the grid ``shape``
-    (C order) that differ on more than one axis.
-
-    The row of the middle node is read first, which settles the common
-    case, a stencil that couples diagonal neighbours there, in microseconds;
-    otherwise every row is read.
-    """
-    coords = np.indices(shape, dtype=np.int32).reshape(len(shape), -1)
-    middle = int(np.ravel_multi_index(tuple(m // 2 for m in shape), shape))
-    for first, stop in ((middle, middle + 1), (0, coords.shape[1])):
-        counts = np.diff(matrix.indptr[first:stop + 1])
-        cols = matrix.indices[matrix.indptr[first]:matrix.indptr[stop]]
-        axes_moved = np.zeros(cols.size, dtype=np.int8)
-        for c in coords:
-            axes_moved += np.repeat(c[first:stop], counts) != c[cols]
-        if axes_moved.max(initial=0) > 1:
-            return True
-    return False
-
-
 def _dissection_order(shape: tuple[int, ...]) -> np.ndarray:
     """Nested-dissection numbering of the grid ``shape``: the C-order index
     of the node at each place.
@@ -481,18 +444,19 @@ def _dissection_order(shape: tuple[int, ...]) -> np.ndarray:
     return offsets(tuple(shape))
 
 
-def _lu_solver(matrix: sparse.csr_matrix, shape: tuple[int, ...]):
+def _lu_solver(matrix: sparse.csr_matrix, shape: tuple[int, ...], off_axis: bool):
     """The ``solve`` of a sparse LU of the stencil matrix of the interior grid
     ``shape``, whose unknowns are in C order.
 
-    A stencil that couples diagonal neighbours is factored in the
-    nested-dissection order of ``_dissection_order`` (George, SIAM J. Numer.
-    Anal. 10, 1973), which fills less than minimum degree there.  An
-    axis-only stencil keeps SuperLU's minimum degree on the pattern of
-    ``A^T + A``, which fills less on it.
+    A stencil with an ``off_axis`` offset, one that couples diagonal
+    neighbours, is factored in the nested-dissection order of
+    ``_dissection_order`` (George, SIAM J. Numer. Anal. 10, 1973), which
+    fills less than minimum degree there.  An axis-only stencil keeps
+    SuperLU's minimum degree on the pattern of ``A^T + A``, which fills less
+    on it.
     """
     __getattr__("spla")
-    if not _couples_diagonal_neighbours(matrix, shape):
+    if not off_axis:
         return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", **_LU_OPTIONS).solve
     order = _dissection_order(shape)
     place = np.empty_like(order)
@@ -530,7 +494,10 @@ def _vcycle(matrix: sparse.csr_matrix, shape: tuple[int, ...]) -> spla.LinearOpe
     twice before and twice after each coarse correction.  The coarsest level
     is factored when it has at most ``_COARSE_LU_LIMIT`` unknowns and only
     smoothed otherwise, so a grid that cannot be halved never factors the
-    whole fine system.
+    whole fine system.  A solve reaches this only above
+    ``DIRECT_SOLVER_LIMIT`` unknowns, so the factored level is a Galerkin
+    product, which couples diagonal neighbours: its LU is in
+    nested-dissection order.
     """
     __getattr__("spla")
     ops, prolong = [matrix], []
@@ -541,7 +508,7 @@ def _vcycle(matrix: sparse.csr_matrix, shape: tuple[int, ...]) -> spla.LinearOpe
         ops.append((p.T @ ops[-1] @ p).tocsr())
     weights = [_OMEGA / a.diagonal() for a in ops]
     coarsest = ops[-1]
-    exact = _lu_solver(coarsest, shape) \
+    exact = _lu_solver(coarsest, shape, off_axis=True) \
         if coarsest.shape[0] <= _COARSE_LU_LIMIT else None
 
     def cycle(level: int, b: np.ndarray) -> np.ndarray:
@@ -560,20 +527,23 @@ def _vcycle(matrix: sparse.csr_matrix, shape: tuple[int, ...]) -> spla.LinearOpe
     return spla.LinearOperator(matrix.shape, lambda b: cycle(0, b), dtype=float)
 
 
-def solve_dirichlet(problem: DirichletProblem) -> tuple[ScalarField, SolveStats]:
+def solve_dirichlet(op: EllipticOperator, boundary: ScalarField,
+                    tolerance: float = 1e-8) -> tuple[ScalarField, SolveStats]:
     """Solve L u = 0 with Dirichlet data from the boundary trace.
 
     Sparse LU for systems up to ``DIRECT_SOLVER_LIMIT`` unknowns, otherwise
     restarted GMRES preconditioned by one geometric multigrid V-cycle
-    (deterministic: zero initial guess).  ``max_iterations`` caps the inner
-    GMRES iterations, the count ``SolveStats.iterations`` reports.  Every LU,
-    direct or on the coarsest V-cycle level, is ``_lu_solver``'s: nested
-    dissection where the stencil couples diagonal neighbours, minimum degree
-    where it is axis-only.  Warns when the mesh Peclet number exceeds 1,
-    where the discrete maximum principle is no longer guaranteed.
+    (deterministic: zero initial guess), capped at ``_MAX_ITERATIONS`` inner
+    iterations, the count ``SolveStats.iterations`` reports.  The solve
+    converges when its relative residual is at most ``tolerance``.  The
+    direct LU is ordered by nested dissection when a stencil offset moves on
+    more than one axis, and by minimum degree otherwise.  Warns when the
+    mesh Peclet number exceeds 1, where the discrete maximum principle is no
+    longer guaranteed.
     """
-    op = problem.op
-    bvals = problem.boundary.samples
+    if boundary.patch != op.patch:
+        raise ValueError("boundary data lives on a different patch")
+    bvals = boundary.samples
     if not np.isfinite(bvals).all():
         raise ValueError("boundary data contains non-finite values")
     matrix, rhs = _assemble_system(op, bvals)
@@ -587,14 +557,14 @@ def solve_dirichlet(problem: DirichletProblem) -> tuple[ScalarField, SolveStats]
             f"principle is not guaranteed; refine the grid",
             RuntimeWarning, stacklevel=2)
 
-    method = problem.method
-    if method == "auto":
-        method = "direct" if n_unknowns <= DIRECT_SOLVER_LIMIT else "iterative"
     iterations = 0
-    if method == "direct":
-        solution = _lu_solver(matrix, shape)(rhs)
+    if n_unknowns <= DIRECT_SOLVER_LIMIT:
+        method = "direct"
+        off_axis = any(sum(o != 0 for o in off) > 1 for off in op.stencil)
+        solution = _lu_solver(matrix, shape, off_axis)(rhs)
         converged = True
-    elif method == "iterative":
+    else:
+        method = "iterative"
         precond = _vcycle(matrix, shape)
         counter = {"n": 0}
 
@@ -602,15 +572,13 @@ def solve_dirichlet(problem: DirichletProblem) -> tuple[ScalarField, SolveStats]
             counter["n"] += 1
 
         # scipy counts restart cycles in maxiter; the cap counts iterations
-        restart = min(50, problem.max_iterations)
-        solution, info = spla.gmres(matrix, rhs, rtol=problem.tolerance / 10,
+        restart = min(50, _MAX_ITERATIONS)
+        solution, info = spla.gmres(matrix, rhs, rtol=tolerance / 10,
                                     atol=0.0, restart=restart,
-                                    maxiter=math.ceil(problem.max_iterations / restart),
+                                    maxiter=math.ceil(_MAX_ITERATIONS / restart),
                                     M=precond, callback=cb, callback_type="pr_norm")
         iterations = counter["n"]
         converged = info == 0
-    else:
-        raise ValueError(f"unknown method {problem.method!r}")
 
     denom = float(np.linalg.norm(rhs)) or 1.0
     residual = float(np.linalg.norm(matrix @ solution - rhs)) / denom
@@ -622,7 +590,7 @@ def solve_dirichlet(problem: DirichletProblem) -> tuple[ScalarField, SolveStats]
         method=method,
         iterations=iterations,
         residual=residual,
-        converged=bool(converged and residual <= problem.tolerance),
+        converged=bool(converged and residual <= tolerance),
         unknowns=n_unknowns,
         max_principle_guaranteed=monotone,
     )

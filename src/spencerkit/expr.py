@@ -74,7 +74,7 @@ _PREC_ATOM = 5
 
 
 class ExprSyntaxError(ValueError):
-    """Malformed expression text; carries the byte offset of the problem."""
+    """Malformed expression text; carries the byte offset of the error."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")

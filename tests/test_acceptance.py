@@ -12,7 +12,6 @@ import pytest
 from spencerkit.brackets import VectorFieldC, bracket_law_check, \
     potential_vf_residual
 from spencerkit.elliptic import (
-    DirichletProblem,
     apply_pointwise,
     assemble_operator,
     contraction_identity_residual,
@@ -273,7 +272,7 @@ def test_criterion_7_dirichlet_solver():
             p = Patch.box(1, 0.0, 1.0, res)
             op = assemble_operator(standard_structure(p))
             bc = ScalarField.from_expr(p, boundary_text)
-            sol, stats = solve_dirichlet(DirichletProblem(op, bc))
+            sol, stats = solve_dirichlet(op, bc)
             assert stats.converged
             ref = bc.samples
             errors.append(np.abs(sol.samples - ref)[p.interior()].max())
@@ -298,7 +297,7 @@ def test_criterion_7_dirichlet_solver():
     op = assemble_operator(acs)
     assert op.mesh_peclet() <= 1.0
     bc = ScalarField.from_expr(p, "x1 + 0.5*x2^2")
-    sol, stats = solve_dirichlet(DirichletProblem(op, bc))
+    sol, stats = solve_dirichlet(op, bc)
     mask = np.ones(p.resolution, dtype=bool)
     mask[p.interior()] = False
     assert sol.samples[p.interior()].max() <= bc.samples[mask].max() + 10e-8

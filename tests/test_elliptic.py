@@ -11,7 +11,6 @@ import scipy.sparse as sparse
 from spencerkit import elliptic
 from spencerkit.elliptic import (
     ConvergenceError,
-    DirichletProblem,
     apply_operator,
     apply_pointwise,
     assemble_operator,
@@ -429,7 +428,7 @@ class TestSolve:
         patch = acs.patch
         op = assemble_operator(acs)
         bc = ScalarField.from_expr(patch, boundary_text)
-        return solve_dirichlet(DirichletProblem(op, bc))
+        return solve_dirichlet(op, bc)
 
     def test_cubic_harmonic_solved_to_roundoff(self):
         # the five-point scheme is nodally exact on harmonic cubics, so the
@@ -448,7 +447,7 @@ class TestSolve:
         acs = structure_from_cot(p, [["x2", "x2^2 + 1"], ["-1", "-x2"]])
         op = assemble_operator(acs)
         bc = ScalarField.const(p, 3.25)
-        sol, stats = solve_dirichlet(DirichletProblem(op, bc))
+        sol, stats = solve_dirichlet(op, bc)
         assert np.abs(sol.samples - 3.25).max() <= 1e-9
         assert stats.converged
 
@@ -482,7 +481,7 @@ class TestSolve:
         op = assemble_operator(acs)
         assert op.mesh_peclet() <= 1.0  # monotone regime for this grid
         bc = ScalarField.from_expr(patch, "x1 + 0.5*x2^2")
-        sol, stats = solve_dirichlet(DirichletProblem(op, bc))
+        sol, stats = solve_dirichlet(op, bc)
         assert stats.max_principle_guaranteed
         mask = np.ones(patch.resolution, dtype=bool)
         mask[patch.interior()] = False
@@ -490,14 +489,21 @@ class TestSolve:
         interior_max = sol.samples[patch.interior()].max()
         assert interior_max <= boundary_max + 10 * 1e-8
 
-    def test_iterative_path_agrees_with_direct(self):
+    @staticmethod
+    def _iterative(monkeypatch, cap=None):
+        """Send every later solve to GMRES, capped at ``cap`` iterations."""
+        monkeypatch.setattr(elliptic, "DIRECT_SOLVER_LIMIT", 0)
+        if cap is not None:
+            monkeypatch.setattr(elliptic, "_MAX_ITERATIONS", cap)
+
+    def test_iterative_path_agrees_with_direct(self, monkeypatch):
         p = Patch.box(1, 0.0, 1.0, 33)
         std = standard_structure(p)
         op = assemble_operator(std)
         bc = ScalarField.from_expr(p, "exp(x1)*cos(x2)")
-        direct, _ = solve_dirichlet(DirichletProblem(op, bc, method="direct"))
-        iterative, stats = solve_dirichlet(
-            DirichletProblem(op, bc, method="iterative", tolerance=1e-10))
+        direct, _ = solve_dirichlet(op, bc)
+        self._iterative(monkeypatch)
+        iterative, stats = solve_dirichlet(op, bc, tolerance=1e-10)
         assert stats.iterations > 0
         assert np.abs(direct.samples - iterative.samples).max() <= 1e-6
 
@@ -506,13 +512,14 @@ class TestSolve:
         patch = Patch.box(1, -1.0, 1.0, res)
         return structure_from_cot(patch, [["x2", "x2^2 + 1"], ["-1", "-x2"]])
 
-    def test_multigrid_iterations_flat_in_h(self):
+    def test_multigrid_iterations_flat_in_h(self, monkeypatch):
         # the V-cycle preconditioner makes the GMRES count independent of h
+        self._iterative(monkeypatch)
         counts = []
         for res in (65, 129, 257):
             op = assemble_operator(self._fixture_n1(res))
             bc = ScalarField.from_expr(op.patch, "1 + x1 + 0.5*x2 + x1*x2")
-            _, stats = solve_dirichlet(DirichletProblem(op, bc, method="iterative"))
+            _, stats = solve_dirichlet(op, bc)
             assert stats.converged and stats.method == "iterative"
             counts.append(stats.iterations)
         assert max(counts) <= 20
@@ -523,12 +530,12 @@ class TestSolve:
         (lambda: TestSolve._fixture_n1(65), "exp(x1)*cos(x2)"),
         (lambda: type1_structure(Patch.box(2, -1.0, 1.0, 9)), "x1*x3 + x2^2 - x4"),
     ], ids=["fixture_n1-65", "type1-9"])
-    def test_iterative_agrees_with_direct_beyond_the_laplacian(self, acs, bc):
+    def test_iterative_agrees_with_direct_beyond_the_laplacian(self, monkeypatch, acs, bc):
         op = assemble_operator(acs())
         bc = ScalarField.from_expr(op.patch, bc)
-        direct, _ = solve_dirichlet(DirichletProblem(op, bc, method="direct"))
-        iterative, stats = solve_dirichlet(
-            DirichletProblem(op, bc, method="iterative", tolerance=1e-10))
+        direct, _ = solve_dirichlet(op, bc)
+        self._iterative(monkeypatch)
+        iterative, stats = solve_dirichlet(op, bc, tolerance=1e-10)
         assert stats.converged and stats.iterations > 0
         assert np.abs(direct.samples - iterative.samples).max() <= 1e-6
 
@@ -536,35 +543,47 @@ class TestSolve:
         lambda: TestSolve._fixture_n1(146),
         lambda: type1_structure(Patch.box(2, -1.0, 1.0, 12)),
     ], ids=["2d-146", "4d-12"])
-    def test_grid_that_cannot_be_halved_converges(self, acs):
+    def test_grid_that_cannot_be_halved_converges(self, monkeypatch, acs):
         # r - 1 is odd: no coarse level, and no LU of the whole fine system
         op = assemble_operator(acs())
         bc = ScalarField.from_expr(op.patch, "1 + x1 + 0.5*x2 + x1*x2")
-        sol, stats = solve_dirichlet(DirichletProblem(op, bc, method="iterative"))
+        self._iterative(monkeypatch)
+        sol, stats = solve_dirichlet(op, bc)
         assert stats.converged and stats.iterations > 0
         assert np.isfinite(sol.samples).all()
 
-    def test_nonconvergence_reports_best_iterate(self):
+    def test_nonconvergence_reports_best_iterate(self, monkeypatch):
         p = Patch.box(1, 0.0, 1.0, 33)
         std = standard_structure(p)
         op = assemble_operator(std)
         bc = ScalarField.from_expr(p, "exp(x1)*cos(x2)")
+        self._iterative(monkeypatch, cap=1)
         with pytest.raises(ConvergenceError) as err:
-            solve_dirichlet(DirichletProblem(op, bc, method="iterative",
-                                             tolerance=1e-14, max_iterations=1))
+            solve_dirichlet(op, bc, tolerance=1e-14)
         assert err.value.best is not None
         assert err.value.stats.converged is False
 
     @pytest.mark.parametrize("cap", [1, 5])
-    def test_max_iterations_caps_inner_iterations(self, cap):
+    def test_max_iterations_caps_inner_iterations(self, monkeypatch, cap):
         # the cap counts what SolveStats.iterations counts, not restart cycles
         p = Patch.box(1, 0.0, 1.0, 33)
         op = assemble_operator(standard_structure(p))
         bc = ScalarField.from_expr(p, "exp(x1)*cos(x2)")
+        self._iterative(monkeypatch, cap=cap)
         with pytest.raises(ConvergenceError) as err:
-            solve_dirichlet(DirichletProblem(op, bc, method="iterative",
-                                             tolerance=1e-14, max_iterations=cap))
+            solve_dirichlet(op, bc, tolerance=1e-14)
         assert err.value.stats.iterations == cap
+
+    @pytest.mark.parametrize("boundary, message", [
+        (lambda p: ScalarField.const(Patch.box(1, 0.0, 2.0, 9), 1.0), "different patch"),
+        (lambda p: ScalarField.from_samples(p, np.full(p.resolution, np.inf)),
+         "non-finite"),
+    ], ids=["other-patch", "non-finite"])
+    def test_boundary_data_is_checked(self, boundary, message):
+        p = Patch.box(1, 0.0, 1.0, 9)
+        op = assemble_operator(standard_structure(p))
+        with pytest.raises(ValueError, match=message):
+            solve_dirichlet(op, boundary(p))
 
     def test_peclet_warning_on_coarse_drifty_grid(self):
         # steep structure on a coarse grid: drift overwhelms the spacing
@@ -576,7 +595,12 @@ class TestSolve:
         assert op.mesh_peclet() > 1.0
         bc = ScalarField.const(p, 1.0)
         with pytest.warns(RuntimeWarning, match="Peclet"):
-            solve_dirichlet(DirichletProblem(op, bc))
+            solve_dirichlet(op, bc)
+
+
+def _off_axis(op) -> bool:
+    """Whether a stencil offset of ``op`` moves on more than one axis."""
+    return any(np.count_nonzero(off) > 1 for off in op.stencil)
 
 
 class TestLuOrdering:
@@ -655,9 +679,9 @@ class TestLuOrdering:
     ], ids=["fixture_n1-33", "type1-7"])
     def test_nested_dissection_matches_minimum_degree(self, monkeypatch, acs, bc):
         op, matrix, rhs, shape = self._system(acs(), bc)
-        assert elliptic._couples_diagonal_neighbours(matrix, shape)
+        assert _off_axis(op)
         calls = self._recording(monkeypatch)
-        x = elliptic._lu_solver(matrix, shape)(rhs)
+        x = elliptic._lu_solver(matrix, shape, True)(rhs)
         ((spec, lu),) = calls
         assert spec == "NATURAL"
         assert np.array_equal(lu.perm_r, np.arange(rhs.size))
@@ -670,10 +694,9 @@ class TestLuOrdering:
     def test_standard_structure_keeps_minimum_degree_bytes(self, monkeypatch):
         op, matrix, rhs, shape = self._system(
             standard_structure(Patch.box(1, 0.0, 1.0, 33)), "exp(x1)*cos(x2)")
-        assert not elliptic._couples_diagonal_neighbours(matrix, shape)
+        assert not _off_axis(op)
         calls = self._recording(monkeypatch)
-        sol, _ = solve_dirichlet(DirichletProblem(op, ScalarField.from_expr(
-            op.patch, "exp(x1)*cos(x2)")))
+        sol, _ = solve_dirichlet(op, ScalarField.from_expr(op.patch, "exp(x1)*cos(x2)"))
         assert [spec for spec, _ in calls] == ["MMD_AT_PLUS_A"]
         ref = elliptic.spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
                                  diag_pivot_thresh=0.1,
@@ -689,19 +712,33 @@ class TestLuOrdering:
         elliptic._vcycle(matrix, shape)
         assert [spec for spec, _ in calls] == ["NATURAL"]
 
-    @pytest.mark.parametrize("shape, pairs, coupled", [
-        ((4, 4), [(5, 6), (5, 9), (5, 1), (0, 12)], False),  # axis neighbours, a far pair
-        ((4, 4), [(5, 6), (5, 10)], True),                    # (1, 1) -> (2, 2)
-        ((4, 4), [(3, 4)], True),                             # (0, 3) -> (1, 0): flat shift 1
-        ((2, 3, 2), [(0, 1), (0, 2), (0, 6)], False),
-        ((2, 3, 2), [(0, 3)], True),                          # (0, 0, 0) -> (0, 1, 1)
+    @pytest.mark.parametrize("name, grid, mode, spec", [
+        ("fixture_n1", 33, "auto", "NATURAL"),
+        ("fixture_n1", 129, "auto", "NATURAL"),
+        ("pullback2d", 65, "auto", "NATURAL"),
+        ("pullback2d", 129, "auto", "NATURAL"),
+        ("pq_n1", None, "auto", "NATURAL"),
+        ("standard2d", 65, "auto", "MMD_AT_PLUS_A"),
+        ("type1", 10, "exact", "NATURAL"),
+        ("type1", 10, "fd", "NATURAL"),
     ])
-    def test_diagonal_coupling_reads_every_entry(self, shape, pairs, coupled):
-        n = math.prod(shape)
-        rows, cols = zip(*pairs)
-        matrix = sparse.csr_matrix((np.ones(len(pairs)), (rows, cols)), shape=(n, n))
-        matrix = matrix + sparse.identity(n, format="csr")
-        assert elliptic._couples_diagonal_neighbours(matrix, shape) is coupled
+    def test_ordering_read_off_the_stencil(self, monkeypatch, name, grid, mode, spec):
+        # nested dissection exactly where an entry of the matrix joins two
+        # nodes that differ on more than one axis
+        scene = load_scene(SCENES / f"{name}.json", grid_override=grid,
+                           mode_override=mode)
+        op = assemble_operator(scene.structure(), scene.mode)
+        boundary = ScalarField.from_expr(op.patch, "1 + x1*x2")
+        matrix, _ = _assemble_system(op, boundary.samples)
+        shape = tuple(r - 2 for r in op.patch.resolution)
+        coo = matrix.tocoo()
+        moved = sum(r != c for r, c in zip(np.unravel_index(coo.row, shape),
+                                           np.unravel_index(coo.col, shape)))
+        assert _off_axis(op) == bool((moved > 1).any()) == (spec == "NATURAL")
+        calls = self._recording(monkeypatch)
+        _, stats = solve_dirichlet(op, boundary)
+        assert stats.method == "direct"
+        assert [s for s, _ in calls] == [spec]
 
 
 class TestScipyAtFirstUse:

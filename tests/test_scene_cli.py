@@ -257,6 +257,9 @@ _PROBES = [
                                        "--bc", "x1", "--oracle", "x1"], 1, "stats"),
     ("short-csv-bounds", ["elliptic", "solve", "{scene}", "--bc-csv", "{csv}"], 2,
      "probe.csv: "),
+    ("base-not-integer", ["acs", "extract-pq", "{scene}", "--base", "a,b"], 2, "--base"),
+    ("base-empty-index", ["acs", "extract-pq", "{scene}", "--base", "1,,2"], 2,
+     "--base"),
     ("solve-two-boundary-sources", ["elliptic", "solve", "{scene}", "--bc", "x1",
                                     "--bc-field", "zeropow"], 2, "--bc and --bc-field"),
 ]
@@ -294,9 +297,9 @@ class TestExitCodeContract:
             assert cause in report["results"]
 
     def test_unconverged_convergence_level_is_reported(self, capsys, monkeypatch):
-        def no_convergence(problem):
+        def no_convergence(op, boundary, tolerance):
             stats = elliptic.SolveStats("iterative", 2000, 1e-3, False, 49, True)
-            raise elliptic.ConvergenceError(stats, problem.boundary)
+            raise elliptic.ConvergenceError(stats, boundary)
 
         monkeypatch.setattr(cli, "solve_dirichlet", no_convergence)
         rc = run(["convergence", SCENES / "standard2d.json", "--check", "solve",
@@ -753,6 +756,22 @@ class TestCliWorkflows:
         assert run(argv) == 1
         assert json.loads(capsys.readouterr().out)["results"]["pattern"][
             "tolerance"] == 1e-30
+        data["tolerances"] = {}
+        scene.write_text(json.dumps(data))
+        assert run(argv) == 0
+
+    def test_pluri_check_takes_the_scene_check_tolerance(self, tmp_path, capsys):
+        data = json.loads((SCENES / "fixture_n1.json").read_text())
+        data["tolerances"] = {"check": 1e-300}
+        scene = tmp_path / "strict.json"
+        scene.write_text(json.dumps(data))
+        # x1*x2 has no closed potential form: its closedness is far above 1e-300
+        argv = ["pluri", "check", scene, "--field", "product", "--mode", "fd",
+                "--no-meta"]
+        assert run(argv) == 1
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["tolerance"] == 1e-300
+        assert results["closedness"]["sup_norm"] > 1.0
         data["tolerances"] = {}
         scene.write_text(json.dumps(data))
         assert run(argv) == 0

@@ -2,7 +2,7 @@
 
 ``perfbench/tracing.py`` replaces functions, methods and properties of the
 package with timing wrappers.  This test loads it by path, as the benchmark
-does, and runs three commands under it, so that renaming a wrapped entry
+does, and runs commands under it, so that renaming a wrapped entry
 point fails here and not only in the traced benchmark.
 """
 
@@ -94,3 +94,21 @@ def test_tracer_wraps_the_solver_that_loads_at_first_use():
     assert seen["exit"] == 0
     assert {"elliptic.system", "elliptic.factor"} <= set(seen["layers"])
     assert seen["spla restored"] is True
+
+
+def test_tracer_records_the_gmres_path(capsys):
+    # 143^2 unknowns, over the direct-solver limit: the solve iterates, and
+    # its V-cycle factors the coarsest level
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["elliptic", "solve", str(SCENES / "fixture_n1.json"),
+                         "--grid", "145", "--bc", "1 + x1 + 0.5*x2 + x1*x2",
+                         "--no-meta"])
+    finally:
+        tracer.remove()
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["results"]["stats"]["method"] == "iterative"
+    layers = {span[0] for span in tracer.spans}
+    assert {"elliptic.system", "elliptic.iterate", "elliptic.factor"} <= layers
+    assert tracer.counts["elliptic.iterations"] > 0
