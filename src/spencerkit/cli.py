@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .fields import Patch, ScalarField
+from .fields import Patch, ScalarField, resolve_mode
 from .elliptic import (
     ConvergenceError,
     assemble_operator,
@@ -104,13 +104,19 @@ def _scene(args) -> Scene:
                       mode_override=args.mode)
 
 
-def _tolerance(args, scene: Scene, floor: float = 1e-8) -> float:
-    """``--tol``, else the scene's ``check`` tolerance, else the default rule."""
+def _tolerance(args, scene: Scene, mode: str | None = None,
+               floor: float = 1e-8) -> float | None:
+    """The tolerance of a verdict: ``--tol``, else the scene's ``check``
+    tolerance, else the default rule in ``mode``, the mode the check ran in
+    (never ``auto``).  A verdict that only measures unless it is given a
+    tolerance passes no mode, and then gets None."""
     if args.tol is not None:
         return args.tol
     if "check" in scene.tolerances:
-        return scene.tolerance("check", floor)
-    return default_tolerance(scene.patch, scene.mode, floor, 30.0)
+        return scene.tolerances["check"]
+    if mode is None:
+        return None
+    return default_tolerance(scene.patch, mode, floor, 30.0)
 
 
 def _solve(scene: Scene, op, boundary: ScalarField, oracle: str | None):
@@ -204,7 +210,9 @@ def cmd_acs_extract_pq(args) -> int:
     back = reconstruct_from_pq(pq)
     gap = bd.round_trip_gap(back.cot_values())
     identities = bd.identity_residuals()
-    tol = _tolerance(args, scene, 1e-10)
+    # pointwise algebra on the structure's values, which differentiates
+    # nothing: no truncation error in any mode
+    tol = _tolerance(args, scene, "exact", 1e-10)
     passed = gap <= tol and max(identities.values()) <= tol
     results = {
         "base_node": list(base),
@@ -222,8 +230,8 @@ def cmd_holo_residual(args) -> int:
     f = scene.complex_field(args.field)
     fn = antiholo_residual if args.anti else holo_residual
     rep = fn(acs, f, scene.mode)
-    tol = args.tol
-    passed = True if tol is None else rep.sup_norm <= tol
+    tol = _tolerance(args, scene)
+    passed = tol is None or rep.sup_norm <= tol
     results = {"field": args.field, "anti": bool(args.anti),
                "residual": rep}
     if tol is not None:
@@ -239,9 +247,8 @@ def cmd_holo_reduced(args) -> int:
     system = reduced_system(bd, f, scene.mode)
     rep = reduced_system_residual(bd, system)
     equiv = reduction_equivalence_check(bd, system)
-    tol = args.tol
-    passed = equiv.identity_residual <= 1e-8 and \
-        (True if tol is None else rep.sup_norm <= tol)
+    tol = _tolerance(args, scene)
+    passed = equiv.identity_residual <= 1e-8 and (tol is None or rep.sup_norm <= tol)
     results = {
         "field": args.field,
         "residual": rep,
@@ -257,10 +264,10 @@ def cmd_pluri_check(args) -> int:
     acs = scene.structure()
     u = scene.scalar_field(args.field)
     theorem = theorem_check(acs, u, scene.mode)
-    tol = _tolerance(args, scene)
-    applied = args.tol is not None or "check" in scene.tolerances
-    passed = theorem.passes and (not applied or theorem.closedness.sup_norm <= tol)
-    results = {"field": args.field, "tolerance": tol, **jsonable(theorem)}
+    bound = _tolerance(args, scene)  # closedness is measured unless bounded
+    passed = theorem.passes and (bound is None or theorem.closedness.sup_norm <= bound)
+    results = {"field": args.field, "tolerance": _tolerance(args, scene, theorem.mode),
+               **jsonable(theorem)}
     return emit("pluri.check", results, passed, args)
 
 
@@ -294,9 +301,10 @@ def cmd_elliptic_solve(args) -> int:
     passed = stats.converged
     if err is not None:
         results["oracle_max_error"] = err
-        if args.tol is not None:
-            passed = passed and err <= args.tol
-            results["tolerance"] = args.tol
+        tol = _tolerance(args, scene)
+        if tol is not None:
+            passed = passed and err <= tol
+            results["tolerance"] = tol
     if args.csv:
         write_field_csv(solution, args.csv)
         results["csv"] = args.csv
@@ -318,7 +326,8 @@ def cmd_bracket_check(args) -> int:
     }
     passed = True
     if args.case:
-        tol = _tolerance(args, scene)
+        tol = _tolerance(args, scene, resolve_mode(
+            scene.mode, acs, *x.components, *y.components, u))
         law = bracket_law_check(acs, x, y, u, args.case, scene.mode, tol)
         results["law"] = law
         results["tolerance"] = tol
@@ -334,9 +343,10 @@ def cmd_hyper_check(args) -> int:
     h = scene.hypercomplex()
     results: dict = {"anti_residual": h.anti_residual}
     passed = True
-    tol = _tolerance(args, scene)
     if args.function:
         F = scene.quaternion_function(args.function)
+        tol = _tolerance(args, scene, resolve_mode(scene.mode, h.J, h.K,
+                                                   *F.components()))
         jres = j_hyperholo_residual(h, F, scene.mode)
         kres = k_hyperholo_residual(h, F, scene.mode)
         results["function"] = args.function
@@ -361,15 +371,15 @@ def cmd_spencer_verify(args) -> int:
     acs = scene.structure()
     chart = scene.chart(args.chart)
     h = scene.complex_field(args.superpose) if args.superpose else None
-    tol = _tolerance(args, scene)
-    (rep,), basis = _verified(acs, chart, scene.mode, tol)
+    # without a given tolerance, _verified takes the default of its mode
+    (rep,), basis = _verified(acs, chart, scene.mode, _tolerance(args, scene))
     results = {"chart": args.chart, "pattern": rep}
     passed = rep.passes
     # superposition is defined on a verified chart only
     if h is not None and passed:
         sup = _superposition(acs, chart, h, rep, basis)
         results["superposition"] = sup
-        passed = sup.sup_norm <= tol
+        passed = sup.sup_norm <= rep.tolerance
     return emit("spencer.verify", results, passed, args)
 
 

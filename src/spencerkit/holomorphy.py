@@ -28,12 +28,6 @@ __all__ = [
     "reduced_system",
 ]
 
-def _checked_gradient(acs: AlmostComplexStructure, f: ComplexField,
-                      mode: str) -> tuple[np.ndarray, str]:
-    """The complex gradient of f on the structure's patch, and its mode."""
-    mode = resolve_mode(mode, acs, f)
-    return complex_gradient(f, mode), mode
-
 
 def _cr_residual(acs: AlmostComplexStructure, grad: np.ndarray, mode: str,
                  sign: float) -> ResidualReport:
@@ -62,13 +56,15 @@ def _cr_residual(acs: AlmostComplexStructure, grad: np.ndarray, mode: str,
 def holo_residual(acs: AlmostComplexStructure, f: ComplexField,
                   mode: str = "auto") -> ResidualReport:
     """Residual of the almost-holomorphy system ``J*df = i df``."""
-    return _cr_residual(acs, *_checked_gradient(acs, f, mode), +1.0)
+    mode = resolve_mode(mode, acs, f)
+    return _cr_residual(acs, complex_gradient(f, mode), mode, +1.0)
 
 
 def antiholo_residual(acs: AlmostComplexStructure, f: ComplexField,
                       mode: str = "auto") -> ResidualReport:
     """Residual of the almost-antiholomorphy system ``J*df = -i df``."""
-    return _cr_residual(acs, *_checked_gradient(acs, f, mode), -1.0)
+    mode = resolve_mode(mode, acs, f)
+    return _cr_residual(acs, complex_gradient(f, mode), mode, -1.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,7 @@ Structure specs: {"kind": "standard"}, {"kind": "matrix", "entries": [[...]],
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path as FsPath
 
@@ -73,16 +73,27 @@ def _check_keys(obj: dict, allowed: set[str], where: str):
     _require(not unknown, f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _finite_number(value) -> bool:
+    """A JSON number that a float holds: not a bool, which Python counts as
+    an int, nor ``NaN``, ``Infinity`` or an integer past the float range,
+    all of which ``json`` reads."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
+
+
+def _integer(value, where: str) -> int:
+    """A scene integer, never a truncated float or a bool."""
+    _require(isinstance(value, int) and not isinstance(value, bool),
+             f"{where} must be an integer; got {value!r}")
+    return value
+
+
 def _tolerance(key: str, value) -> float:
-    """A scene tolerance takes the ``--tol`` rule: finite and not below 0
-    (``json`` reads the ``NaN`` and ``Infinity`` literals)."""
-    try:
-        tol = float(value)
-    except (TypeError, ValueError):
-        tol = math.nan
-    _require(math.isfinite(tol) and tol >= 0,
+    """A scene tolerance takes the ``--tol`` rule: a finite number, not
+    below 0."""
+    _require(_finite_number(value) and value >= 0,
              f"tolerances.{key} must be a finite number, 0 or more; got {value!r}")
-    return tol
+    return float(value)
 
 
 @dataclass
@@ -183,11 +194,13 @@ class Scene:
     def chart(self, name: str) -> SpencerChart:
         spec = self._named(self.chart_specs, name, "chart")
         _check_keys(spec, {"m", "holo", "complement"}, f"charts.{name}")
+        _require("m" in spec, f"charts.{name} needs 'm'")
+        m = _integer(spec["m"], f"charts.{name}.m")
         holo = tuple(self._complex(s, f"charts.{name}.holo[{k}]")
                      for k, s in enumerate(spec.get("holo", [])))
         comp = tuple(self._complex(s, f"charts.{name}.complement[{k}]")
                      for k, s in enumerate(spec.get("complement", [])))
-        return SpencerChart(int(spec["m"]), holo, comp)
+        return SpencerChart(m, holo, comp)
 
     def vector_field(self, name: str) -> VectorFieldC:
         spec = self._named(self.vector_field_specs, name, "vector field")
@@ -223,16 +236,23 @@ def _parse_patch(spec: dict, dim_half: int, grid_override: int | None) -> Patch:
     _check_keys(spec, _PATCH_KEYS, "patch")
     d = 2 * dim_half
     bounds = spec.get("bounds", [0.0, 1.0])
-    if bounds and isinstance(bounds[0], (int, float)):
+    _require(isinstance(bounds, list),
+             f"patch.bounds must be [lo, hi] or a list of them; got {bounds!r}")
+    if bounds and _finite_number(bounds[0]):
         _require(len(bounds) == 2, "patch.bounds shorthand must be [lo, hi]")
-        bounds = [list(bounds)] * d
+        bounds = [bounds] * d
     _require(len(bounds) == d, f"patch.bounds must list {d} axis ranges")
+    for b in bounds:
+        _require(isinstance(b, list) and len(b) == 2 and all(map(_finite_number, b)),
+                 f"patch.bounds: an axis range is [lo, hi]; got {b!r}")
     resolution = spec.get("resolution", 17)
     if grid_override is not None:
         resolution = grid_override
-    if isinstance(resolution, int):
+    if not isinstance(resolution, list):
         resolution = [resolution] * d
     _require(len(resolution) == d, f"patch.resolution must list {d} entries")
+    for r in resolution:
+        _integer(r, "patch.resolution")
     try:
         return Patch(dim_half, tuple(tuple(b) for b in bounds), tuple(resolution))
     except ValueError as exc:
@@ -247,6 +267,7 @@ _STRUCTURE_KEYS = {
     "type1": {"kind", "f"},
     "hypercomplex": {"kind", "pair", "frame"},
 }
+_STRUCTURE_NEEDS = {"matrix": ("entries",), "pq": ("p", "q"), "pullback": ("map",)}
 
 
 def parse_scene(data: dict, grid_override: int | None = None,
@@ -257,7 +278,8 @@ def parse_scene(data: dict, grid_override: int | None = None,
     _require("dim_half" in data, "scene needs dim_half")
     _require("patch" in data, "scene needs a patch")
     _require("structure" in data, "scene needs a structure")
-    dim_half = int(data["dim_half"])
+    dim_half = _integer(data["dim_half"], "dim_half")
+    _require(dim_half >= 1, "dim_half must be 1 or more")
     patch = _parse_patch(data["patch"], dim_half, grid_override)
     structure = data["structure"]
     _require(isinstance(structure, dict) and "kind" in structure,
@@ -265,6 +287,8 @@ def parse_scene(data: dict, grid_override: int | None = None,
     kind = structure["kind"]
     _require(kind in _STRUCTURE_KEYS, f"unknown structure kind {kind!r}")
     _check_keys(structure, _STRUCTURE_KEYS[kind], "structure")
+    for key in _STRUCTURE_NEEDS.get(kind, ()):
+        _require(key in structure, f"structure kind {kind!r} needs '{key}'")
     tolerances = data.get("tolerances", {})
     _check_keys(tolerances, _TOL_KEYS, "tolerances")
     tolerances = {key: _tolerance(key, value) for key, value in tolerances.items()}

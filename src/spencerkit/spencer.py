@@ -24,7 +24,7 @@ from .fields import ComplexField, Patch, complex_gradient, resolve_mode
 from .report import ResidualReport, default_tolerance, interior_sup, \
     node_sup, report_from_pointwise, slab_map, sup_and_node
 from .structures import AlmostComplexStructure, HypercomplexStructure
-from .holomorphy import _checked_gradient, _cr_residual
+from .holomorphy import _cr_residual
 from .hypercomplex import (
     QuaternionFunction,
     j_hyperholo_residual,
@@ -245,7 +245,8 @@ def _superposition(acs: AlmostComplexStructure, chart: SpencerChart,
     """``superposition_check`` on a chart that passed as ``pattern``, with
     the chart ``basis`` that pattern was read from (see ``_verified``)."""
     tolerance = pattern.tolerance
-    grad, mode = _checked_gradient(acs, h, pattern.mode)
+    mode = resolve_mode(pattern.mode, acs, h)
+    grad = complex_gradient(h, mode)
     hres = _cr_residual(acs, grad, mode, +1.0)
     if hres.sup_norm > tolerance:
         raise ChartError(

@@ -27,6 +27,12 @@ then checks that they share a patch and picks the mode from all of them.
 Only ``elliptic._lu_solver`` calls ``splu``: every sparse LU, direct or on
 the coarsest V-cycle level, gets the ordering that helper picks from the
 matrix, and perfbench's tracer sees every factorization there.
+
+Only ``cli._tolerance`` picks where a verdict's tolerance comes from: no
+other code in ``cli.py`` reads ``args.tol`` or a scene's ``tolerances``, or
+calls ``tolerance("check", ...)`` or ``default_tolerance``.  So every
+command takes ``--tol``, else ``tolerances.check``, else the default in the
+mode its check ran.
 """
 
 import argparse
@@ -314,3 +320,56 @@ def test_the_check_sees_a_stray_splu():
     assert _splu_calls(source, "elliptic.py") == [
         "elliptic.py:_lu_solver (line 4)", "elliptic.py:Solver (line 7)",
         "elliptic.py:<module> (line 8)"]
+
+
+# the one function of cli.py that picks a verdict's tolerance
+TOLERANCE_HELPER = "_tolerance"
+
+
+def _tolerance_source(node) -> str | None:
+    """The tolerance source that ``node`` reads, if any."""
+    if isinstance(node, ast.Attribute):
+        if node.attr in ("tolerances", "default_tolerance"):
+            return node.attr
+        if node.attr == "tol" and getattr(node.value, "id", None) == "args":
+            return "args.tol"
+    if isinstance(node, ast.Name) and node.id == "default_tolerance":
+        return node.id
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "tolerance" \
+            and node.args and getattr(node.args[0], "value", None) == "check":
+        return 'tolerance("check")'
+    return None
+
+
+def _tolerance_sources(source: str) -> list[str]:
+    """Reads of a tolerance's source outside the helper, as ``owner: read
+    (line)``, the owner being the top-level definition they sit in
+    ("<module>" at module level)."""
+    hits = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        if owner != TOLERANCE_HELPER:
+            hits += [(node.lineno, node.col_offset, f"{owner}: {read} (line {node.lineno})")
+                     for node in ast.walk(top) if (read := _tolerance_source(node))]
+    return [hit for *_, hit in sorted(hits)]
+
+
+def test_one_helper_picks_every_tolerance():
+    assert _tolerance_sources((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_the_check_sees_a_stray_tolerance_source():
+    source = "from .report import default_tolerance\n" \
+             "def _tolerance(args, scene, mode):\n" \
+             "    if args.tol is not None or 'check' in scene.tolerances:\n" \
+             "        return scene.tolerance('check', 1e-8)\n" \
+             "    return default_tolerance(scene.patch, mode, 1e-8, 30.0)\n" \
+             "def cmd(args, scene):\n" \
+             "    tol = args.tol or scene.tolerances.get('check')\n" \
+             "    return tol, scene.tolerance('check', 1e-8), scene.tolerance('acs', 1)\n" \
+             "class C:\n    pick = staticmethod(default_tolerance)\n" \
+             "floor = report.default_tolerance(None, 'fd', 1e-8, 30.0)\n"
+    assert _tolerance_sources(source) == [
+        "cmd: args.tol (line 7)", "cmd: tolerances (line 7)",
+        'cmd: tolerance("check") (line 8)', "C: default_tolerance (line 10)",
+        "<module>: default_tolerance (line 11)"]

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import fresh_python
 from spencerkit import brackets, cli, elliptic, holomorphy, hypercomplex, report, \
-    spencer
+    spencer, structures
 from spencerkit.cli import main
 from spencerkit.gridio import read_field_csv, write_field_csv
 from spencerkit.fields import Patch, ScalarField
@@ -173,8 +173,10 @@ class TestCliExitCodes:
         assert out == "" and "Traceback" not in stderr
         assert f"error: unrecognized arguments: {flag} " in stderr
 
-    # json reads a bare NaN token; a scene tolerance takes the --tol rule
-    @pytest.mark.parametrize("value", [float("nan"), -1.0], ids=["nan", "negative"])
+    # json reads a bare NaN token, true as a bool and an integer of any
+    # size; a scene tolerance takes the --tol rule
+    @pytest.mark.parametrize("value", [float("nan"), -1.0, True, 10 ** 400],
+                             ids=["nan", "negative", "bool", "past-float"])
     def test_bad_scene_tolerance_is_2(self, tmp_path, capsys, value):
         scene = json.loads((SCENES / "standard2d.json").read_text())
         scene["tolerances"] = {"check": value}
@@ -183,6 +185,41 @@ class TestCliExitCodes:
         assert run(["spencer", "verify", path, "--chart", "identity", "--no-meta"]) == 2
         out, stderr = capsys.readouterr()
         assert out == "" and "tolerances.check must be a finite number" in stderr
+
+    # scene values that once ended in a traceback, or were truncated to an
+    # integer and ran: each is a scene error that names its key
+    @pytest.mark.parametrize("scene, mutate, argv, key", [
+        ("type1", lambda s: s["patch"].update(bounds=5), [], "patch.bounds"),
+        ("pq_n1", lambda s: s["patch"].update(bounds=[[-1, 1], 5]), [], "patch.bounds"),
+        ("pq_n1", lambda s: s["patch"].update(bounds=[0, 10 ** 400]), [], "patch.bounds"),
+        ("type1", lambda s: s["patch"].update(resolution=9.7), [], "patch.resolution"),
+        ("pq_n1", lambda s: s["patch"].update(resolution=[9.5, 9]), [],
+         "patch.resolution"),
+        ("type1", lambda s: s["charts"]["type1"].pop("m"),
+         ["spencer", "verify", "--chart", "type1"], "charts.type1 needs 'm'"),
+        ("type1", lambda s: s["charts"]["type1"].update(m=1.5),
+         ["spencer", "verify", "--chart", "type1"], "charts.type1.m"),
+        ("pq_n1", lambda s: s["structure"].pop("q"), [], "needs 'q'"),
+        ("fixture_n1", lambda s: s["structure"].pop("entries"), [], "needs 'entries'"),
+        ("pullback2d", lambda s: s["structure"].pop("map"), [], "needs 'map'"),
+        ("pq_n1", lambda s: s.update(dim_half=1.5), [], "dim_half"),
+        ("pq_n1", lambda s: s.update(dim_half=True), [], "dim_half"),
+        ("pq_n1", lambda s: s.update(dim_half="x"), [], "dim_half"),
+    ], ids=["bounds-number", "bounds-range-number", "bounds-past-float",
+            "resolution-float", "resolution-entry-float", "chart-without-m", "chart-m-float",
+            "pq-without-q", "matrix-without-entries", "pullback-without-map",
+            "dim-half-float", "dim-half-bool", "dim-half-string"])
+    def test_malformed_scene_value_is_2(self, tmp_path, capsys, scene, mutate, argv,
+                                        key):
+        data = json.loads((SCENES / f"{scene}.json").read_text())
+        mutate(data)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        argv = argv or ["acs", "check"]
+        assert run(argv[:2] + [path] + argv[2:] + ["--no-meta"]) == 2
+        out, stderr = capsys.readouterr()
+        assert out == "" and "Traceback" not in stderr
+        assert stderr.startswith("spencerctl: ") and key in stderr
 
 
 class TestCliDeepExpressions:
@@ -745,36 +782,70 @@ class TestCliWorkflows:
         assert out["results"]["pattern"]["passes"] is False
         assert "superposition" not in out["results"]
 
-    def test_spencer_verify_takes_the_scene_check_tolerance(self, tmp_path, capsys):
-        data = json.loads((SCENES / "type1.json").read_text())
-        data["tolerances"] = {"check": 1e-30}
-        scene = tmp_path / "strict.json"
-        scene.write_text(json.dumps(data))
-        # fd residuals are truncation-sized: above 1e-30, below the fd default
-        argv = ["spencer", "verify", scene, "--chart", "type1", "--mode", "fd",
-                "--no-meta"]
-        assert run(argv) == 1
-        assert json.loads(capsys.readouterr().out)["results"]["pattern"][
-            "tolerance"] == 1e-30
-        data["tolerances"] = {}
-        scene.write_text(json.dumps(data))
-        assert run(argv) == 0
+    # argv on a shipped scene, a tolerance its verdict fails and one it
+    # passes, then the exit code and the reported tolerance given neither
+    # (None: no tolerance in the report).  The measure-only verdicts, holo
+    # residual, holo reduced and the solve's oracle error, pass without one;
+    # pluri check reports its default but bounds closedness only by a given
+    # tolerance; bracket's default fails the eigenfield check of d1 and d2.
+    @pytest.mark.parametrize("scene, argv, fails, passes, default", [
+        ("type1", ["holo", "residual", "--field", "w"], 1.0, 2.0, (0, None)),
+        ("fixture_n1", ["holo", "reduced", "--field", "linear"], 1.0, 3.0, (0, None)),
+        ("standard2d", ["elliptic", "solve", "--bc", "x1", "--oracle", "x1 + x2^2",
+                        "--grid", "9"], 0.5, 1.0, (0, None)),
+        ("fixture_n1", ["pluri", "check", "--field", "product", "--mode", "fd"],
+         1.0, 10.0, (0, 30 * 0.125 ** 2)),
+        ("type1", ["spencer", "verify", "--chart", "type1", "--mode", "fd"],
+         1e-30, 1e-12, (0, pytest.approx(30 / 9))),
+        ("standard2d", ["bracket", "check", "--x", "d1", "--y", "d2", "--field", "bump",
+                        "--case", "holo_antiholo"], 1.5, 3.0, (2, None)),
+        ("hyper_flat", ["hyper", "check", "--function", "square"], 1.0, 100.0,
+         (1, 1e-8)),
+        ("pq_n1", ["acs", "extract-pq", "--mode", "fd"], 0.0, 1e-10, (0, 1e-10)),
+    ], ids=["holo-residual", "holo-reduced", "solve-oracle", "pluri", "spencer",
+            "bracket", "hyper", "extract-pq"])
+    def test_one_tolerance_rule(self, tmp_path, capsys, scene, argv, fails, passes,
+                                default):
+        data = json.loads((SCENES / f"{scene}.json").read_text())
+        path = tmp_path / "s.json"
 
-    def test_pluri_check_takes_the_scene_check_tolerance(self, tmp_path, capsys):
-        data = json.loads((SCENES / "fixture_n1.json").read_text())
-        data["tolerances"] = {"check": 1e-300}
-        scene = tmp_path / "strict.json"
-        scene.write_text(json.dumps(data))
-        # x1*x2 has no closed potential form: its closedness is far above 1e-300
-        argv = ["pluri", "check", scene, "--field", "product", "--mode", "fd",
-                "--no-meta"]
-        assert run(argv) == 1
+        def verdict(check, tol=None):
+            data["tolerances"] = {} if check is None else {"check": check}
+            path.write_text(json.dumps(data))
+            flag = [] if tol is None else ["--tol", str(tol)]
+            rc = run(argv[:2] + [path] + argv[2:] + flag + ["--no-meta"])
+            out = capsys.readouterr().out
+            results = json.loads(out)["results"] if out else {}
+            return rc, results.get("pattern", results).get("tolerance")
+
+        assert verdict(fails) == (1, fails)
+        assert verdict(passes) == (0, passes)
+        assert verdict(fails, tol=passes) == (0, passes)
+        assert verdict(passes, tol=fails) == (1, fails)
+        assert verdict(None) == default
+
+    def test_a_sampled_structure_gets_the_fd_allowance(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # pq_n1 reconstructs exactly; sampled, it runs in fd mode under auto
+        monkeypatch.setattr(structures, "reconstructs_exactly", lambda p, q: False)
+        data = json.loads((SCENES / "pq_n1.json").read_text())
+        data["fields"]["u"] = "x1^2"
+        data["charts"] = {"c": {"m": 1, "holo": [{"re": "x1", "im": "x2"}]}}
+        path = tmp_path / "sampled.json"
+        path.write_text(json.dumps(data))
+        scene = load_scene(path)
+        acs = scene.structure()
+        assert not acs.is_exact
+        pattern = spencer.verify_chart(acs, scene.chart("c"))
+        # 30 h^2 at h = 0.1, not the exact floor 1e-8
+        assert pattern.tolerance == pytest.approx(0.3)
+        run(["spencer", "verify", path, "--chart", "c", "--no-meta"])
         results = json.loads(capsys.readouterr().out)["results"]
-        assert results["tolerance"] == 1e-300
-        assert results["closedness"]["sup_norm"] > 1.0
-        data["tolerances"] = {}
-        scene.write_text(json.dumps(data))
-        assert run(argv) == 0
+        assert results["pattern"]["tolerance"] == pattern.tolerance
+        assert run(["pluri", "check", path, "--field", "u", "--no-meta"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["mode"] == "fd"
+        assert results["tolerance"] == pattern.tolerance
 
     def test_convergence_orders(self, capsys):
         code = run(["convergence", SCENES / "pullback2d.json",
