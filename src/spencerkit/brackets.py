@@ -44,7 +44,12 @@ __all__ = [
 
 
 class EigenfieldError(ValueError):
-    """Vector field is not in the declared eigenspace."""
+    """Vector field is not in the declared eigenspace.  ``residuals`` are
+    the ``eigen_residual`` of X and of Y."""
+
+    def __init__(self, message: str, residuals: tuple[float, float]):
+        super().__init__(message)
+        self.residuals = residuals
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +215,7 @@ def bracket_law_check(acs: AlmostComplexStructure, x: VectorFieldC,
     if ex > tolerance or ey > tolerance:
         raise EigenfieldError(
             f"fields are not in the declared eigenspaces for {case!r} "
-            f"(residuals {ex:.2e}, {ey:.2e})")
+            f"(residuals {ex:.2e}, {ey:.2e})", (ex, ey))
     u = ComplexField.of(acs.patch, u)
     mode = resolve_mode(mode, acs, *x.components, *y.components, u)
     lhs = bracket_j(acs, x, y, u, mode)

@@ -38,7 +38,8 @@ from .elliptic import (
     solve_dirichlet,
     theorem_check,
 )
-from .brackets import bracket_j, bracket_law_check, potential_vf_residual
+from .brackets import EigenfieldError, bracket_j, bracket_law_check, \
+    potential_vf_residual
 from .gridio import read_field_csv, write_field_csv
 from .holomorphy import antiholo_residual, holo_residual, reduced_system, \
     reduced_system_residual, reduction_equivalence_check
@@ -328,9 +329,14 @@ def cmd_bracket_check(args) -> int:
     if args.case:
         tol = _tolerance(args, scene, resolve_mode(
             scene.mode, acs, *x.components, *y.components, u))
-        law = bracket_law_check(acs, x, y, u, args.case, scene.mode, tol)
-        results["law"] = law
         results["tolerance"] = tol
+        try:
+            law = bracket_law_check(acs, x, y, u, args.case, scene.mode, tol)
+        except EigenfieldError as exc:
+            # a failed verdict, not a usage error: the fields are reported
+            results["eigen_residuals"] = exc.residuals
+            return emit("bracket.check", results, False, args)
+        results["law"] = law
         passed = law.law_residual <= tol
     return emit("bracket.check", results, passed, args)
 

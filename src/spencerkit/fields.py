@@ -9,6 +9,13 @@ Conventions used throughout the package:
   taken lazily.  A ``ScalarField`` is the 1 x 1 case and a ``ComplexField``
   wraps the 1 x 2 field of its (re, im) parts, so sampling, ``diff`` and
   algebra exist once, in ``MatrixField``.
+* The broadcast rule: entries that all use no variable (a constant field)
+  are sampled at one node, and the (*grid, r, c) samples are that node
+  broadcast to the grid, a read-only view with stride 0 on every grid axis
+  (``np.broadcast_to``).  Every reader works on it unchanged, and
+  ``report.slab_map`` runs a kernel whose inputs are all constant on one
+  node.  The fd derivative of a constant along an axis is broadcast along
+  the other axes.  Only this module and ``report`` make broadcast views.
 * Every field offers two differentiation modes.  ``exact`` differentiates
   the backing expression symbolically and evaluates the result on the grid;
   ``fd`` applies order-2 central differences (order-2 one-sided at the
@@ -231,6 +238,10 @@ def _sample(patch: Patch, exprs, tile: tuple[slice, ...] | None = None) -> np.nd
     into the output, which is so passed over once, not once per root.  A
     non-finite sample raises ``EvaluationError`` at the first such
     expression and grid node.
+
+    Expressions that all use no variable are evaluated once and broadcast
+    to the output shape: a read-only view with stride 0 on every grid axis
+    (the broadcast rule of the module docstring).
     """
     coords, corner, shape = patch.open_mesh, (0,) * patch.dim, patch.resolution
     if tile is not None:
@@ -239,6 +250,12 @@ def _sample(patch: Patch, exprs, tile: tuple[slice, ...] | None = None) -> np.nd
         corner = tuple(t.start for t in tile)
         shape = tuple(t.stop - t.start for t in tile)
     values = _evaluate(exprs, coords, corner)
+    if not any(map(Expr.max_var_index, exprs)):
+        # numbers only: the first node, broadcast (the module's broadcast
+        # rule); a non-finite number is named below, as on every node
+        first = np.array(values, dtype=float)
+        if np.isfinite(first).all():
+            return np.broadcast_to(first, shape + first.shape)
     rows, *rest = shape
     out = np.empty(shape + (len(exprs),))
     if out.nbytes <= SAMPLE_BUFFER_BYTES:
@@ -355,7 +372,9 @@ class MatrixField:
 
     @property
     def values(self) -> np.ndarray:
-        """Samples of shape (*grid, rows, cols)."""
+        """Samples of shape (*grid, rows, cols).  For a constant field they
+        are one node's matrix broadcast to the grid: a read-only view with
+        stride 0 on every grid axis (``np.array(values)`` is a full copy)."""
         return self._sampled()
 
     def _entry(self, i: int, j: int, values) -> "ScalarField":
@@ -446,10 +465,12 @@ class MatrixField:
         """Partial derivative along 1-based ``axis``."""
         if resolve_mode(mode, self) == "exact":
             return self._apply((), lambda e: e.derivative(axis), None)
-        values = self.values
+        values, h = self.values, self.patch.spacing[axis - 1]
+        if _is_constant(values):  # broadcast along every other axis
+            return type(self)._of(self.patch, values=np.broadcast_to(
+                _fd_line(values, axis - 1, h), values.shape))
         out = np.empty_like(values)  # in the layout of the samples
-        _fd_axis(values, self.patch.interior(0), axis - 1,
-                 self.patch.spacing[axis - 1], out)
+        _fd_axis(values, self.patch.interior(0), axis - 1, h, out)
         return type(self)._of(self.patch, values=out)
 
     def derivatives(self, mode: str = "auto",
@@ -468,6 +489,13 @@ class MatrixField:
         it names.  In fd mode each axis is differenced (``_fd_axis``) from
         the tile's samples and a halo of one node on each side the tile cuts,
         or of three nodes at a grid edge.
+
+        The derivatives of a constant field cost one grid line per axis: in
+        exact mode they are sampled at one node and broadcast (zeros, unless
+        a constant raises), and in fd mode axis s is differenced on the
+        samples broadcast along axis s alone, shape (1, .., r_s, .., 1, r,
+        c), and then broadcast into the stack, with the bits of the whole
+        grid (the one-sided edge formula need not give an exact zero).
         """
         patch, d = self.patch, self.patch.dim
         if resolve_mode(mode, self) == "exact":
@@ -485,6 +513,12 @@ class MatrixField:
         tile = tile or patch.interior(0)  # the whole grid
         values = self.values
         out = np.empty(tuple(t.stop - t.start for t in tile) + (d,) + self.shape)
+        if _is_constant(values):  # one grid line per axis
+            for s in range(d):
+                line = _fd_line(values, s, patch.spacing[s])
+                out[..., s, :, :] = line[tuple(t if k == s else slice(0, 1)
+                                               for k, t in enumerate(tile))]
+            return out
         # part by part of about SAMPLE_BUFFER_BYTES: each axis is differenced
         # into one buffer laid out as the samples and copied into the stack,
         # which is faster than differencing into the strided stack itself
@@ -497,6 +531,22 @@ class MatrixField:
                 _fd_axis(values, at, s, patch.spacing[s], buf)
                 out[part][..., s, :, :] = buf
         return out
+
+
+def _is_constant(values: np.ndarray) -> bool:
+    """Whether samples (grid axes leading, then r, c) are broadcast along
+    every grid axis: one node's matrix at every node."""
+    return not any(values.strides[:-2])
+
+
+def _fd_line(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """``_fd_axis`` along 0-based ``axis`` of constant samples, on the one
+    grid line (1, .., r_axis, .., 1, r, c) that all other lines repeat."""
+    line = tuple(slice(0, r if k == axis else 1)
+                 for k, r in enumerate(values.shape[:-2]))
+    out = np.empty(values[line].shape)
+    _fd_axis(values, line, axis, h, out)
+    return out
 
 
 def _fd_axis(f: np.ndarray, tile: tuple[slice, ...], axis: int, h: float,

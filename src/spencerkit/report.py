@@ -54,6 +54,11 @@ def sup_and_node(values: np.ndarray, depth: int = 0,
     node are those of ``-values``, since negation is exact.
     """
     inner = values[tuple(slice(depth, r - depth) for r in values.shape)]
+    if 0 in inner.strides:
+        # along a broadcast axis every index holds the same values, so the
+        # first node sits at its first index
+        inner = inner[tuple(slice(0, 1) if stride == 0 else slice(None)
+                            for stride in inner.strides)]
     flat = int(np.argmax(inner))
     node = np.unravel_index(flat, inner.shape)
     return float(inner.flat[flat]), tuple(int(i) + depth for i in node)
@@ -77,19 +82,37 @@ def slab_map(kernel, grid: tuple[int, ...], node_bytes: int, *inputs) -> np.ndar
     each tile's views and returns the tile's per-node results, shape (n,) or
     (n, k), which fill one array of shape ``grid`` or ``grid + (k,)``; the
     reductions over the grid then run on that array.
+
+    An array may be broadcast (``np.broadcast_to``): stride 0 along some
+    grid axes, as the samples of a constant field are along all of them.
+    Along a grid axis where every input is such an array, the kernel runs
+    on the first index only and its per-node results are broadcast back
+    along the axis, so the result is then a read-only view of the full
+    shape, and a constant input costs one node.  Where only some inputs are
+    broadcast, those are read tile by tile, as a callable is, each tile
+    copied node-major.
     """
+    g, full = len(grid), tuple(grid)
+    if all(not callable(x) and 0 in x.strides[:g] for x in inputs):
+        # the first index of each axis along which every input is broadcast
+        first = tuple(slice(None) if any(x.strides[k] for x in inputs) else slice(0, 1)
+                      for k in range(g))
+        inputs = [x[first] for x in inputs]
+        grid = inputs[0].shape[:g]
     n = math.prod(grid)
-    views = [x if callable(x) else _node_major(x, n, len(grid)) for x in inputs]
+    views = [x if callable(x) else x.__getitem__ if 0 in x.strides[:g]
+             else _node_major(x, n, g) for x in inputs]
     out, start = None, 0
     for tile in tiles(grid, max(1, SLAB_BYTES // node_bytes)):
         size = math.prod(t.stop - t.start for t in tile)
-        part = kernel(*(_node_major(v(tile), size, len(grid)) if callable(v)
+        part = kernel(*(_node_major(v(tile), size, g) if callable(v)
                         else v[start:start + size] for v in views))
         if out is None:
             out = np.empty((n,) + part.shape[1:], part.dtype)
         out[start:start + size] = part
         start += size
-    return out.reshape(tuple(grid) + out.shape[1:])
+    out = out.reshape(tuple(grid) + out.shape[1:])
+    return out if out.shape[:g] == full else np.broadcast_to(out, full + out.shape[g:])
 
 
 def tiles(grid: tuple[int, ...], step: int):
@@ -110,9 +133,10 @@ def tiles(grid: tuple[int, ...], step: int):
 
 def _node_major(a: np.ndarray, n: int, grid_axes: int) -> np.ndarray:
     """``a`` viewed as (n, ...) with its ``grid_axes`` leading axes merged;
-    raises if that needs a copy, which would span the whole grid."""
+    raises if that needs a copy, which would span the whole grid, unless
+    ``a`` is a broadcast tile, which ``slab_map`` copies."""
     view = a.reshape((n,) + a.shape[grid_axes:])
-    if view.size and not np.may_share_memory(view, a):
+    if view.size and not np.may_share_memory(view, a) and 0 not in a.strides[:grid_axes]:
         raise ValueError("slab_map needs arrays whose grid axes merge without a copy")
     return view
 

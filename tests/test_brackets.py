@@ -233,8 +233,10 @@ class TestLaws:
     def test_eigen_precondition_enforced(self, std, patch2d_sym):
         x = VectorFieldC.coordinate(patch2d_sym, 1)  # not an eigenfield
         u = ScalarField.from_expr(patch2d_sym, "x1")
-        with pytest.raises(EigenfieldError):
+        with pytest.raises(EigenfieldError) as err:
             bracket_law_check(std, x, d_dz(patch2d_sym), u, "holo_holo")
+        # the error carries the residuals of X and Y, which the CLI reports
+        assert err.value.residuals == (1.0, 0.0)
 
     def test_random_polynomial_eigenfields(self, std, patch2d_sym):
         rng = np.random.default_rng(12)

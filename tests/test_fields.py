@@ -23,7 +23,8 @@ from spencerkit.fields import (
 )
 from spencerkit.fixtures import conjugated_hypercomplex, type1_structure
 from spencerkit.hypercomplex import k_hyperholo_residual
-from spencerkit.report import interior_sup, report_from_pointwise
+from spencerkit.report import interior_sup, report_from_pointwise, \
+    tiles as report_tiles
 from spencerkit.scene import load_scene
 
 from conftest import reference_evaluate
@@ -483,6 +484,48 @@ class TestSampleSlabs:
             fields._sample(self.PATCH, exprs)
         assert str(err.value) == "non-finite value in field '1.0 / (x1 - 9.0)' at node (9, 0)"
 
+
+
+class TestConstantFields:
+    """A field whose entries use no variable samples one node: its values
+    are a read-only broadcast view of the full shape."""
+
+    PATCH = Patch.box(2, -1.0, 1.0, 6)
+
+    def test_values_are_one_node_broadcast(self):
+        m = MatrixField.constant(self.PATCH, [[1.0, 2.0], [3.0, 4.0]])
+        v = m.values
+        assert v.shape == self.PATCH.resolution + (2, 2)
+        assert v.strides[:4] == (0, 0, 0, 0)
+        assert v.tobytes() == np.broadcast_to([[1.0, 2.0], [3.0, 4.0]], v.shape).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            v[1, 2, 3, 4, 0, 0] = 5.0
+        assert m[1, 0].samples.strides == (0, 0, 0, 0)
+        # a field that uses a variable is sampled at every node
+        assert all(MatrixField.from_exprs(self.PATCH, [["x3", "2"]]).values.strides[:4])
+
+    # the error names the same expression and node as sampling every node
+    # did: a constant raises, or is non-finite, at every node alike
+    @pytest.mark.parametrize("text, values, exact", [
+        ("1/0", "non-finite constant (ZeroDivisionError) in field '1.0 / 0.0'",
+         "non-finite constant (ZeroDivisionError) in field '0.0 / 0.0'"),
+        ("10^400", "non-finite constant (OverflowError) in field '10.0^400'", None),
+        ("exp(1000)", "non-finite value in field 'exp(1000.0)'", None),
+    ])
+    def test_a_bad_constant_names_its_expression_and_the_first_node(
+            self, text, values, exact):
+        m = MatrixField.from_exprs(self.PATCH, [["2", text]])
+        tile = list(report_tiles(self.PATCH.resolution, 36))[7]  # not at node 0
+        for sample, message in ((lambda: m.values, values),
+                                (lambda: m.derivatives("fd", tile), values),
+                                (lambda: m.derivatives("exact", tile), exact)):
+            if message is None:  # the derivative of a constant power is 0
+                assert not sample().any()
+                continue
+            with pytest.raises(EvaluationError) as err:
+                sample()
+            assert str(err.value) == f"{message} at node (0, 0, 0, 0)"
+            assert err.value.node == (0, 0, 0, 0)
 
 def _scene_scalar_fields(scene):
     """Every expression-backed scalar field a shipped scene declares."""

@@ -33,6 +33,13 @@ other code in ``cli.py`` reads ``args.tol`` or a scene's ``tolerances``, or
 calls ``tolerance("check", ...)`` or ``default_tolerance``.  So every
 command takes ``--tol``, else ``tolerances.check``, else the default in the
 mode its check ran.
+
+Only ``fields.py`` and ``report.py`` make broadcast views (``np.broadcast_to``,
+or ``broadcast_arrays`` and ``as_strided``, which also give stride 0): a
+constant field's samples are one node broadcast to the grid
+(``fields._sample``), and ``report.slab_map`` and ``report.sup_and_node``
+read such views a node at a time, so one rule decides which arrays are
+broadcast views.
 """
 
 import argparse
@@ -373,3 +380,37 @@ def test_the_check_sees_a_stray_tolerance_source():
         "cmd: args.tol (line 7)", "cmd: tolerances (line 7)",
         'cmd: tolerance("check") (line 8)', "C: default_tolerance (line 10)",
         "<module>: default_tolerance (line 11)"]
+
+
+# the modules that own the broadcast rule, and the numpy calls that make a
+# view with stride 0
+BROADCAST_OWNERS = ("fields.py", "report.py")
+BROADCASTS = {"broadcast_to", "broadcast_arrays", "as_strided"}
+
+
+def _broadcasts(source: str) -> list[str]:
+    """Calls that make a broadcast view, as a function or a method, in
+    source order."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in BROADCASTS:
+                hits.append((node.lineno, node.col_offset, f"{name} (line {node.lineno})"))
+    return [hit for *_, hit in sorted(hits)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in BROADCAST_OWNERS],
+                         ids=lambda p: p.name)
+def test_only_fields_and_report_broadcast(path):
+    assert _broadcasts(path.read_text()) == []
+
+
+def test_the_check_sees_a_stray_broadcast():
+    source = "import numpy as np\nfrom numpy import broadcast_to\n" \
+             "def f(x, shape):\n    y = np.broadcast_to(x, shape)\n" \
+             "    return broadcast_to(y, shape), np.broadcast_arrays(x, y)\n" \
+             "z = np.lib.stride_tricks.broadcast_to(1.0, (2,))\n"
+    assert _broadcasts(source) == [
+        "broadcast_to (line 4)", "broadcast_to (line 5)", "broadcast_arrays (line 5)",
+        "broadcast_to (line 6)"]

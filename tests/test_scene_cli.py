@@ -299,6 +299,10 @@ _PROBES = [
      "--base"),
     ("solve-two-boundary-sources", ["elliptic", "solve", "{scene}", "--bc", "x1",
                                     "--bc-field", "zeropow"], 2, "--bc and --bc-field"),
+    # d1 and d2 are real, so in neither eigenspace: a failed law, not a usage error
+    ("bracket-outside-eigenspaces", ["bracket", "check", "{scene}", "--x", "d1",
+                                     "--y", "d2", "--field", "bump", "--case",
+                                     "holo_antiholo"], 1, "eigen_residuals"),
 ]
 
 
@@ -313,7 +317,10 @@ class TestExitCodeContract:
             "patch": {"bounds": [0.0, 1.0], "resolution": 9},
             "structure": {"kind": "standard"},
             "fields": {"div": "x1 + 1/0", "negpow": "x1 + 0^-1",
-                       "zeropow": "0^0*x1 + x2", "overflow": "x1*10^400"},
+                       "zeropow": "0^0*x1 + x2", "overflow": "x1*10^400",
+                       "bump": "x1^2"},
+            "vector_fields": {"d1": [{"re": "1", "im": "0"}, {"re": "0", "im": "0"}],
+                              "d2": [{"re": "0", "im": "0"}, {"re": "1", "im": "0"}]},
             # no solve reaches this: every one ends in ConvergenceError
             "tolerances": {"solver": 1e-300},
         }))
@@ -787,7 +794,8 @@ class TestCliWorkflows:
     # (None: no tolerance in the report).  The measure-only verdicts, holo
     # residual, holo reduced and the solve's oracle error, pass without one;
     # pluri check reports its default but bounds closedness only by a given
-    # tolerance; bracket's default fails the eigenfield check of d1 and d2.
+    # tolerance; bracket's default fails the eigenfield check of d1 and d2,
+    # a failed verdict that reports the residuals.
     @pytest.mark.parametrize("scene, argv, fails, passes, default", [
         ("type1", ["holo", "residual", "--field", "w"], 1.0, 2.0, (0, None)),
         ("fixture_n1", ["holo", "reduced", "--field", "linear"], 1.0, 3.0, (0, None)),
@@ -798,7 +806,7 @@ class TestCliWorkflows:
         ("type1", ["spencer", "verify", "--chart", "type1", "--mode", "fd"],
          1e-30, 1e-12, (0, pytest.approx(30 / 9))),
         ("standard2d", ["bracket", "check", "--x", "d1", "--y", "d2", "--field", "bump",
-                        "--case", "holo_antiholo"], 1.5, 3.0, (2, None)),
+                        "--case", "holo_antiholo"], 1.5, 3.0, (1, 1e-8)),
         ("hyper_flat", ["hyper", "check", "--function", "square"], 1.0, 100.0,
          (1, 1e-8)),
         ("pq_n1", ["acs", "extract-pq", "--mode", "fd"], 0.0, 1e-10, (0, 1e-10)),

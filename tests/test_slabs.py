@@ -11,9 +11,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spencerkit import report
+from spencerkit import hypercomplex, report
 from spencerkit.fields import ComplexField, MatrixField, Patch
-from spencerkit.fixtures import coordinate_function, type1_structure
+from spencerkit.fixtures import coordinate_function, flat_hypercomplex, type1_structure
 from spencerkit.holomorphy import antiholo_residual, holo_residual
 from spencerkit.hypercomplex import QuaternionFunction, k_hyperholo_residual
 from spencerkit.spencer import SpencerChart, _basis_columns, _normalized_det, verify_chart
@@ -353,3 +353,216 @@ def test_nijenhuis_peak_memory_at_grid_21_is_bounded():
     # 194,481 nodes: a full-grid stack would be 95.0 MiB, and over it the
     # slabbed kernel peaked at 140.3 MiB; tiled, it peaks at 19.8 MiB
     assert _nijenhuis_peak(21) < 32 * 2**20
+
+
+# -- constant fields: one node, with the bits of the full grid ----------------
+
+def _tiled_by(monkeypatch, nodes):
+    """``slab_map`` cuts tiles of ``nodes`` nodes, whatever its node bytes."""
+    tiles = report.tiles
+    monkeypatch.setattr(report, "tiles", lambda grid, step: tiles(grid, nodes))
+
+
+def _full_grid_copy(m):
+    """The samples of ``m`` held as one full-grid array."""
+    return MatrixField.from_values(m.patch, np.array(m.values))
+
+
+def _outcome(check):
+    """``check()`` as text with every float's bits, or the error it raises
+    with the node it names."""
+    try:
+        return repr(report.jsonable(check()))
+    except (InvalidStructureError, SingularMatrixError) as exc:
+        return f"{type(exc).__name__}: {exc} {exc.node}"
+
+
+S, T = quaternionic_standard()
+_G = np.eye(4) + 0.1 * np.sin(np.arange(16.0)).reshape(4, 4)
+# the flat pair; a conjugated one, whose entries carry roundoff; and a J with
+# its first row zeroed, which fails J^2 = -E, and is singular, at every node
+CONSTANT_PAIRS = {
+    "flat": (S, T),
+    "conjugated": (np.linalg.solve(_G, S @ _G), np.linalg.solve(_G, T @ _G)),
+    "invalid": (np.vstack([np.zeros(4), S[1:]]), T),
+}
+
+
+def _checks(j, k):
+    """What the checks give on the structure fields ``j`` and ``k``, in fd
+    mode, which a constant and its sample-backed copy share."""
+    J = validate_acs(j, tolerance=1e-10, strict=False)
+    K = validate_acs(k, tolerance=1e-10, strict=False)
+    f = ComplexField.from_exprs(PATCH, "x1 + 0.3*x3^2", "x2*x4 - x1")
+    F = QuaternionFunction.affine(PATCH, (0.5, 0.2, -0.3, 0.7), (1.0, 0.0, 0.5, -1.0))
+    per_node = report.slab_map(report.node_sup, PATCH.resolution, 8 * 16, j.values)
+    return [_outcome(check) for check in (
+        lambda: validate_acs(j, tolerance=1e-10).acs_residual,
+        lambda: (J.acs_residual, J.valid),
+        lambda: make_hypercomplex(J, K, tolerance=1e-10).anti_residual,
+        lambda: pointwise_inverse(j.values, "J is singular").tobytes(),
+        lambda: holo_residual(J, f, "fd"),
+        lambda: k_hyperholo_residual(make_hypercomplex(J, K, np.inf), F, "fd"),
+        lambda: report.report_from_pointwise(per_node, PATCH, "fd"),
+        lambda: report.sup_and_node(per_node, 2),
+    )]
+
+
+@pytest.mark.parametrize("pair", CONSTANT_PAIRS)
+def test_a_constant_gives_the_bits_of_its_full_grid_copy(monkeypatch, pair):
+    j, k = (MatrixField.constant(PATCH, m) for m in CONSTANT_PAIRS[pair])
+    assert not any(j.values.strides[:4])
+    copies = [_full_grid_copy(m) for m in (j, k)]
+    for nodes in (PATCH.n_points,) + TILINGS:  # one tile, then many
+        _tiled_by(monkeypatch, nodes)
+        assert _checks(j, k) == _checks(*copies)
+    if pair == "invalid":
+        outcomes = _checks(j, k)
+        assert outcomes[0].startswith("InvalidStructureError") and \
+            outcomes[0].endswith("at node (0, 0, 0, 0) (tolerance 1.0e-10) (0, 0, 0, 0)")
+        assert outcomes[3] == \
+            "SingularMatrixError: J is singular at node (0, 0, 0, 0) (0, 0, 0, 0)"
+
+
+@pytest.mark.parametrize("pair", CONSTANT_PAIRS)
+def test_exact_residuals_of_a_constant_run_on_one_node(monkeypatch, pair):
+    # an affine F has constant exact derivatives, so with a constant K every
+    # input of the K-residual kernel is broadcast; the reference holds the
+    # constants' samples as full-grid arrays beside their expressions
+    j, k = (MatrixField.constant(PATCH, m) for m in CONSTANT_PAIRS[pair])
+    copies = [MatrixField._of(PATCH, m.exprs, np.array(m.values)) for m in (j, k)]
+    F = QuaternionFunction.affine(PATCH, (0.5, 0.2, -0.3, 0.7), (1.0, 0.0, 0.5, -1.0))
+    f = ComplexField.from_exprs(PATCH, "x1 + 0.3*x3^2", "x2*x4 - x1")
+
+    def residuals(j, k):
+        J, K = (validate_acs(m, tolerance=1e-10, strict=False) for m in (j, k))
+        h = make_hypercomplex(J, K, np.inf)
+        return [_outcome(lambda: k_hyperholo_residual(h, F, "exact")),
+                _outcome(lambda: holo_residual(J, f, "exact"))]
+
+    nodes = []  # the nodes each call of the K-residual kernel gets
+
+    def counted(kernel, *args):
+        return report.slab_map(lambda *v: nodes.append(len(v[0])) or kernel(*v), *args)
+
+    monkeypatch.setattr(hypercomplex, "slab_map", counted)
+    whole = residuals(*copies)
+    assert nodes == [PATCH.n_points] * 4
+    for n in (PATCH.n_points,) + TILINGS:
+        _tiled_by(monkeypatch, n)
+        nodes.clear()
+        assert residuals(j, k) == whole
+        assert nodes == [1] * 4  # each 1-form system on one node
+
+
+@pytest.mark.parametrize("mode", ["fd", "exact"])
+def test_derivatives_of_a_constant(mode):
+    m = MatrixField.constant(PATCH, CONSTANT_PAIRS["conjugated"][0])
+    if mode == "fd":
+        copy = _full_grid_copy(m)
+        whole = copy.derivatives("fd")
+        for axis in range(1, 5):
+            assert m.diff(axis, "fd").values.tobytes() == \
+                copy.diff(axis, "fd").values.tobytes()
+        # the one-sided edge formula leaves roundoff on a constant
+        assert np.abs(whole).max() > 0.0
+    else:
+        whole = np.zeros(PATCH.resolution + (4, 4, 4))
+    assert m.derivatives(mode).tobytes() == whole.tobytes()
+    for nodes in TILINGS + (6,):
+        for tile in report.tiles(PATCH.resolution, nodes):
+            assert m.derivatives(mode, tile).tobytes() == whole[tile].tobytes()
+
+
+# -- slab_map with broadcast inputs -------------------------------------------
+
+class TestBroadcastInputs:
+    GRID = (3, 4, 5)
+    # one node's 2-vector; a (4, 2) row, the same at every index of axes 0
+    # and 2; and a full-grid array
+    NODE = np.array([2.0, -3.0])
+    ROW = np.array([[1.0, 0.5], [-4.0, 2.0], [0.0, 3.0], [7.0, -1.0]])
+    FULL = np.arange(120.0).reshape(3, 4, 5, 2)
+
+    def run(self, *inputs, node_bytes=16):
+        seen = []
+
+        def kernel(*slabs):
+            seen.append(len(slabs[0]))
+            return report.node_sup(sum(slabs))
+
+        return report.slab_map(kernel, self.GRID, node_bytes, *inputs), seen
+
+    @staticmethod
+    def _broadcast(a, shape):
+        return np.broadcast_to(a, shape + a.shape[-1:])
+
+    def node_sups(self, full):
+        return report.node_sup(full.reshape(-1, 2)).reshape(self.GRID)
+
+    def test_every_input_broadcast_runs_one_node(self):
+        node = self._broadcast(self.NODE, self.GRID)
+        out, seen = self.run(node, node)
+        assert seen == [1]
+        assert out.shape == self.GRID and not out.flags.writeable
+        assert not any(out.strides)
+        assert out.tobytes() == np.full(self.GRID, 6.0).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            out[0, 0, 0] = 1.0
+
+    def test_an_axis_collapses_only_if_every_input_is_broadcast_along_it(self):
+        node = self._broadcast(self.NODE, self.GRID)
+        row = self._broadcast(self.ROW[:, None], self.GRID)
+        out, seen = self.run(node, row)
+        assert seen == [4]  # axes 0 and 2 collapse, axis 1 does not
+        expected = self.node_sups(np.array(node) + np.array(row))
+        assert out.shape == self.GRID and not out.flags.writeable
+        assert out.tobytes() == expected.tobytes()
+        # beside a full-grid array nothing collapses: the broadcast inputs
+        # are copied tile by tile, 5 nodes a tile here
+        out, seen = self.run(node, row, self.FULL, node_bytes=report.SLAB_BYTES // 5)
+        assert seen == [5] * 12
+        expected = self.node_sups(np.array(node) + np.array(row) + self.FULL)
+        assert out.tobytes() == expected.tobytes()
+
+    def test_a_callable_input_still_gets_each_tile(self):
+        tiles = []
+
+        def full(tile):
+            tiles.append(tile)
+            return self.FULL[tile]
+
+        node = self._broadcast(self.NODE, self.GRID)
+        out, seen = self.run(node, full, node_bytes=report.SLAB_BYTES // 5)
+        assert seen == [5] * 12 and len(tiles) == 12
+        expected = self.node_sups(np.array(node) + self.FULL)
+        assert out.tobytes() == expected.tobytes()
+        # a callable that returns a broadcast tile is copied, not refused
+        out, seen = self.run(node, lambda tile: node[tile])
+        assert seen == [60]
+        assert out.tobytes() == np.full(self.GRID, 6.0).tobytes()
+
+    def test_sup_and_node_of_a_broadcast_array(self):
+        # the same on axes 0 and 2; a NaN is the largest value
+        values = np.broadcast_to(np.array([1.0, np.nan, 3.0, 3.0])[:, None], self.GRID)
+        for depth in (0, 1):
+            assert repr(report.sup_and_node(values, depth)) == \
+                repr(report.sup_and_node(np.array(values), depth))
+        assert report.sup_and_node(values)[1] == (0, 1, 0)
+        tied = np.broadcast_to(np.array([1.0, 5.0, 3.0, 5.0])[:, None], self.GRID)
+        assert report.sup_and_node(tied) == (5.0, (0, 1, 0))
+        assert report.sup_and_node(-tied, 1) == (-3.0, (1, 2, 1))
+
+
+def test_the_8_dim_flat_pair_holds_one_node():
+    # at the parent of this change the pair took 1.04 s and 455 MB of max RSS
+    patch = Patch.box(4, -1.0, 1.0, 5)
+    tracemalloc.start()
+    try:
+        h = flat_hypercomplex(patch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert h.anti_residual == h.J.acs_residual == h.K.acs_residual == 0.0
+    assert h.J.cot_values().shape == patch.resolution + (8, 8)
