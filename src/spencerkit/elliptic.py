@@ -282,7 +282,8 @@ def apply_pointwise(op: EllipticOperator, u: ScalarField, mode: str = "auto",
     mode = resolve_mode(mode, op, u)
     grad = MatrixField(u.patch, [[g] for g in gradient(u, mode)])
     # Hessian: d/dx^s (du/dx^p) for s >= p, mirrored onto s < p
-    # written into below: the stack of a constant gradient is a broadcast view
+    # written into below: the exact stack of a linear gradient is a
+    # read-only broadcast view
     hess = np.require(grad.derivatives(mode)[..., 0], requirements="W")
     i, j = np.triu_indices(u.patch.dim, 1)
     hess[..., i, j] = hess[..., j, i]

@@ -14,8 +14,9 @@ Conventions used throughout the package:
   broadcast to the grid, a read-only view with stride 0 on every grid axis
   (``np.broadcast_to``).  Every reader works on it unchanged, and
   ``report.slab_map`` runs a kernel whose inputs are all constant on one
-  node.  The fd derivative of a constant along an axis is broadcast along
-  the other axes.  Only this module and ``report`` make broadcast views.
+  node.  An exact derivative whose expressions all use no variable (of a
+  constant or a linear field, say) is such a view too; an fd derivative
+  is a new array.  Only this module and ``report`` make broadcast views.
 * Every field offers two differentiation modes.  ``exact`` differentiates
   the backing expression symbolically and evaluates the result on the grid;
   ``fd`` applies order-2 central differences (order-2 one-sided at the
@@ -462,15 +463,15 @@ class MatrixField:
     # -- calculus ----------------------------------------------------------
 
     def diff(self, axis: int, mode: str = "auto") -> "MatrixField":
-        """Partial derivative along 1-based ``axis``."""
+        """Partial derivative along 1-based ``axis``.  In exact mode its
+        ``values`` are a read-only broadcast view when the derivative's
+        expressions use no variable (see ``derivatives``)."""
         if resolve_mode(mode, self) == "exact":
             return self._apply((), lambda e: e.derivative(axis), None)
-        values, h = self.values, self.patch.spacing[axis - 1]
-        if _is_constant(values):  # broadcast along every other axis
-            return type(self)._of(self.patch, values=np.broadcast_to(
-                _fd_line(values, axis - 1, h), values.shape))
+        values = self.values
         out = np.empty_like(values)  # in the layout of the samples
-        _fd_axis(values, self.patch.interior(0), axis - 1, h, out)
+        _fd_axis(values, self.patch.interior(0), axis - 1,
+                 self.patch.spacing[axis - 1], out)
         return type(self)._of(self.patch, values=out)
 
     def derivatives(self, mode: str = "auto",
@@ -490,12 +491,12 @@ class MatrixField:
         the tile's samples and a halo of one node on each side the tile cuts,
         or of three nodes at a grid edge.
 
-        The derivatives of a constant field cost one grid line per axis: in
-        exact mode they are sampled at one node and broadcast (zeros, unless
-        a constant raises), and in fd mode axis s is differenced on the
-        samples broadcast along axis s alone, shape (1, .., r_s, .., 1, r,
-        c), and then broadcast into the stack, with the bits of the whole
-        grid (the one-sided edge formula need not give an exact zero).
+        In exact mode, when every derivative expression uses no variable
+        (the field is constant or linear), the stack is sampled at one node
+        and is a read-only view broadcast to the full shape (the broadcast
+        rule of the module docstring), as is an exact ``diff`` whose
+        expressions use no variable; take ``np.array`` of it to write into
+        it.  In fd mode the stack is a new array, also for a constant.
         """
         patch, d = self.patch, self.patch.dim
         if resolve_mode(mode, self) == "exact":
@@ -513,12 +514,6 @@ class MatrixField:
         tile = tile or patch.interior(0)  # the whole grid
         values = self.values
         out = np.empty(tuple(t.stop - t.start for t in tile) + (d,) + self.shape)
-        if _is_constant(values):  # one grid line per axis
-            for s in range(d):
-                line = _fd_line(values, s, patch.spacing[s])
-                out[..., s, :, :] = line[tuple(t if k == s else slice(0, 1)
-                                               for k, t in enumerate(tile))]
-            return out
         # part by part of about SAMPLE_BUFFER_BYTES: each axis is differenced
         # into one buffer laid out as the samples and copied into the stack,
         # which is faster than differencing into the strided stack itself
@@ -531,22 +526,6 @@ class MatrixField:
                 _fd_axis(values, at, s, patch.spacing[s], buf)
                 out[part][..., s, :, :] = buf
         return out
-
-
-def _is_constant(values: np.ndarray) -> bool:
-    """Whether samples (grid axes leading, then r, c) are broadcast along
-    every grid axis: one node's matrix at every node."""
-    return not any(values.strides[:-2])
-
-
-def _fd_line(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """``_fd_axis`` along 0-based ``axis`` of constant samples, on the one
-    grid line (1, .., r_axis, .., 1, r, c) that all other lines repeat."""
-    line = tuple(slice(0, r if k == axis else 1)
-                 for k, r in enumerate(values.shape[:-2]))
-    out = np.empty(values[line].shape)
-    _fd_axis(values, line, axis, h, out)
-    return out
 
 
 def _fd_axis(f: np.ndarray, tile: tuple[slice, ...], axis: int, h: float,

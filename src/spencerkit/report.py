@@ -54,11 +54,10 @@ def sup_and_node(values: np.ndarray, depth: int = 0,
     node are those of ``-values``, since negation is exact.
     """
     inner = values[tuple(slice(depth, r - depth) for r in values.shape)]
-    if 0 in inner.strides:
-        # along a broadcast axis every index holds the same values, so the
-        # first node sits at its first index
-        inner = inner[tuple(slice(0, 1) if stride == 0 else slice(None)
-                            for stride in inner.strides)]
+    if not any(inner.strides):
+        # one node broadcast (slab_map): search that node, since np.argmax
+        # would copy the view to the full grid
+        inner = inner[(slice(0, 1),) * inner.ndim]
     flat = int(np.argmax(inner))
     node = np.unravel_index(flat, inner.shape)
     return float(inner.flat[flat]), tuple(int(i) + depth for i in node)
@@ -85,20 +84,16 @@ def slab_map(kernel, grid: tuple[int, ...], node_bytes: int, *inputs) -> np.ndar
 
     An array may be broadcast (``np.broadcast_to``): stride 0 along some
     grid axes, as the samples of a constant field are along all of them.
-    Along a grid axis where every input is such an array, the kernel runs
-    on the first index only and its per-node results are broadcast back
-    along the axis, so the result is then a read-only view of the full
-    shape, and a constant input costs one node.  Where only some inputs are
-    broadcast, those are read tile by tile, as a callable is, each tile
-    copied node-major.
+    When every input is an array with stride 0 along every grid axis, the
+    kernel runs on one node and its result is broadcast to the grid, a
+    read-only view of the full shape, so constant inputs cost one node.
+    Otherwise each broadcast input is read tile by tile, as a callable is,
+    each tile copied node-major.
     """
-    g, full = len(grid), tuple(grid)
-    if all(not callable(x) and 0 in x.strides[:g] for x in inputs):
-        # the first index of each axis along which every input is broadcast
-        first = tuple(slice(None) if any(x.strides[k] for x in inputs) else slice(0, 1)
-                      for k in range(g))
-        inputs = [x[first] for x in inputs]
-        grid = inputs[0].shape[:g]
+    g = len(grid)
+    if all(not callable(x) and not any(x.strides[:g]) for x in inputs):
+        node = kernel(*(x[(0,) * g][None] for x in inputs))
+        return np.broadcast_to(node[0], tuple(grid) + node.shape[1:])
     n = math.prod(grid)
     views = [x if callable(x) else x.__getitem__ if 0 in x.strides[:g]
              else _node_major(x, n, g) for x in inputs]
@@ -111,8 +106,7 @@ def slab_map(kernel, grid: tuple[int, ...], node_bytes: int, *inputs) -> np.ndar
             out = np.empty((n,) + part.shape[1:], part.dtype)
         out[start:start + size] = part
         start += size
-    out = out.reshape(tuple(grid) + out.shape[1:])
-    return out if out.shape[:g] == full else np.broadcast_to(out, full + out.shape[g:])
+    return out.reshape(tuple(grid) + out.shape[1:])
 
 
 def tiles(grid: tuple[int, ...], step: int):

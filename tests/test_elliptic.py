@@ -11,6 +11,7 @@ import scipy.sparse as sparse
 from spencerkit import elliptic
 from spencerkit.elliptic import (
     ConvergenceError,
+    EllipticOperator,
     apply_operator,
     apply_pointwise,
     assemble_operator,
@@ -22,7 +23,8 @@ from spencerkit.elliptic import (
     theorem_check,
 )
 from spencerkit.elliptic import _assemble_system
-from spencerkit.fields import DEFAULT_POINT_BUDGET, MatrixField, Patch, ScalarField
+from spencerkit.fields import DEFAULT_POINT_BUDGET, MatrixField, Patch, ScalarField, \
+    gradient
 from spencerkit.fixtures import pullback_structure, standard_structure, \
     structure_from_cot, type1_structure
 from spencerkit.scene import load_scene
@@ -291,6 +293,19 @@ class TestContraction:
         sl = patch2d.interior()
         assert np.abs(lap[sl] - 4.0).max() <= 1e-12
         assert contraction_identity_residual(std, u).sup_norm <= 1e-12
+
+    def test_quadratic_reads_a_read_only_exact_hessian(self, patch2d):
+        # the exact Hessian stack of a quadratic is one node broadcast to the
+        # grid, a read-only view; apply_pointwise writes into a copy of it
+        u = ScalarField.from_expr(patch2d, "x1^2 + 3*x1*x2 - 2*x2^2")
+        grad = MatrixField(patch2d, [[g] for g in gradient(u, "exact")])
+        assert not grad.derivatives("exact").flags.writeable
+        zero = ScalarField.from_expr(patch2d, "0")
+        a = MatrixField.constant(patch2d, [[1.0, 0.5], [0.25, 2.0]])
+        op = EllipticOperator(patch2d, a, (zero, zero), "exact")
+        # 1*2 + 0.5*3 + 0.25*3 + 2*(-4), every term exact
+        assert np.array_equal(apply_pointwise(op, u, "exact"),
+                              np.full(patch2d.resolution, -3.75))
 
     def test_fixture_exact(self, fixture_acs):
         u = ScalarField.from_expr(fixture_acs.patch, "x1*x2")
