@@ -152,8 +152,20 @@ class EllipticOperator:
 
     def mesh_peclet(self) -> float:
         """max |B_p| h_p / lambda_min(A); above 1 the discrete maximum
-        principle is not guaranteed."""
-        lam_min = float(np.linalg.eigvalsh(self.A.values)[..., 0].min())
+        principle is not guaranteed.
+
+        In 2D lambda_min of the symmetric A = [[a, b], [b, c]] is the closed
+        form ``(a + c)/2 - hypot((a - c)/2, b)``, with no LAPACK call per
+        node; from 4D it is ``np.linalg.eigvalsh``'s.  Both read A's lower
+        triangle.
+        """
+        av = self.A.values
+        if self.patch.dim == 2:
+            a, b, c = av[..., 0, 0], av[..., 1, 0], av[..., 1, 1]
+            lam = (a + c) / 2 - np.hypot((a - c) / 2, b)
+        else:
+            lam = np.linalg.eigvalsh(av)[..., 0]
+        lam_min = float(lam.min())
         worst = 0.0
         for p, b in enumerate(self.B):
             worst = max(worst, float(np.abs(b.samples).max()) * self.patch.spacing[p])
@@ -222,8 +234,11 @@ def ellipticity_certificate(acs: AlmostComplexStructure, sample_count: int = 10_
                             seed: int = 0) -> CertificateReport:
     """Sample xi^T A xi over random (node, unit xi) pairs.
 
-    A = C^T C + E is formed from the cotangent matrix C at the sampled nodes
-    only; no operator is built.  The certificate passes when the lower bound
+    A = C^T C + E is formed from the cotangent matrix C at the sampled nodes,
+    or, on a grid of fewer nodes than samples, at every node and gathered,
+    so that each node's A is formed once; either way it has the same bits,
+    since A at a node reads only that node's C.  No operator is built.
+    The certificate passes when the lower bound
     ``xi^T A xi >= 1 - 1e-10`` holds and the pointwise identity
     ``xi^T A xi = |C xi|^2 + |xi|^2``, evaluated from C itself, holds to
     1e-10 (``_CERTIFICATE_TOLERANCE``).  Raises ``ValueError`` on an
@@ -237,8 +252,13 @@ def ellipticity_certificate(acs: AlmostComplexStructure, sample_count: int = 10_
     nodes = rng.integers(0, math.prod(resolution), size=sample_count)
     xi = rng.normal(size=(sample_count, d))
     xi /= np.linalg.norm(xi, axis=1, keepdims=True)
-    c_sel = acs.cot_values()[np.unravel_index(nodes, resolution)]
-    quad = np.einsum("ni,nij,nj->n", xi, _principal_part(c_sel), xi)
+    c = acs.cot_values()
+    c_sel = c[np.unravel_index(nodes, resolution)]
+    if math.prod(resolution) < sample_count:
+        a_sel = _principal_part(c).reshape(-1, d, d)[nodes]
+    else:
+        a_sel = _principal_part(c_sel)
+    quad = np.einsum("ni,nij,nj->n", xi, a_sel, xi)
     c_xi = np.einsum("nij,nj->ni", c_sel, xi)
     ident = np.einsum("ni,ni->n", c_xi, c_xi) + np.einsum("ni,ni->n", xi, xi)
     gap = float(np.abs(quad - ident).max())

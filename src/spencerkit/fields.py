@@ -303,7 +303,8 @@ class MatrixField:
     def __init__(self, patch: Patch, rows):
         """Matrix of the scalar fields in ``rows``, a nested sequence.  It
         keeps their expressions if all have one, and stacks their samples
-        if some has none or all are sampled already."""
+        if some has none or all are sampled already: one node broadcast to
+        the grid when every entry's samples are (the broadcast rule)."""
         rows = _rectangular(rows)
         entries = [e for row in rows for e in row]
         for e in entries:
@@ -316,8 +317,14 @@ class MatrixField:
         if all(e.is_exact for e in entries):
             self.exprs = tuple(tuple(e.expr for e in row) for row in rows)
         if self.exprs is None or all(e._values is not None for e in entries):
-            self._values = np.stack([np.stack([e.samples for e in row], axis=-1)
-                                     for row in rows], axis=-2)
+            samples = [[e.samples for e in row] for row in rows]
+            if not any(any(x.strides) for row in samples for x in row):
+                # every entry is one node broadcast (the broadcast rule)
+                node = np.array([[x[(0,) * patch.dim] for x in row] for row in samples])
+                self._values = np.broadcast_to(node, patch.resolution + node.shape)
+            else:
+                self._values = np.stack([np.stack(row, axis=-1) for row in samples],
+                                        axis=-2)
 
     @classmethod
     def _of(cls, patch: Patch, exprs=None, values=None) -> "MatrixField":

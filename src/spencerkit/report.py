@@ -79,8 +79,9 @@ def slab_map(kernel, grid: tuple[int, ...], node_bytes: int, *inputs) -> np.ndar
     tile at a time.  Either is viewed node-major, as (n, ...) with the nodes
     in C order, and the view must not need a copy.  ``kernel`` is called on
     each tile's views and returns the tile's per-node results, shape (n,) or
-    (n, k), which fill one array of shape ``grid`` or ``grid + (k,)``; the
-    reductions over the grid then run on that array.
+    (n, k), which fill one array of shape ``grid`` or ``grid + (k,)``; a
+    lone tile's result is that array itself when it owns its memory (is not
+    a view).  The reductions over the grid then run on that array.
 
     An array may be broadcast (``np.broadcast_to``): stride 0 along some
     grid axes, as the samples of a constant field are along all of them.
@@ -102,9 +103,11 @@ def slab_map(kernel, grid: tuple[int, ...], node_bytes: int, *inputs) -> np.ndar
         size = math.prod(t.stop - t.start for t in tile)
         part = kernel(*(_node_major(v(tile), size, g) if callable(v)
                         else v[start:start + size] for v in views))
-        if out is None:
-            out = np.empty((n,) + part.shape[1:], part.dtype)
-        out[start:start + size] = part
+        if out is None:  # a lone tile's own array is the grid's, not copied
+            out = part if size == n and part.base is None else \
+                np.empty((n,) + part.shape[1:], part.dtype)
+        if out is not part:
+            out[start:start + size] = part
         start += size
     return out.reshape(tuple(grid) + out.shape[1:])
 

@@ -85,23 +85,54 @@ def _det_scale(values: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, node_sup(values)) ** n
 
 
+def _det(v: np.ndarray) -> np.ndarray:
+    """Determinant of each n x n matrix of ``v`` (the last two axes): in
+    closed form for n <= 2, ``a`` or ``a d - b c``, and by LU
+    (``np.linalg.det``) from n = 3."""
+    n = v.shape[-1]
+    if n == 1:
+        return v[..., 0, 0]
+    if n == 2:
+        return v[..., 0, 0] * v[..., 1, 1] - v[..., 0, 1] * v[..., 1, 0]
+    return np.linalg.det(v)
+
+
+def _singular(v: np.ndarray) -> np.ndarray:
+    """The guard of ``pointwise_inverse`` on a node-major slab: whether
+    |det| <= 1e-12 (``_SINGULAR_THRESHOLD``) times ``_det_scale``."""
+    return np.abs(_det(v)) <= _SINGULAR_THRESHOLD * _det_scale(v)
+
+
+def _inverse(v: np.ndarray) -> np.ndarray:
+    """Inverse of each matrix of a node-major slab: for n <= 2 the adjugate
+    over ``_det``, ``1/a`` or ``[[d, -b], [-c, a]] / det``, and by LU
+    (``np.linalg.inv``) from n = 3.  A batched LAPACK call costs 10 to 20
+    times the arithmetic of a 2 x 2 inverse."""
+    n = v.shape[-1]
+    if n == 1:
+        return 1.0 / v
+    if n > 2:
+        return np.linalg.inv(v)
+    adjugate = np.stack([v[..., 1, 1], -v[..., 0, 1], -v[..., 1, 0], v[..., 0, 0]],
+                        axis=-1)
+    return adjugate.reshape(v.shape) / _det(v)[..., None, None]
+
+
 def pointwise_inverse(values: np.ndarray, message: str) -> np.ndarray:
-    """LU-based inverse at every node.
+    """Inverse at every node: ``_inverse``, in closed form for n <= 2.
 
     Raises ``SingularMatrixError`` with ``message`` at the first (near)
     singular node: one where |det| <= 1e-12 (``_SINGULAR_THRESHOLD``) times
-    ``_det_scale``.
+    ``_det_scale``, with det as ``_det`` gives it.  The guard and the
+    inverse run tile by tile (``report.slab_map``), so a constant input
+    costs one node and its inverse is a read-only broadcast view.
     """
     n = values.shape[-1]
-
-    def singular(v):
-        return np.abs(np.linalg.det(v)) <= _SINGULAR_THRESHOLD * _det_scale(v)
-
-    bad, node = sup_and_node(slab_map(singular, values.shape[:-2],
-                                      values.itemsize * n * n, values))
+    grid, node_bytes = values.shape[:-2], values.itemsize * n * n
+    bad, node = sup_and_node(slab_map(_singular, grid, node_bytes, values))
     if bad:
         raise SingularMatrixError(message, node)
-    return np.linalg.inv(values)
+    return slab_map(_inverse, grid, node_bytes, values)
 
 
 @dataclass(eq=False)
@@ -170,7 +201,8 @@ def validate_acs(m: MatrixField, rep: str = "cot", tolerance: float = ACS_TOLERA
 class PQPair:
     """Local moduli coordinates: n x n matrix fields with Q invertible.
 
-    ``qinv`` is Q^-1 at every node, inverted once, by the singularity guard.
+    ``qinv`` is Q^-1 at every node, inverted once, by the singularity guard
+    (``pointwise_inverse``; a read-only broadcast view when Q is constant).
     """
 
     patch: Patch
@@ -259,10 +291,16 @@ def reconstruct_from_pq(pq: PQPair) -> AlmostComplexStructure:
         rows += [bl.exprs[i] + br.exprs[i] for i in range(n)]
         j_cot = MatrixField.from_exprs(pq.patch, rows)
     else:
+        # block by block into one array, with the operations of np.block
         pv, qv, qinv = pq.P.values, pq.Q.values, pq.qinv
+        cot = np.empty(pq.patch.resolution + (2 * n, 2 * n))
+        top, bottom = cot[..., :n, :], cot[..., n:, :]
         pqinv = pv @ qinv
-        j_cot = MatrixField.from_values(pq.patch, np.block(
-            [[-pqinv, -(pqinv @ pv) - qv], [qinv, qinv @ pv]]))
+        np.negative(pqinv, out=top[..., :n])
+        np.subtract(-(pqinv @ pv), qv, out=top[..., n:])
+        bottom[..., :n] = qinv
+        bottom[..., n:] = qinv @ pv
+        j_cot = MatrixField.from_values(pq.patch, cot)
     return validate_acs(j_cot, rep="cot", tolerance=1e-10)
 
 
@@ -271,7 +309,7 @@ class BlockDecomposition:
     """Constant change of frame G with G^-1 j_cot G = [[A, B+E], [C-E, D]].
 
     ``cminv`` is (C - E)^-1 at every node, inverted once, by the guard of
-    ``normalize_at_origin``.
+    ``normalize_at_origin`` (a read-only broadcast view when C is constant).
     """
 
     patch: Patch
@@ -398,7 +436,9 @@ def normalize_at_origin(acs: AlmostComplexStructure,
     B = jg.block(slice(0, n), slice(n, 2 * n)) - eye
     C = jg.block(slice(n, 2 * n), slice(0, n)) + eye
     D = jg.block(slice(n, 2 * n), slice(n, 2 * n))
-    cminv = pointwise_inverse(C.values - np.eye(n),
+    # C - E tile by tile, so that a constant C stays one node
+    cm = slab_map(lambda c: c - np.eye(n), patch.resolution, 8 * n * n, C.values)
+    cminv = pointwise_inverse(cm,
                               "C(x) - E is singular (structure leaves the "
                               "normalized neighborhood; try a smaller patch)")
     return BlockDecomposition(patch, G, A, B, C, D, cminv)

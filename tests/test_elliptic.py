@@ -10,6 +10,7 @@ import scipy.sparse as sparse
 
 from spencerkit import elliptic
 from spencerkit.elliptic import (
+    CertificateReport,
     ConvergenceError,
     EllipticOperator,
     apply_operator,
@@ -27,6 +28,7 @@ from spencerkit.fields import DEFAULT_POINT_BUDGET, MatrixField, Patch, ScalarFi
     gradient
 from spencerkit.fixtures import pullback_structure, standard_structure, \
     structure_from_cot, type1_structure
+from spencerkit.report import jsonable
 from spencerkit.scene import load_scene
 from spencerkit.structures import reconstruct_from_pq, validate_acs
 
@@ -192,6 +194,40 @@ class TestCertificate:
         assert cert.worst_node == tuple(
             int(i) for i in np.unravel_index(nodes[k], acs.patch.resolution))
         assert cert.passes and quad[k] >= 1.0 - 1e-10
+
+    @pytest.mark.parametrize("case, samples", [
+        ("pullback-tan", 3000), ("type1", 3000), ("type1", 2401), ("constant", 3000)])
+    def test_a_small_grid_forms_a_once_per_node(self, monkeypatch, patch4d, case,
+                                                samples):
+        # fewer nodes than samples: A is formed on the grid and gathered,
+        # with the report of A formed at the drawn nodes, bit for bit
+        acs = {
+            "pullback-tan": lambda: pullback_structure(
+                Patch.box(1, 0.0, 1.0, 9), ["x1", "x2 + 0.3*x1^2"]),
+            "type1": lambda: type1_structure(patch4d),
+            "constant": lambda: standard_structure(patch4d),
+        }[case]()
+        resolution, d = acs.patch.resolution, acs.dim
+        principal_part, formed = elliptic._principal_part, []
+        monkeypatch.setattr(elliptic, "_principal_part",
+                            lambda c: formed.append(c.shape) or principal_part(c))
+        cert = ellipticity_certificate(acs, samples, seed=11)
+        grid_path = acs.patch.n_points < samples
+        assert formed == [(resolution if grid_path else (samples,)) + (d, d)]
+        # the sample path, as on a grid of at least ``samples`` nodes
+        rng = np.random.default_rng(11)
+        nodes = rng.integers(0, acs.patch.n_points, size=samples)
+        xi = rng.normal(size=(samples, d))
+        xi /= np.linalg.norm(xi, axis=1, keepdims=True)
+        c_sel = acs.cot_values()[np.unravel_index(nodes, resolution)]
+        quad = np.einsum("ni,nij,nj->n", xi, principal_part(c_sel), xi)
+        c_xi = np.einsum("nij,nj->ni", c_sel, xi)
+        ident = np.einsum("ni,ni->n", c_xi, c_xi) + np.einsum("ni,ni->n", xi, xi)
+        k = int(np.argmin(quad))
+        assert repr(jsonable(cert)) == repr(jsonable(CertificateReport(
+            min_quadratic_form=quad[k], identity_gap=float(np.abs(quad - ident).max()),
+            samples=samples, seed=11, passes=True,
+            worst_node=tuple(int(i) for i in np.unravel_index(nodes[k], resolution)))))
 
     def test_identity_fails_for_the_transposed_principal_part(self, monkeypatch):
         # C C^T + E differs from C^T C + E where C is not normal, as it is

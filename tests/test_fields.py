@@ -504,6 +504,19 @@ class TestConstantFields:
         # a field that uses a variable is sampled at every node
         assert all(MatrixField.from_exprs(self.PATCH, [["x3", "2"]]).values.strides[:4])
 
+    def test_a_row_of_sampled_constants_stays_one_node(self):
+        re, im = (ScalarField.const(self.PATCH, x).sampled() for x in (1.5, -0.25))
+        parts = ComplexField(re, im).parts.values
+        assert parts.shape == self.PATCH.resolution + (1, 2)
+        assert parts.strides[:4] == (0, 0, 0, 0)
+        assert parts.tobytes() == np.broadcast_to([[1.5, -0.25]], parts.shape).tobytes()
+        # beside an entry that uses a variable the row stacks the full grid
+        x3 = ScalarField.from_expr(self.PATCH, "x3").sampled()
+        mixed = ComplexField(re, x3).parts.values
+        assert all(mixed.strides[:4])
+        assert mixed.tobytes() == np.stack([np.broadcast_to(1.5, x3.samples.shape),
+                                            x3.samples], axis=-1)[..., None, :].tobytes()
+
     # the error names the same expression and node as sampling every node
     # did: a constant raises, or is non-finite, at every node alike
     @pytest.mark.parametrize("text, values, exact", [

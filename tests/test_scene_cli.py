@@ -577,33 +577,39 @@ class TestCliReports:
 
 
 def _grid_linalg_calls(monkeypatch, argv) -> tuple[int, dict]:
-    """The exit code of one CLI run and its numpy ``det`` and ``inv`` calls
-    on a grid of matrices.  These grids fit one slab, so each ``det`` call
-    is one pass of the singular-matrix guard."""
+    """The exit code of one CLI run, its numpy ``det`` and ``inv`` calls on
+    a grid of matrices, and the passes of ``pointwise_inverse``'s guard
+    (``_singular``) and inverse (``_inverse``) kernels.  These grids fit one
+    slab, so each kernel call is one pass over the grid."""
     calls = Counter()
-    for name in ("det", "inv"):
-        def counting(a, name=name, original=getattr(np.linalg, name)):
+    for owner, name in ((np.linalg, "det"), (np.linalg, "inv"),
+                        (structures, "_singular"), (structures, "_inverse")):
+        def counting(a, name=name, original=getattr(owner, name)):
             if np.ndim(a) > 2:
                 calls[name] += 1
             return original(a)
 
-        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     return run(argv + ["--no-meta"]), dict(calls)
 
 
 class TestOneInversePerMatrix:
-    """The moduli pipeline guards and inverts C - E and Q once each."""
+    """The moduli pipeline guards and inverts C - E and Q once each, and
+    for n <= 2 makes no LAPACK ``det`` or ``inv`` call on a grid."""
 
     def test_extract_pq(self, capsys, monkeypatch):
+        # type1 is 4D: C - E and Q are 2 x 2
         argv = ["acs", "extract-pq", SCENES / "type1.json", "--grid", "5"]
-        assert _grid_linalg_calls(monkeypatch, argv) == (0, {"det": 2, "inv": 2})
+        assert _grid_linalg_calls(monkeypatch, argv) == (
+            0, {"_singular": 2, "_inverse": 2})
         capsys.readouterr()
 
     def test_holo_reduced(self, capsys, monkeypatch):
         # the factored form and the equivalence check read the
-        # decomposition's (C - E)^-1; no moduli pair is built
+        # decomposition's (C - E)^-1, here 1 x 1; no moduli pair is built
         argv = ["holo", "reduced", SCENES / "fixture_n1.json", "--field", "linear"]
-        assert _grid_linalg_calls(monkeypatch, argv) == (0, {"det": 1, "inv": 1})
+        assert _grid_linalg_calls(monkeypatch, argv) == (
+            0, {"_singular": 1, "_inverse": 1})
         capsys.readouterr()
 
 

@@ -104,6 +104,24 @@ def test_slab_map_cuts_node_major_slabs(monkeypatch):
         assert np.concatenate([nodes[t].ravel() for t in tiles]).tolist() == list(range(12))
 
 
+def test_a_lone_tile_keeps_its_own_result():
+    # one tile: a result that owns its memory is the grid's array, uncopied;
+    # a view of the input is copied, so the result never aliases an input
+    values = np.arange(24.0).reshape(3, 4, 2)
+    results = []
+
+    def kernel(v):
+        results.append(v.sum(axis=-1))
+        return results[-1]
+
+    out = report.slab_map(kernel, (3, 4), 16, values)
+    assert len(results) == 1 and np.shares_memory(out, results[0])
+    assert out.tobytes() == values.sum(axis=-1).tobytes()
+    view = report.slab_map(lambda v: v[:, 0], (3, 4), 16, values)
+    assert not np.shares_memory(view, values)
+    assert view.tobytes() == np.ascontiguousarray(values[..., 0]).tobytes()
+
+
 def test_slab_map_refuses_a_grid_that_needs_a_copy():
     values = np.arange(24.0).reshape(4, 3, 2).transpose(1, 0, 2)
     with pytest.raises(ValueError, match="without a copy"):
@@ -269,6 +287,26 @@ def test_nijenhuis_residual_in_every_tiling(monkeypatch, mode):
     for nodes in TILINGS:
         monkeypatch.setattr(report, "SLAB_BYTES", nodes * 8 * 4 ** 3)
         assert np.float64(nijenhuis_residual(acs, mode)).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pointwise_inverse_in_every_tiling(monkeypatch, n):
+    # n <= 2 in closed form, n = 3 by LAPACK: the guard and the inverse give
+    # the bits and the named node of one tile in every tiling
+    values = np.eye(n) + 0.2 * np.random.default_rng(n).normal(size=PATCH.resolution + (n, n))
+    singular = values.copy()
+    singular[4, 2, 3, 1] = singular[6, 3, 0, 0] = 0.0
+
+    def outcome():
+        with pytest.raises(SingularMatrixError) as err:
+            pointwise_inverse(singular, "m")
+        return pointwise_inverse(values, "m").tobytes(), err.value.node
+
+    whole = outcome()
+    assert whole[1] == (4, 2, 3, 1)
+    for nodes in TILINGS:
+        _tiled_by(monkeypatch, nodes)
+        assert outcome() == whole
 
 
 def _untiled_gap_and_identities(bd, back):

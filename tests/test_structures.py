@@ -11,6 +11,8 @@ from spencerkit.fixtures import (
     type1_structure,
 )
 from spencerkit.report import node_sup, slab_map
+from spencerkit import structures
+from spencerkit.elliptic import EllipticOperator
 from spencerkit.structures import (
     InvalidStructureError,
     PQPair,
@@ -19,6 +21,7 @@ from spencerkit.structures import (
     make_hypercomplex,
     nijenhuis_residual,
     normalize_at_origin,
+    pointwise_inverse,
     quaternionic_standard,
     reconstruct_from_pq,
     symbolic_inverse,
@@ -134,6 +137,16 @@ class TestReconstruct:
         with pytest.raises(SingularMatrixError):
             PQPair(patch2d, MatrixField.from_exprs(patch2d, [["0"]]),
                    MatrixField.from_exprs(patch2d, [["x1"]]))
+
+    def test_sampled_pair_gives_the_bits_of_np_block(self):
+        patch = Patch.box(2, -0.4, 0.4, 7)
+        pair = random_pq(np.random.default_rng(21), patch)
+        sampled = PQPair(patch, MatrixField.from_values(patch, pair.P.values),
+                         MatrixField.from_values(patch, pair.Q.values))
+        pv, qv, qinv = sampled.P.values, sampled.Q.values, sampled.qinv
+        pqinv = pv @ qinv
+        expected = np.block([[-pqinv, -(pqinv @ pv) - qv], [qinv, qinv @ pv]])
+        assert reconstruct_from_pq(sampled).cot_values().tobytes() == expected.tobytes()
 
     def test_symbolic_path_produces_expressions(self, patch2d_sym):
         rng = np.random.default_rng(7)
@@ -468,3 +481,135 @@ class TestSymbolicInverse:
         inv = symbolic_inverse(m)
         prod = np.einsum("...ik,...kj->...ij", m.values, inv.values)
         assert np.abs(prod - np.eye(n)).max() <= 1e-12
+
+
+def _lapack_guard(values):
+    """The singular-matrix guard of ``pointwise_inverse`` with numpy's LU
+    determinant, per node of a (*grid, n, n) stack."""
+    n = values.shape[-1]
+    flat = values.reshape(-1, n, n)
+    bad = np.abs(np.linalg.det(flat)) <= \
+        structures._SINGULAR_THRESHOLD * structures._det_scale(flat)
+    return bad.reshape(values.shape[:-2])
+
+
+def _band_stack(rng, n, grid=(6, 8)):
+    """Random well-scaled n x n matrices, entries scaled by up to 100, with
+    nodes whose determinant sits at 0, 0.5 and 0.9 times the guard's
+    threshold (singular) and at 1.1, 2 and 10 times it (regular)."""
+    values = rng.normal(size=grid + (n, n))
+    values[..., range(n), range(n)] += 3.0
+    values *= 10.0 ** rng.uniform(-1, 2, size=grid + (1, 1))
+    for (i, j), factor in zip([(0, 3), (1, 1), (2, 6), (3, 0), (4, 5), (5, 7)],
+                              [0.0, 0.5, 0.9, 1.1, 2.0, 10.0]):
+        # entries of size at most s >= 1, so the guard's scale is s^n, and a
+        # determinant of factor times the threshold 1e-12 s^n
+        s = 10.0 ** rng.uniform(0, 2)
+        x = factor * structures._SINGULAR_THRESHOLD
+        values[i, j] = [[x]] if n == 1 else s * np.array([[1.0, 0.5], [0.25, 0.125 + x]])
+    return values
+
+
+class TestClosedFormInverse:
+    """For n <= 2 ``pointwise_inverse`` takes the determinant and the
+    inverse in closed form, with no LAPACK call per node."""
+
+    def test_1x1_inverse_is_lapacks_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        values = rng.choice([-1.0, 1.0], (6, 8, 1, 1)) * rng.uniform(1, 10, (6, 8, 1, 1)) \
+            * 10.0 ** rng.integers(-10, 100, (6, 8, 1, 1))
+        assert pointwise_inverse(values, "m").tobytes() == np.linalg.inv(values).tobytes()
+
+    def test_2x2_inverse_agrees_with_lapack_to_a_few_ulps(self):
+        rng = np.random.default_rng(12)
+        values = rng.normal(size=(20000, 2, 2))
+        values = values[np.linalg.cond(values) < 10.0]
+        reference = np.linalg.inv(values)
+        ulp = np.spacing(np.abs(reference).max(axis=(-2, -1), keepdims=True))
+        error = np.abs(pointwise_inverse(values, "m") - reference)
+        assert len(values) > 10000 and (error <= 8 * ulp).all()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_guard_gives_the_lapack_verdicts(self, n, seed):
+        values = _band_stack(np.random.default_rng(seed), n)
+        verdicts = structures._singular(values.reshape(-1, n, n)).reshape(values.shape[:-2])
+        assert verdicts.tolist() == _lapack_guard(values).tolist()
+        assert verdicts.sum() == 3
+        with pytest.raises(SingularMatrixError) as err:
+            pointwise_inverse(values, "m")
+        assert err.value.node == (0, 3)
+        # with the exactly singular node gone, the first band node is named
+        values[0, 3] = np.eye(n)
+        with pytest.raises(SingularMatrixError) as err:
+            pointwise_inverse(values, "m")
+        assert err.value.node == (1, 1)
+
+    @pytest.mark.parametrize("n, lapack", [(1, {}), (2, {}), (3, {"det": 1, "inv": 1})])
+    def test_lapack_only_from_n_3(self, monkeypatch, n, lapack):
+        calls = {}
+        for name in ("det", "inv"):
+            def counting(a, name=name, original=getattr(np.linalg, name)):
+                calls[name] = calls.get(name, 0) + 1
+                return original(a)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        values = np.eye(n) + 0.1 * np.random.default_rng(n).normal(size=(6, 8, n, n))
+        inverse = pointwise_inverse(values, "m")
+        assert calls == lapack
+        assert np.abs(inverse @ values - np.eye(n)).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_constant_input_costs_one_node(self, monkeypatch, n):
+        patch = Patch.box(2, -1.0, 1.0, 9)
+        m = np.eye(n) + 0.3 * np.arange(n * n).reshape(n, n)
+        values = MatrixField.constant(patch, m).values
+        kernel_nodes = []
+        for name in ("_singular", "_inverse"):
+            def counting(v, original=getattr(structures, name)):
+                kernel_nodes.append(len(v))
+                return original(v)
+
+            monkeypatch.setattr(structures, name, counting)
+        inverse = pointwise_inverse(values, "m")
+        assert kernel_nodes == [1, 1]
+        assert inverse.shape == values.shape and not any(inverse.strides[:4])
+        assert inverse[(0,) * 4].tobytes() == \
+            pointwise_inverse(m[None], "m")[0].tobytes()
+        with pytest.raises(ValueError):
+            inverse[0, 0, 0, 0, 0, 0] = 1.0
+
+    def test_cminv_of_the_standard_structure_is_one_node(self, patch4d):
+        bd = normalize_at_origin(standard_structure(patch4d))
+        assert bd.cminv.shape == patch4d.resolution + (2, 2)
+        assert not any(bd.cminv.strides[:4])
+        np.testing.assert_array_equal(bd.cminv[(0,) * 4],
+                                      np.linalg.inv(bd.C.values[(0,) * 4] - np.eye(2)))
+
+
+class TestPeclet2D:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lambda_min_agrees_with_eigvalsh(self, seed):
+        # A = C^T C + E, as the operator forms it, with C of any size
+        patch = Patch.box(1, -1.0, 1.0, 33)
+        rng = np.random.default_rng(seed)
+        c = rng.normal(size=patch.resolution + (2, 2)) * 10.0 ** rng.uniform(-3, 2)
+        a = np.swapaxes(c, -1, -2) @ c + np.eye(2)
+        a = (a + np.swapaxes(a, -1, -2)) / 2
+        b = rng.normal(size=(2,) + patch.resolution)
+        op = EllipticOperator(patch, MatrixField.from_values(patch, a),
+                              tuple(ScalarField.from_samples(patch, x) for x in b), "fd")
+        lam_min = np.linalg.eigvalsh(a)[..., 0].min()
+        worst = max(np.abs(x).max() * h for x, h in zip(b, patch.spacing))
+        assert op.mesh_peclet() == pytest.approx(worst / lam_min, rel=1e-12)
+
+    def test_no_eigvalsh_in_2d(self, monkeypatch, patch2d):
+        from spencerkit.elliptic import assemble_operator
+
+        op = assemble_operator(pullback_structure(patch2d, ["x1", "x2 + 0.3*x1^2"]), "fd")
+
+        def no_eigvalsh(a):
+            raise AssertionError("eigvalsh called in 2D")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        assert op.mesh_peclet() > 0.0
