@@ -28,6 +28,8 @@ __all__ = [
     "reduced_system",
 ]
 
+_BOUND_SLACK = 1e-10  # absolute slack of the bound full <= kappa * reduced
+
 
 def _cr_residual(acs: AlmostComplexStructure, grad: np.ndarray, mode: str,
                  sign: float) -> ResidualReport:
@@ -82,12 +84,12 @@ class ReducedSystem:
 
 def reduced_system(bd: BlockDecomposition, f: ComplexField, mode: str = "auto",
                    ) -> ReducedSystem:
-    """The frame gradient of f and the reduction of its system, computed
-    once for both reduction checks."""
-    mode = resolve_mode(mode, bd.C, bd.D, f)
+    """The frame gradient of f and w = (C - E)^-1 (D - iE), from the frame's
+    lower blocks as they stand, computed once for both reduction checks."""
+    _, _, cm, d = bd.frame
+    mode = resolve_mode(mode, cm, d, f)
     h = np.einsum("ij,...j->...i", np.linalg.inv(bd.G), complex_gradient(f, mode))
-    eye = np.eye(bd.n)
-    w = np.linalg.solve(bd.C.values - eye, bd.D.values - 1j * eye)
+    w = np.linalg.solve(cm.values, d.values - 1j * np.eye(bd.n))
     h1, h2 = h[..., :bd.n], h[..., bd.n:]
     return ReducedSystem(h1, h2, w, h1 + np.einsum("...ij,...j->...i", w, h2), mode)
 
@@ -105,7 +107,7 @@ def reduced_system_residual(bd: BlockDecomposition,
     """
     rows = system.rows
     pointwise = np.linalg.norm(rows, axis=-1)
-    factored = bd.cminv @ bd.D.values - 1j * bd.cminv
+    factored = bd.cminv @ bd.frame[3].values - 1j * bd.cminv
     breakdown = {
         "factored_form_gap": float(np.abs(system.w - factored).max()),
     }
@@ -126,22 +128,19 @@ class BlockIdentityReport:
     mode: str
 
 
-def reduction_equivalence_check(bd: BlockDecomposition, system: ReducedSystem,
-                                tolerance: float = 1e-10) -> BlockIdentityReport:
+def reduction_equivalence_check(bd: BlockDecomposition,
+                                system: ReducedSystem) -> BlockIdentityReport:
     """Verify the block identity behind the system reduction.
 
-    Pointwise, ``[A - iE, B + E] = (A - iE)(C - E)^-1 [C - E, D - iE]``;
-    consequently a vanishing reduced residual forces a vanishing full
-    residual, with amplification factor ``kappa = |(A - iE)(C - E)^-1| + 1``.
+    Pointwise, ``[A - iE, B + E] = (A - iE)(C - E)^-1 [C - E, D - iE]``, with
+    the blocks read from ``bd.frame``; consequently a vanishing reduced
+    residual forces a vanishing full residual, with amplification factor
+    ``kappa = |(A - iE)(C - E)^-1| + 1`` and slack 1e-10 (``_BOUND_SLACK``).
     ``system`` is ``reduced_system(bd, f, mode)``.
     """
-    n = bd.n
-    eye = np.eye(n)
-    a = bd.A.values
-    bp = bd.B.values + eye
-    cm = bd.C.values - eye
-    dm = bd.D.values - 1j * eye
-    am = a - 1j * eye
+    eye = np.eye(bd.n)
+    a, bp, cm, d = (block.values for block in bd.frame)
+    am, dm = a - 1j * eye, d - 1j * eye
     k = am @ bd.cminv
     lead_gap = np.abs(k @ cm - am).max()
     tail_gap = np.abs(k @ dm - bp).max()
@@ -157,7 +156,7 @@ def reduction_equivalence_check(bd: BlockDecomposition, system: ReducedSystem,
     reduced = np.linalg.norm(system.rows, axis=-1)
     kappa = np.abs(k).sum(axis=-1).max(axis=-1) + 1.0
     sl = bd.patch.interior()
-    bound_holds = bool(np.all(full[sl] <= kappa[sl] * reduced[sl] + tolerance))
+    bound_holds = bool(np.all(full[sl] <= kappa[sl] * reduced[sl] + _BOUND_SLACK))
     return BlockIdentityReport(
         identity_residual=identity_residual,
         full_residual=float(full[sl].max()),

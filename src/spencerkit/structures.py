@@ -50,6 +50,7 @@ __all__ = [
 
 ACS_TOLERANCE = 1e-8
 _SINGULAR_THRESHOLD = 1e-12  # relative |det| below which a matrix is singular
+_EIGENVALUE_TOLERANCE = 1e-8  # largest distance of J(base)'s eigenvalues from +-i
 
 
 class InvalidStructureError(ValueError):
@@ -308,48 +309,47 @@ def reconstruct_from_pq(pq: PQPair) -> AlmostComplexStructure:
 class BlockDecomposition:
     """Constant change of frame G with G^-1 j_cot G = [[A, B+E], [C-E, D]].
 
-    ``cminv`` is (C - E)^-1 at every node, inverted once, by the guard of
-    ``normalize_at_origin`` (a read-only broadcast view when C is constant).
+    ``frame`` holds those four n x n blocks as they stand (A, B+E, C-E, D),
+    each a block of the conjugated structure, sampled the first time it is
+    read.  ``cminv`` is (C - E)^-1 at every node, inverted once, by the guard
+    of ``normalize_at_origin`` (a read-only broadcast view when C is constant).
     """
 
     patch: Patch
     G: np.ndarray
-    A: MatrixField
-    B: MatrixField
-    C: MatrixField
-    D: MatrixField
+    frame: tuple[MatrixField, MatrixField, MatrixField, MatrixField]
     cminv: np.ndarray
 
     @property
     def n(self) -> int:
         return self.patch.dim_half
 
-    def reassembled(self) -> np.ndarray:
-        """[[A, B+E], [C-E, D]] stacked per node."""
-        eye = np.eye(self.n)
-        return np.block([[self.A.values, self.B.values + eye],
-                         [self.C.values - eye, self.D.values]])
+    # the blocks that vanish at the base node, derived from ``frame``, which
+    # every computation reads instead
+    A = property(lambda self: self.frame[0])
+    B = property(lambda self: self.frame[1] - MatrixField.identity(self.patch, self.n))
+    C = property(lambda self: self.frame[2] + MatrixField.identity(self.patch, self.n))
+    D = property(lambda self: self.frame[3])
 
     def _tiled_sups(self, kernel, *inputs) -> np.ndarray:
         """Grid-wide max of ``kernel``'s per-node sups, one column each,
-        computed tile by tile (``report.slab_map``) on the blocks and
+        computed tile by tile (``report.slab_map``) on the frame blocks and
         ``inputs``, so no intermediate spans the grid.  A max is exact, so
         the tiles do not move its bits."""
         n = self.n
         per_node = slab_map(kernel, self.patch.resolution, 8 * 4 * n * n,
-                            self.A.values, self.B.values, self.C.values,
-                            self.D.values, *inputs)
+                            *(block.values for block in self.frame), *inputs)
         return per_node.reshape(-1, per_node.shape[-1]).max(axis=0)
 
     def round_trip_gap(self, cot: np.ndarray) -> float:
         """max |cot - [[A, B+E], [C-E, D]]| over the grid, for cotangent
         samples ``cot`` of shape (*grid, 2n, 2n)."""
-        n, eye = self.n, np.eye(self.n)
+        n = self.n
 
-        def gap(a, b, c, d, cot):
+        def gap(a, bp, cm, d, cot):
             return np.stack([node_sup(cot[:, :n, :n] - a),
-                             node_sup(cot[:, :n, n:] - (b + eye)),
-                             node_sup(cot[:, n:, :n] - (c - eye)),
+                             node_sup(cot[:, :n, n:] - bp),
+                             node_sup(cot[:, n:, :n] - cm),
                              node_sup(cot[:, n:, n:] - d)], axis=-1)
 
         return float(self._tiled_sups(gap, cot).max())
@@ -358,8 +358,7 @@ class BlockDecomposition:
         """Sup norms of the four block identities implied by J^2 = -E."""
         eye = np.eye(self.n)
 
-        def residuals(a, b, c, d):
-            bp, cm = b + eye, c - eye
+        def residuals(a, bp, cm, d):
             return np.stack([node_sup(a @ a + bp @ cm + eye),
                              node_sup(a @ bp + bp @ d),
                              node_sup(cm @ a + d @ cm),
@@ -369,8 +368,7 @@ class BlockDecomposition:
         return dict(zip(names, map(float, self._tiled_sups(residuals))))
 
 
-def normalizing_frame(m0: np.ndarray, tolerance: float = 1e-8, *,
-                      node: tuple[int, ...]) -> np.ndarray:
+def normalizing_frame(m0: np.ndarray, *, node: tuple[int, ...]) -> np.ndarray:
     """Constant G with G^-1 m0 G = [[0, E], [-E, 0]].
 
     Built from the eigenvectors of m0 for eigenvalue +i: writing an
@@ -387,8 +385,8 @@ def normalizing_frame(m0: np.ndarray, tolerance: float = 1e-8, *,
     order = np.argsort(np.abs(w - 1j))
     picked = order[:n]
     gap = float(np.abs(w[picked] - 1j).max())
-    if gap > tolerance:
-        raise InvalidStructureError(gap, node, tolerance,
+    if gap > _EIGENVALUE_TOLERANCE:
+        raise InvalidStructureError(gap, node, _EIGENVALUE_TOLERANCE,
                                     "eigenvalues of J(x) lie off +-i by")
     cols = v[:, picked]
     cols = cols / np.abs(cols).max(axis=0)
@@ -415,10 +413,10 @@ def normalize_at_origin(acs: AlmostComplexStructure,
     """Decompose j_cot around a base node.
 
     Computes a constant frame G taking ``j_cot(base)`` to ``[[0, E], [-E, 0]]``
-    (so A, B, C, D all vanish at the base node), then the four block fields on
-    the whole patch, and inverts ``C(x) - E`` for ``extract_pq``.  Fails if
-    ``C(x) - E`` becomes singular somewhere on the patch, which signals that
-    the structure left the normalized neighborhood.
+    (so A, B, C, D all vanish at the base node), keeps the blocks of G^-1 j_cot G
+    as ``frame``, and inverts ``frame[2] = C(x) - E``, the one block it reads,
+    for ``extract_pq``.  Fails if that block is singular somewhere on the patch,
+    which signals that the structure left the normalized neighborhood.
     """
     patch = acs.patch
     n = patch.dim_half
@@ -429,25 +427,20 @@ def normalize_at_origin(acs: AlmostComplexStructure,
             raise ValueError(f"base point {base_point} is outside the grid")
     m0 = acs.cot_values()[tuple(base_point)]
     G = normalizing_frame(m0, node=tuple(base_point))
-    Ginv = np.linalg.inv(G)
-    jg = conjugate_by_constant(acs.j_cot, Ginv, G)
-    eye = MatrixField.identity(patch, n)
-    A = jg.block(slice(0, n), slice(0, n))
-    B = jg.block(slice(0, n), slice(n, 2 * n)) - eye
-    C = jg.block(slice(n, 2 * n), slice(0, n)) + eye
-    D = jg.block(slice(n, 2 * n), slice(n, 2 * n))
-    # C - E tile by tile, so that a constant C stays one node
-    cm = slab_map(lambda c: c - np.eye(n), patch.resolution, 8 * n * n, C.values)
-    cminv = pointwise_inverse(cm,
+    jg = conjugate_by_constant(acs.j_cot, np.linalg.inv(G), G)
+    top, bottom = slice(0, n), slice(n, 2 * n)
+    frame = (jg.block(top, top), jg.block(top, bottom),
+             jg.block(bottom, top), jg.block(bottom, bottom))
+    cminv = pointwise_inverse(frame[2].values,
                               "C(x) - E is singular (structure leaves the "
                               "normalized neighborhood; try a smaller patch)")
-    return BlockDecomposition(patch, G, A, B, C, D, cminv)
+    return BlockDecomposition(patch, G, frame, cminv)
 
 
 def extract_pq(bd: BlockDecomposition) -> PQPair:
     """Moduli pair of a decomposition: Q = (C-E)^-1 (the kept ``cminv``),
-    P = Q D."""
-    P = MatrixField.from_values(bd.patch, bd.cminv @ bd.D.values)
+    P = Q D, with D the frame's lower right block ``frame[3]``."""
+    P = MatrixField.from_values(bd.patch, bd.cminv @ bd.frame[3].values)
     Q = MatrixField.from_values(bd.patch, bd.cminv)
     return PQPair(bd.patch, P, Q)
 

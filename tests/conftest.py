@@ -93,6 +93,13 @@ def random_poly_text(rng: np.random.Generator, dim: int, degree: int = 2,
     return " + ".join(terms)
 
 
+def frame_values(bd) -> np.ndarray:
+    """The four blocks of a decomposition's ``frame``, [[A, B+E], [C-E, D]],
+    stacked per node: G^-1 j_cot G."""
+    a, bp, cm, d = (block.values for block in bd.frame)
+    return np.block([[a, bp], [cm, d]])
+
+
 def fresh_python(*args) -> subprocess.CompletedProcess:
     """Run a fresh interpreter, with text output captured, that imports the
     package this one imported."""

@@ -40,6 +40,15 @@ constant field's samples are one node broadcast to the grid
 (``fields._sample``), and ``report.slab_map`` and ``report.sup_and_node``
 read such views a node at a time, so one rule decides which arrays are
 broadcast views.
+
+A ``BlockDecomposition`` keeps the blocks of ``G^-1 j_cot G`` as they stand,
+``frame = (A, B+E, C-E, D)``, and every computation reads them so.  No module
+but ``structures.py`` reads ``.A``, ``.B``, ``.C`` or ``.D`` of a decomposition
+(a parameter annotated ``BlockDecomposition`` or a name bound to
+``normalize_at_origin(...)``).  Neither ``structures.py`` nor ``holomorphy.py``,
+the modules that read frames, adds E to or subtracts E from a block read as it
+stands (a name, attribute, subscript or call, not a product or sum of blocks),
+except in the derived ``B`` and ``C`` of ``structures.py``.
 """
 
 import argparse
@@ -414,3 +423,121 @@ def test_the_check_sees_a_stray_broadcast():
     assert _broadcasts(source) == [
         "broadcast_to (line 4)", "broadcast_to (line 5)", "broadcast_arrays (line 5)",
         "broadcast_to (line 6)"]
+
+
+# the blocks a decomposition derives from its frame, the modules that read
+# frames, and the derived blocks that shift a frame block by E
+DERIVED_BLOCKS = {"A", "B", "C", "D"}
+FRAME_READERS = ("structures.py", "holomorphy.py")
+SHIFTED_BLOCKS = ("BlockDecomposition", {"B", "C"})
+
+
+def _is_decomposition(annotation) -> bool:
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        return "BlockDecomposition" in annotation.value
+    return "BlockDecomposition" in (getattr(annotation, "id", None),
+                                    getattr(annotation, "attr", None))
+
+
+def _block_reads(source: str) -> list[str]:
+    """Reads of ``.A``, ``.B``, ``.C`` or ``.D`` on a decomposition: a
+    parameter annotated ``BlockDecomposition`` or a name assigned from a
+    ``normalize_at_origin`` call, in the function that binds it."""
+    hits = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = func.args
+        names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                 if a.annotation is not None and _is_decomposition(a.annotation)}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
+                    and "normalize_at_origin" in (getattr(node.value.func, "id", None),
+                                                  getattr(node.value.func, "attr", None)):
+                names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        hits |= {(node.lineno, node.col_offset, f"{node.attr} (line {node.lineno})")
+                 for node in ast.walk(func) if isinstance(node, ast.Attribute)
+                 and node.attr in DERIVED_BLOCKS and isinstance(node.ctx, ast.Load)
+                 and getattr(node.value, "id", None) in names}
+    return [hit for *_, hit in sorted(hits)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "structures.py"],
+                         ids=lambda p: p.name)
+def test_only_structures_reads_derived_blocks(path):
+    assert _block_reads(path.read_text()) == []
+
+
+def test_the_check_sees_a_derived_block_read():
+    source = "from .structures import BlockDecomposition, normalize_at_origin\n" \
+             "def f(bd: BlockDecomposition, op, other: 'BlockDecomposition'):\n" \
+             "    x = bd.frame[2].values, op.A, op.B\n" \
+             "    return bd.C.values - 1, other.D, [b.A for b in op.parts]\n" \
+             "def g(acs, bd):\n    d = structures.normalize_at_origin(acs)\n" \
+             "    def h():\n        return d.A\n" \
+             "    return h, bd.B\n"
+    assert _block_reads(source) == ["C (line 4)", "D (line 4)", "A (line 8)"]
+
+
+def _is_identity(node, eyes: set[str]) -> bool:
+    """Whether ``node`` is E: an ``eye(...)`` or ``identity(...)`` call, or a
+    name assigned one."""
+    if isinstance(node, ast.Name):
+        return node.id in eyes
+    return isinstance(node, ast.Call) and bool({"eye", "identity"} & {
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)})
+
+
+def _frame_shifts(source: str) -> list[str]:
+    """Sums and differences of E with a block read as it stands (a name,
+    attribute, subscript or call), outside the derived blocks that
+    ``SHIFTED_BLOCKS`` names."""
+    tree = ast.parse(source)
+    eyes = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = zip(target.elts, node.value.elts) if isinstance(
+                    target, ast.Tuple) and isinstance(node.value, ast.Tuple) \
+                    else [(target, node.value)]
+                eyes |= {t.id for t, v in pairs
+                         if isinstance(t, ast.Name) and _is_identity(v, set())}
+    owner, derived = SHIFTED_BLOCKS
+    exempt = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == owner:
+            for item in cls.body:
+                names = {t.id for t in getattr(item, "targets", [])
+                         if isinstance(t, ast.Name)} | {getattr(item, "name", None)}
+                if names & derived:
+                    exempt |= set(ast.walk(item))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)) \
+                and node not in exempt:
+            for e, block in ((node.left, node.right), (node.right, node.left)):
+                if _is_identity(e, eyes) and not isinstance(block, ast.BinOp):
+                    hits.append((node.lineno, node.col_offset,
+                                 f"{type(node.op).__name__} E (line {node.lineno})"))
+                    break
+    return [hit for *_, hit in sorted(hits)]
+
+
+@pytest.mark.parametrize("name", FRAME_READERS)
+def test_only_derived_blocks_shift_the_frame(name):
+    assert _frame_shifts((PACKAGE / name).read_text()) == []
+
+
+def test_the_check_sees_a_frame_shift():
+    source = "class BlockDecomposition:\n" \
+             "    B = property(lambda self: self.frame[1] - MatrixField.identity(p, 1))\n" \
+             "    @property\n    def C(self):\n        return self.frame[2] + np.eye(1)\n" \
+             "    def gap(self, cot):\n        n, eye = self.n, np.eye(self.n)\n" \
+             "        def k(a, b, c, d):\n" \
+             "            return cot - (b + eye), a @ a + b @ c + eye, c - np.eye(n)\n" \
+             "        return k\n" \
+             "    A = property(lambda self: eye + self.frame[0])\n" \
+             "def normalize(jg, n):\n    e = MatrixField.identity(jg.patch, n)\n" \
+             "    return jg.block(0, 1) - e, 1j * e - jg.values, jg.values - 2\n"
+    assert _frame_shifts(source) == [
+        "Add E (line 9)", "Sub E (line 9)", "Add E (line 11)", "Sub E (line 14)"]

@@ -30,6 +30,8 @@ from spencerkit.structures import (
     validate_acs,
 )
 
+from conftest import frame_values
+
 # 2,401 nodes, in one slab by default; spacing 0.5, so FD gradients of
 # linear functions are exact and equal at every node
 PATCH = Patch.box(2, -1.5, 1.5, 7)
@@ -316,7 +318,7 @@ def _untiled_gap_and_identities(bd, back):
     a, d = bd.A.values, bd.D.values
     bp, cm = bd.B.values + eye, bd.C.values - eye
     return [float(np.abs(x).max()) for x in (
-        back.cot_values() - bd.reassembled(),
+        back.cot_values() - frame_values(bd),
         a @ a + bp @ cm + eye, a @ bp + bp @ d, cm @ a + d @ cm, cm @ bp + d @ d + eye)]
 
 

@@ -30,7 +30,7 @@ from spencerkit.structures import (
     _nijenhuis_sup,
 )
 
-from conftest import random_poly_text
+from conftest import frame_values, random_poly_text
 from test_slabs import _pulled_back_pair
 
 
@@ -220,11 +220,38 @@ class TestNormalize:
             acs = reconstruct_from_pq(random_pq(rng, patch))
             bd = normalize_at_origin(acs, (2, 2, 2, 2))
             assert max(bd.identity_residuals().values()) <= 1e-10
-            recon = bd.reassembled()
+            recon = frame_values(bd)
             conj = np.einsum(
                 "ij,...jk,kl->...il", np.linalg.inv(bd.G),
                 acs.cot_values(), bd.G)
             assert np.abs(recon - conj).max() <= 1e-10
+
+    def test_only_the_inverted_block_is_sampled(self):
+        # an exact structure's frame blocks are sampled when first read, so
+        # normalizing reads C - E alone and extracting the pair adds D
+        rng = np.random.default_rng(41)
+        acs = reconstruct_from_pq(random_pq(rng, Patch.box(2, -0.4, 0.4, 5)))
+        bd = normalize_at_origin(acs, (2, 2, 2, 2))
+        assert acs.is_exact
+        assert [block._values is None for block in bd.frame] == [True, True, False, True]
+        extract_pq(bd)
+        assert [block._values is None for block in bd.frame] == [True, True, False, False]
+
+    @pytest.mark.parametrize("kind", ["exact", "sampled"])
+    def test_frame_is_the_conjugated_structure(self, kind):
+        rng = np.random.default_rng(43)
+        acs = reconstruct_from_pq(random_pq(rng, Patch.box(2, -0.4, 0.4, 5)))
+        if kind == "sampled":
+            acs = validate_acs(MatrixField.from_values(acs.patch, acs.cot_values()))
+        bd = normalize_at_origin(acs, (1, 2, 3, 2))
+        conj = structures.conjugate_by_constant(acs.j_cot, np.linalg.inv(bd.G), bd.G)
+        assert frame_values(bd).tobytes() == conj.values.tobytes()
+
+    def test_frame_of_the_standard_structure_is_one_node(self, patch4d):
+        bd = normalize_at_origin(standard_structure(patch4d))
+        for values in [block.values for block in bd.frame] + [bd.cminv]:
+            assert values.shape == patch4d.resolution + (2, 2)
+            assert not any(values.strides[:4])
 
     def test_derived_block_relations(self):
         # consequences of the four identities used by the reduction:
@@ -260,7 +287,7 @@ class TestExtract:
             acs = reconstruct_from_pq(random_pq(rng, patch))
             bd = normalize_at_origin(acs, (4, 4))
             back = reconstruct_from_pq(extract_pq(bd))
-            assert np.abs(back.cot_values() - bd.reassembled()).max() <= 1e-10
+            assert np.abs(back.cot_values() - frame_values(bd)).max() <= 1e-10
 
     def test_normalized_pair_recovered_exactly(self, patch2d_sym):
         # pair vanishing at the base: extract o reconstruct is the identity
@@ -279,7 +306,7 @@ class TestExtract:
                                  [["x2", "x2^2 + 1"], ["-1", "-x2"]])
         bd = normalize_at_origin(acs, (4, 4))
         back = reconstruct_from_pq(extract_pq(bd))
-        assert np.abs(back.cot_values() - bd.reassembled()).max() <= 1e-10
+        assert np.abs(back.cot_values() - frame_values(bd)).max() <= 1e-10
 
     def test_type1_fixture_through_moduli_pipeline(self, patch4d):
         # non-integrable 4D structure: normalization needs a genuine
@@ -293,7 +320,7 @@ class TestExtract:
             assert np.abs(block.values[base]).max() <= 1e-10
         assert max(bd.identity_residuals().values()) <= 1e-10
         back = reconstruct_from_pq(extract_pq(bd))
-        assert np.abs(back.cot_values() - bd.reassembled()).max() <= 1e-10
+        assert np.abs(back.cot_values() - frame_values(bd)).max() <= 1e-10
 
 
 class TestQuaternionic:
