@@ -35,7 +35,7 @@ from .fields import (
     resolve_mode,
 )
 from .report import ResidualReport, default_tolerance, interior_sup, \
-    report_from_pointwise, ring_depth, sup_and_node
+    report_from_pointwise, ring_depth, slab_map, sup_and_node
 from .structures import AlmostComplexStructure
 
 __all__ = [
@@ -152,24 +152,25 @@ class EllipticOperator:
 
     def mesh_peclet(self) -> float:
         """max |B_p| h_p / lambda_min(A); above 1 the discrete maximum
-        principle is not guaranteed.
-
-        In 2D lambda_min of the symmetric A = [[a, b], [b, c]] is the closed
-        form ``(a + c)/2 - hypot((a - c)/2, b)``, with no LAPACK call per
-        node; from 4D it is ``np.linalg.eigvalsh``'s.  Both read A's lower
-        triangle.
-        """
-        av = self.A.values
-        if self.patch.dim == 2:
-            a, b, c = av[..., 0, 0], av[..., 1, 0], av[..., 1, 1]
-            lam = (a + c) / 2 - np.hypot((a - c) / 2, b)
-        else:
-            lam = np.linalg.eigvalsh(av)[..., 0]
-        lam_min = float(lam.min())
+        principle is not guaranteed.  lambda_min runs over tiles of A
+        (``_lambda_min``), so a constant A costs one node."""
+        d = self.patch.dim
+        lam = slab_map(_lambda_min, self.patch.resolution, 8 * d * d, self.A.values)
         worst = 0.0
         for p, b in enumerate(self.B):
             worst = max(worst, float(np.abs(b.samples).max()) * self.patch.spacing[p])
-        return worst / lam_min
+        return worst / float(lam.min())
+
+
+def _lambda_min(av: np.ndarray) -> np.ndarray:
+    """Least eigenvalue of each symmetric A of a node-major slab, read from
+    its lower triangle: in 2D the closed form ``(a + c)/2 - hypot((a - c)/2,
+    b)`` of ``[[a, b], [b, c]]``, with no LAPACK call per node; from 4D
+    ``np.linalg.eigvalsh``'s."""
+    if av.shape[-1] == 2:
+        a, b, c = av[:, 0, 0], av[:, 1, 0], av[:, 1, 1]
+        return (a + c) / 2 - np.hypot((a - c) / 2, b)
+    return np.linalg.eigvalsh(av)[:, 0]
 
 
 def _principal_part(c: np.ndarray) -> np.ndarray:
@@ -192,13 +193,27 @@ def _principal_part(c: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(a, (0, 1), (-2, -1)))
 
 
+def _drift(c: np.ndarray, dc: np.ndarray) -> np.ndarray:
+    """B at each node of a node-major slab of cotangent matrices ``c`` and
+    their derivatives ``dc[n, s, q, p] = d_s C[q, p]``: the module's formula
+    with s and q swapped in its second term, summed from zeros, s outer."""
+    n, d = c.shape[:2]
+    b = np.zeros((n, d))
+    for s in range(d):
+        for q in range(d):
+            b += (c[:, q, s] - c[:, s, q])[:, None] * dc[:, s, q, :]
+    return b
+
+
 def assemble_operator(acs: AlmostComplexStructure, mode: str = "auto",
                       ) -> EllipticOperator:
     """Build the coefficient fields A and B of the operator.
 
-    Both are sampled arrays.  In exact mode the derivatives of the structure
-    are symbolic, so B carries no truncation error; for constant structures
-    B vanishes identically.
+    Both come from per-node kernels run over tiles (``report.slab_map``),
+    and each tile builds its own stack of dC/dx^s, so no stack spans the
+    grid; a constant structure's A is one node broadcast to the grid.  In
+    exact mode the derivatives of the structure are symbolic, so B carries
+    no truncation error; for constant structures B vanishes identically.
     """
     if not acs.valid:
         raise ValueError("cannot assemble the operator of an invalid structure")
@@ -206,14 +221,10 @@ def assemble_operator(acs: AlmostComplexStructure, mode: str = "auto",
     patch = acs.patch
     d = patch.dim
     c = acs.cot_values()
-    a = _principal_part(c)
-    # B_p = sum_sq (C[q,s] - C[s,q]) dC[q,p]/dx^s, the formula above with s
-    # and q swapped in its second term; one dC/dx^s is alive at a time
-    b = np.zeros(patch.resolution + (d,))
-    for s in range(d):
-        dc = acs.j_cot.diff(s + 1, mode).values
-        for q in range(d):
-            b += (c[..., q, s] - c[..., s, q])[..., None] * dc[..., q, :]
+    # three d x d arrays per node: A's sum, one product and the result
+    a = slab_map(_principal_part, patch.resolution, 3 * 8 * d * d, c)
+    b = slab_map(_drift, patch.resolution, 8 * d ** 3, c,
+                 lambda tile: acs.j_cot.derivatives(mode, tile))
     B = tuple(ScalarField.from_samples(patch, b[..., p]) for p in range(d))
     return EllipticOperator(patch, MatrixField.from_values(patch, a), B, mode)
 

@@ -629,25 +629,22 @@ class ScalarField(MatrixField):
         return ScalarField._of(self.patch, values=self.values)
 
     def eval_at(self, points: np.ndarray) -> np.ndarray:
-        """Values at arbitrary in-patch points (k, dim).
-
-        Expression-backed fields evaluate exactly; sampled fields use
-        multilinear interpolation.
+        """Values at arbitrary in-patch points (k, dim), evaluated exactly
+        from the field's expression.  A sample-backed field is known only at
+        the grid nodes, so it raises ``ModeError``.
         """
+        if not self.is_exact:
+            raise ModeError("point evaluation needs an expression-backed field")
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.is_exact:
-            vals = _evaluate([self.expr], tuple(points[:, k] for k in range(self.patch.dim)),
-                             self.patch.nearest_node(points[0]))[0]
-            vals = np.broadcast_to(np.asarray(vals, dtype=float), (points.shape[0],)).copy()
-            if not np.isfinite(vals).all():
-                _, (bad,) = sup_and_node(~np.isfinite(vals))
-                raise EvaluationError(
-                    f"non-finite value at point {bad} of the point evaluation",
-                    self.patch.nearest_node(points[bad]))
-            return vals
-        from scipy.interpolate import RegularGridInterpolator
-        interp = RegularGridInterpolator(self.patch.axes, self.samples)
-        return interp(points)
+        vals = _evaluate([self.expr], tuple(points[:, k] for k in range(self.patch.dim)),
+                         self.patch.nearest_node(points[0]))[0]
+        vals = np.broadcast_to(np.asarray(vals, dtype=float), (points.shape[0],)).copy()
+        if not np.isfinite(vals).all():
+            _, (bad,) = sup_and_node(~np.isfinite(vals))
+            raise EvaluationError(
+                f"non-finite value at point {bad} of the point evaluation",
+                self.patch.nearest_node(points[bad]))
+        return vals
 
     # -- arithmetic --------------------------------------------------------
 
@@ -792,7 +789,8 @@ def line_integral(omega: MatrixField, polyline) -> float:
 
     The polyline vertices are the quadrature nodes; refine the polyline to
     refine the quadrature.  A degenerate (zero-length) loop integrates to
-    exactly zero.
+    exactly zero.  The components are evaluated at the vertices
+    (``ScalarField.eval_at``), so they must be expression-backed.
     """
     pts = np.asarray(polyline, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != omega.patch.dim:

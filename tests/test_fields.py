@@ -262,12 +262,13 @@ class TestLineIntegral:
         with pytest.raises(ValueError, match="outside"):
             line_integral(omega, np.array([[0.0, 0.0], [2.0, 0.0]]))
 
-    def test_sampled_components_interpolated(self, patch2d):
+    def test_sampled_components_need_an_expression(self, patch2d):
+        # a sample-backed field is known only at the grid nodes
         omega = MatrixField(patch2d, [[c] for c in (
             ScalarField.from_expr(patch2d, "-x2").sampled(),
             ScalarField.from_expr(patch2d, "x1").sampled())])
-        val = line_integral(omega, self._square_loop(0.0, 1.0, 8))
-        assert val == pytest.approx(2.0, abs=1e-12)
+        with pytest.raises(ModeError, match="expression-backed"):
+            line_integral(omega, self._square_loop(0.0, 1.0, 8))
 
 
 class TestFieldAlgebra:

@@ -49,6 +49,11 @@ but ``structures.py`` reads ``.A``, ``.B``, ``.C`` or ``.D`` of a decomposition
 the modules that read frames, adds E to or subtracts E from a block read as it
 stands (a name, attribute, subscript or call, not a product or sum of blocks),
 except in the derived ``B`` and ``C`` of ``structures.py``.
+
+No module calls ``.diff`` on a structure's ``j_cot`` or ``j_tan`` (an
+attribute of that name, or a name assigned one): a structure is
+differentiated only through ``MatrixField.derivatives``, whose stack every
+check builds tile by tile in one way.
 """
 
 import argparse
@@ -541,3 +546,42 @@ def test_the_check_sees_a_frame_shift():
              "    return jg.block(0, 1) - e, 1j * e - jg.values, jg.values - 2\n"
     assert _frame_shifts(source) == [
         "Add E (line 9)", "Sub E (line 9)", "Add E (line 11)", "Sub E (line 14)"]
+
+
+# the matrix fields of a structure, which only ``derivatives`` differentiates
+STRUCTURE_MATRICES = {"j_cot", "j_tan"}
+
+
+def _structure_diffs(source: str) -> list[str]:
+    """``.diff`` calls on an attribute ``j_cot`` or ``j_tan``, or on a name
+    assigned one anywhere in the module, in source order."""
+    tree = ast.parse(source)
+
+    def is_matrix(node):
+        return isinstance(node, ast.Attribute) and node.attr in STRUCTURE_MATRICES
+
+    names = {t.id for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and is_matrix(node.value)
+             for t in node.targets if isinstance(t, ast.Name)}
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "diff" and (
+                    is_matrix(node.func.value) or getattr(node.func.value, "id", None) in names):
+            hits.append((node.lineno, node.col_offset,
+                         f"{ast.unparse(node.func)} (line {node.lineno})"))
+    return [hit for *_, hit in sorted(hits)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_structures_differentiate_only_through_derivatives(path):
+    assert _structure_diffs(path.read_text()) == []
+
+
+def test_the_check_sees_a_structure_diff():
+    source = "def f(acs, h, u, mode):\n    dc = acs.j_cot.diff(1, mode).values\n" \
+             "    jt = h.J.j_tan\n" \
+             "    return jt.diff(2), u.diff(1), acs.j_cot.derivatives(mode), acs.diff(1)\n" \
+             "g = [s.j_tan.diff(k) for k in range(4)]\n"
+    assert _structure_diffs(source) == [
+        "acs.j_cot.diff (line 2)", "jt.diff (line 4)", "s.j_tan.diff (line 5)"]

@@ -12,8 +12,14 @@ import numpy as np
 import pytest
 
 from spencerkit import hypercomplex, report
+from spencerkit.elliptic import assemble_operator
 from spencerkit.fields import ComplexField, MatrixField, Patch
-from spencerkit.fixtures import coordinate_function, flat_hypercomplex, type1_structure
+from spencerkit.fixtures import (
+    coordinate_function,
+    flat_hypercomplex,
+    standard_structure,
+    type1_structure,
+)
 from spencerkit.holomorphy import antiholo_residual, holo_residual
 from spencerkit.hypercomplex import QuaternionFunction, k_hyperholo_residual
 from spencerkit.spencer import SpencerChart, _basis_columns, _normalized_det, verify_chart
@@ -313,10 +319,9 @@ def test_pointwise_inverse_in_every_tiling(monkeypatch, n):
 
 def _untiled_gap_and_identities(bd, back):
     """The round-trip gap and the block identities of ``acs extract-pq``,
-    each a sup over whole-grid arrays."""
+    each a sup over whole-grid arrays of the frame blocks as they stand."""
     eye = np.eye(bd.n)
-    a, d = bd.A.values, bd.D.values
-    bp, cm = bd.B.values + eye, bd.C.values - eye
+    a, bp, cm, d = (b.values for b in bd.frame)
     return [float(np.abs(x).max()) for x in (
         back.cot_values() - frame_values(bd),
         a @ a + bp @ cm + eye, a @ bp + bp @ d, cm @ a + d @ cm, cm @ bp + d @ d + eye)]
@@ -395,12 +400,65 @@ def test_nijenhuis_peak_memory_at_grid_21_is_bounded():
     assert _nijenhuis_peak(21) < 32 * 2**20
 
 
+# -- the operator: A, B and lambda_min over tiles -----------------------------
+
+def _operator_bits(acs, mode):
+    """The bytes of A, of each B_p and of the mesh Peclet number."""
+    op = assemble_operator(acs, mode)
+    assert any(np.any(b.samples) for b in op.B)
+    return (op.A.values.tobytes(), [b.samples.tobytes() for b in op.B],
+            np.float64(op.mesh_peclet()).tobytes())
+
+
+@pytest.mark.parametrize("mode", ["exact", "fd"])
+@pytest.mark.parametrize("acs", [
+    lambda pair: type1_structure(PATCH),
+    _random_moduli_structure,
+], ids=["type1", "random pair"])
+def test_operator_in_every_tiling(monkeypatch, pair, acs, mode):
+    # A, B and lambda_min are per-node kernels and a minimum is exact, so
+    # each has the bits of one tile in every tiling
+    acs = acs(pair)
+    assert report.SLAB_BYTES // (8 * 4 ** 3) >= PATCH.n_points  # one tile
+    whole = _operator_bits(acs, mode)
+    for nodes in TILINGS:
+        _tiled_by(monkeypatch, nodes)
+        assert _operator_bits(acs, mode) == whole
+
+
+@pytest.mark.parametrize("mode", ["exact", "fd"])
+def test_the_standard_operator_holds_one_node_of_a(mode):
+    op = assemble_operator(standard_structure(PATCH), mode)
+    assert not any(op.A.values.strides[:4])
+    assert op.A.values[0, 0, 0, 0].tobytes() == (2.0 * np.eye(4)).tobytes()
+    assert op.mesh_peclet() == 0.0
+
+
+def test_operator_peak_memory_at_grid_21_is_bounded():
+    # fd on type1 at 4D grid 21 (194,481 nodes), with the cotangent samples
+    # taken beforehand: A is 23.7 MiB and B 5.9 MiB.  A full-grid A kernel
+    # and a full-grid dC/dx^s per axis peaked at 79.5 MiB; tiled, 37.4 MiB,
+    # of which a tile's derivative stack is 8 MiB.
+    acs = type1_structure(Patch.box(2, -1.0, 1.0, 21))
+    acs.cot_values()
+    tracemalloc.start()
+    try:
+        assemble_operator(acs, "fd")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+
+
 # -- constant fields: one node, with the bits of the full grid ----------------
 
+_TILES = report.tiles
+
+
 def _tiled_by(monkeypatch, nodes):
-    """``slab_map`` cuts tiles of ``nodes`` nodes, whatever its node bytes."""
-    tiles = report.tiles
-    monkeypatch.setattr(report, "tiles", lambda grid, step: tiles(grid, nodes))
+    """``slab_map`` cuts tiles of ``nodes`` nodes, whatever its node bytes.
+    Each call replaces the tiling of the one before, not wraps it."""
+    monkeypatch.setattr(report, "tiles", lambda grid, step: _TILES(grid, nodes))
 
 
 def _full_grid_copy(m):
