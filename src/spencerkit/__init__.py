@@ -17,7 +17,6 @@ from .fields import (
     ScalarField,
     d_oneform,
     gradient,
-    line_integral,
 )
 from .structures import (
     AlmostComplexStructure,
@@ -43,7 +42,6 @@ from .holomorphy import (
 )
 from .elliptic import (
     EllipticOperator,
-    apply_operator,
     assemble_operator,
     contraction_identity_residual,
     ellipticity_certificate,
@@ -60,7 +58,6 @@ from .brackets import (
     j_action,
     leibniz_defect_check,
     potential_vf_residual,
-    splitting_projections,
 )
 from .hypercomplex import (
     QuaternionFunction,

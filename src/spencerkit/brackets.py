@@ -34,7 +34,6 @@ __all__ = [
     "bracket",
     "bracket_j",
     "potential_vf_residual",
-    "splitting_projections",
     "eigen_residual",
     "bracket_law_check",
     "leibniz_defect_check",
@@ -149,15 +148,6 @@ def potential_vf_residual(acs: AlmostComplexStructure, x: VectorFieldC,
     lhs = bracket_j(acs, x, y, u, mode)
     rhs = apply_vf(j_action(acs, commutator_field(x, y, mode)), u, mode)
     return lhs - rhs
-
-
-def splitting_projections(acs: AlmostComplexStructure, x: VectorFieldC,
-                          ) -> tuple[VectorFieldC, VectorFieldC]:
-    """Eigenspace parts X = X10 + X01 with J X10 = i X10, J X01 = -i X01."""
-    jx = j_action(acs, x)
-    x10 = (x - jx.scaled(1j)).scaled(0.5)
-    x01 = (x + jx.scaled(1j)).scaled(0.5)
-    return x10, x01
 
 
 def eigen_residual(acs: AlmostComplexStructure, x: VectorFieldC, sign: int,

@@ -48,7 +48,6 @@ __all__ = [
     "potential_closedness_residual",
     "assemble_operator",
     "ellipticity_certificate",
-    "apply_operator",
     "apply_pointwise",
     "contraction_identity_residual",
     "theorem_check",
@@ -295,15 +294,6 @@ def _stencil_sum(op: EllipticOperator, values: np.ndarray) -> np.ndarray:
         shifted = tuple(slice(1 + o, r - 1 + o) for o, r in zip(off, res))
         acc = acc + coeff[inner] * values[shifted]
     return acc
-
-
-def apply_operator(op: EllipticOperator, u: ScalarField) -> ScalarField:
-    """Stencil application at interior nodes; boundary entries are NaN."""
-    if u.patch != op.patch:
-        raise ValueError("field and operator live on different patches")
-    out = np.full(op.patch.resolution, np.nan)
-    out[op.patch.interior()] = _stencil_sum(op, u.samples)
-    return ScalarField.from_samples(op.patch, out)
 
 
 def apply_pointwise(op: EllipticOperator, u: ScalarField, mode: str = "auto",

@@ -59,7 +59,6 @@ __all__ = [
     "div",
     "neg",
     "powi",
-    "call",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
@@ -543,12 +542,6 @@ def powi(base: Expr, exponent: int) -> Expr:
         with np.errstate(all="ignore"):
             return Num(float(np.float64(base.value) ** exponent))
     return Pow(base, exponent)
-
-
-def call(func: str, arg: Expr) -> Expr:
-    if func not in FUNCTIONS:
-        raise ValueError(f"unsupported function {func!r}")
-    return Call(func, arg)
 
 
 def as_expr(value) -> Expr:

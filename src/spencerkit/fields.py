@@ -56,7 +56,6 @@ __all__ = [
     "gradient",
     "complex_gradient",
     "d_oneform",
-    "line_integral",
     "matvec",
     "resolve_mode",
 ]
@@ -140,22 +139,6 @@ class Patch:
     def interior(self, depth: int = 1) -> tuple[slice, ...]:
         """Index of the nodes ``depth`` or more rings inside the boundary."""
         return tuple(slice(depth, r - depth) for r in self.resolution)
-
-    def nearest_node(self, point) -> tuple[int, ...]:
-        """Grid node closest to ``point``, clamped onto the patch."""
-        return tuple(int(np.clip(np.rint((x - lo) / h), 0, r - 1))
-                     for x, (lo, _), h, r in zip(point, self.bounds, self.spacing,
-                                                 self.resolution))
-
-    def contains(self, point, rtol: float = 1e-9) -> bool:
-        point = np.asarray(point, dtype=float)
-        if point.shape != (self.dim,):
-            return False
-        for x, (lo, hi) in zip(point, self.bounds):
-            pad = rtol * (hi - lo)
-            if x < lo - pad or x > hi + pad:
-                return False
-        return True
 
     def refined(self, factor: int = 2) -> "Patch":
         """Patch with spacing divided by ``factor`` (same bounds)."""
@@ -628,24 +611,6 @@ class ScalarField(MatrixField):
         """Sample-backed copy: the field's values at every grid node."""
         return ScalarField._of(self.patch, values=self.values)
 
-    def eval_at(self, points: np.ndarray) -> np.ndarray:
-        """Values at arbitrary in-patch points (k, dim), evaluated exactly
-        from the field's expression.  A sample-backed field is known only at
-        the grid nodes, so it raises ``ModeError``.
-        """
-        if not self.is_exact:
-            raise ModeError("point evaluation needs an expression-backed field")
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = _evaluate([self.expr], tuple(points[:, k] for k in range(self.patch.dim)),
-                         self.patch.nearest_node(points[0]))[0]
-        vals = np.broadcast_to(np.asarray(vals, dtype=float), (points.shape[0],)).copy()
-        if not np.isfinite(vals).all():
-            _, (bad,) = sup_and_node(~np.isfinite(vals))
-            raise EvaluationError(
-                f"non-finite value at point {bad} of the point evaluation",
-                self.patch.nearest_node(points[bad]))
-        return vals
-
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other):
@@ -782,25 +747,3 @@ def d_oneform(omega: MatrixField, mode: str = "auto") -> np.ndarray:
         raise ValueError(f"a 1-form is a d x 1 matrix field, not {omega.shape}")
     dw = omega.derivatives(mode)[..., 0]  # dw[..., s, q] = d(omega_q)/dx^s
     return dw - np.swapaxes(dw, -1, -2)
-
-
-def line_integral(omega: MatrixField, polyline) -> float:
-    """Composite trapezoid quadrature of the 1-form (d x 1) along a polyline.
-
-    The polyline vertices are the quadrature nodes; refine the polyline to
-    refine the quadrature.  A degenerate (zero-length) loop integrates to
-    exactly zero.  The components are evaluated at the vertices
-    (``ScalarField.eval_at``), so they must be expression-backed.
-    """
-    pts = np.asarray(polyline, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != omega.patch.dim:
-        raise ValueError(f"polyline must have shape (k, {omega.patch.dim})")
-    for p in pts:
-        if not omega.patch.contains(p):
-            raise ValueError(f"polyline point {tuple(p)} is outside the patch")
-    if len(pts) < 2:
-        return 0.0
-    vals = np.stack([c.eval_at(pts) for c, in omega.entries], axis=1)  # (k, d)
-    deltas = pts[1:] - pts[:-1]
-    avg = 0.5 * (vals[1:] + vals[:-1])
-    return float(np.sum(avg * deltas))

@@ -7,7 +7,6 @@ summary lines.
 import time
 
 import numpy as np
-import pytest
 
 from spencerkit.brackets import VectorFieldC, bracket_law_check, \
     potential_vf_residual
@@ -23,7 +22,6 @@ from spencerkit.elliptic import (
 )
 from spencerkit.fields import ComplexField, MatrixField, Patch, ScalarField
 from spencerkit.fixtures import (
-    coordinate_function,
     flat_hypercomplex,
     pullback_structure,
     standard_structure,

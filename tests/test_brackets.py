@@ -12,7 +12,6 @@ from spencerkit.brackets import (
     j_action,
     leibniz_defect_check,
     potential_vf_residual,
-    splitting_projections,
 )
 from spencerkit.elliptic import d_oneform, potential_oneform
 from spencerkit.fields import ComplexField, ScalarField
@@ -160,33 +159,6 @@ class TestPotentialResidual:
         y = VectorFieldC.coordinate(patch2d_sym, 2)
         res = potential_vf_residual(std, x, y, u)
         assert np.abs(np.abs(res.values) - 2.0).max() <= 1e-13
-
-
-class TestSplitting:
-    def test_eigenfield_projects_to_itself(self, std, patch2d_sym):
-        x = d_dz(patch2d_sym)
-        x10, x01 = splitting_projections(std, x)
-        for a, b in zip(x10.components, x.components):
-            assert np.abs(a.values - b.values).max() <= 1e-14
-        for c in x01.components:
-            assert np.abs(c.values).max() <= 1e-14
-
-    def test_real_coordinate_field_splits(self, std, patch2d_sym):
-        x = VectorFieldC.coordinate(patch2d_sym, 1)
-        x10, x01 = splitting_projections(std, x)
-        assert eigen_residual(std, x10, +1) <= 1e-14
-        assert eigen_residual(std, x01, -1) <= 1e-14
-        got = np.array([c.values[(0, 0)] for c in x10.components])
-        assert np.abs(got - np.array([0.5, -0.5j])).max() <= 1e-14
-
-    def test_projection_idempotent(self, std, patch2d_sym):
-        x = VectorFieldC.from_exprs(patch2d_sym, [("x1", "x2"), ("1", "x1")])
-        x10, _ = splitting_projections(std, x)
-        again, rest = splitting_projections(std, x10)
-        for a, b in zip(again.components, x10.components):
-            assert np.abs(a.values - b.values).max() <= 1e-14
-        for c in rest.components:
-            assert np.abs(c.values).max() <= 1e-14
 
 
 class TestLaws:

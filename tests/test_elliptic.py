@@ -13,7 +13,6 @@ from spencerkit.elliptic import (
     CertificateReport,
     ConvergenceError,
     EllipticOperator,
-    apply_operator,
     apply_pointwise,
     assemble_operator,
     contraction_identity_residual,
@@ -250,19 +249,19 @@ class TestApply:
     def test_harmonic_quadratic_zero(self, patch2d):
         op = assemble_operator(standard_structure(patch2d))
         u = ScalarField.from_expr(patch2d, "x1^2 - x2^2")
-        out = apply_operator(op, u).samples
-        assert np.nanmax(np.abs(out[patch2d.interior()])) == 0.0
+        out = elliptic._stencil_sum(op, u.samples)
+        assert np.nanmax(np.abs(out)) == 0.0
 
     def test_twice_laplacian_value(self, patch2d):
         op = assemble_operator(standard_structure(patch2d))
-        out = apply_operator(op, ScalarField.from_expr(patch2d, "x1^2")).samples
-        assert np.abs(out[patch2d.interior()] - 4.0).max() <= 1e-11
+        out = elliptic._stencil_sum(op, ScalarField.from_expr(patch2d, "x1^2").samples)
+        assert np.abs(out - 4.0).max() <= 1e-11
 
     def test_first_order_part_only(self, fixture_acs):
         op = assemble_operator(fixture_acs)
-        out = apply_operator(op, ScalarField.from_expr(fixture_acs.patch, "x1"))
+        out = elliptic._stencil_sum(op, ScalarField.from_expr(fixture_acs.patch, "x1").samples)
         sl = fixture_acs.patch.interior()
-        assert np.abs(out.samples[sl] - op.B[0].samples[sl]).max() <= 1e-11
+        assert np.abs(out - op.B[0].samples[sl]).max() <= 1e-11
 
     def test_pointwise_field_on_another_patch_is_an_error(self):
         op = assemble_operator(standard_structure(Patch.box(1, 0.0, 1.0, 9)))
@@ -278,12 +277,11 @@ class TestApply:
         alpha, beta = 1.375, -2.25  # binary-exact scalars
         combo = ScalarField.from_samples(patch,
                                          alpha * u.samples + beta * v.samples)
-        lhs = apply_operator(op, combo).samples
-        rhs = alpha * apply_operator(op, u).samples \
-            + beta * apply_operator(op, v).samples
-        sl = patch.interior()
-        scale = np.abs(rhs[sl]).max()
-        assert np.abs(lhs - rhs)[sl].max() <= 1e-13 * max(scale, 1.0)
+        lhs = elliptic._stencil_sum(op, combo.samples)
+        rhs = alpha * elliptic._stencil_sum(op, u.samples) \
+            + beta * elliptic._stencil_sum(op, v.samples)
+        scale = np.abs(rhs).max()
+        assert np.abs(lhs - rhs).max() <= 1e-13 * max(scale, 1.0)
 
 
 class TestClosedness:

@@ -17,8 +17,6 @@ from spencerkit.fields import (
     complex_gradient,
     d_oneform,
     gradient,
-    line_integral,
-    matvec,
     resolve_mode,
 )
 from spencerkit.fixtures import conjugated_hypercomplex, type1_structure
@@ -97,18 +95,6 @@ class TestEvalField:
             MatrixField(patch2d, [[other, bad]]).values
         assert str(bad.expr) in str(err.value)
         assert err.value.node == (0, 0)
-        with pytest.raises(EvaluationError, match="non-finite constant") as err:
-            bad.eval_at(np.array([[0.5, 0.5], [1.0, 1.0]]))
-        assert err.value.node == (4, 4)
-
-    def test_point_evaluation_reports_nearest_node(self):
-        p = Patch(1, ((-1.0, 1.0), (-1.0, 1.0)), (5, 5))
-        u = ScalarField.from_expr(p, "1/x1")
-        points = np.array([[0.5, 0.5], [0.0, 0.6], [0.0, -1.0]])
-        with pytest.raises(EvaluationError, match="at point 1 ") as err:
-            u.eval_at(points)
-        # (0.0, 0.6) lies between nodes 3 (x = 0.5) and 4 (x = 1.0) of x2
-        assert err.value.node == (2, 3)
 
     def test_exact_mode_requires_expression(self, patch2d):
         u = ScalarField.from_samples(patch2d, np.zeros(patch2d.resolution))
@@ -211,64 +197,6 @@ class TestDOneForm:
         r = d_oneform(omega, "fd")
         scale = np.abs(u.samples).max()
         assert interior_sup(r, p) <= 1e-8 * scale
-
-
-class TestLineIntegral:
-    def _square_loop(self, lo, hi, per_side):
-        t = np.linspace(lo, hi, per_side + 1)
-        pts = []
-        pts += [(v, lo) for v in t]
-        pts += [(hi, v) for v in t[1:]]
-        pts += [(v, hi) for v in t[-2::-1]]
-        pts += [(lo, v) for v in t[-2::-1]]
-        return np.array(pts)
-
-    def test_green_area_form(self, patch2d):
-        omega = MatrixField(patch2d, [[c] for c in (
-            ScalarField.from_expr(patch2d, "-x2"),
-            ScalarField.from_expr(patch2d, "x1"))])
-        val = line_integral(omega, self._square_loop(0.0, 1.0, 16))
-        assert val == pytest.approx(2.0, abs=1e-12)
-
-    def test_exact_form_closed_loop(self, patch2d):
-        u = ScalarField.from_expr(patch2d, "x1^2*x2 + x2^3")
-        omega = MatrixField(patch2d, [[c] for c in gradient(u, "exact")])
-        val = line_integral(omega, self._square_loop(0.0, 1.0, 32))
-        assert val == pytest.approx(0.0, abs=1e-10)
-
-    def test_potential_form_of_pluriharmonic_converges_to_zero(self, patch2d):
-        # omega = J du for the standard structure and u = x1^2 - x2^2 is
-        # closed; quadrature refinement must drive the loop integral to zero
-        u = ScalarField.from_expr(patch2d, "x1^2 - x2^2")
-        g = gradient(u, "exact")
-        jcot = MatrixField.from_exprs(patch2d, [["0", "1"], ["-1", "0"]])
-        omega = MatrixField(patch2d, [[c] for c in matvec(jcot, g)])
-        vals = [abs(line_integral(omega, self._square_loop(0.25, 0.75, n)))
-                for n in (4, 8, 16)]
-        assert vals[-1] <= 1e-12
-        assert all(v <= 1e-10 for v in vals)
-
-    def test_degenerate_loop_exactly_zero(self, patch2d):
-        omega = MatrixField(patch2d, [[c] for c in (
-            ScalarField.from_expr(patch2d, "x1"),
-            ScalarField.from_expr(patch2d, "x2"))])
-        pts = np.array([[0.5, 0.5]] * 4)
-        assert line_integral(omega, pts) == 0.0
-
-    def test_point_outside_patch(self, patch2d):
-        omega = MatrixField(patch2d, [[c] for c in (
-            ScalarField.from_expr(patch2d, "x1"),
-            ScalarField.from_expr(patch2d, "x2"))])
-        with pytest.raises(ValueError, match="outside"):
-            line_integral(omega, np.array([[0.0, 0.0], [2.0, 0.0]]))
-
-    def test_sampled_components_need_an_expression(self, patch2d):
-        # a sample-backed field is known only at the grid nodes
-        omega = MatrixField(patch2d, [[c] for c in (
-            ScalarField.from_expr(patch2d, "-x2").sampled(),
-            ScalarField.from_expr(patch2d, "x1").sampled())])
-        with pytest.raises(ModeError, match="expression-backed"):
-            line_integral(omega, self._square_loop(0.0, 1.0, 8))
 
 
 class TestFieldAlgebra:

@@ -54,6 +54,17 @@ No module calls ``.diff`` on a structure's ``j_cot`` or ``j_tan`` (an
 attribute of that name, or a name assigned one): a structure is
 differentiated only through ``MatrixField.derivatives``, whose stack every
 check builds tile by tile in one way.
+
+Every public function, class and method of the package is reached by a
+command or an acceptance criterion, or ``REACH_ALLOWLIST`` names why it
+stays.  The scan starts from the ``cmd_*`` functions, ``main`` and
+``build_parser``, the names ``test_acceptance.py`` reads (an import is not a
+read), every module-level statement but ``__all__``, and the allowlist.  It
+follows each name and attribute read in the code it has reached; a method is
+reached once its name is read as an attribute, and dunder methods with their
+class.  An annotation is not a read.  An allowlist entry that is gone or is
+reached without the list is stale.  The unused-import scan covers the tests
+too, so a dead import in the criteria reaches nothing.
 """
 
 import argparse
@@ -64,6 +75,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spencerkit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -88,7 +100,7 @@ def _unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
@@ -585,3 +597,150 @@ def test_the_check_sees_a_structure_diff():
              "g = [s.j_tan.diff(k) for k in range(4)]\n"
     assert _structure_diffs(source) == [
         "acs.j_cot.diff (line 2)", "jt.diff (line 4)", "s.j_tan.diff (line 5)"]
+
+
+# where the reach scan starts besides every ``cmd_*`` function: the entry
+# point and the parser it builds
+REACH_ROOTS = {"main", "build_parser"}
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+# public names that no command or criterion reaches, and why each stays
+REACH_ALLOWLIST = {
+    "spencer.transition_holomorphy_check":
+        "the transition between two Spencer charts is holomorphic "
+        "(TestTransition.test_affine_transition)",
+    "spencer.independence_rank":
+        "the holomorphic coordinates of a Spencer chart are independent "
+        "(TestIndependenceRank.test_full_rank_coordinates)",
+    "spencer.hyper_spencer_pattern_check":
+        "the cotangent action on a chart of quaternionic coordinates has the "
+        "paired pattern i E_m, -i E_m (TestHyperPattern.test_flat_identity_chart)",
+    "brackets.leibniz_defect_check":
+        "the twisted bracket [X, Y]_J fails to be a derivation by exactly its "
+        "first-order terms (TestLeibniz.test_coordinate_product)",
+    "hypercomplex.matrix_condition_residual":
+        "reference for the split residual that `hyper check` reports: the "
+        "unsplit form of the hyperholomorphy condition "
+        "(TestMatrixCondition.test_equivalence_on_fixtures)",
+    "fields.ScalarField.sampled":
+        "builds the sample-backed inputs of the fd path in the unit tests",
+}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _reads(nodes, methods_of: str | None = None):
+    """The names and attributes ``nodes`` read, as ``("name", name)`` and
+    ``("attr", name)``.  Annotations are not reads.  ``methods_of`` names the
+    class whose body ``nodes`` are: there a bare name may also read one of
+    its methods, ``("method", "<class>.<name>")``."""
+    todo = list(nodes)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield "name", node.id
+            if methods_of:
+                yield "method", f"{methods_of}.{node.id}"
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield "attr", node.attr
+        # the annotations of an argument or an assignment, and return types
+        skip = {getattr(node, "annotation", None), getattr(node, "returns", None)}
+        todo += [child for child in ast.iter_child_nodes(node) if child not in skip]
+
+
+def _unreached(sources: dict[str, str], acceptance: str,
+               allowlist: dict[str, str]) -> list[str]:
+    """Public functions, classes and methods of ``sources`` (module name to
+    source) that nothing reaches, and allowlist entries that are stale."""
+    defs, by_name, methods = {}, {}, {}
+    roots, entries = [], set()
+    for module, source in sorted(sources.items()):
+        for top in ast.parse(source).body:
+            if not isinstance(top, _DEFS):
+                if not (isinstance(top, ast.Assign) and any(
+                        getattr(t, "id", None) == "__all__" for t in top.targets)):
+                    roots.append(([top], None))
+                continue
+            qual = f"{module}.{top.name}"
+            defs[qual] = top
+            by_name.setdefault(top.name, []).append(qual)
+            if top.name.startswith("cmd_") or top.name in REACH_ROOTS:
+                entries.add(qual)
+            if isinstance(top, ast.ClassDef):
+                for item in top.body:
+                    if isinstance(item, _DEFS[:2]):
+                        defs.setdefault(f"{qual}.{item.name}", item)
+                        methods.setdefault(item.name, []).append(f"{qual}.{item.name}")
+    roots.append(([ast.parse(acceptance)], None))
+
+    def code(qual: str):
+        """The code that runs once ``qual`` is reached, and the class whose
+        body it is."""
+        node = defs[qual]
+        if not isinstance(node, ast.ClassDef):
+            return node.decorator_list + node.args.defaults \
+                + [d for d in node.args.kw_defaults if d] + node.body, None
+        inner = [item for item in node.body if not isinstance(item, _DEFS[:2])
+                 or item.name.startswith("__") and item.name.endswith("__")]
+        return node.decorator_list + node.bases + node.keywords + inner, qual
+
+    def reach(start: set[str]) -> set[str]:
+        reached = start | entries
+        todo = [*roots, *map(code, reached)]
+        while todo:
+            nodes, cls = todo.pop()
+            for kind, name in _reads(nodes, cls):
+                hits = {"name": by_name.get(name, []),
+                        "attr": by_name.get(name, []) + methods.get(name, []),
+                        "method": [name] if name in defs else []}[kind]
+                for qual in hits:
+                    if qual not in reached:
+                        reached.add(qual)
+                        todo.append(code(qual))
+        return reached
+
+    unaided = reach(set())
+    stale = [f"allowlisted, {'reached' if qual in unaided else 'not defined'}: {qual}"
+             for qual in sorted(allowlist) if qual in unaided or qual not in defs]
+    reached = reach({qual for qual in allowlist if qual in defs})
+    unreached = [f"{qual} (line {node.lineno})" for qual, node in defs.items()
+                 if qual not in reached and not qual.rsplit(".", 1)[1].startswith("_")]
+    return sorted(unreached) + stale
+
+
+def test_every_public_name_is_reached():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert all(REACH_ALLOWLIST.values())
+    assert _unreached(sources, ACCEPTANCE.read_text(), REACH_ALLOWLIST) == []
+
+
+def test_the_check_sees_an_unreached_name():
+    sources = {
+        "cli": "from .core import solve\n__all__ = ['unused']\n"
+               "def cmd_run(args):\n    return solve(args).total()\n"
+               "def build_parser():\n    return _helper()\n"
+               "def _helper():\n    return TABLE\n"
+               "def unused():\n    pass\n",
+        "core": "TABLE = {'fit': fit}\n"
+                "def fit(x: 'Model'):\n    pass\n"
+                "class Model:\n    def __init__(self):\n        self.n = normalise()\n"
+                "    def total(self):\n        pass\n"
+                "    def spare(self):\n        pass\n"
+                "    def kept(self):\n        pass\n"
+                "    alias = kept\n"
+                "def normalise():\n    pass\n"
+                "def solve(args) -> Report:\n    r: Report = Model()\n    return r\n"
+                "class Report:\n    pass\n"
+                "def imported():\n    pass\n"
+                "def checked():\n    pass\n"
+                "def reference():\n    return _sum()\n"
+                "def _sum():\n    return total_of()\n"
+                "def total_of():\n    pass\n",
+    }
+    acceptance = "from pkg.core import checked, imported\n" \
+                 "def test_criterion():\n    assert checked() is None\n"
+    allowlist = {"core.reference": "a reference", "core.checked": "reached now",
+                 "core.gone": "deleted"}
+    assert _unreached(sources, acceptance, allowlist) == [
+        "cli.unused (line 9)", "core.Model.spare (line 9)", "core.Report (line 19)",
+        "core.imported (line 21)", "allowlisted, reached: core.checked",
+        "allowlisted, not defined: core.gone"]
