@@ -208,8 +208,9 @@ def cmd_acs_extract_pq(args) -> int:
     base = _base_node(args, scene.patch)
     bd = normalize_at_origin(acs, base)
     pq = extract_pq(bd)
-    back = reconstruct_from_pq(pq)
-    gap = bd.round_trip_gap(back.cot_values())
+    # the structure the pair generates, tile by tile: checked for J^2 = -E
+    # as reconstruct_from_pq checks it, and compared with the frame
+    gap = bd.round_trip_gap(pq)
     identities = bd.identity_residuals()
     # pointwise algebra on the structure's values, which differentiates
     # nothing: no truncation error in any mode

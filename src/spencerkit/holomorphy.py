@@ -34,7 +34,8 @@ _BOUND_SLACK = 1e-10  # absolute slack of the bound full <= kappa * reduced
 def _cr_residual(acs: AlmostComplexStructure, grad: np.ndarray, mode: str,
                  sign: float) -> ResidualReport:
     """Residual of ``J*df = sign * i df`` from the complex gradient of f,
-    ``grad`` of shape (*grid, d), taken in ``mode``."""
+    ``grad`` of shape (*grid, d), or a callable that gives it on a tile (an
+    input of ``report.slab_map``), taken in ``mode``."""
     patch = acs.patch
     d = patch.dim
 

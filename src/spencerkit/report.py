@@ -138,16 +138,18 @@ def _node_major(a: np.ndarray, n: int, grid_axes: int) -> np.ndarray:
     return view
 
 
-def node_sup(slab: np.ndarray) -> np.ndarray:
+def node_sup(slab: np.ndarray, in_place: bool = False) -> np.ndarray:
     """max |entry| of each node of a node-major slab (n, ...); 0 for a node
-    with no entries.
+    with no entries.  With ``in_place`` the absolute values overwrite
+    ``slab``, a temporary of the caller's, so no copy of it is made.
 
     numpy reduces a trailing axis of fewer than 8 entries node by node, at
     about 50 ns a node on a 2-vCPU host, so there the entries are folded in
     column by column.  From 8 entries on, ``initial`` halves the time of
     numpy's reduction.
     """
-    a = np.abs(slab).reshape(len(slab), math.prod(slab.shape[1:]))
+    a = np.abs(slab, out=slab if in_place else None)
+    a = a.reshape(len(slab), math.prod(slab.shape[1:]))
     if a.shape[1] >= 8:
         return a.max(axis=1, initial=0.0)
     out = np.zeros(len(a))

@@ -51,7 +51,8 @@ class ChartError(ValueError):
 
 
 class DegenerateChartError(ValueError):
-    """Combined real Jacobian is singular somewhere on the grid."""
+    """The real Jacobian R = [grad u_1 .. grad u_n, grad v_1 .. grad v_n] of
+    the chart map, w_j = u_j + i v_j, is singular somewhere on the grid."""
 
     def __init__(self, node: tuple[int, ...], det: float):
         super().__init__(
@@ -95,33 +96,80 @@ class SpencerChart:
         return self.holo + self.complement
 
 
-def _basis_columns(acs: AlmostComplexStructure, chart: SpencerChart,
-                   mode: str) -> np.ndarray:
-    """Complex basis matrix per node, columns = chart 1-form coefficients;
-    raises ``DegenerateChartError`` where they are nearly dependent."""
-    patch = acs.patch
-    d = patch.dim
-    funcs = chart.functions()
-    cols = np.empty(patch.resolution + (d, d), dtype=complex)
-    for j, fn in enumerate(funcs):
-        g = complex_gradient(fn, mode)
-        cols[..., :, j] = g
-        cols[..., :, j + patch.dim_half] = g.conj()
-    neg_min, node = sup_and_node(-_normalized_det(cols))
+# The chart basis B, whose columns are the coefficients of dw_1 .. dw_n and
+# their conjugates, is B = R T with R the real Jacobian of the chart map
+# (``DegenerateChartError``) and T = [[E, E], [iE, -iE]] constant.  Every
+# check factors the real R and applies T^-1 in closed form, so no complex
+# (d, d) matrix spans the grid or is factored.
+
+
+def _basis_columns(chart: SpencerChart, mode: str) -> np.ndarray:
+    """The real Jacobian R of the chart map per node, shape (*grid, d, d):
+    column j is grad u_j and column n + j is grad v_j, for the chart's
+    coordinates w_j = u_j + i v_j in order.  Raises ``DegenerateChartError``
+    at the first node where ``_normalized_det`` is at most 1e-8."""
+    patch = chart.patch
+    n = patch.dim_half
+    frame = np.empty(patch.resolution + (patch.dim, patch.dim))
+    for j, fn in enumerate(chart.functions()):
+        # columns j and n + j: the (*grid, d, 2) stack of grad u and grad v
+        frame[..., j::n] = fn.parts.derivatives(mode)[..., 0, :]
+    neg_min, node = sup_and_node(-_normalized_det(frame))
     if -neg_min <= 1e-8:
         raise DegenerateChartError(node, -neg_min)
-    return cols
+    return frame
 
 
-def _normalized_det(basis: np.ndarray) -> np.ndarray:
-    """|det| scaled by the product of column norms (Hadamard normalized)."""
-    def normalized(b):
-        det = np.abs(np.linalg.det(b))
-        norms = np.linalg.norm(b, axis=-2)
-        return det / np.prod(np.maximum(norms, 1e-300), axis=-1)
+def _normalized_det(frame: np.ndarray) -> np.ndarray:
+    """|det B| over the product of B's column norms (Hadamard normalized),
+    from the real frame R: 2^n |det R| / prod_j (|grad u_j|^2 + |grad v_j|^2),
+    since |det T| = 2^n and columns j and n + j of B = R T both have the
+    norm (|grad u_j|^2 + |grad v_j|^2)^(1/2)."""
+    d = frame.shape[-1]
+    n = d // 2
 
-    d = basis.shape[-1]
-    return slab_map(normalized, basis.shape[:-2], basis.itemsize * d * d, basis)
+    def normalized(r):
+        sq = (r * r).sum(axis=-2)  # squared column norms
+        # floored as a product, so zero gradients give 0, not 0 / 0
+        norms = np.maximum(np.prod(sq[:, :n] + sq[:, n:], axis=-1), 1e-300)
+        return 2.0 ** n * np.abs(np.linalg.det(r)) / norms
+
+    return slab_map(normalized, frame.shape[:-2], frame.itemsize * d * d, frame)
+
+
+def _over_basis(frame: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """B^-1 (x[..., :c] + i x[..., c:]) for the chart basis B = R T, the real
+    frame R = ``frame`` (..., d, d) and real ``x`` (..., d, 2c): the
+    coefficients over B of c complex covectors.  One real solve gives
+    y = R^-1 x, and T^-1 = [[E, -iE], [E, iE]] / 2 applies in closed form:
+    with (y11, y12) the first n rows of y's two halves and (y21, y22) the
+    last n, the result is [P; Q] with P = [(y11 + y22) + i (y12 - y21)] / 2
+    and Q = [(y11 - y22) + i (y12 + y21)] / 2."""
+    y = np.linalg.solve(frame, x)
+    n, c = y.shape[-2] // 2, y.shape[-1] // 2
+    y *= 0.5
+    y11, y12 = y[..., :n, :c], y[..., :n, c:]
+    y21, y22 = y[..., n:, :c], y[..., n:, c:]
+    out = np.empty(y11.shape[:-2] + (2 * n, c), dtype=complex)
+    np.add(y11, y22, out=out.real[..., :n, :])
+    np.subtract(y12, y21, out=out.imag[..., :n, :])
+    np.subtract(y11, y22, out=out.real[..., n:, :])
+    np.add(y12, y21, out=out.imag[..., n:, :])
+    return out
+
+
+def _representation(jc: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """M = B^-1 jc B per node for the chart basis B = R T and the cotangent
+    matrices ``jc``: M = T^-1 N T with the real N = R^-1 (jc R), so
+    M = [[P, conj Q], [Q, conj P]], where [P; Q] = ``_over_basis(R, jc R)``
+    is M's first n columns, jc applied to each dw_j."""
+    n = frame.shape[-1] // 2
+    left = _over_basis(frame, jc @ frame)
+    M = np.empty(left.shape[:-1] + (2 * n,), dtype=complex)
+    M[..., :n] = left
+    np.conjugate(left[..., n:, :], out=M[..., :n, n:])
+    np.conjugate(left[..., :n, :], out=M[..., n:, n:])
+    return M
 
 
 @dataclass
@@ -140,18 +188,21 @@ class PatternReport:
 def _verified(acs: AlmostComplexStructure, chart: SpencerChart, mode: str,
               tolerance: float | None, orders=(slice(None),),
               ) -> tuple[list[PatternReport], np.ndarray]:
-    """Pattern reports of a chart and the chart basis B they were read from.
+    """Pattern reports of a chart and the real Jacobian R of the chart map
+    they were read from (``_basis_columns``).
 
     Each of ``orders`` gives the report of the basis B[:, order], whose
-    representation is M = B^-1 j_cot B with rows and columns in that order:
-    one solve per node serves every order.  The first m columns of the
-    representation must be i*e_j and the conjugate columns (offset n)
-    -i*e_j; the first m basis columns must be holomorphic.
+    representation is M = B^-1 j_cot B with rows and columns in that order.
+    With B = R T, M = T^-1 N T for the real N = R^-1 (j_cot R): one real
+    solve per node serves every order, and M = [[P, conj Q], [Q, conj P]]
+    follows in closed form (``_representation``).  The first m
+    columns of the representation must be i*e_j and the conjugate columns
+    (offset n) -i*e_j; the first m basis columns must be holomorphic.
     """
     mode = resolve_mode(mode, acs, *chart.functions())
     if tolerance is None:
         tolerance = default_tolerance(acs.patch, mode, 1e-8, 30.0)
-    basis = _basis_columns(acs, chart, mode)
+    frame = _basis_columns(chart, mode)
     patch = acs.patch
     m, n = chart.m, chart.n
     eye = np.eye(m)
@@ -160,8 +211,8 @@ def _verified(acs: AlmostComplexStructure, chart: SpencerChart, mode: str,
         # per node; a block is empty when m = n, and then reads 0
         return reduce(np.maximum, map(node_sup, parts))
 
-    def block_sups(jc, basis):
-        M = np.linalg.solve(basis, jc.astype(complex) @ basis)
+    def block_sups(jc, frame):
+        M = _representation(jc, frame)
         sups = []
         for order in orders:
             P = M[:, order][:, :, order]
@@ -174,13 +225,19 @@ def _verified(acs: AlmostComplexStructure, chart: SpencerChart, mode: str,
                 sup(lead, P[:, m:, 0:m])]  # the first m columns
         return np.stack(sups, axis=-1)
 
-    # the largest intermediates are complex (d, d) matrices per node
-    per_node = slab_map(block_sups, patch.resolution, 16 * patch.dim ** 2,
-                        acs.cot_values(), basis)
+    def column(j):
+        # column j of B = R T, built tile by tile
+        re, im, unit = (j, n + j, 1j) if j < n else (j - n, j, -1j)
+        return lambda tile: frame[tile][..., re] + unit * frame[tile][..., im]
+
+    # the largest intermediate is M, a complex (d, d) matrix per node; a tile
+    # holds about twice that at once (jc R, its solve, [P; Q] and M)
+    per_node = slab_map(block_sups, patch.resolution, 2 * 16 * patch.dim ** 2,
+                        acs.cot_values(), frame)
     names = ("lead_identity", "zero_complement", "zero_conjugate", "zero_conj_complement")
     reports = []
     for k, order in enumerate(orders):
-        holo_sups = tuple(_cr_residual(acs, basis[..., j], mode, +1.0).sup_norm
+        holo_sups = tuple(_cr_residual(acs, column(j), mode, +1.0).sup_norm
                           for j in np.arange(2 * n)[order][:m])
         blocks = {name: interior_sup(per_node[..., 5 * k + i], patch)
                   for i, name in enumerate(names)}
@@ -195,7 +252,7 @@ def _verified(acs: AlmostComplexStructure, chart: SpencerChart, mode: str,
             mode=mode,
             worst_node=node,
         ))
-    return reports, basis
+    return reports, frame
 
 
 def verify_chart(acs: AlmostComplexStructure, chart: SpencerChart,
@@ -233,26 +290,28 @@ def superposition_check(acs: AlmostComplexStructure, chart: SpencerChart,
     ``tolerance`` (by default the chart tolerance), and errors otherwise.
     """
     mode = resolve_mode(mode, acs, *chart.functions(), h)
-    (pattern,), basis = _verified(acs, chart, mode, tolerance)
+    (pattern,), frame = _verified(acs, chart, mode, tolerance)
     if not pattern.passes:
         raise ChartError("chart failed verification; superposition is undefined")
-    return _superposition(acs, chart, h, pattern, basis)
+    return _superposition(acs, chart, h, pattern, frame)
 
 
 def _superposition(acs: AlmostComplexStructure, chart: SpencerChart,
-                   h: ComplexField, pattern: PatternReport, basis: np.ndarray,
+                   h: ComplexField, pattern: PatternReport, frame: np.ndarray,
                    ) -> ResidualReport:
     """``superposition_check`` on a chart that passed as ``pattern``, with
-    the chart ``basis`` that pattern was read from (see ``_verified``)."""
+    the real Jacobian ``frame`` of the chart map that pattern was read from
+    (see ``_verified``)."""
     tolerance = pattern.tolerance
     mode = resolve_mode(pattern.mode, acs, h)
-    grad = complex_gradient(h, mode)
-    hres = _cr_residual(acs, grad, mode, +1.0)
+    g = h.parts.derivatives(mode)[..., 0, :]  # (*grid, d, 2): grad of re and im
+    hres = _cr_residual(acs, g[..., 0] + 1j * g[..., 1], mode, +1.0)
     if hres.sup_norm > tolerance:
         raise ChartError(
             f"h is not almost holomorphic (residual {hres.sup_norm:.2e} "
             f"> {tolerance:.1e})")
-    coeffs = np.linalg.solve(basis, grad[..., None])[..., 0]
+    # the coefficients of dh over B = R T
+    coeffs = _over_basis(frame, g)[..., 0]
     n = chart.n
     m = chart.m
     patch = chart.patch
@@ -271,7 +330,7 @@ def transition_holomorphy_check(chart_a: SpencerChart, chart_b: SpencerChart,
     """Cauchy-Riemann residual of the transition between two charts.
 
     Both charts are verified first, in the mode of the transition, and
-    their bases are reused (errors on failure).  By the chain rule the
+    their real frames are reused (errors on failure).  By the chain rule the
     differential of each w_b^j expands over chart A's basis; the
     coefficients on the conjugate and complement elements are exactly the
     conjugate-derivative components of the transition map, so their sup is
@@ -282,16 +341,18 @@ def transition_holomorphy_check(chart_a: SpencerChart, chart_b: SpencerChart,
     if chart_a.m != chart_b.m:
         raise ChartError("charts declare different types")
     mode = resolve_mode(mode, acs, *chart_a.functions(), *chart_b.functions())
-    bases = []
+    frames = []
     for name, chart in (("first", chart_a), ("second", chart_b)):
-        (pattern,), basis = _verified(acs, chart, mode, None)
+        (pattern,), frame = _verified(acs, chart, mode, None)
         if not pattern.passes:
             raise ChartError(f"{name} chart failed verification; "
                              "no transition is attempted")
-        bases.append(basis)
-    m = chart_a.m
-    # chart B's first m basis columns are its dw_b^j: expand them over chart A's
-    coeffs = np.linalg.solve(bases[0], bases[1][..., :m])
+        frames.append(frame)
+    m, n = chart_a.m, chart_a.n
+    # chart B's first m basis columns are its dw_b^j = grad u_b^j + i grad
+    # v_b^j: expand them over chart A's basis, one real solve
+    wb = frames[1][..., np.r_[0:m, n:n + m]]
+    coeffs = _over_basis(frames[0], wb)
     tails = np.abs(coeffs[..., m:, :]).max(axis=-2)
     pointwise = tails.max(axis=-1)
     breakdown = {f"w{j + 1}": interior_sup(tails[..., j], chart_a.patch)

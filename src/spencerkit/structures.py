@@ -51,6 +51,7 @@ __all__ = [
 ACS_TOLERANCE = 1e-8
 _SINGULAR_THRESHOLD = 1e-12  # relative |det| below which a matrix is singular
 _EIGENVALUE_TOLERANCE = 1e-8  # largest distance of J(base)'s eigenvalues from +-i
+_GENERATED_TOLERANCE = 1e-10  # J^2 + E of a structure generated from (P, Q)
 
 
 class InvalidStructureError(ValueError):
@@ -73,11 +74,17 @@ class SingularMatrixError(ValueError):
         self.node = node
 
 
+def _square_sup(v: np.ndarray) -> np.ndarray:
+    """max |J^2 + E| at each node of a node-major slab of matrices J."""
+    square = v @ v
+    square += np.eye(v.shape[-1])
+    return node_sup(square, in_place=True)
+
+
 def _square_residual(values: np.ndarray) -> tuple[float, tuple[int, ...]]:
     d = values.shape[-1]
-    eye = np.eye(d)
-    return sup_and_node(slab_map(lambda v: node_sup(v @ v + eye),
-                                 values.shape[:-2], values.itemsize * d * d, values))
+    return sup_and_node(slab_map(_square_sup, values.shape[:-2], values.itemsize * d * d,
+                                 values))
 
 
 def _det_scale(values: np.ndarray) -> np.ndarray:
@@ -226,6 +233,27 @@ class PQPair:
                                       node)
         self.q_condition = cond
 
+    def generated(self, tile: tuple[slice, ...]) -> np.ndarray:
+        """The cotangent matrix the pair generates (``reconstruct_from_pq``)
+        on the nodes of ``tile``, one ``slice(start, stop)`` per grid axis:
+        a callable input of ``report.slab_map``, so the structure is built
+        one tile at a time, with the bits of the whole grid's."""
+        return _generated(self.P.values[tile], self.Q.values[tile], self.qinv[tile])
+
+
+def _generated(pv: np.ndarray, qv: np.ndarray, qinv: np.ndarray) -> np.ndarray:
+    """The generation rule at each node, block by block into one array with
+    the operations of ``np.block``: [[-P Q^-1, -P Q^-1 P - Q], [Q^-1, Q^-1 P]]."""
+    n = pv.shape[-1]
+    cot = np.empty(pv.shape[:-2] + (2 * n, 2 * n))
+    top, bottom = cot[..., :n, :], cot[..., n:, :]
+    pqinv = pv @ qinv
+    np.negative(pqinv, out=top[..., :n])
+    np.subtract(-(pqinv @ pv), qv, out=top[..., n:])
+    bottom[..., :n] = qinv
+    bottom[..., n:] = qinv @ pv
+    return cot
+
 
 def reconstructs_exactly(P: MatrixField, Q: MatrixField) -> bool:
     """Whether ``reconstruct_from_pq`` keeps expression entries for the pair
@@ -279,7 +307,8 @@ def reconstruct_from_pq(pq: PQPair) -> AlmostComplexStructure:
     The result squares to -E identically; the reported residual is pure
     roundoff.  The entries stay expression-backed when the pair
     ``reconstructs_exactly`` (so the structure can be differentiated exactly
-    downstream); otherwise they are sampled, from the pair's ``qinv``.
+    downstream); otherwise they are sampled, from the pair's ``qinv``, tile
+    by tile (``report.slab_map``), so a pair of constants costs one node.
     """
     n = pq.patch.dim_half
     if reconstructs_exactly(pq.P, pq.Q):
@@ -292,17 +321,10 @@ def reconstruct_from_pq(pq: PQPair) -> AlmostComplexStructure:
         rows += [bl.exprs[i] + br.exprs[i] for i in range(n)]
         j_cot = MatrixField.from_exprs(pq.patch, rows)
     else:
-        # block by block into one array, with the operations of np.block
-        pv, qv, qinv = pq.P.values, pq.Q.values, pq.qinv
-        cot = np.empty(pq.patch.resolution + (2 * n, 2 * n))
-        top, bottom = cot[..., :n, :], cot[..., n:, :]
-        pqinv = pv @ qinv
-        np.negative(pqinv, out=top[..., :n])
-        np.subtract(-(pqinv @ pv), qv, out=top[..., n:])
-        bottom[..., :n] = qinv
-        bottom[..., n:] = qinv @ pv
+        cot = slab_map(_generated, pq.patch.resolution, 8 * (2 * n) ** 2,
+                       pq.P.values, pq.Q.values, pq.qinv)
         j_cot = MatrixField.from_values(pq.patch, cot)
-    return validate_acs(j_cot, rep="cot", tolerance=1e-10)
+    return validate_acs(j_cot, rep="cot", tolerance=_GENERATED_TOLERANCE)
 
 
 @dataclass(eq=False)
@@ -331,32 +353,37 @@ class BlockDecomposition:
     C = property(lambda self: self.frame[2] + MatrixField.identity(self.patch, self.n))
     D = property(lambda self: self.frame[3])
 
-    def _tiled_sups(self, kernel, *inputs) -> np.ndarray:
-        """Grid-wide max of ``kernel``'s per-node sups, one column each,
-        computed tile by tile (``report.slab_map``) on the frame blocks and
-        ``inputs``, so no intermediate spans the grid.  A max is exact, so
-        the tiles do not move its bits."""
-        n = self.n
-        per_node = slab_map(kernel, self.patch.resolution, 8 * 4 * n * n,
-                            *(block.values for block in self.frame), *inputs)
-        return per_node.reshape(-1, per_node.shape[-1]).max(axis=0)
-
-    def round_trip_gap(self, cot: np.ndarray) -> float:
-        """max |cot - [[A, B+E], [C-E, D]]| over the grid, for cotangent
-        samples ``cot`` of shape (*grid, 2n, 2n)."""
+    def round_trip_gap(self, pq: PQPair) -> float:
+        """max |J - [[A, B+E], [C-E, D]]| over the grid for the structure J
+        that ``pq`` generates (``reconstruct_from_pq``), built one tile at a
+        time (``PQPair.generated``), so no J spans the grid.  Each tile's J
+        is also checked as ``reconstruct_from_pq`` checks it: where J^2 + E
+        exceeds 1e-10 (``_GENERATED_TOLERANCE``), ``InvalidStructureError``
+        names the first worst node."""
         n = self.n
 
-        def gap(a, bp, cm, d, cot):
-            return np.stack([node_sup(cot[:, :n, :n] - a),
-                             node_sup(cot[:, :n, n:] - bp),
-                             node_sup(cot[:, n:, :n] - cm),
-                             node_sup(cot[:, n:, n:] - d)], axis=-1)
+        def sups(a, bp, cm, d, cot):
+            return np.stack([_square_sup(cot),
+                             node_sup(cot[:, :n, :n] - a, in_place=True),
+                             node_sup(cot[:, :n, n:] - bp, in_place=True),
+                             node_sup(cot[:, n:, :n] - cm, in_place=True),
+                             node_sup(cot[:, n:, n:] - d, in_place=True)], axis=-1)
 
-        return float(self._tiled_sups(gap, cot).max())
+        # a tile holds its J and J^2 + E, each (2n)^2 floats per node, at once
+        per_node = slab_map(sups, self.patch.resolution, 2 * 8 * 4 * n * n,
+                            *(block.values for block in self.frame), pq.generated)
+        residual, node = sup_and_node(per_node[..., 0])
+        if residual > _GENERATED_TOLERANCE:
+            raise InvalidStructureError(residual, node, _GENERATED_TOLERANCE)
+        return float(per_node[..., 1:].max())
 
     def identity_residuals(self) -> dict[str, float]:
-        """Sup norms of the four block identities implied by J^2 = -E."""
-        eye = np.eye(self.n)
+        """Sup norms of the four block identities implied by J^2 = -E, per
+        node over tiles (``report.slab_map``) of the frame blocks, so no
+        intermediate spans the grid.  A max is exact, so the tiles do not
+        move its bits."""
+        n = self.n
+        eye = np.eye(n)
 
         def residuals(a, bp, cm, d):
             return np.stack([node_sup(a @ a + bp @ cm + eye),
@@ -364,8 +391,10 @@ class BlockDecomposition:
                              node_sup(cm @ a + d @ cm),
                              node_sup(cm @ bp + d @ d + eye)], axis=-1)
 
+        per_node = slab_map(residuals, self.patch.resolution, 8 * 4 * n * n,
+                            *(block.values for block in self.frame))
         names = ("sq_top", "off_top", "off_bottom", "sq_bottom")
-        return dict(zip(names, map(float, self._tiled_sups(residuals))))
+        return dict(zip(names, map(float, per_node.reshape(-1, 4).max(axis=0))))
 
 
 def normalizing_frame(m0: np.ndarray, *, node: tuple[int, ...]) -> np.ndarray:
@@ -510,12 +539,15 @@ def _nijenhuis_sup(C: np.ndarray, T: np.ndarray, DT: np.ndarray) -> np.ndarray:
     ``N(e_i, e_j)^k = M[k, i, j] - M[k, j, i]`` with
     ``M[k, i, j] = sum_s T[s, i] d_s T[k, j] + T[k, s] d_j T[s, i]``.  The
     first sum is one batched product ``C @ DT`` with (k, j) merged into one
-    axis; the second is ``T @ DT`` batched over j.  M is antisymmetrized once.
+    axis, which leaves M in the layout [i, k, j]; the second is ``T @ DT``
+    batched over j, added in place.  M is antisymmetrized once, and its
+    absolute value is taken in place (``node_sup``).
     """
     n, d = T.shape[:2]
-    m = (C @ DT.reshape(n, d, d * d)).reshape(n, d, d, d).transpose(0, 2, 1, 3)
-    m = m + (T[:, None] @ DT).transpose(0, 2, 3, 1)
-    return node_sup(m - m.transpose(0, 1, 3, 2))
+    m = (C @ DT.reshape(n, d, d * d)).reshape(n, d, d, d)  # m[n, i, k, j]
+    m += (T[:, None] @ DT).transpose(0, 3, 2, 1)
+    # N(e_i, e_j)^k at [n, i, k, j]
+    return node_sup(m - m.transpose(0, 3, 2, 1), in_place=True)
 
 
 def nijenhuis_residual(acs: AlmostComplexStructure, mode: str = "auto") -> float:

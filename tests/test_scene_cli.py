@@ -764,6 +764,21 @@ class TestCliWorkflows:
         assert "superposition" in json.loads(capsys.readouterr().out)["results"]
         assert len(calls) == 1
 
+    def test_spencer_superpose_factors_no_complex_matrix(self, capsys, monkeypatch):
+        # the chart basis B = R T is factored through the real R alone
+        dtypes = []
+        for name in ("solve", "det"):
+            def recording(*args, fn=getattr(np.linalg, name), name=name):
+                dtypes.append((name, *(np.asarray(a).dtype for a in args)))
+                return fn(*args)
+            monkeypatch.setattr(np.linalg, name, recording)
+        code = run(["spencer", "verify", SCENES / "type1.json",
+                    "--chart", "type1", "--superpose", "zsq", "--no-meta"])
+        assert code == 0
+        assert "superposition" in json.loads(capsys.readouterr().out)["results"]
+        assert {call[0] for call in dtypes} == {"solve", "det"}
+        assert not [call for call in dtypes if any(t.kind == "c" for t in call[1:])]
+
     def test_spencer_overclaim_fails(self, capsys):
         code = run(["spencer", "verify", SCENES / "type1.json",
                     "--chart", "overclaim", "--no-meta"])

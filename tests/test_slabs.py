@@ -6,12 +6,14 @@ a search for the first singular node must still pick the first node in C
 order, wherever the slab boundaries fall.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from spencerkit import hypercomplex, report
+from spencerkit import hypercomplex, report, structures
+from spencerkit.cli import main
 from spencerkit.elliptic import assemble_operator
 from spencerkit.fields import ComplexField, MatrixField, Patch
 from spencerkit.fixtures import (
@@ -231,7 +233,7 @@ def test_chart_pattern_and_determinant(monkeypatch, pair, m):
     chart = SpencerChart(m, (z1, z2)[:m], (z1, z2)[m:])
 
     def check():
-        return verify_chart(pair.J, chart), _normalized_det(_basis_columns(pair.J, chart, "fd"))
+        return verify_chart(pair.J, chart), _normalized_det(_basis_columns(chart, "fd"))
 
     (whole, ndet), (slabbed, ndet_slabbed) = whole_and_slabbed(monkeypatch, check)
     assert whole.block_residuals["lead_identity"] > 0.0
@@ -339,15 +341,40 @@ def _random_moduli_structure(pair):
 def test_extract_pq_gap_and_identities_in_every_tiling(monkeypatch, pair, acs):
     acs = acs(pair)
     bd = normalize_at_origin(acs, (2, 3, 4, 3))
-    back = reconstruct_from_pq(extract_pq(bd))
-    untiled = _untiled_gap_and_identities(bd, back)
+    pq = extract_pq(bd)
+    untiled = _untiled_gap_and_identities(bd, reconstruct_from_pq(pq))
     assert max(untiled) > 0.0
     node_bytes = 8 * 4 * bd.n ** 2
     assert report.SLAB_BYTES // node_bytes >= PATCH.n_points
     for nodes in (acs.patch.n_points,) + TILINGS:  # one tile, then many
         monkeypatch.setattr(report, "SLAB_BYTES", nodes * node_bytes)
-        tiled = [bd.round_trip_gap(back.cot_values()), *bd.identity_residuals().values()]
+        tiled = [bd.round_trip_gap(pq), *bd.identity_residuals().values()]
         assert np.array(tiled).tobytes() == np.array(untiled).tobytes()
+
+
+def test_sampled_reconstruction_in_every_tiling(monkeypatch, pair):
+    pq = extract_pq(normalize_at_origin(_random_moduli_structure(pair), (2, 3, 4, 3)))
+    whole = reconstruct_from_pq(pq).cot_values().tobytes()
+    for nodes in TILINGS:
+        _tiled_by(monkeypatch, nodes)
+        assert reconstruct_from_pq(pq).cot_values().tobytes() == whole
+
+
+def test_round_trip_names_the_node_reconstruction_names(monkeypatch, pair):
+    # with no tolerance for roundoff, J^2 + E of the generated structure
+    # fails at its worst node, which the tiled round trip must name too
+    bd = normalize_at_origin(_random_moduli_structure(pair), (2, 3, 4, 3))
+    pq = extract_pq(bd)
+    monkeypatch.setattr(structures, "_GENERATED_TOLERANCE", 0.0)
+    with pytest.raises(InvalidStructureError) as whole:
+        reconstruct_from_pq(pq)
+    assert whole.value.residual > 0.0
+    for nodes in TILINGS:
+        _tiled_by(monkeypatch, nodes)
+        with pytest.raises(InvalidStructureError) as tiled:
+            bd.round_trip_gap(pq)
+        assert str(tiled.value) == str(whole.value)
+        assert tiled.value.node == whole.value.node
 
 
 # fields whose derivative stacks are tiled: type1's tangent samples are a
@@ -398,6 +425,51 @@ def test_nijenhuis_peak_memory_at_grid_21_is_bounded():
     # 194,481 nodes: a full-grid stack would be 95.0 MiB, and over it the
     # slabbed kernel peaked at 140.3 MiB; tiled, it peaks at 19.8 MiB
     assert _nijenhuis_peak(21) < 32 * 2**20
+
+
+# a scene shaped as perfbench's wide_grid type1 scenes: f is a constant plus
+# one linear and one bilinear monomial in each part, the chart is (z, w)
+WIDE_GRID_TYPE1 = {
+    "schema": 1, "name": "wide", "dim_half": 2,
+    "patch": {"bounds": [-1.0, 1.0], "resolution": 7},
+    "structure": {"kind": "type1",
+                  "f": {"re": "0.3166 + 0.2534*x3 + 0.3580*x1*x4",
+                        "im": "0.2050 + 0.2449*x4 + 0.3488*x2*x3"}},
+    "charts": {"type1": {"m": 1, "holo": [{"re": "x1", "im": "x2"}],
+                         "complement": [{"re": "x3", "im": "x4"}]}}}
+
+
+def _command_peak(tmp_path, capsys, *argv) -> int:
+    """``tracemalloc`` peak of one fd ``spencerctl`` command on the
+    wide_grid-shaped type1 scene at 4D grid 17 (83,521 nodes)."""
+    scene = tmp_path / "wide.json"
+    scene.write_text(json.dumps(WIDE_GRID_TYPE1))
+    tracemalloc.start()
+    try:
+        code = main([*argv[:2], str(scene), *argv[2:], "--grid", "17", "--mode", "fd",
+                     "--no-meta"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(capsys.readouterr().out)["passed"]
+    return peak
+
+
+def test_chart_verification_peak_memory_at_grid_17_is_bounded(tmp_path, capsys):
+    # the structure's samples are 10.2 MiB, and so is the real frame R of
+    # the chart map.  A full-grid complex basis B = R T (20.4 MiB), factored
+    # per node, peaked at 52.0 MiB; the real frame and T^-1 in closed form
+    # peak at 34.7 MiB.
+    peak = _command_peak(tmp_path, capsys, "spencer", "verify", "--chart", "type1")
+    assert peak < 44 * 2**20
+
+
+def test_moduli_round_trip_peak_memory_at_grid_17_is_bounded(tmp_path, capsys):
+    # the structure, two sampled frame blocks, (C - E)^-1, P and Q^-1 are
+    # 23.0 MiB.  The full-grid reconstructed structure (10.2 MiB) peaked at
+    # 51.8 MiB; rebuilt tile by tile for J^2 + E and the round trip, 39.8 MiB.
+    peak = _command_peak(tmp_path, capsys, "acs", "extract-pq")
+    assert peak < 44 * 2**20
 
 
 # -- the operator: A, B and lambda_min over tiles -----------------------------

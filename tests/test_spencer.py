@@ -16,6 +16,9 @@ from spencerkit.spencer import (
     ChartError,
     DegenerateChartError,
     SpencerChart,
+    _basis_columns,
+    _over_basis,
+    _representation,
     fit_polynomial_map,
     hyper_spencer_pattern_check,
     independence_rank,
@@ -32,6 +35,19 @@ def type1(patch4d):
     return acs, SpencerChart(1, tuple(holo), tuple(comp))
 
 
+def _t(n):
+    """T = [[E, E], [iE, -iE]], which takes a chart's real frame R to its
+    complex basis B = R T."""
+    e = np.eye(n)
+    return np.block([[e, e], [1j * e, -1j * e]])
+
+
+def _chart_basis(chart, mode="exact"):
+    """The complex chart basis B = R T, from the real Jacobian R of the
+    chart map."""
+    return _basis_columns(chart, mode) @ _t(chart.n)
+
+
 class TestVerifyChart:
     def test_integrable_full_type(self, patch4d):
         std = standard_structure(patch4d)
@@ -42,8 +58,7 @@ class TestVerifyChart:
         assert max(rep.block_residuals.values()) <= 1e-12
         # integrable case: even the unconstrained blocks are structured
         # (the full representation is diag(i, i, -i, -i))
-        from spencerkit.spencer import _basis_columns
-        basis = _basis_columns(std, chart, "exact")
+        basis = _chart_basis(chart)
         jc = std.cot_values().astype(complex)
         M = np.linalg.solve(basis, np.einsum("...ij,...jk->...ik", jc, basis))
         ref = np.diag([1j, 1j, -1j, -1j])
@@ -55,8 +70,7 @@ class TestVerifyChart:
         assert rep.passes
         assert max(rep.block_residuals.values()) <= 1e-10
         # the unconstrained complement column genuinely carries the structure
-        from spencerkit.spencer import _basis_columns
-        basis = _basis_columns(acs, chart, "exact")
+        basis = _chart_basis(chart)
         jc = acs.cot_values().astype(complex)
         M = np.linalg.solve(basis, np.einsum("...ij,...jk->...ik", jc, basis))
         star = np.abs(M[..., 2, 1])  # dz_bar row of the dw column
@@ -352,6 +366,105 @@ class TestOneBasisPerChart:
         calls, _ = _derivative_calls(monkeypatch,
                                      lambda: transition_holomorphy_check(ca, cb, std))
         assert calls <= 2
+
+
+def _swapped(m):
+    """The antichart-led order of ``hyper_spencer_pattern_check``."""
+    return np.arange(4 * m).reshape(4, m)[[1, 0, 3, 2]].ravel()
+
+
+def _reference_representation(jc, basis, order):
+    """B^-1 jc B for the basis B[:, order], by one complex solve."""
+    basis = basis[..., order]
+    return np.linalg.solve(basis, jc.astype(complex) @ basis)
+
+
+def _curved_chart(patch):
+    """A type-1 chart whose real Jacobian differs from node to node."""
+    w = coordinate_function(patch, 1) + ComplexField.from_exprs(
+        patch, "0.2*x1^2*x3", "0.1*x2*x4^2")
+    z = coordinate_function(patch, 2) + ComplexField.from_exprs(
+        patch, "0.1*x3^3", "0.2*x1*x2")
+    return SpencerChart(1, (w,), (z,))
+
+
+class TestRealFrame:
+    """The checks factor the real Jacobian R of the chart map and apply T^-1
+    in closed form; the complex basis B = R T, factored per node, is the
+    reference."""
+
+    @pytest.mark.parametrize("order", ["lead", "swapped"])
+    @pytest.mark.parametrize("curved", [False, True])
+    def test_representation_on_type1(self, type1, patch4d, curved, order):
+        acs, chart = type1
+        if curved:
+            chart = _curved_chart(patch4d)
+        order = slice(None) if order == "lead" else _swapped(1)
+        jc = acs.cot_values()
+        M = _representation(jc, _basis_columns(chart, "exact"))
+        ref = _reference_representation(jc, _chart_basis(chart), order)
+        assert np.abs(ref).max() > 1.0
+        assert np.abs(M[..., order, :][..., order] - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("order", ["lead", "swapped"])
+    @pytest.mark.parametrize("pair", ["flat", "conjugated"])
+    def test_representation_on_the_8_dim_hyper_fixture(self, pair, order):
+        # the chart of test_two_quaternionic_coordinates_on_h2, at one node:
+        # its gradients are constant, and the full grid holds 390,625 nodes
+        p8 = Patch.box(4, -1.0, 1.0, 5)
+        g = np.eye(8) + 0.1 * np.random.default_rng(8).normal(size=(8, 8))
+        h = flat_hypercomplex(p8) if pair == "flat" else conjugated_hypercomplex(p8, g)
+        f1, phi1, f2, phi2 = (coordinate_function(p8, k) for k in (1, 2, 3, 4))
+        chart = (f1, f2, phi1.conjugate(), phi2.conjugate())
+        frame = np.empty((8, 8))
+        for j, fn in enumerate(chart):
+            frame[:, j::4] = fn.parts.derivatives("exact")[(0,) * 8][:, 0, :]
+        order = slice(None) if order == "lead" else _swapped(2)
+        jc = h.J.cot_values()[(0,) * 8]
+        M = _representation(jc, frame)
+        ref = _reference_representation(jc, frame @ _t(4), order)
+        assert np.abs(M[order][:, order] - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_representation_of_random_matrices(self, d):
+        rng = np.random.default_rng(d)
+        frame, jc = rng.normal(size=(2, 500, d, d))
+        ref = _reference_representation(jc, frame @ _t(d // 2), slice(None))
+        assert np.abs(_representation(jc, frame) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_superposition_coefficients(self, patch4d):
+        # coefficients of dh for an h that is not holomorphic, so none vanish
+        chart = _curved_chart(patch4d)
+        h = ComplexField.from_exprs(patch4d, "x1*x3 + x2^2", "x4 - 0.5*x1*x2")
+        g = h.parts.derivatives("exact")[..., 0, :]
+        coeffs = _over_basis(_basis_columns(chart, "exact"), g)[..., 0]
+        grad = g[..., 0] + 1j * g[..., 1]
+        ref = np.linalg.solve(_chart_basis(chart), grad[..., None])[..., 0]
+        assert np.abs(ref[..., 1:]).max() > 0.5
+        assert np.abs(coeffs - ref).max() <= 1e-12
+
+    def test_degenerate_nodes_are_named_first_in_c_order(self):
+        # w2 = x3 + i x4 g(x1, x2, x3): det R = -g, which vanishes exactly on
+        # the grid lines through (0.5, -1, 0) and (1, -1.5, -1), indices
+        # (4, 1, 3, *) and (5, 0, 1, *); the first node is (4, 1, 3, 0)
+        p = Patch.box(2, -1.5, 1.5, 7)
+        g = "((x1 - 0.5)^2 + (x2 + 1)^2 + x3^2) * ((x1 - 1)^2 + (x2 + 1.5)^2 + (x3 + 1)^2)"
+        chart = SpencerChart(2, (coordinate_function(p, 1),
+                                 ComplexField.from_exprs(p, "x3", f"x4 * ({g})")), ())
+        with pytest.raises(DegenerateChartError) as err:
+            verify_chart(standard_structure(p), chart)
+        assert err.value.node == (4, 1, 3, 0)
+        assert "normalized determinant 0.00e+00" in str(err.value)
+
+    @pytest.mark.parametrize("constants", [1, 2])
+    def test_constant_coordinates_are_degenerate(self, patch4d, constants):
+        # zero gradients give a normalized determinant of 0, not 0 / 0, which
+        # passed the guard and left the solve to raise
+        coords = [ComplexField.from_exprs(patch4d, "1", "2") for _ in range(constants)]
+        coords += [coordinate_function(patch4d, 1)] * (2 - constants)
+        with pytest.raises(DegenerateChartError) as err:
+            verify_chart(standard_structure(patch4d), SpencerChart(2, tuple(coords), ()))
+        assert err.value.node == (0, 0, 0, 0)
 
 
 class TestPolynomialFit:

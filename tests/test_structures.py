@@ -491,6 +491,26 @@ class TestNijenhuisKernel:
         DT = rng.normal(size=(50, d, d, d))
         self.assert_agrees(np.ascontiguousarray(T.transpose(0, 2, 1)), T, DT, (50,))
 
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_in_place_layout_keeps_the_bits(self, d):
+        # M built in the [i, k, j] layout, with its second sum added and its
+        # absolute value taken in place, sums what the [k, i, j] layout summed
+        rng = np.random.default_rng(d + 10)
+        nodes = 16384 if d == 4 else 2048
+        T = rng.normal(size=(nodes, d, d))
+        DT = rng.normal(size=(nodes, d, d, d))
+        for C in (np.swapaxes(T, 1, 2), np.ascontiguousarray(np.swapaxes(T, 1, 2))):
+            assert np.array_equal(_nijenhuis_sup(C, T, DT), _k_i_j_nijenhuis_sup(C, T, DT))
+
+
+def _k_i_j_nijenhuis_sup(C, T, DT):
+    """The Nijenhuis kernel with M in the [k, i, j] layout, each sum a new
+    array, antisymmetrized into another."""
+    n, d = T.shape[:2]
+    m = (C @ DT.reshape(n, d, d * d)).reshape(n, d, d, d).transpose(0, 2, 1, 3)
+    m = m + (T[:, None] @ DT).transpose(0, 2, 3, 1)
+    return node_sup(m - m.transpose(0, 1, 3, 2))
+
 
 class TestSymbolicInverse:
     @pytest.mark.parametrize("n", [1, 2, 3])
