@@ -31,18 +31,23 @@ __all__ = [
 _BOUND_SLACK = 1e-10  # absolute slack of the bound full <= kappa * reduced
 
 
+def _cr_defect(jc: np.ndarray, grad: np.ndarray, sign: float) -> np.ndarray:
+    """The covector ``j_cot grad - sign * i grad`` at each node, from the
+    cotangent matrices ``jc`` (..., d, d) and the complex gradient ``grad``
+    (..., d) of f: zero where ``J*df = sign * i df``.  Its real and imaginary
+    parts are the real halves J*du + sign*dv and J*dv - sign*du."""
+    return np.einsum("...qp,...p->...q", jc, grad) - sign * 1j * grad
+
+
 def _cr_residual(acs: AlmostComplexStructure, grad: np.ndarray, mode: str,
                  sign: float) -> ResidualReport:
     """Residual of ``J*df = sign * i df`` from the complex gradient of f,
-    ``grad`` of shape (*grid, d), or a callable that gives it on a tile (an
-    input of ``report.slab_map``), taken in ``mode``."""
+    ``grad`` of shape (*grid, d), taken in ``mode``."""
     patch = acs.patch
     d = patch.dim
 
     def residuals(jc, grad):
-        resid = np.einsum("...qp,...p->...q", jc, grad) - sign * 1j * grad
-        # its real and imaginary parts are the real halves
-        # J*du + sign*dv and J*dv - sign*du
+        resid = _cr_defect(jc, grad, sign)
         return np.stack([np.linalg.norm(resid, axis=-1),
                          node_sup(resid.real), node_sup(resid.imag)], axis=-1)
 

@@ -15,7 +15,6 @@ Chart discovery is out of scope: only verification of supplied charts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -24,7 +23,7 @@ from .fields import ComplexField, Patch, complex_gradient, resolve_mode
 from .report import ResidualReport, default_tolerance, interior_sup, \
     node_sup, report_from_pointwise, slab_map, sup_and_node
 from .structures import AlmostComplexStructure, HypercomplexStructure
-from .holomorphy import _cr_residual
+from .holomorphy import _cr_defect, _cr_residual
 from .hypercomplex import (
     QuaternionFunction,
     j_hyperholo_residual,
@@ -158,20 +157,6 @@ def _over_basis(frame: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _representation(jc: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """M = B^-1 jc B per node for the chart basis B = R T and the cotangent
-    matrices ``jc``: M = T^-1 N T with the real N = R^-1 (jc R), so
-    M = [[P, conj Q], [Q, conj P]], where [P; Q] = ``_over_basis(R, jc R)``
-    is M's first n columns, jc applied to each dw_j."""
-    n = frame.shape[-1] // 2
-    left = _over_basis(frame, jc @ frame)
-    M = np.empty(left.shape[:-1] + (2 * n,), dtype=complex)
-    M[..., :n] = left
-    np.conjugate(left[..., n:, :], out=M[..., :n, n:])
-    np.conjugate(left[..., :n, :], out=M[..., n:, n:])
-    return M
-
-
 @dataclass
 class PatternReport:
     """Block residuals of the constrained columns of the chart pattern."""
@@ -193,11 +178,14 @@ def _verified(acs: AlmostComplexStructure, chart: SpencerChart, mode: str,
 
     Each of ``orders`` gives the report of the basis B[:, order], whose
     representation is M = B^-1 j_cot B with rows and columns in that order.
-    With B = R T, M = T^-1 N T for the real N = R^-1 (j_cot R): one real
-    solve per node serves every order, and M = [[P, conj Q], [Q, conj P]]
-    follows in closed form (``_representation``).  The first m
-    columns of the representation must be i*e_j and the conjugate columns
-    (offset n) -i*e_j; the first m basis columns must be holomorphic.
+    The first m columns of M must be i*e_j and the first m basis columns,
+    grad u_j + i grad v_j, holomorphic.  j_cot is real, so
+    M = [[P, conj Q], [Q, conj P]]: the conjugate columns (offset n) follow
+    by conjugation and must be -i*e_j when the first m are i*e_j.  Every
+    order keeps each half of the basis in place and pairs column n + j with
+    column j, so M's first m columns, rows in order, lie in
+    [P; Q] = ``_over_basis(R, j_cot R)``, one real solve per node for every
+    order.  One pass over the grid reads them and the holomorphy residuals.
     """
     mode = resolve_mode(mode, acs, *chart.functions())
     if tolerance is None:
@@ -205,43 +193,39 @@ def _verified(acs: AlmostComplexStructure, chart: SpencerChart, mode: str,
     frame = _basis_columns(chart, mode)
     patch = acs.patch
     m, n = chart.m, chart.n
-    eye = np.eye(m)
+    ieye = 1j * np.eye(m)
+    orders = [np.arange(2 * n)[order] for order in orders]
 
-    def sup(*parts):
-        # per node; a block is empty when m = n, and then reads 0
-        return reduce(np.maximum, map(node_sup, parts))
-
-    def block_sups(jc, frame):
-        M = _representation(jc, frame)
-        sups = []
+    def pattern(jc, frame):
+        # the holomorphy residuals first, so that einsum's complex copy of jc
+        # is gone before the solve
+        sups = [np.linalg.norm(_cr_defect(jc, frame[..., j] + 1j * frame[..., n + j],
+                                          1.0), axis=-1)
+                for order in orders for j in order[:m]]
+        pq = _over_basis(frame, jc @ frame)
         for order in orders:
-            P = M[:, order][:, :, order]
-            lead = P[:, 0:m, 0:m] - 1j * eye
-            sups += [
-                sup(lead, P[:, n:n + m, n:n + m] + 1j * eye),
-                sup(P[:, m:n, 0:m], P[:, n + m:2 * n, n:n + m]),
-                sup(P[:, n:n + m, 0:m], P[:, 0:m, n:n + m]),
-                sup(P[:, n + m:2 * n, 0:m], P[:, m:n, n:n + m]),
-                sup(lead, P[:, m:, 0:m])]  # the first m columns
+            first = pq[:, order[:, None], order[:m]]
+            # a block is empty when m = n, and then reads 0
+            sups += [node_sup(first[:, :m] - ieye), node_sup(first[:, m:n]),
+                     node_sup(first[:, n:n + m]), node_sup(first[:, n + m:])]
         return np.stack(sups, axis=-1)
 
-    def column(j):
-        # column j of B = R T, built tile by tile
-        re, im, unit = (j, n + j, 1j) if j < n else (j - n, j, -1j)
-        return lambda tile: frame[tile][..., re] + unit * frame[tile][..., im]
-
-    # the largest intermediate is M, a complex (d, d) matrix per node; a tile
-    # holds about twice that at once (jc R, its solve, [P; Q] and M)
-    per_node = slab_map(block_sups, patch.resolution, 2 * 16 * patch.dim ** 2,
+    # a tile holds about 25 d^2 bytes a node at once: einsum's complex copy of
+    # jc, then jc R, its solve and [P; Q].  Tiles sized for 32 d^2 keep the
+    # traced peak of a 4D grid-15 chart 2.5 MiB lower than tiles for 24 d^2.
+    per_node = slab_map(pattern, patch.resolution, 2 * 16 * patch.dim ** 2,
                         acs.cot_values(), frame)
+    count = len(orders)
+    holo = per_node[..., :count * m].reshape(patch.resolution + (count, m))
+    sups = per_node[..., count * m:].reshape(patch.resolution + (count, 4))
     names = ("lead_identity", "zero_complement", "zero_conjugate", "zero_conj_complement")
     reports = []
-    for k, order in enumerate(orders):
-        holo_sups = tuple(_cr_residual(acs, column(j), mode, +1.0).sup_norm
-                          for j in np.arange(2 * n)[order][:m])
-        blocks = {name: interior_sup(per_node[..., 5 * k + i], patch)
+    for k in range(count):
+        holo_sups = tuple(interior_sup(holo[..., k, j], patch) for j in range(m))
+        blocks = {name: interior_sup(sups[..., k, i], patch)
                   for i, name in enumerate(names)}
-        _, node = sup_and_node(per_node[..., 5 * k + 4], 1)
+        # the four blocks tile M's first m columns
+        _, node = sup_and_node(sups[..., k, :].max(axis=-1), 1)
         worst = max(list(blocks.values()) + list(holo_sups))
         reports.append(PatternReport(
             m=m,

@@ -241,17 +241,20 @@ class PQPair:
         return _generated(self.P.values[tile], self.Q.values[tile], self.qinv[tile])
 
 
+def _generation_blocks(p, q, qinv) -> tuple:
+    """The blocks of the generation rule [[-P Q^-1, -P Q^-1 P - Q],
+    [Q^-1, Q^-1 P]], in C order, from P, Q and Q^-1 given either as matrix
+    fields of expressions or as arrays of matrices; P Q^-1 is formed once."""
+    pqinv = p @ qinv
+    return -pqinv, -(pqinv @ p) - q, qinv, qinv @ p
+
+
 def _generated(pv: np.ndarray, qv: np.ndarray, qinv: np.ndarray) -> np.ndarray:
-    """The generation rule at each node, block by block into one array with
-    the operations of ``np.block``: [[-P Q^-1, -P Q^-1 P - Q], [Q^-1, Q^-1 P]]."""
+    """The generation rule at each node, block by block into one array."""
     n = pv.shape[-1]
     cot = np.empty(pv.shape[:-2] + (2 * n, 2 * n))
-    top, bottom = cot[..., :n, :], cot[..., n:, :]
-    pqinv = pv @ qinv
-    np.negative(pqinv, out=top[..., :n])
-    np.subtract(-(pqinv @ pv), qv, out=top[..., n:])
-    bottom[..., :n] = qinv
-    bottom[..., n:] = qinv @ pv
+    cot[..., :n, :n], cot[..., :n, n:], cot[..., n:, :n], cot[..., n:, n:] = \
+        _generation_blocks(pv, qv, qinv)
     return cot
 
 
@@ -312,11 +315,7 @@ def reconstruct_from_pq(pq: PQPair) -> AlmostComplexStructure:
     """
     n = pq.patch.dim_half
     if reconstructs_exactly(pq.P, pq.Q):
-        qinv = symbolic_inverse(pq.Q)
-        tl = -(pq.P @ qinv)
-        tr = -(pq.P @ qinv @ pq.P) - pq.Q
-        bl = qinv
-        br = qinv @ pq.P
+        tl, tr, bl, br = _generation_blocks(pq.P, pq.Q, symbolic_inverse(pq.Q))
         rows = [tl.exprs[i] + tr.exprs[i] for i in range(n)]
         rows += [bl.exprs[i] + br.exprs[i] for i in range(n)]
         j_cot = MatrixField.from_exprs(pq.patch, rows)

@@ -10,7 +10,9 @@ import sympy as sp
 
 import spencerkit
 from spencerkit.expr import BinOp, Call, ConstSym, Expr, Neg, Num, Pow, Var
-from spencerkit.fields import Patch
+from spencerkit.fields import ComplexField, Patch
+from spencerkit.fixtures import coordinate_function
+from spencerkit.spencer import SpencerChart
 
 
 @pytest.fixture
@@ -98,6 +100,15 @@ def frame_values(bd) -> np.ndarray:
     stacked per node: G^-1 j_cot G."""
     a, bp, cm, d = (block.values for block in bd.frame)
     return np.block([[a, bp], [cm, d]])
+
+
+def curved_chart(patch) -> SpencerChart:
+    """A type-1 chart whose real Jacobian differs from node to node."""
+    w = coordinate_function(patch, 1) + ComplexField.from_exprs(
+        patch, "0.2*x1^2*x3", "0.1*x2*x4^2")
+    z = coordinate_function(patch, 2) + ComplexField.from_exprs(
+        patch, "0.1*x3^3", "0.2*x1*x2")
+    return SpencerChart(1, (w,), (z,))
 
 
 def fresh_python(*args) -> subprocess.CompletedProcess:

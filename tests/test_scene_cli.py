@@ -491,6 +491,90 @@ _PINNED_REDUCED_LINEAR = """\
 """
 
 
+_PINNED_SPENCER_SUPERPOSE = """\
+{
+  "check": "spencer.verify",
+  "description": "chart pattern and superposition verification",
+  "passed": true,
+  "results": {
+    "chart": "type1",
+    "pattern": {
+      "block_residuals": {
+        "lead_identity": 0.0,
+        "zero_complement": 0.0,
+        "zero_conj_complement": 0.0,
+        "zero_conjugate": 0.0
+      },
+      "holo_residuals": [
+        0.0
+      ],
+      "m": 1,
+      "mode": "exact",
+      "passes": true,
+      "tolerance": 1e-08,
+      "worst_node": [
+        1,
+        1,
+        1,
+        1
+      ]
+    },
+    "superposition": {
+      "breakdown": {
+        "complement": 0.0,
+        "conj_complement": 0.0,
+        "conj_holo": 0.0
+      },
+      "l2_norm": 0.0,
+      "mode": "exact",
+      "sup_norm": 0.0,
+      "worst_node": [
+        1,
+        1,
+        1,
+        1
+      ]
+    }
+  },
+  "schema": 1
+}
+"""
+
+_PINNED_SPENCER_OVERCLAIM = """\
+{
+  "check": "spencer.verify",
+  "description": "chart pattern and superposition verification",
+  "passed": false,
+  "results": {
+    "chart": "overclaim",
+    "pattern": {
+      "block_residuals": {
+        "lead_identity": 0.0,
+        "zero_complement": 0.0,
+        "zero_conj_complement": 0.0,
+        "zero_conjugate": 0.9428090415820636
+      },
+      "holo_residuals": [
+        0.0,
+        1.3333333333333335
+      ],
+      "m": 2,
+      "mode": "exact",
+      "passes": false,
+      "tolerance": 1e-08,
+      "worst_node": [
+        1,
+        1,
+        1,
+        1
+      ]
+    }
+  },
+  "schema": 1
+}
+"""
+
+
 class TestDefaultTolerance:
     def test_exact_mode_is_the_floor(self):
         assert report.default_tolerance(Patch.box(1, 0.0, 1.0, 9), "exact",
@@ -528,6 +612,14 @@ class TestReportSerialisation:
     ], ids=["extract-pq", "holo-reduced"])
     def test_moduli_reports_are_pinned(self, capsys, argv, pinned):
         assert run(argv + ["--no-meta"]) == 0
+        assert capsys.readouterr().out == pinned
+
+    @pytest.mark.parametrize("argv, code, pinned", [
+        (["--chart", "type1", "--superpose", "zsq"], 0, _PINNED_SPENCER_SUPERPOSE),
+        (["--chart", "overclaim"], 1, _PINNED_SPENCER_OVERCLAIM),
+    ], ids=["superpose", "overclaim"])
+    def test_spencer_reports_are_pinned(self, capsys, argv, code, pinned):
+        assert run(["spencer", "verify", SCENES / "type1.json", *argv, "--no-meta"]) == code
         assert capsys.readouterr().out == pinned
 
 
@@ -763,6 +855,27 @@ class TestCliWorkflows:
         assert code == 0
         assert "superposition" in json.loads(capsys.readouterr().out)["results"]
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("superpose, calls", [([], 0), (["--superpose", "zsq"], 1)],
+                             ids=["pattern", "superpose"])
+    def test_spencer_reads_chart_holomorphy_in_the_pattern_pass(
+            self, capsys, monkeypatch, superpose, calls):
+        # the chart coordinates' residuals come from the pattern's own pass;
+        # only h, with --superpose, takes a pass of _cr_residual
+        seen = []
+        cr_residual = holomorphy._cr_residual
+
+        def counting(*args):
+            seen.append(args)
+            return cr_residual(*args)
+
+        monkeypatch.setattr(holomorphy, "_cr_residual", counting)
+        monkeypatch.setattr(spencer, "_cr_residual", counting)
+        code = run(["spencer", "verify", SCENES / "type1.json", "--chart", "type1",
+                    *superpose, "--no-meta"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["results"]["pattern"]["passes"]
+        assert len(seen) == calls
 
     def test_spencer_superpose_factors_no_complex_matrix(self, capsys, monkeypatch):
         # the chart basis B = R T is factored through the real R alone

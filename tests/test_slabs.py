@@ -20,6 +20,7 @@ from spencerkit.fixtures import (
     coordinate_function,
     flat_hypercomplex,
     standard_structure,
+    type1_chart_functions,
     type1_structure,
 )
 from spencerkit.holomorphy import antiholo_residual, holo_residual
@@ -38,7 +39,7 @@ from spencerkit.structures import (
     validate_acs,
 )
 
-from conftest import frame_values
+from conftest import curved_chart, frame_values
 
 # 2,401 nodes, in one slab by default; spacing 0.5, so FD gradients of
 # linear functions are exact and equal at every node
@@ -427,6 +428,24 @@ def test_nijenhuis_peak_memory_at_grid_21_is_bounded():
     assert _nijenhuis_peak(21) < 32 * 2**20
 
 
+
+@pytest.mark.parametrize("curved", [False, True], ids=["straight", "curved"])
+@pytest.mark.parametrize("mode", ["fd", "exact"])
+def test_chart_holomorphy_residuals_in_every_tiling(monkeypatch, mode, curved):
+    # the pattern pass reads the chart coordinates' Cauchy-Riemann residuals
+    # with the bits of holo_residual, whose kernel sees the grid in one tile
+    acs = type1_structure(PATCH)
+    chart = curved_chart(PATCH) if curved else SpencerChart(
+        1, *map(tuple, type1_chart_functions(PATCH)))
+    ref = [np.float64(holo_residual(acs, w, mode).sup_norm).tobytes() for w in chart.holo]
+    whole = verify_chart(acs, chart, mode)
+    assert [np.float64(r).tobytes() for r in whole.holo_residuals] == ref
+    # the pattern's tiles are sized for 2 * 16 * d^2 bytes a node
+    assert report.SLAB_BYTES // (2 * 16 * 4 ** 2) >= PATCH.n_points
+    for nodes in TILINGS:
+        monkeypatch.setattr(report, "SLAB_BYTES", nodes * 2 * 16 * 4 ** 2)
+        assert verify_chart(acs, chart, mode) == whole
+
 # a scene shaped as perfbench's wide_grid type1 scenes: f is a constant plus
 # one linear and one bilinear monomial in each part, the chart is (z, w)
 WIDE_GRID_TYPE1 = {
@@ -459,7 +478,8 @@ def test_chart_verification_peak_memory_at_grid_17_is_bounded(tmp_path, capsys):
     # the structure's samples are 10.2 MiB, and so is the real frame R of
     # the chart map.  A full-grid complex basis B = R T (20.4 MiB), factored
     # per node, peaked at 52.0 MiB; the real frame and T^-1 in closed form
-    # peak at 34.7 MiB.
+    # peaked at 34.7 MiB, and the pattern read from [P; Q] alone, with the
+    # holomorphy residuals in the same pass, peaks at 32.7 MiB.
     peak = _command_peak(tmp_path, capsys, "spencer", "verify", "--chart", "type1")
     assert peak < 44 * 2**20
 

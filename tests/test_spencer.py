@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import curved_chart
 from spencerkit.fields import ComplexField, MatrixField, Patch
 from spencerkit.fixtures import (
     conjugated_hypercomplex,
@@ -18,7 +19,6 @@ from spencerkit.spencer import (
     SpencerChart,
     _basis_columns,
     _over_basis,
-    _representation,
     fit_polynomial_map,
     hyper_spencer_pattern_check,
     independence_rank,
@@ -290,6 +290,24 @@ class TestHyperPattern:
         assert rep.passes
         assert rep.holo_pattern.m == 2
 
+    @pytest.mark.parametrize("mode", ["exact", "fd"])
+    @pytest.mark.parametrize("pair", ["flat", "conjugated"])
+    def test_residuals_are_those_of_each_coordinate(self, patch4d, pair, mode):
+        # the chart-led residuals are holo_residual of each f, and the
+        # antichart-led ones holo_residual of each conj(phi), bit for bit
+        h = flat_hypercomplex(patch4d) if pair == "flat" else _conjugated_pair(patch4d)
+        f = coordinate_function(patch4d, 1) + ComplexField.from_exprs(
+            patch4d, "0.2*x1*x3", "0.1*x2^2")
+        phi = coordinate_function(patch4d, 2) + ComplexField.from_exprs(
+            patch4d, "0.1*x4^2", "0.2*x1*x2")
+        rep = hyper_spencer_pattern_check(h, [f], [phi], mode=mode)
+        holo = holo_residual(h.J, f, mode).sup_norm
+        anti = holo_residual(h.J, phi.conjugate(), mode).sup_norm
+        assert min(holo, anti) > 0.0
+        assert rep.holo_pattern.holo_residuals == (holo,)
+        assert rep.antiholo_pattern.holo_residuals == (anti,)
+        assert rep.precondition_residuals == {"holo_1": holo, "antiholo_1": anti}
+
 
 def _conjugated_pair(patch):
     frame = np.eye(4) + 0.1 * np.random.default_rng(5).normal(size=(4, 4))
@@ -379,13 +397,19 @@ def _reference_representation(jc, basis, order):
     return np.linalg.solve(basis, jc.astype(complex) @ basis)
 
 
-def _curved_chart(patch):
-    """A type-1 chart whose real Jacobian differs from node to node."""
-    w = coordinate_function(patch, 1) + ComplexField.from_exprs(
-        patch, "0.2*x1^2*x3", "0.1*x2*x4^2")
-    z = coordinate_function(patch, 2) + ComplexField.from_exprs(
-        patch, "0.1*x3^3", "0.2*x1*x2")
-    return SpencerChart(1, (w,), (z,))
+def _first_columns_gaps(jc, frame, order):
+    """The reference M = B^-1 jc B, B = R T, in ``order``, and two gaps: of
+    [P; Q] = ``_over_basis(R, jc R)``, rows and columns in ``order``, from
+    M's first n columns, and of M's last n columns from the conjugates of
+    its first n with the halves swapped, M = [[P, conj Q], [Q, conj P]]:
+    what lets the checks read [P; Q] alone."""
+    n = frame.shape[-1] // 2
+    ref = _reference_representation(jc, frame @ _t(n), order)
+    conj_gap = max(np.abs(ref[..., n:, n:] - ref[..., :n, :n].conj()).max(),
+                   np.abs(ref[..., :n, n:] - ref[..., n:, :n].conj()).max())
+    rows = np.arange(2 * n)[order]
+    pq = _over_basis(frame, jc @ frame)[..., rows, :][..., rows[:n]]
+    return ref, np.abs(pq - ref[..., :n]).max(), conj_gap
 
 
 class TestRealFrame:
@@ -398,13 +422,13 @@ class TestRealFrame:
     def test_representation_on_type1(self, type1, patch4d, curved, order):
         acs, chart = type1
         if curved:
-            chart = _curved_chart(patch4d)
+            chart = curved_chart(patch4d)
         order = slice(None) if order == "lead" else _swapped(1)
-        jc = acs.cot_values()
-        M = _representation(jc, _basis_columns(chart, "exact"))
-        ref = _reference_representation(jc, _chart_basis(chart), order)
+        ref, gap, conj_gap = _first_columns_gaps(
+            acs.cot_values(), _basis_columns(chart, "exact"), order)
         assert np.abs(ref).max() > 1.0
-        assert np.abs(M[..., order, :][..., order] - ref).max() <= 1e-12
+        assert conj_gap <= 1e-12
+        assert gap <= 1e-12
 
     @pytest.mark.parametrize("order", ["lead", "swapped"])
     @pytest.mark.parametrize("pair", ["flat", "conjugated"])
@@ -420,21 +444,21 @@ class TestRealFrame:
         for j, fn in enumerate(chart):
             frame[:, j::4] = fn.parts.derivatives("exact")[(0,) * 8][:, 0, :]
         order = slice(None) if order == "lead" else _swapped(2)
-        jc = h.J.cot_values()[(0,) * 8]
-        M = _representation(jc, frame)
-        ref = _reference_representation(jc, frame @ _t(4), order)
-        assert np.abs(M[order][:, order] - ref).max() <= 1e-12
+        _, gap, conj_gap = _first_columns_gaps(h.J.cot_values()[(0,) * 8], frame, order)
+        assert conj_gap <= 1e-12
+        assert gap <= 1e-12
 
     @pytest.mark.parametrize("d", [4, 8])
     def test_representation_of_random_matrices(self, d):
         rng = np.random.default_rng(d)
         frame, jc = rng.normal(size=(2, 500, d, d))
-        ref = _reference_representation(jc, frame @ _t(d // 2), slice(None))
-        assert np.abs(_representation(jc, frame) - ref).max() <= 1e-12 * np.abs(ref).max()
+        ref, gap, conj_gap = _first_columns_gaps(jc, frame, slice(None))
+        assert conj_gap <= 1e-12 * np.abs(ref).max()
+        assert gap <= 1e-12 * np.abs(ref).max()
 
     def test_superposition_coefficients(self, patch4d):
         # coefficients of dh for an h that is not holomorphic, so none vanish
-        chart = _curved_chart(patch4d)
+        chart = curved_chart(patch4d)
         h = ComplexField.from_exprs(patch4d, "x1*x3 + x2^2", "x4 - 0.5*x1*x2")
         g = h.parts.derivatives("exact")[..., 0, :]
         coeffs = _over_basis(_basis_columns(chart, "exact"), g)[..., 0]
