@@ -16,7 +16,8 @@ Conventions used throughout the package:
   ``report.slab_map`` runs a kernel whose inputs are all constant on one
   node.  An exact derivative whose expressions all use no variable (of a
   constant or a linear field, say) is such a view too; an fd derivative
-  is a new array.  Only this module and ``report`` make broadcast views.
+  is a new array.  A stack of sampled entries goes through ``slab_map``.
+  Only ``_sample`` and ``report.slab_map`` make broadcast views.
 * Every field offers two differentiation modes.  ``exact`` differentiates
   the backing expression symbolically and evaluates the result on the grid;
   ``fd`` applies order-2 central differences (order-2 one-sided at the
@@ -42,7 +43,7 @@ import numpy as np
 
 from .expr import (Expr, Num, add, as_expr, derivatives, evaluate_all, mul, neg,
                    parse_expr, sub)
-from .report import sup_and_node, tiles
+from .report import slab_map, sup_and_node, tiles
 
 __all__ = [
     "DEFAULT_POINT_BUDGET",
@@ -286,8 +287,8 @@ class MatrixField:
     def __init__(self, patch: Patch, rows):
         """Matrix of the scalar fields in ``rows``, a nested sequence.  It
         keeps their expressions if all have one, and stacks their samples
-        if some has none or all are sampled already: one node broadcast to
-        the grid when every entry's samples are (the broadcast rule)."""
+        through ``report.slab_map`` if some has none or all are sampled
+        already: one node when every entry is (the broadcast rule)."""
         rows = _rectangular(rows)
         entries = [e for row in rows for e in row]
         for e in entries:
@@ -300,14 +301,9 @@ class MatrixField:
         if all(e.is_exact for e in entries):
             self.exprs = tuple(tuple(e.expr for e in row) for row in rows)
         if self.exprs is None or all(e._values is not None for e in entries):
-            samples = [[e.samples for e in row] for row in rows]
-            if not any(any(x.strides) for row in samples for x in row):
-                # every entry is one node broadcast (the broadcast rule)
-                node = np.array([[x[(0,) * patch.dim] for x in row] for row in samples])
-                self._values = np.broadcast_to(node, patch.resolution + node.shape)
-            else:
-                self._values = np.stack([np.stack(row, axis=-1) for row in samples],
-                                        axis=-2)
+            stacked = slab_map(lambda *x: np.stack(x, axis=-1), patch.resolution,
+                               8 * len(entries), *(e.samples for e in entries))
+            self._values = stacked.reshape(patch.resolution + (len(rows), len(rows[0])))
 
     @classmethod
     def _of(cls, patch: Patch, exprs=None, values=None) -> "MatrixField":

@@ -135,33 +135,27 @@ def j_hyperholo_residual(h: HypercomplexStructure, F: QuaternionFunction,
     return merge_reports(parts, mode)
 
 
-def _oneform_residual(acs: AlmostComplexStructure, grad_a: np.ndarray,
-                      grad_b: np.ndarray, sign: float, mode: str) -> ResidualReport:
-    """Residual of K*da = sign * db as a pointwise covector norm."""
-    def norm(jc, a, b):
-        return np.linalg.norm(np.einsum("...qp,...p->...q", jc, a) - sign * b, axis=-1)
-
-    patch = acs.patch
-    pointwise = slab_map(norm, patch.resolution, 8 * patch.dim,
-                         acs.cot_values(), grad_a, grad_b)
-    return report_from_pointwise(pointwise, patch, mode)
-
-
 def k_hyperholo_residual(h: HypercomplexStructure, G: QuaternionFunction,
                          mode: str = "auto") -> ResidualReport:
-    """Residual of dG o K = T o dG as four translated 1-form systems."""
+    """Residual of dG o K = T o dG as four translated 1-form systems
+    K*da = sign * db, one kernel over tiles of K and of G's Jacobian: a
+    constant K with an affine G in exact mode runs on one node."""
     mode = resolve_mode(mode, h.K, *G.components())
-    k = h.K
-    # the columns of the (*grid, d, 4) Jacobian are the component gradients
+    # the columns of the (*grid, d, 4) Jacobian are du, dv, dzeta, deta
     jac = MatrixField(h.patch, [G.components()]).derivatives(mode)[..., 0, :]
-    du, dv, dzeta, deta = np.moveaxis(jac, -1, 0)
-    parts = {
-        "du": _oneform_residual(k, du, dzeta, -1.0, mode),
-        "dzeta": _oneform_residual(k, dzeta, du, +1.0, mode),
-        "dv": _oneform_residual(k, dv, deta, -1.0, mode),
-        "deta": _oneform_residual(k, deta, dv, +1.0, mode),
-    }
-    return merge_reports(parts, mode)
+    systems = {"du": (0, 2, -1.0), "dzeta": (2, 0, +1.0),
+               "dv": (1, 3, -1.0), "deta": (3, 1, +1.0)}  # (a, b, sign)
+
+    def norms(jc, jac):
+        return np.stack([np.linalg.norm(np.einsum("...qp,...p->...q", jc, jac[..., a])
+                                        - sign * jac[..., b], axis=-1)
+                         for a, b, sign in systems.values()], axis=-1)
+
+    # a tile holds K node-major: a copy of it when K is broadcast and G not
+    per_node = slab_map(norms, h.patch.resolution, 8 * h.patch.dim ** 2,
+                        h.K.cot_values(), jac)
+    return merge_reports({name: report_from_pointwise(per_node[..., i], h.patch, mode)
+                          for i, name in enumerate(systems)}, mode)
 
 
 def matrix_condition_residual(acs: AlmostComplexStructure, F: QuaternionFunction,

@@ -19,7 +19,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .fields import ComplexField, Patch, complex_gradient, resolve_mode
+from .fields import ComplexField, MatrixField, Patch, complex_gradient, resolve_mode
 from .report import ResidualReport, default_tolerance, interior_sup, \
     node_sup, report_from_pointwise, slab_map, sup_and_node
 from .structures import AlmostComplexStructure, HypercomplexStructure
@@ -105,14 +105,14 @@ class SpencerChart:
 def _basis_columns(chart: SpencerChart, mode: str) -> np.ndarray:
     """The real Jacobian R of the chart map per node, shape (*grid, d, d):
     column j is grad u_j and column n + j is grad v_j, for the chart's
-    coordinates w_j = u_j + i v_j in order.  Raises ``DegenerateChartError``
-    at the first node where ``_normalized_det`` is at most 1e-8."""
-    patch = chart.patch
-    n = patch.dim_half
-    frame = np.empty(patch.resolution + (patch.dim, patch.dim))
-    for j, fn in enumerate(chart.functions()):
-        # columns j and n + j: the (*grid, d, 2) stack of grad u and grad v
-        frame[..., j::n] = fn.parts.derivatives(mode)[..., 0, :]
+    coordinates w_j = u_j + i v_j in order.  R is one derivative stack of
+    the chart's real parts, one node for a linear chart in exact mode.
+    Raises ``DegenerateChartError`` at the first node where
+    ``_normalized_det`` is at most 1e-8."""
+    fns = chart.functions()
+    # a temporary field, so that its fd samples are gone before the guard
+    frame = MatrixField(chart.patch, [[f.re for f in fns] + [f.im for f in fns]]
+                        ).derivatives(mode)[..., 0, :]
     neg_min, node = sup_and_node(-_normalized_det(frame))
     if -neg_min <= 1e-8:
         raise DegenerateChartError(node, -neg_min)

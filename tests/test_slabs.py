@@ -15,8 +15,9 @@ import pytest
 from spencerkit import hypercomplex, report, structures
 from spencerkit.cli import main
 from spencerkit.elliptic import assemble_operator
-from spencerkit.fields import ComplexField, MatrixField, Patch
+from spencerkit.fields import ComplexField, MatrixField, Patch, ScalarField
 from spencerkit.fixtures import (
+    conjugated_hypercomplex,
     coordinate_function,
     flat_hypercomplex,
     standard_structure,
@@ -637,12 +638,75 @@ def test_exact_residuals_of_a_constant_run_on_one_node(monkeypatch, pair):
 
     monkeypatch.setattr(hypercomplex, "slab_map", counted)
     whole = residuals(*copies)
-    assert nodes == [PATCH.n_points] * 4
+    assert nodes == [PATCH.n_points]  # the four 1-form systems in one kernel
     for n in (PATCH.n_points,) + TILINGS:
         _tiled_by(monkeypatch, n)
         nodes.clear()
         assert residuals(j, k) == whole
-        assert nodes == [1] * 4  # each 1-form system on one node
+        assert nodes == [1]  # the four 1-form systems on one node
+
+
+def _four_pass_k_residual(h, G, mode):
+    """``k_hyperholo_residual`` as four whole-grid passes, one per 1-form
+    system K*da = sign * db, each with the formula of the pass it had."""
+    jc = h.K.cot_values()
+    jac = MatrixField(PATCH, [G.components()]).derivatives(mode)[..., 0, :]
+    du, dv, dzeta, deta = np.moveaxis(jac, -1, 0)
+
+    def oneform(a, b, sign):
+        norm = np.linalg.norm(np.einsum("...qp,...p->...q", jc, a) - sign * b, axis=-1)
+        return report.report_from_pointwise(norm, PATCH, mode)
+
+    return report.merge_reports({
+        "du": oneform(du, dzeta, -1.0), "dzeta": oneform(dzeta, du, +1.0),
+        "dv": oneform(dv, deta, -1.0), "deta": oneform(deta, dv, +1.0)}, mode)
+
+
+K_FUNCTIONS = {
+    "affine": lambda: QuaternionFunction.affine(
+        PATCH, (0.5, 0.2, -0.3, 0.7), (1.0, 0.0, 0.5, -1.0)),
+    "square": lambda: QuaternionFunction.from_exprs(
+        PATCH, "x1^2 - x2^2 - x3^2 - x4^2", "2*x1*x2", "2*x1*x3", "2*x1*x4"),
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "fd"])
+@pytest.mark.parametrize("function", K_FUNCTIONS)
+@pytest.mark.parametrize("pair", ["flat", "conjugated"])
+def test_k_residual_is_the_four_pass_formula_in_every_tiling(monkeypatch, pair,
+                                                             function, mode):
+    # the four systems are one kernel; each norm keeps the bits of its pass
+    h = flat_hypercomplex(PATCH) if pair == "flat" else conjugated_hypercomplex(PATCH, _G)
+    G = K_FUNCTIONS[function]()
+    ref = _outcome(lambda: _four_pass_k_residual(h, G, mode))
+    for nodes in (PATCH.n_points,) + TILINGS:
+        _tiled_by(monkeypatch, nodes)
+        assert _outcome(lambda: k_hyperholo_residual(h, G, mode)) == ref
+    if function == "square":
+        assert k_hyperholo_residual(h, G, mode).sup_norm > 0.1
+
+
+def test_a_stack_of_samples_has_the_bits_of_np_stack(monkeypatch):
+    # entries broadcast on every grid axis, on axes 0, 2 and 3, and on none,
+    # beside one that is sampled only when the matrix stacks it
+    x2 = np.broadcast_to(PATCH.axes[1][None, :, None, None], PATCH.resolution)
+    rows = [[ScalarField.const(PATCH, 1.5).sampled(), ScalarField.from_samples(PATCH, x2),
+             ScalarField.from_expr(PATCH, "x1*x4 + sin(x2)").sampled()],
+            [ScalarField.from_expr(PATCH, "x3 - x2"),
+             ScalarField.from_expr(PATCH, "exp(x3)").sampled(),
+             ScalarField.const(PATCH, -0.25).sampled()]]
+    ref = np.stack([np.stack([e.samples for e in row], axis=-1) for row in rows], axis=-2)
+    for nodes in (PATCH.n_points,) + TILINGS:
+        _tiled_by(monkeypatch, nodes)
+        values = MatrixField(PATCH, rows).values
+        assert values.shape == ref.shape and values.tobytes() == ref.tobytes()
+    # every entry broadcast: one node, a read-only view
+    consts = [[ScalarField.const(PATCH, x).sampled() for x in row]
+              for row in ((1.5, 2.0), (-0.25, 0.0))]
+    values = MatrixField(PATCH, consts).values
+    assert not any(values.strides[:4]) and not values.flags.writeable
+    assert values.tobytes() == np.stack(
+        [np.stack([e.samples for e in row], axis=-1) for row in consts], axis=-2).tobytes()
 
 
 @pytest.mark.parametrize("mode", ["fd", "exact"])

@@ -12,7 +12,9 @@ from spencerkit.fixtures import (
     type1_structure,
 )
 from spencerkit.holomorphy import antiholo_residual, holo_residual
+from spencerkit import spencer
 from spencerkit.hypercomplex import QuaternionFunction
+from spencerkit.report import slab_map
 from spencerkit.spencer import (
     ChartError,
     DegenerateChartError,
@@ -283,10 +285,10 @@ class TestHyperPattern:
         phi1 = coordinate_function(p8, 2)
         f2 = coordinate_function(p8, 3)
         phi2 = coordinate_function(p8, 4)
-        # one gradient per coordinate, all four in one chart basis
+        # one derivative stack of all four coordinates, the chart's R
         calls, rep = _derivative_calls(
             monkeypatch, lambda: hyper_spencer_pattern_check(h, [f1, f2], [phi1, phi2]))
-        assert calls <= 4
+        assert calls == 1
         assert rep.passes
         assert rep.holo_pattern.m == 2
 
@@ -362,20 +364,22 @@ def _derivative_calls(monkeypatch, check):
 
 
 class TestOneBasisPerChart:
-    """Each chart check takes each gradient it needs once (the 8-dim hyper
-    check is counted in TestHyperPattern)."""
+    """Each chart check takes the real Jacobian R of each chart once, as one
+    derivative stack of the chart's real parts (the 8-dim hyper check is
+    counted in TestHyperPattern)."""
 
     def test_verify_chart(self, monkeypatch, type1):
         acs, chart = type1
         calls, _ = _derivative_calls(monkeypatch, lambda: verify_chart(acs, chart))
-        assert calls <= 2
+        assert calls == 1
 
     def test_superposition(self, monkeypatch, type1):
+        # R, then the gradient of h
         acs, chart = type1
         h = chart.holo[0] * chart.holo[0]
         calls, _ = _derivative_calls(monkeypatch,
                                      lambda: superposition_check(acs, chart, h))
-        assert calls <= 3
+        assert calls == 2
 
     def test_transition(self, monkeypatch, patch2d_sym):
         std = standard_structure(patch2d_sym)
@@ -383,7 +387,51 @@ class TestOneBasisPerChart:
         ca, cb = SpencerChart(1, (z,), ()), SpencerChart(1, (z * 2.0 + 1.0,), ())
         calls, _ = _derivative_calls(monkeypatch,
                                      lambda: transition_holomorphy_check(ca, cb, std))
-        assert calls <= 2
+        assert calls == 2  # one R per chart
+
+    def test_a_linear_chart_has_one_frame_node_in_exact_mode(self, type1):
+        # R of (x1 + i x2, x3 + i x4) is [grad x1, grad x3, grad x2, grad x4]
+        _, chart = type1
+        frame = _basis_columns(chart, "exact")
+        assert frame.shape == chart.patch.resolution + (4, 4)
+        assert not any(frame.strides[:4])
+        assert frame[0, 0, 0, 0].tobytes() == np.eye(4)[:, [0, 2, 1, 3]].tobytes()
+        # an fd derivative stack is a new array
+        assert all(_basis_columns(chart, "fd").strides[:4])
+
+    @pytest.mark.parametrize("pair", ["flat", "conjugated"])
+    def test_a_constant_structure_reads_a_linear_chart_on_one_node(self, monkeypatch,
+                                                                  pair):
+        # on a spacing of 0.5 the fd R of the chart's sampled copy is exact,
+        # so that copy's run over every node is the reference, bit for bit
+        patch = Patch.box(2, -1.5, 1.5, 7)
+        h = flat_hypercomplex(patch) if pair == "flat" else _conjugated_pair(patch)
+        w, z = coordinate_function(patch, 1), coordinate_function(patch, 2)
+        chart = SpencerChart(1, (w,), (z,))
+        sampled = SpencerChart(1, *[(ComplexField(f.re.sampled(), f.im.sampled()),)
+                                    for f in (w, z)])
+        nodes = []  # the nodes each kernel call of the chart check gets
+
+        def counted(kernel, *args):
+            return slab_map(lambda *v: nodes.append(len(v[0])) or kernel(*v), *args)
+
+        monkeypatch.setattr(spencer, "slab_map", counted)
+        rep = verify_chart(h.J, chart, tolerance=1e-8)
+        assert nodes == [1, 1]  # the determinant guard, then the pattern
+        nodes.clear()
+        ref = verify_chart(h.J, sampled, tolerance=1e-8)
+        assert nodes == [patch.n_points] * 2
+        assert (rep.mode, ref.mode) == ("exact", "fd")
+        assert _bits(rep) == _bits(ref)
+        if pair == "conjugated":
+            assert min(rep.holo_residuals) > 0.0 and not rep.passes
+
+
+def _bits(rep):
+    """A pattern report but its mode, each float by its bits."""
+    floats = [*rep.block_residuals.values(), *rep.holo_residuals, rep.tolerance]
+    return ([np.float64(x).tobytes() for x in floats], list(rep.block_residuals),
+            rep.passes, rep.worst_node)
 
 
 def _swapped(m):
