@@ -248,6 +248,9 @@ def ellipticity_certificate(acs: AlmostComplexStructure, sample_count: int = 10_
     or, on a grid of fewer nodes than samples, at every node and gathered,
     so that each node's A is formed once; either way it has the same bits,
     since A at a node reads only that node's C.  No operator is built.
+    Both gathers take the flat node indices on a node-major view, and only
+    the worst sample's index is unravelled; a constant structure is read at
+    its one node, so no copy of it spans the grid.
     The certificate passes when the lower bound
     ``xi^T A xi >= 1 - 1e-10`` holds and the pointwise identity
     ``xi^T A xi = |C xi|^2 + |xi|^2``, evaluated from C itself, holds to
@@ -263,9 +266,12 @@ def ellipticity_certificate(acs: AlmostComplexStructure, sample_count: int = 10_
     xi = rng.normal(size=(sample_count, d))
     xi /= np.linalg.norm(xi, axis=1, keepdims=True)
     c = acs.cot_values()
-    c_sel = c[np.unravel_index(nodes, resolution)]
+    # node-major C, or its one node when C is constant (stride 0 on every
+    # grid axis), where "wrap" takes every index to that node
+    flat = c.reshape(-1, d, d) if any(c.strides[:-2]) else c[(0,) * len(resolution)][None]
+    c_sel = np.take(flat, nodes, axis=0, mode="wrap")
     if math.prod(resolution) < sample_count:
-        a_sel = _principal_part(c).reshape(-1, d, d)[nodes]
+        a_sel = np.take(_principal_part(c).reshape(-1, d, d), nodes, axis=0)
     else:
         a_sel = _principal_part(c_sel)
     quad = np.einsum("ni,nij,nj->n", xi, a_sel, xi)

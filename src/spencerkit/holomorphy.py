@@ -16,7 +16,7 @@ import numpy as np
 from .fields import ComplexField, complex_gradient, resolve_mode
 from .report import ResidualReport, interior_sup, node_sup, report_from_pointwise, \
     slab_map
-from .structures import AlmostComplexStructure, BlockDecomposition
+from .structures import AlmostComplexStructure, BlockDecomposition, pointwise_solve
 
 __all__ = [
     "holo_residual",
@@ -95,7 +95,7 @@ def reduced_system(bd: BlockDecomposition, f: ComplexField, mode: str = "auto",
     _, _, cm, d = bd.frame
     mode = resolve_mode(mode, cm, d, f)
     h = np.einsum("ij,...j->...i", np.linalg.inv(bd.G), complex_gradient(f, mode))
-    w = np.linalg.solve(cm.values, d.values - 1j * np.eye(bd.n))
+    w = pointwise_solve(cm.values, d.values - 1j * np.eye(bd.n))
     h1, h2 = h[..., :bd.n], h[..., bd.n:]
     return ReducedSystem(h1, h2, w, h1 + np.einsum("...ij,...j->...i", w, h2), mode)
 

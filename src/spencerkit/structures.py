@@ -93,16 +93,37 @@ def _det_scale(values: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, node_sup(values)) ** n
 
 
+def _cofactor(v: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Cofactor (i, j) of each 2 x 2 or 3 x 3 matrix of ``v``: at n = 2 the
+    opposite entry times (-1)^(i + j); at n = 3 the minor of rows i + 1,
+    i + 2 and columns j + 1, j + 2 (mod 3), whose cyclic order gives the
+    sign."""
+    if v.shape[-1] == 2:
+        entry = v[..., 1 - i, 1 - j]
+        return -entry if (i + j) % 2 else entry
+    i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+    return v[..., i1, j1] * v[..., i2, j2] - v[..., i1, j2] * v[..., i2, j1]
+
+
+def _expansion(v: np.ndarray, cofactors) -> np.ndarray:
+    """The cofactor expansion along the first row, sum_j v[0, j] C[0, j],
+    summed from j = 0; at n = 2 it has the bits of ``a d - b c``."""
+    det = v[..., 0, 0] * cofactors[0]
+    for j in range(1, len(cofactors)):
+        det = det + v[..., 0, j] * cofactors[j]
+    return det
+
+
 def _det(v: np.ndarray) -> np.ndarray:
     """Determinant of each n x n matrix of ``v`` (the last two axes): in
-    closed form for n <= 2, ``a`` or ``a d - b c``, and by LU
-    (``np.linalg.det``) from n = 3."""
+    closed form for n <= 3, ``a`` or the cofactor expansion along the first
+    row (``_expansion``), and by LU (``np.linalg.det``) from n = 4."""
     n = v.shape[-1]
     if n == 1:
         return v[..., 0, 0]
-    if n == 2:
-        return v[..., 0, 0] * v[..., 1, 1] - v[..., 0, 1] * v[..., 1, 0]
-    return np.linalg.det(v)
+    if n > 3:
+        return np.linalg.det(v)
+    return _expansion(v, [_cofactor(v, 0, j) for j in range(n)])
 
 
 def _singular(v: np.ndarray) -> np.ndarray:
@@ -111,32 +132,63 @@ def _singular(v: np.ndarray) -> np.ndarray:
     return np.abs(_det(v)) <= _SINGULAR_THRESHOLD * _det_scale(v)
 
 
+def _adjugate(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The adjugate of each 2 x 2 or 3 x 3 matrix of ``v``, and the
+    determinant, with ``_det``'s bits, from the adjugate's first column."""
+    n = v.shape[-1]
+    adj = np.empty(v.shape)
+    for i in range(n):
+        for j in range(n):
+            adj[..., j, i] = _cofactor(v, i, j)
+    return adj, _expansion(v, [adj[..., j, 0] for j in range(n)])
+
+
 def _inverse(v: np.ndarray) -> np.ndarray:
-    """Inverse of each matrix of a node-major slab: for n <= 2 the adjugate
-    over ``_det``, ``1/a`` or ``[[d, -b], [-c, a]] / det``, and by LU
-    (``np.linalg.inv``) from n = 3.  A batched LAPACK call costs 10 to 20
-    times the arithmetic of a 2 x 2 inverse."""
+    """Inverse of each matrix of a node-major slab: ``1/a`` for n = 1, the
+    adjugate over the determinant for n = 2 and 3 (``_adjugate``), and by LU
+    (``np.linalg.inv``) from n = 4.  A batched LAPACK call costs 3 to 20
+    times the arithmetic of a 2 x 2 or 3 x 3 inverse."""
     n = v.shape[-1]
     if n == 1:
         return 1.0 / v
-    if n > 2:
+    if n > 3:
         return np.linalg.inv(v)
-    adjugate = np.stack([v[..., 1, 1], -v[..., 0, 1], -v[..., 1, 0], v[..., 0, 0]],
-                        axis=-1)
-    return adjugate.reshape(v.shape) / _det(v)[..., None, None]
+    adj, det = _adjugate(v)
+    adj /= det[..., None, None]
+    return adj
+
+
+def pointwise_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b at every node, for regular real n x n matrices ``a``
+    and complex n x k right-hand sides ``b``.  For n <= 3 by Cramer's rule,
+    x = adj(a) b / det(a) (``_adjugate``), real and imaginary parts apart;
+    at n = 1 that is ``b / a``, with the bits of LAPACK's solve.  By LU from
+    n = 4.  It reads no inverse of ``a``, so it can check one."""
+    n = a.shape[-1]
+    if n == 1:
+        return b / a
+    if n > 3:
+        return np.linalg.solve(a, b)
+    adj, det = _adjugate(a)
+    x = np.empty(b.shape, complex)
+    for part, rhs in ((x.real, b.real), (x.imag, b.imag)):
+        np.divide(adj @ rhs, det[..., None, None], out=part)
+    return x
 
 
 def pointwise_inverse(values: np.ndarray, message: str) -> np.ndarray:
-    """Inverse at every node: ``_inverse``, in closed form for n <= 2.
+    """Inverse at every node: ``_inverse``, in closed form for n <= 3.
 
     Raises ``SingularMatrixError`` with ``message`` at the first (near)
     singular node: one where |det| <= 1e-12 (``_SINGULAR_THRESHOLD``) times
     ``_det_scale``, with det as ``_det`` gives it.  The guard and the
     inverse run tile by tile (``report.slab_map``), so a constant input
-    costs one node and its inverse is a read-only broadcast view.
+    costs one node and its inverse is a read-only broadcast view.  A tile
+    holds n^2 + 3 values a node at most: the inverse, or the guard's
+    |entries|, beside the determinant and two cofactor products.
     """
     n = values.shape[-1]
-    grid, node_bytes = values.shape[:-2], values.itemsize * n * n
+    grid, node_bytes = values.shape[:-2], values.itemsize * (n * n + 3)
     bad, node = sup_and_node(slab_map(_singular, grid, node_bytes, values))
     if bad:
         raise SingularMatrixError(message, node)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -227,6 +228,21 @@ class TestCertificate:
             min_quadratic_form=quad[k], identity_gap=float(np.abs(quad - ident).max()),
             samples=samples, seed=11, passes=True,
             worst_node=tuple(int(i) for i in np.unravel_index(nodes[k], resolution)))))
+
+    def test_a_constant_structure_is_not_copied_to_the_grid(self):
+        # 21^4 = 194,481 nodes, more than the 10,000 samples: C is gathered
+        # from its one node, so the peak holds sample-sized arrays only,
+        # not a copy of C on the grid (23.7 MiB) nor of one row of it
+        acs = standard_structure(Patch.box(2, -1.0, 1.0, 21))
+        assert not any(acs.cot_values().strides[:4])
+        tracemalloc.start()
+        try:
+            cert = ellipticity_certificate(acs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.passes and cert.min_quadratic_form == pytest.approx(2.0, abs=1e-12)
+        assert peak < acs.patch.n_points * acs.dim * 8
 
     def test_identity_fails_for_the_transposed_principal_part(self, monkeypatch):
         # C C^T + E differs from C^T C + E where C is not normal, as it is

@@ -28,6 +28,14 @@ Only ``elliptic._lu_solver`` calls ``splu``: every sparse LU, direct or on
 the coarsest V-cycle level, gets the ordering that helper picks from the
 matrix, and perfbench's tracer sees every factorization there.
 
+Only the calls that ``LINALG_ALLOWLIST`` names, each with its reason, call
+``det``, ``inv`` or ``solve`` of ``np.linalg`` (or of any ``linalg``
+module).  ``structures`` takes the determinant, the inverse and the solve
+of n x n matrices in closed form for n <= 3, so the list holds its n >= 4
+branches, the 2n x 2n real chart frame of ``spencer``, and the one constant
+frame G of a normalization or a fixture.  An allowlist entry whose call is
+gone is stale.
+
 Only ``cli._tolerance`` picks where a verdict's tolerance comes from: no
 other code in ``cli.py`` reads ``args.tol`` or a scene's ``tolerances``, or
 calls ``tolerance("check", ...)`` or ``default_tolerance``.  So every
@@ -354,6 +362,74 @@ def test_the_check_sees_a_stray_splu():
     assert _splu_calls(source, "elliptic.py") == [
         "elliptic.py:_lu_solver (line 4)", "elliptic.py:Solver (line 7)",
         "elliptic.py:<module> (line 8)"]
+
+
+# the LAPACK determinants, inverses and solves that stay, by module, the
+# top-level definition that makes them and the function called
+LINALG_FACTORINGS = {"det", "inv", "solve"}
+LINALG_ALLOWLIST = {
+    ("structures.py", "_det", "det"): "n >= 4; n <= 3 is a cofactor expansion",
+    ("structures.py", "_inverse", "inv"): "n >= 4; n <= 3 is the adjugate",
+    ("structures.py", "pointwise_solve", "solve"): "n >= 4; n <= 3 is Cramer's rule",
+    ("spencer.py", "_normalized_det", "det"): "the 2n x 2n real chart frame R",
+    ("spencer.py", "_over_basis", "solve"): "the 2n x 2n real chart frame R",
+    ("structures.py", "normalizing_frame", "det"): "the constant frame G, one matrix",
+    ("structures.py", "normalize_at_origin", "inv"): "G^-1 of the constant frame",
+    ("holomorphy.py", "reduced_system", "inv"): "G^-1 of the constant frame",
+    ("fixtures.py", "conjugated_hypercomplex", "inv"): "G^-1 of the fixture's frame",
+}
+
+
+def _linalg_calls(source: str, module: str) -> list[tuple[str, str, str]]:
+    """``det``, ``inv`` and ``solve`` calls of ``np.linalg`` (or of any
+    ``linalg`` module), as (module, top-level definition, function) in
+    source order; a call at module level is owned by "<module>"."""
+    tree = ast.parse(source)
+    modules, functions = {"linalg"}, {}  # local names of linalg and its functions
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            functions.update({a.asname or a.name: a.name for a in node.names
+                              if a.name in LINALG_FACTORINGS})
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules.update(a.asname or a.name for a in node.names
+                           if a.name.endswith("linalg"))
+
+    def called(func) -> str | None:
+        if isinstance(func, ast.Name):
+            return functions.get(func.id)
+        if isinstance(func, ast.Attribute) and func.attr in LINALG_FACTORINGS:
+            owner = func.value
+            if getattr(owner, "attr", None) == "linalg" or getattr(owner, "id", None) in modules:
+                return func.attr
+        return None
+
+    hits = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        hits += [(node.lineno, node.col_offset, (module, owner, name))
+                 for node in ast.walk(top)
+                 if isinstance(node, ast.Call) and (name := called(node.func))]
+    return [hit for *_, hit in sorted(hits)]
+
+
+def test_no_lapack_factoring_below_4x4():
+    calls = [c for path in MODULES for c in _linalg_calls(path.read_text(), path.name)]
+    assert [c for c in calls if c not in LINALG_ALLOWLIST] == []
+    assert [entry for entry in LINALG_ALLOWLIST if entry not in calls] == []  # stale
+
+
+def test_the_check_sees_a_stray_linalg_call():
+    source = "import numpy as np\nimport numpy.linalg as la\n" \
+             "from numpy.linalg import det as lu_det, norm\n" \
+             "from scipy import linalg\n" \
+             "def _inverse(v):\n    if v.shape[-1] > 3:\n        return np.linalg.inv(v)\n" \
+             "    return la.solve(v, v), lu_det(v), norm(v), np.linalg.eigvalsh(v)\n" \
+             "class Frame:\n    def solve(self, b):\n        return linalg.solve(self.m, b)\n" \
+             "g = np.linalg.det(np.eye(2))\n"
+    assert _linalg_calls(source, "structures.py") == [
+        ("structures.py", "_inverse", "inv"), ("structures.py", "_inverse", "solve"),
+        ("structures.py", "_inverse", "det"), ("structures.py", "Frame", "solve"),
+        ("structures.py", "<module>", "det")]
 
 
 # the one function of cli.py that picks a verdict's tolerance

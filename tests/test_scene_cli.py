@@ -687,7 +687,7 @@ def _grid_linalg_calls(monkeypatch, argv) -> tuple[int, dict]:
 
 class TestOneInversePerMatrix:
     """The moduli pipeline guards and inverts C - E and Q once each, and
-    for n <= 2 makes no LAPACK ``det`` or ``inv`` call on a grid."""
+    for n <= 3 makes no LAPACK ``det`` or ``inv`` call on a grid."""
 
     def test_extract_pq(self, capsys, monkeypatch):
         # type1 is 4D: C - E and Q are 2 x 2
@@ -702,6 +702,46 @@ class TestOneInversePerMatrix:
         argv = ["holo", "reduced", SCENES / "fixture_n1.json", "--field", "linear"]
         assert _grid_linalg_calls(monkeypatch, argv) == (
             0, {"_singular": 1, "_inverse": 1})
+        capsys.readouterr()
+
+    def test_extract_pq_of_a_6d_pair(self, capsys, monkeypatch, tmp_path):
+        # n = 3: the pair's Q, the frame's C - E and the extracted Q, each
+        # 3 x 3, are guarded and inverted in closed form
+        scene = tmp_path / "pq_n3.json"
+        scene.write_text(json.dumps({
+            "schema": 1, "name": "pq_n3", "dim_half": 3,
+            "patch": {"bounds": [-0.4, 0.4], "resolution": 5},
+            "structure": {"kind": "pq",
+                          "p": [["0.1*x1", "0.2", "0.1*x6"], ["0.1", "0.2*x3", "0"],
+                                ["0", "0.1*x2", "0.3*x4"]],
+                          "q": [["-1 + 0.1*x2", "0.05", "0"], ["0", "-1 + 0.1*x4", "0.05"],
+                                ["0.05", "0", "-1 + 0.1*x6"]]}}))
+        argv = ["acs", "extract-pq", scene]
+        assert _grid_linalg_calls(monkeypatch, argv) == (
+            0, {"_singular": 3, "_inverse": 3})
+        capsys.readouterr()
+
+
+class TestNoUnreadSampleStack:
+    """The scene samples a chart's coordinates when it loads them.  In exact
+    mode ``spencer verify`` takes the chart frame R from the expressions of
+    their real parts, so it stacks none of those samples; in fd mode R is
+    differenced from one stack of them."""
+
+    @pytest.mark.parametrize("mode, stacks", [("exact", 0), ("fd", 1)])
+    def test_spencer_verify(self, capsys, monkeypatch, mode, stacks):
+        calls = []
+
+        def counting(kernel, grid, node_bytes, *inputs, original=report.slab_map):
+            calls.append((tuple(grid), len(inputs)))
+            return original(kernel, grid, node_bytes, *inputs)
+
+        monkeypatch.setattr("spencerkit.fields.slab_map", counting)
+        argv = ["spencer", "verify", SCENES / "type1.json", "--chart", "type1",
+                "--mode", mode, "--no-meta"]
+        assert run(argv) == 0
+        # the four real parts of (x1 + i x2, x3 + i x4) on the 7^4 grid
+        assert calls.count(((7, 7, 7, 7), 4)) == stacks
         capsys.readouterr()
 
 

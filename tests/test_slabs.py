@@ -301,9 +301,9 @@ def test_nijenhuis_residual_in_every_tiling(monkeypatch, mode):
         assert np.float64(nijenhuis_residual(acs, mode)).tobytes() == whole.tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_pointwise_inverse_in_every_tiling(monkeypatch, n):
-    # n <= 2 in closed form, n = 3 by LAPACK: the guard and the inverse give
+    # n <= 3 in closed form, n = 4 by LAPACK: the guard and the inverse give
     # the bits and the named node of one tile in every tiling
     values = np.eye(n) + 0.2 * np.random.default_rng(n).normal(size=PATCH.resolution + (n, n))
     singular = values.copy()

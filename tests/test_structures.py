@@ -22,6 +22,7 @@ from spencerkit.structures import (
     nijenhuis_residual,
     normalize_at_origin,
     pointwise_inverse,
+    pointwise_solve,
     quaternionic_standard,
     reconstruct_from_pq,
     symbolic_inverse,
@@ -540,6 +541,14 @@ def _lapack_guard(values):
     return bad.reshape(values.shape[:-2])
 
 
+def _band_matrix(n, x):
+    """A matrix with determinant x: [[x]] at n = 1, else n x n with entries
+    at most 1, one of them 1, whose first two columns are parallel but for x."""
+    return {1: [[x]],
+            2: [[1.0, 0.5], [0.25, 0.125 + x]],
+            3: [[1.0, 0.5, 0.0], [0.25, 0.125 + x, 0.5], [0.5, 0.25, 1.0]]}[n]
+
+
 def _band_stack(rng, n, grid=(6, 8)):
     """Random well-scaled n x n matrices, entries scaled by up to 100, with
     nodes whose determinant sits at 0, 0.5 and 0.9 times the guard's
@@ -553,12 +562,13 @@ def _band_stack(rng, n, grid=(6, 8)):
         # determinant of factor times the threshold 1e-12 s^n
         s = 10.0 ** rng.uniform(0, 2)
         x = factor * structures._SINGULAR_THRESHOLD
-        values[i, j] = [[x]] if n == 1 else s * np.array([[1.0, 0.5], [0.25, 0.125 + x]])
+        band = np.array(_band_matrix(n, x))
+        values[i, j] = band if n == 1 else s * band
     return values
 
 
 class TestClosedFormInverse:
-    """For n <= 2 ``pointwise_inverse`` takes the determinant and the
+    """For n <= 3 ``pointwise_inverse`` takes the determinant and the
     inverse in closed form, with no LAPACK call per node."""
 
     def test_1x1_inverse_is_lapacks_bit_for_bit(self):
@@ -576,7 +586,33 @@ class TestClosedFormInverse:
         error = np.abs(pointwise_inverse(values, "m") - reference)
         assert len(values) > 10000 and (error <= 8 * ulp).all()
 
-    @pytest.mark.parametrize("n", [1, 2])
+    def test_3x3_inverse_agrees_with_lapack_to_roundoff(self):
+        # within a few ulps of the largest entry, times the condition number
+        rng = np.random.default_rng(13)
+        values = rng.normal(size=(20000, 3, 3))
+        reference = np.linalg.inv(values)
+        ulp = np.spacing(np.abs(reference).max(axis=(-2, -1), keepdims=True))
+        cond = np.linalg.cond(values)[:, None, None]
+        error = np.abs(pointwise_inverse(values, "m") - reference)
+        assert (error <= 8 * cond * ulp).all()
+        assert np.median(cond) > 5.0  # not all well conditioned
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cramers_rule_agrees_with_lapacks_solve(self, n):
+        # the reduced system's (C - E) w = D - iE: bit for bit at n = 1, and
+        # within a few ulps of the largest entry, times the condition number
+        rng = np.random.default_rng(14)
+        a = rng.normal(size=(6, 8, n, n))
+        b = rng.normal(size=(6, 8, n, n)) - 1j * np.eye(n)
+        reference = np.linalg.solve(a, b)
+        x = pointwise_solve(a, b)
+        if n == 1:
+            assert x.tobytes() == reference.tobytes()
+        ulp = np.spacing(np.abs(reference).max(axis=(-2, -1), keepdims=True))
+        cond = np.linalg.cond(a)[..., None, None]
+        assert x.dtype == complex and (np.abs(x - reference) <= 8 * cond * ulp).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(5))
     def test_guard_gives_the_lapack_verdicts(self, n, seed):
         values = _band_stack(np.random.default_rng(seed), n)
@@ -592,8 +628,9 @@ class TestClosedFormInverse:
             pointwise_inverse(values, "m")
         assert err.value.node == (1, 1)
 
-    @pytest.mark.parametrize("n, lapack", [(1, {}), (2, {}), (3, {"det": 1, "inv": 1})])
-    def test_lapack_only_from_n_3(self, monkeypatch, n, lapack):
+    @pytest.mark.parametrize("n, lapack", [(1, {}), (2, {}), (3, {}),
+                                           (4, {"det": 1, "inv": 1})])
+    def test_lapack_only_from_n_4(self, monkeypatch, n, lapack):
         calls = {}
         for name in ("det", "inv"):
             def counting(a, name=name, original=getattr(np.linalg, name)):
