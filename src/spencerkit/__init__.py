@@ -16,7 +16,6 @@ from .fields import (
     PatchError,
     ScalarField,
     d_oneform,
-    gradient,
 )
 from .structures import (
     AlmostComplexStructure,

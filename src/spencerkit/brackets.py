@@ -99,8 +99,8 @@ def apply_vf(x: VectorFieldC, u, mode: str = "auto") -> ComplexField:
     if u.patch != x.patch:
         raise ValueError("field and function live on different patches")
     acc = None
-    for k, comp in enumerate(x.components, start=1):
-        term = comp * u.diff(k, mode)
+    for comp, du in zip(x.components, u.parts.diff(mode)):
+        term = comp * ComplexField._of(du)
         acc = term if acc is None else acc + term
     return acc
 

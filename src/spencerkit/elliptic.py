@@ -30,7 +30,6 @@ from .fields import (
     Patch,
     ScalarField,
     d_oneform,
-    gradient,
     matvec,
     resolve_mode,
 )
@@ -84,7 +83,7 @@ def potential_oneform(acs: AlmostComplexStructure, u: ScalarField,
     mode = resolve_mode(mode, acs, u)
     # matvec sums term by term, so the coefficients do not depend on how a
     # matrix product would order or fuse them
-    coefficients = matvec(acs.j_cot, gradient(u, mode))
+    coefficients = matvec(acs.j_cot, u.diff(mode))
     return MatrixField(acs.patch, [[c] for c in coefficients])
 
 
@@ -307,7 +306,7 @@ def apply_pointwise(op: EllipticOperator, u: ScalarField, mode: str = "auto",
     """L u from the coefficient fields (not the stencil); full-grid array.
     FD values are reliable on the interior."""
     mode = resolve_mode(mode, op, u)
-    grad = MatrixField(u.patch, [[g] for g in gradient(u, mode)])
+    grad = MatrixField(u.patch, [[g] for g in u.diff(mode)])
     # Hessian: d/dx^s (du/dx^p) for s >= p, mirrored onto s < p
     # written into below: the exact stack of a linear gradient is a
     # read-only broadcast view

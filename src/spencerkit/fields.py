@@ -28,7 +28,8 @@ Conventions used throughout the package:
   residuals of composite quantities can still be differentiated exactly.
 * A 1-form is the d x 1 ``MatrixField`` of its coefficients, and its
   exterior derivative (``d_oneform``) is an antisymmetric (*grid, d, d)
-  array.  Arrays of derivatives come from ``MatrixField.derivatives``.
+  array.  Arrays of derivatives come from ``MatrixField.derivatives``, and
+  fields of them, which differentiate again, from ``MatrixField.diff``.
 * All values are ordinary 64-bit floats.  "Exact" tolerances in reports mean
   roundoff-level, not truncation-level.
 """
@@ -54,7 +55,6 @@ __all__ = [
     "ScalarField",
     "ComplexField",
     "MatrixField",
-    "gradient",
     "complex_gradient",
     "d_oneform",
     "matvec",
@@ -448,17 +448,22 @@ class MatrixField:
 
     # -- calculus ----------------------------------------------------------
 
-    def diff(self, axis: int, mode: str = "auto") -> "MatrixField":
-        """Partial derivative along 1-based ``axis``.  In exact mode its
-        ``values`` are a read-only broadcast view when the derivative's
-        expressions use no variable (see ``derivatives``)."""
+    def diff(self, mode: str = "auto") -> tuple["MatrixField", ...]:
+        """The d partial derivatives as d fields of this one's type and
+        shape, ``[s]`` along axis s + 1: fields, not an array, since an exact
+        one keeps its expressions and so differentiates exactly again (a
+        Hessian, d of a potential form, a nested bracket).  Exact mode takes
+        the one walk along every axis of ``derivatives``; in fd mode the
+        fields are views of one ``derivatives`` stack."""
+        patch, c = self.patch, self.shape[1]
         if resolve_mode(mode, self) == "exact":
-            return self._apply((), lambda e: e.derivative(axis), None)
-        values = self.values
-        out = np.empty_like(values)  # in the layout of the samples
-        _fd_axis(values, self.patch.interior(0), axis - 1,
-                 self.patch.spacing[axis - 1], out)
-        return type(self)._of(self.patch, values=out)
+            layers = derivatives(sum(self.exprs, ()), range(1, patch.dim + 1))
+            return tuple(type(self)._of(patch, tuple(tuple(layer[i:i + c])
+                                                     for i in range(0, len(layer), c)))
+                         for layer in layers)
+        stack = self.derivatives("fd")
+        return tuple(type(self)._of(patch, values=stack[..., s, :, :])
+                     for s in range(patch.dim))
 
     def derivatives(self, mode: str = "auto",
                     tile: tuple[slice, ...] | None = None) -> np.ndarray:
@@ -480,8 +485,7 @@ class MatrixField:
         In exact mode, when every derivative expression uses no variable
         (the field is constant or linear), the stack is sampled at one node
         and is a read-only view broadcast to the full shape (the broadcast
-        rule of the module docstring), as is an exact ``diff`` whose
-        expressions use no variable; take ``np.array`` of it to write into
+        rule of the module docstring); take ``np.array`` of it to write into
         it.  In fd mode the stack is a new array, also for a constant.
         """
         patch, d = self.patch, self.patch.dim
@@ -600,7 +604,7 @@ class ScalarField(MatrixField):
     def samples(self) -> np.ndarray:
         return self._sampled()[..., 0, 0]
 
-    # perfbench's tracer wraps ``ScalarField.diff`` and ``.samples`` by name
+    # ``elliptic`` reads it, and perfbench's tracer wraps it and ``.samples`` by name
     diff = MatrixField.diff
 
     def sampled(self) -> "ScalarField":
@@ -676,9 +680,6 @@ class ComplexField:
     def conjugate(self) -> "ComplexField":
         return ComplexField(self.re, -self.im)
 
-    def diff(self, axis: int, mode: str = "auto") -> "ComplexField":
-        return ComplexField._of(self.parts.diff(axis, mode))
-
     def __add__(self, other):
         return ComplexField._of(self.parts + ComplexField.of(self.patch, other).parts)
 
@@ -706,11 +707,6 @@ class ComplexField:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-
-def gradient(u: ScalarField, mode: str = "auto") -> tuple[ScalarField, ...]:
-    """All partial derivatives of ``u`` (2n components)."""
-    return tuple(u.diff(k, mode) for k in range(1, u.patch.dim + 1))
 
 
 def complex_gradient(f: ComplexField, mode: str = "auto") -> np.ndarray:

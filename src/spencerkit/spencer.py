@@ -292,14 +292,14 @@ def _superposition(acs: AlmostComplexStructure, chart: SpencerChart,
     (see ``_verified``)."""
     tolerance = pattern.tolerance
     mode = resolve_mode(pattern.mode, acs, h)
-    g = h.parts.derivatives(mode)[..., 0, :]  # (*grid, d, 2): grad of re and im
-    hres = _cr_residual(acs, g[..., 0] + 1j * g[..., 1], mode, +1.0)
+    dh = complex_gradient(h, mode)
+    hres = _cr_residual(acs, dh, mode, +1.0)
     if hres.sup_norm > tolerance:
         raise ChartError(
             f"h is not almost holomorphic (residual {hres.sup_norm:.2e} "
             f"> {tolerance:.1e})")
     # the coefficients of dh over B = R T
-    coeffs = _over_basis(frame, g)[..., 0]
+    coeffs = _over_basis(frame, np.stack([dh.real, dh.imag], axis=-1))[..., 0]
     n = chart.n
     m = chart.m
     patch = chart.patch

@@ -10,7 +10,7 @@ import sympy as sp
 
 import spencerkit
 from spencerkit.expr import BinOp, Call, ConstSym, Expr, Neg, Num, Pow, Var
-from spencerkit.fields import ComplexField, Patch
+from spencerkit.fields import ComplexField, MatrixField, Patch
 from spencerkit.fixtures import coordinate_function
 from spencerkit.spencer import SpencerChart
 
@@ -81,6 +81,24 @@ def reference_evaluate(e: Expr, coords):
         fn = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}[e.func]
         return fn(reference_evaluate(e.arg, coords))
     raise TypeError(f"unexpected node {type(e).__name__}")
+
+
+def reference_partial(field: MatrixField, axis: int, mode: str) -> MatrixField:
+    """The derivative of ``field`` (a scalar field is 1 x 1) along 1-based
+    ``axis``, entry by entry.
+
+    The oracle for ``MatrixField.diff`` and ``derivatives``: in fd mode
+    ``np.gradient`` with ``edge_order=2`` along the grid axis, which
+    differences each entry's samples on their own; in exact mode each
+    entry's ``Expr.derivative(axis)``, sampled when read.  The result is a
+    matrix field, so it can be differentiated again.
+    """
+    patch = field.patch
+    if mode == "exact":
+        return MatrixField.from_exprs(
+            patch, [[e.derivative(axis) for e in row] for row in field.exprs])
+    return MatrixField.from_values(patch, np.gradient(
+        field.values, patch.spacing[axis - 1], axis=axis - 1, edge_order=2))
 
 
 def random_poly_text(rng: np.random.Generator, dim: int, degree: int = 2,

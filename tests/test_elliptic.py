@@ -24,15 +24,14 @@ from spencerkit.elliptic import (
     theorem_check,
 )
 from spencerkit.elliptic import _assemble_system
-from spencerkit.fields import DEFAULT_POINT_BUDGET, MatrixField, Patch, ScalarField, \
-    gradient
+from spencerkit.fields import DEFAULT_POINT_BUDGET, MatrixField, Patch, ScalarField
 from spencerkit.fixtures import pullback_structure, standard_structure, \
     structure_from_cot, type1_structure
 from spencerkit.report import jsonable
 from spencerkit.scene import load_scene
 from spencerkit.structures import reconstruct_from_pq, validate_acs
 
-from conftest import fresh_python
+from conftest import fresh_python, reference_partial
 from test_structures import random_pq
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -74,7 +73,7 @@ class TestAssemble:
         acs = reconstruct_from_pq(random_pq(rng, patch))
         op = assemble_operator(acs, mode)
         c = acs.cot_values()
-        dc = [acs.j_cot.diff(s, mode).values for s in range(1, 5)]
+        dc = [reference_partial(acs.j_cot, s, mode).values for s in range(1, 5)]
         for s in range(4):
             for p in range(4):
                 a_ref = sum(c[..., q, s] * c[..., q, p] for q in range(4)) + (s == p)
@@ -348,7 +347,7 @@ class TestContraction:
         # the exact Hessian stack of a quadratic is one node broadcast to the
         # grid, a read-only view; apply_pointwise writes into a copy of it
         u = ScalarField.from_expr(patch2d, "x1^2 + 3*x1*x2 - 2*x2^2")
-        grad = MatrixField(patch2d, [[g] for g in gradient(u, "exact")])
+        grad = MatrixField(patch2d, [[g] for g in u.diff("exact")])
         assert not grad.derivatives("exact").flags.writeable
         zero = ScalarField.from_expr(patch2d, "0")
         a = MatrixField.constant(patch2d, [[1.0, 0.5], [0.25, 2.0]])

@@ -16,7 +16,6 @@ from spencerkit.fields import (
     ScalarField,
     complex_gradient,
     d_oneform,
-    gradient,
     resolve_mode,
 )
 from spencerkit.fixtures import conjugated_hypercomplex, type1_structure
@@ -25,7 +24,7 @@ from spencerkit.report import interior_sup, report_from_pointwise, \
     tiles as report_tiles
 from spencerkit.scene import load_scene
 
-from conftest import reference_evaluate
+from conftest import reference_evaluate, reference_partial
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -99,7 +98,7 @@ class TestEvalField:
     def test_exact_mode_requires_expression(self, patch2d):
         u = ScalarField.from_samples(patch2d, np.zeros(patch2d.resolution))
         with pytest.raises(ModeError):
-            u.diff(1, "exact")
+            u.diff("exact")
 
 
 class TestResolveMode:
@@ -123,15 +122,15 @@ class TestResolveMode:
                 resolve_mode(mode, u, v)
 
 
-class TestGradient:
+class TestDiff:
     def test_exact_on_quadratic_interior(self, patch2d):
         u = ScalarField.from_expr(patch2d, "x1^2").sampled()
-        g = gradient(u, "fd")
+        g = u.diff("fd")
         x1 = patch2d.mesh[0]
         assert np.abs(g[0].samples - 2 * x1).max() < 1e-13
 
     def test_constant_gradient_zero(self, patch2d):
-        g = gradient(ScalarField.from_expr(patch2d, "3.5"), "exact")
+        g = ScalarField.from_expr(patch2d, "3.5").diff("exact")
         for comp in g:
             assert np.abs(comp.samples).max() == 0.0
 
@@ -141,7 +140,7 @@ class TestGradient:
         for res in (17, 33):
             p = Patch.box(1, 0.0, 1.0, res)
             u = ScalarField.from_expr(p, "sin(x1)").sampled()
-            g = gradient(u, "fd")[0].samples
+            g = u.diff("fd")[0].samples
             ref = np.cos(p.mesh[0])
             sl = p.interior()
             errors.append(np.abs(g - ref)[sl].max())
@@ -154,16 +153,40 @@ class TestGradient:
         for res in (17, 33):
             p = Patch.box(1, 0.0, 1.0, res)
             u = ScalarField.from_expr(p, "exp(x1)*cos(x2) + x1*x2^3")
-            exact = u.diff(2, "exact").samples
-            fd = u.sampled().diff(2, "fd").samples
+            exact = u.diff("exact")[1].samples
+            fd = u.sampled().diff("fd")[1].samples
             errors.append(np.abs(exact - fd)[p.interior()].max())
         assert 3.0 <= errors[0] / errors[1] <= 5.0
+
+    def test_fields_of_the_callers_type_exact_again_fd_one_stack(self, patch2d):
+        u = ScalarField.from_expr(patch2d, "x1^3*x2 - 2*x1*x2^2 + x2^3")
+        z = ComplexField.from_exprs(patch2d, "x1^2*x2", "x1 - x2^3")
+        for f, kind in ((u, ScalarField), (z.parts, MatrixField)):
+            for mode in ("exact", "fd"):
+                g = f.diff(mode)
+                assert len(g) == patch2d.dim
+                assert all(type(c) is kind and c.shape == f.shape for c in g)
+        # exact: expression-backed fields, differentiated exactly again
+        for s, du in enumerate(u.diff("exact"), start=1):
+            assert du.is_exact
+            for p, ddu in enumerate(du.diff("exact"), start=1):
+                ref = ScalarField.from_expr(patch2d, u.expr.derivative(s).derivative(p))
+                assert ddu.is_exact
+                assert ddu.samples.tobytes() == ref.samples.tobytes()
+        # fd: views of one (*grid, d, r, c) stack
+        for f in (u.sampled(), z.parts):
+            g = f.diff("fd")
+            stack = g[0].values.base
+            assert stack.shape == patch2d.resolution + (patch2d.dim,) + f.shape
+            for s, c in enumerate(g):
+                assert c.values.base is stack and np.shares_memory(c.values, stack)
+                assert c.values.tobytes() == stack[..., s, :, :].tobytes()
 
 
 class TestDOneForm:
     def test_d_of_du_vanishes_exact(self, patch2d):
         u = ScalarField.from_expr(patch2d, "x1*x2")
-        omega = MatrixField(patch2d, [[c] for c in gradient(u, "exact")])
+        omega = MatrixField(patch2d, [[c] for c in u.diff("exact")])
         r = d_oneform(omega, "exact")
         assert interior_sup(r, patch2d) == 0.0
 
@@ -193,7 +216,7 @@ class TestDOneForm:
         # smooth fixture, h = 1/32: mixed FD partials commute to roundoff
         p = Patch.box(1, 0.0, 1.0, 33)
         u = ScalarField.from_expr(p, "exp(x1)*sin(x2)").sampled()
-        omega = MatrixField(p, [[c] for c in gradient(u, "fd")])
+        omega = MatrixField(p, [[c] for c in u.diff("fd")])
         r = d_oneform(omega, "fd")
         scale = np.abs(u.samples).max()
         assert interior_sup(r, p) <= 1e-8 * scale
@@ -205,7 +228,7 @@ class TestFieldAlgebra:
         v = ScalarField.from_expr(patch2d, "x2")
         w = u * v + u
         assert w.is_exact
-        assert w.diff(1, "exact").samples[2, 3] == pytest.approx(
+        assert w.diff("exact")[0].samples[2, 3] == pytest.approx(
             patch2d.axes[1][3] + 1.0)
 
     def test_mixed_arithmetic_falls_back_to_samples(self, patch2d):
@@ -240,17 +263,11 @@ class TestMatrixArray:
     def test_fd_diff_is_per_entry_gradient_bitwise(self, patch2d):
         m = MatrixField.from_exprs(patch2d, self.ROWS)
         z = ComplexField.from_exprs(patch2d, *self.ROWS[1][:2])
-        for axis in (1, 2):
-            h = patch2d.spacing[axis - 1]
-            stacked = m.diff(axis, "fd").values
-            for i in range(2):
-                for j in range(3):
-                    ref = np.gradient(m[i, j].samples, h, axis=axis - 1, edge_order=2)
-                    assert stacked[..., i, j].tobytes() == ref.tobytes()
-            dz = z.diff(axis, "fd")
-            for part, base in ((dz.re, z.re), (dz.im, z.im)):
-                ref = np.gradient(base.samples, h, axis=axis - 1, edge_order=2)
-                assert part.samples.tobytes() == ref.tobytes()
+        for axis, dm, dz in zip((1, 2), m.diff("fd"), z.parts.diff("fd")):
+            for f, df in ((m, dm), (z.parts, dz)):
+                for i, j in np.ndindex(f.shape):
+                    ref = reference_partial(f[i, j], axis, "fd").values
+                    assert df[i, j].values.tobytes() == ref.tobytes()
 
     def test_entry_samples_are_views_of_the_array(self, patch2d):
         m = MatrixField.from_exprs(patch2d, self.ROWS)
@@ -267,7 +284,7 @@ class TestMatrixArray:
             stacked = m.derivatives(mode)
             assert stacked.shape == patch2d.resolution + (2, 2, 3)
             for s in (1, 2):
-                layer = m.diff(s, mode).values
+                layer = reference_partial(m, s, mode).values
                 assert np.array_equal(stacked[..., s - 1, :, :], layer)
                 # array_equal cannot tell -0.0 from +0.0; the bytes can
                 assert stacked[..., s - 1, :, :].tobytes() == layer.tobytes()
@@ -502,7 +519,7 @@ def test_open_mesh_samples_match_full_mesh(path):
         assert f.samples.tobytes() == full.tobytes(), str(f.expr)
 
 
-# -- the form core against per-entry ScalarField.diff ---------------------------
+# -- the form core against per-entry partials (conftest.reference_partial) -----
 
 FORM_SCENES = [p for p in sorted(SCENES.glob("*.json")) if p.stem != "hyper_flat"]
 
@@ -533,8 +550,9 @@ class TestFormCore:
             assert np.array_equal(r, -np.swapaxes(r, -1, -2))
             for s in range(d):
                 for q in range(d):
-                    ref = (omega[q, 0].diff(s + 1, mode).samples
-                           - omega[s, 0].diff(q + 1, mode).samples)
+                    ref = (reference_partial(omega[q, 0], s + 1, mode).values
+                           - reference_partial(omega[s, 0], q + 1, mode).values)
+                    ref = ref[..., 0, 0]
                     assert r[..., s, q].tobytes() == ref.tobytes()
 
     def test_complex_gradient_is_per_part_diff_bitwise(self, path, mode):
@@ -545,8 +563,8 @@ class TestFormCore:
             f = scene.complex_field(name)
             g = complex_gradient(f, mode)
             for k in range(scene.patch.dim):
-                ref = (f.re.diff(k + 1, mode).samples
-                       + 1j * f.im.diff(k + 1, mode).samples)
+                df = reference_partial(f.parts, k + 1, mode).values
+                ref = df[..., 0, 0] + 1j * df[..., 0, 1]
                 assert g[..., k].tobytes() == ref.tobytes()
 
     def test_hessian_is_symmetric_and_per_entry_bitwise(self, path, mode):
@@ -556,7 +574,8 @@ class TestFormCore:
             for s in range(d):
                 for p in range(s, d):
                     upper = _hessian_entry(u, s, p, mode)
-                    ref = u.diff(s + 1, mode).diff(p + 1, mode).samples
+                    ref = reference_partial(reference_partial(u, s + 1, mode),
+                                            p + 1, mode).values[..., 0, 0]
                     assert np.array_equal(upper, ref)
                     assert np.array_equal(_hessian_entry(u, p, s, mode), upper)
 
@@ -568,7 +587,7 @@ def test_k_hyperholo_matches_per_component_reference(name, mode):
     frame = np.eye(4) + 0.15 * np.random.default_rng(21).normal(size=(4, 4))
     h = conjugated_hypercomplex(scene.patch, frame)
     G = scene.quaternion_function(name)
-    grads = {c: np.stack([getattr(G, c).diff(k, mode).samples
+    grads = {c: np.stack([reference_partial(getattr(G, c), k, mode).values[..., 0, 0]
                           for k in range(1, 5)], axis=-1)
              for c in ("u", "v", "zeta", "eta")}
     jc = h.K.cot_values()

@@ -78,6 +78,7 @@ too, so a dead import in the criteria reaches nothing.
 
 import argparse
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -87,8 +88,13 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
-def _unused_imports(source: str) -> list[str]:
-    tree = ast.parse(source)
+@functools.cache
+def _tree(path: Path) -> ast.Module:
+    """The module at ``path``, parsed once for every scan that reads it."""
+    return ast.parse(path.read_text())
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -111,24 +117,24 @@ def _unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    assert _unused_imports(path.read_text()) == []
+    assert _unused_imports(_tree(path)) == []
 
 
 def test_the_check_sees_an_unused_import():
     source = "import os\nfrom numpy import array, zeros\n__all__ = ['zeros']\n" \
              "def f(x: 'array') -> None:\n    pass\n"
-    assert _unused_imports(source) == ["os (line 1)"]
+    assert _unused_imports(ast.parse(source)) == ["os (line 1)"]
 
 
 NODE_SEARCHES = {"argmax", "argmin", "argwhere", "nanargmax", "nanargmin",
                  "ResidualReport"}
 
 
-def _node_searches(source: str) -> list[str]:
+def _node_searches(tree: ast.Module) -> list[str]:
     """Calls of a numpy node search or of the ``ResidualReport`` constructor,
     in source order."""
     hits = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "attr", getattr(node.func, "id", None))
             if name in NODE_SEARCHES:
@@ -140,7 +146,7 @@ def _node_searches(source: str) -> list[str]:
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "report.py"],
                          ids=lambda p: p.name)
 def test_only_report_searches_for_a_node(path):
-    assert _node_searches(path.read_text()) == []
+    assert _node_searches(_tree(path)) == []
 
 
 def test_the_check_sees_a_node_search():
@@ -148,15 +154,15 @@ def test_the_check_sees_a_node_search():
              "def f(x, rep):\n    k = int(np.argmax(x))\n" \
              "    return argwhere(x), x.argmin(), rep.ResidualReport(1.0)\n" \
              "y = np.max(np.arange(3))\n"
-    assert _node_searches(source) == [
+    assert _node_searches(ast.parse(source)) == [
         "argmax (line 4)", "argwhere (line 5)", "argmin (line 5)",
         "ResidualReport (line 5)"]
 
 
-def _import_time_scipy(source: str) -> list[str]:
+def _import_time_scipy(tree: ast.Module) -> list[str]:
     """``import scipy…`` and ``from scipy…`` that run when the module loads:
     anywhere but inside a function."""
-    hits, todo = [], [ast.parse(source)]
+    hits, todo = [], [tree]
     while todo:
         node = todo.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -176,7 +182,7 @@ def _import_time_scipy(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"],
                          ids=lambda p: p.name)
 def test_scipy_loads_at_first_use(path):
-    assert _import_time_scipy(path.read_text()) == []
+    assert _import_time_scipy(_tree(path)) == []
 
 
 def test_the_check_sees_an_import_time_scipy():
@@ -184,15 +190,15 @@ def test_the_check_sees_an_import_time_scipy():
              "try:\n    from scipy.linalg import lu\nexcept ImportError:\n    pass\n" \
              "class C:\n    import scipy\n" \
              "def f():\n    from scipy.interpolate import interpn\n    return interpn\n"
-    assert _import_time_scipy(source) == [
+    assert _import_time_scipy(ast.parse(source)) == [
         "scipy.sparse (line 1)", "scipy.linalg (line 3)", "scipy (line 7)"]
 
 
-def _unused_parameters(source: str) -> list[str]:
+def _unused_parameters(tree: ast.Module) -> list[str]:
     """Parameters of module-level functions that the function body never
     reads, nested functions included."""
     hits = []
-    for node in ast.parse(source).body:
+    for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         args = node.args
@@ -207,7 +213,7 @@ def _unused_parameters(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
-    assert _unused_parameters(path.read_text()) == []
+    assert _unused_parameters(_tree(path)) == []
 
 
 def test_the_check_sees_an_unused_parameter():
@@ -215,14 +221,14 @@ def test_the_check_sees_an_unused_parameter():
              "    return g() + len(args)\n" \
              "class C:\n    def m(self, unused):\n        pass\n" \
              "async def h(x, y=lambda y: y):\n    return x\n"
-    assert _unused_parameters(source) == [
+    assert _unused_parameters(ast.parse(source)) == [
         "f: b (line 1)", "f: c (line 1)", "f: kw (line 1)", "h: y (line 8)"]
 
 
-def _args_reads(source: str) -> dict[str, set[str]]:
+def _args_reads(tree: ast.Module) -> dict[str, set[str]]:
     """The ``args.<dest>`` each module-level function reads, itself or
     through the module-level functions it passes ``args`` to."""
-    funcs = {node.name: node for node in ast.parse(source).body
+    funcs = {node.name: node for node in tree.body
              if isinstance(node, ast.FunctionDef)}
 
     def is_args(node) -> bool:
@@ -248,10 +254,10 @@ def _args_reads(source: str) -> dict[str, set[str]]:
     return reads
 
 
-def _unread_flags(parser: argparse.ArgumentParser, source: str) -> list[str]:
+def _unread_flags(parser: argparse.ArgumentParser, tree: ast.Module) -> list[str]:
     """Arguments a subcommand of ``parser`` declares and its ``fn``, a
-    function of ``source``, never reads."""
-    reads = _args_reads(source)
+    function of ``tree``, never reads."""
+    reads = _args_reads(tree)
     hits, todo = [], [(parser, "")]
     while todo:
         p, path = todo.pop()
@@ -269,7 +275,7 @@ def _unread_flags(parser: argparse.ArgumentParser, source: str) -> list[str]:
 def test_every_flag_is_read():
     from spencerkit import cli
 
-    assert _unread_flags(cli.build_parser(), (PACKAGE / "cli.py").read_text()) == []
+    assert _unread_flags(cli.build_parser(), _tree(PACKAGE / "cli.py")) == []
 
 
 def test_the_check_sees_an_unread_flag():
@@ -286,16 +292,16 @@ def test_the_check_sees_an_unread_flag():
         for flag in flags:
             p.add_argument(flag)
         p.set_defaults(fn=namespace[name])
-    assert _unread_flags(parser, source) == ["other: --seed", "run: --out"]
+    assert _unread_flags(parser, ast.parse(source)) == ["other: --seed", "run: --out"]
 
 
 _FLAGS = (ast.BoolOp, ast.Compare, ast.UnaryOp, ast.Constant)
 
 
-def _mode_flags(source: str) -> list[str]:
+def _mode_flags(tree: ast.Module) -> list[str]:
     """``resolve_mode`` calls that pass a computed flag in place of an input."""
     hits = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and "resolve_mode" in (
                 getattr(node.func, "attr", None), getattr(node.func, "id", None))):
             continue
@@ -313,7 +319,7 @@ def _mode_flags(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_modes_resolve_from_inputs(path):
-    assert _mode_flags(path.read_text()) == []
+    assert _mode_flags(_tree(path)) == []
 
 
 def test_the_check_sees_a_mode_flag():
@@ -327,17 +333,17 @@ def test_the_check_sees_a_mode_flag():
              "    g = fields.resolve_mode(mode, True)\n" \
              "    h = resolve_mode(mode, *[any(x)])\n" \
              "    return resolve_mode(mode, acs, *x, u.parts), a, b, c, d, e, g, h\n"
-    assert _mode_flags(source) == [f"resolve_mode (line {k})" for k in range(4, 11)]
+    assert _mode_flags(ast.parse(source)) == [
+        f"resolve_mode (line {k})" for k in range(4, 11)]
 
 
 # the one function that factors a sparse matrix, and so picks its ordering
 LU_HELPER = ("elliptic.py", "_lu_solver")
 
 
-def _splu_calls(source: str, module: str) -> list[str]:
+def _splu_calls(tree: ast.Module, module: str) -> list[str]:
     """``splu`` calls, as ``module:function (line)``, the function being the
     top-level one they sit in ("<module>" at module level)."""
-    tree = ast.parse(source)
     owner = {}
     for top in tree.body:
         for node in ast.walk(top):
@@ -350,7 +356,7 @@ def _splu_calls(source: str, module: str) -> list[str]:
 
 
 def test_every_lu_goes_through_the_helper():
-    calls = [c for path in MODULES for c in _splu_calls(path.read_text(), path.name)]
+    calls = [c for path in MODULES for c in _splu_calls(_tree(path), path.name)]
     assert calls and all(c.startswith(":".join(LU_HELPER) + " ") for c in calls), calls
 
 
@@ -359,7 +365,7 @@ def test_the_check_sees_a_stray_splu():
              "def _lu_solver(m):\n    return spla.splu(m)\n" \
              "class Solver:\n    def factor(self, m):\n        return splu(m)\n" \
              "lu = spla.splu(None)\n"
-    assert _splu_calls(source, "elliptic.py") == [
+    assert _splu_calls(ast.parse(source), "elliptic.py") == [
         "elliptic.py:_lu_solver (line 4)", "elliptic.py:Solver (line 7)",
         "elliptic.py:<module> (line 8)"]
 
@@ -380,11 +386,10 @@ LINALG_ALLOWLIST = {
 }
 
 
-def _linalg_calls(source: str, module: str) -> list[tuple[str, str, str]]:
+def _linalg_calls(tree: ast.Module, module: str) -> list[tuple[str, str, str]]:
     """``det``, ``inv`` and ``solve`` calls of ``np.linalg`` (or of any
     ``linalg`` module), as (module, top-level definition, function) in
     source order; a call at module level is owned by "<module>"."""
-    tree = ast.parse(source)
     modules, functions = {"linalg"}, {}  # local names of linalg and its functions
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
@@ -413,7 +418,7 @@ def _linalg_calls(source: str, module: str) -> list[tuple[str, str, str]]:
 
 
 def test_no_lapack_factoring_below_4x4():
-    calls = [c for path in MODULES for c in _linalg_calls(path.read_text(), path.name)]
+    calls = [c for path in MODULES for c in _linalg_calls(_tree(path), path.name)]
     assert [c for c in calls if c not in LINALG_ALLOWLIST] == []
     assert [entry for entry in LINALG_ALLOWLIST if entry not in calls] == []  # stale
 
@@ -426,7 +431,7 @@ def test_the_check_sees_a_stray_linalg_call():
              "    return la.solve(v, v), lu_det(v), norm(v), np.linalg.eigvalsh(v)\n" \
              "class Frame:\n    def solve(self, b):\n        return linalg.solve(self.m, b)\n" \
              "g = np.linalg.det(np.eye(2))\n"
-    assert _linalg_calls(source, "structures.py") == [
+    assert _linalg_calls(ast.parse(source), "structures.py") == [
         ("structures.py", "_inverse", "inv"), ("structures.py", "_inverse", "solve"),
         ("structures.py", "_inverse", "det"), ("structures.py", "Frame", "solve"),
         ("structures.py", "<module>", "det")]
@@ -451,12 +456,12 @@ def _tolerance_source(node) -> str | None:
     return None
 
 
-def _tolerance_sources(source: str) -> list[str]:
+def _tolerance_sources(tree: ast.Module) -> list[str]:
     """Reads of a tolerance's source outside the helper, as ``owner: read
     (line)``, the owner being the top-level definition they sit in
     ("<module>" at module level)."""
     hits = []
-    for top in ast.parse(source).body:
+    for top in tree.body:
         owner = getattr(top, "name", "<module>")
         if owner != TOLERANCE_HELPER:
             hits += [(node.lineno, node.col_offset, f"{owner}: {read} (line {node.lineno})")
@@ -465,7 +470,7 @@ def _tolerance_sources(source: str) -> list[str]:
 
 
 def test_one_helper_picks_every_tolerance():
-    assert _tolerance_sources((PACKAGE / "cli.py").read_text()) == []
+    assert _tolerance_sources(_tree(PACKAGE / "cli.py")) == []
 
 
 def test_the_check_sees_a_stray_tolerance_source():
@@ -479,7 +484,7 @@ def test_the_check_sees_a_stray_tolerance_source():
              "    return tol, scene.tolerance('check', 1e-8), scene.tolerance('acs', 1)\n" \
              "class C:\n    pick = staticmethod(default_tolerance)\n" \
              "floor = report.default_tolerance(None, 'fd', 1e-8, 30.0)\n"
-    assert _tolerance_sources(source) == [
+    assert _tolerance_sources(ast.parse(source)) == [
         "cmd: args.tol (line 7)", "cmd: tolerances (line 7)",
         'cmd: tolerance("check") (line 8)', "C: default_tolerance (line 10)",
         "<module>: default_tolerance (line 11)"]
@@ -491,7 +496,7 @@ BROADCAST_OWNERS = {("fields.py", "_sample"), ("report.py", "slab_map")}
 BROADCASTS = {"broadcast_to", "broadcast_arrays", "as_strided"}
 
 
-def _broadcasts(source: str) -> list[str]:
+def _broadcasts(tree: ast.Module) -> list[str]:
     """Calls that make a broadcast view, as a function or a method, in
     source order, each named with the innermost function or class that
     holds it (``Class.method``, or "<module>" at module level)."""
@@ -509,7 +514,7 @@ def _broadcasts(source: str) -> list[str]:
                                  f"{owner}: {name} (line {child.lineno})"))
             visit(child, owner)
 
-    visit(ast.parse(source), "<module>")
+    visit(tree, "<module>")
     return [hit for *_, hit in sorted(hits)]
 
 
@@ -518,7 +523,7 @@ def test_only_fields_and_report_broadcast(path):
     # fields._sample broadcasts a constant's one node and report.slab_map a
     # kernel's result on one node; every other stack of samples goes
     # through slab_map
-    hits = _broadcasts(path.read_text())
+    hits = _broadcasts(_tree(path))
     assert [h for h in hits if (path.name, h.split(":")[0]) not in BROADCAST_OWNERS] == []
     if path.name in {module for module, _ in BROADCAST_OWNERS}:
         assert hits  # the owner still makes its view
@@ -532,7 +537,7 @@ def test_the_check_sees_a_stray_broadcast():
              "class M:\n    def __init__(self, x):\n" \
              "        self.v = (lambda: np.broadcast_to(x, (3,)))()\n" \
              "        def inner():\n            return as_strided(x)\n"
-    assert _broadcasts(source) == [
+    assert _broadcasts(ast.parse(source)) == [
         "f: broadcast_to (line 4)", "f: broadcast_to (line 5)",
         "f: broadcast_arrays (line 5)", "<module>: broadcast_to (line 6)",
         "M.__init__: broadcast_to (line 9)", "M.__init__.inner: as_strided (line 11)"]
@@ -552,12 +557,12 @@ def _is_decomposition(annotation) -> bool:
                                     getattr(annotation, "attr", None))
 
 
-def _block_reads(source: str) -> list[str]:
+def _block_reads(tree: ast.Module) -> list[str]:
     """Reads of ``.A``, ``.B``, ``.C`` or ``.D`` on a decomposition: a
     parameter annotated ``BlockDecomposition`` or a name assigned from a
     ``normalize_at_origin`` call, in the function that binds it."""
     hits = set()
-    for func in ast.walk(ast.parse(source)):
+    for func in ast.walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         args = func.args
@@ -578,7 +583,7 @@ def _block_reads(source: str) -> list[str]:
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "structures.py"],
                          ids=lambda p: p.name)
 def test_only_structures_reads_derived_blocks(path):
-    assert _block_reads(path.read_text()) == []
+    assert _block_reads(_tree(path)) == []
 
 
 def test_the_check_sees_a_derived_block_read():
@@ -589,7 +594,7 @@ def test_the_check_sees_a_derived_block_read():
              "def g(acs, bd):\n    d = structures.normalize_at_origin(acs)\n" \
              "    def h():\n        return d.A\n" \
              "    return h, bd.B\n"
-    assert _block_reads(source) == ["C (line 4)", "D (line 4)", "A (line 8)"]
+    assert _block_reads(ast.parse(source)) == ["C (line 4)", "D (line 4)", "A (line 8)"]
 
 
 def _is_identity(node, eyes: set[str]) -> bool:
@@ -601,11 +606,10 @@ def _is_identity(node, eyes: set[str]) -> bool:
         getattr(node.func, "id", None), getattr(node.func, "attr", None)})
 
 
-def _frame_shifts(source: str) -> list[str]:
+def _frame_shifts(tree: ast.Module) -> list[str]:
     """Sums and differences of E with a block read as it stands (a name,
     attribute, subscript or call), outside the derived blocks that
     ``SHIFTED_BLOCKS`` names."""
-    tree = ast.parse(source)
     eyes = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign):
@@ -638,7 +642,7 @@ def _frame_shifts(source: str) -> list[str]:
 
 @pytest.mark.parametrize("name", FRAME_READERS)
 def test_only_derived_blocks_shift_the_frame(name):
-    assert _frame_shifts((PACKAGE / name).read_text()) == []
+    assert _frame_shifts(_tree(PACKAGE / name)) == []
 
 
 def test_the_check_sees_a_frame_shift():
@@ -652,7 +656,7 @@ def test_the_check_sees_a_frame_shift():
              "    A = property(lambda self: eye + self.frame[0])\n" \
              "def normalize(jg, n):\n    e = MatrixField.identity(jg.patch, n)\n" \
              "    return jg.block(0, 1) - e, 1j * e - jg.values, jg.values - 2\n"
-    assert _frame_shifts(source) == [
+    assert _frame_shifts(ast.parse(source)) == [
         "Add E (line 9)", "Sub E (line 9)", "Add E (line 11)", "Sub E (line 14)"]
 
 
@@ -660,10 +664,9 @@ def test_the_check_sees_a_frame_shift():
 STRUCTURE_MATRICES = {"j_cot", "j_tan"}
 
 
-def _structure_diffs(source: str) -> list[str]:
+def _structure_diffs(tree: ast.Module) -> list[str]:
     """``.diff`` calls on an attribute ``j_cot`` or ``j_tan``, or on a name
     assigned one anywhere in the module, in source order."""
-    tree = ast.parse(source)
 
     def is_matrix(node):
         return isinstance(node, ast.Attribute) and node.attr in STRUCTURE_MATRICES
@@ -683,15 +686,15 @@ def _structure_diffs(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_structures_differentiate_only_through_derivatives(path):
-    assert _structure_diffs(path.read_text()) == []
+    assert _structure_diffs(_tree(path)) == []
 
 
 def test_the_check_sees_a_structure_diff():
-    source = "def f(acs, h, u, mode):\n    dc = acs.j_cot.diff(1, mode).values\n" \
+    source = "def f(acs, h, u, mode):\n    dc = acs.j_cot.diff(mode)[0].values\n" \
              "    jt = h.J.j_tan\n" \
-             "    return jt.diff(2), u.diff(1), acs.j_cot.derivatives(mode), acs.diff(1)\n" \
-             "g = [s.j_tan.diff(k) for k in range(4)]\n"
-    assert _structure_diffs(source) == [
+             "    return jt.diff(mode), u.diff(mode), acs.j_cot.derivatives(), acs.diff()\n" \
+             "g = [s.j_tan.diff(mode)[k] for k in range(4)]\n"
+    assert _structure_diffs(ast.parse(source)) == [
         "acs.j_cot.diff (line 2)", "jt.diff (line 4)", "s.j_tan.diff (line 5)"]
 
 
@@ -743,14 +746,15 @@ def _reads(nodes, methods_of: str | None = None):
         todo += [child for child in ast.iter_child_nodes(node) if child not in skip]
 
 
-def _unreached(sources: dict[str, str], acceptance: str,
+def _unreached(trees: dict[str, ast.Module], acceptance: ast.Module,
                allowlist: dict[str, str]) -> list[str]:
-    """Public functions, classes and methods of ``sources`` (module name to
-    source) that nothing reaches, and allowlist entries that are stale."""
+    """Public functions, classes and methods of ``trees`` (module name to
+    parsed module) that nothing reaches, and allowlist entries that are
+    stale."""
     defs, by_name, methods = {}, {}, {}
     roots, entries = [], set()
-    for module, source in sorted(sources.items()):
-        for top in ast.parse(source).body:
+    for module, tree in sorted(trees.items()):
+        for top in tree.body:
             if not isinstance(top, _DEFS):
                 if not (isinstance(top, ast.Assign) and any(
                         getattr(t, "id", None) == "__all__" for t in top.targets)):
@@ -766,7 +770,7 @@ def _unreached(sources: dict[str, str], acceptance: str,
                     if isinstance(item, _DEFS[:2]):
                         defs.setdefault(f"{qual}.{item.name}", item)
                         methods.setdefault(item.name, []).append(f"{qual}.{item.name}")
-    roots.append(([ast.parse(acceptance)], None))
+    roots.append(([acceptance], None))
 
     def code(qual: str):
         """The code that runs once ``qual`` is reached, and the class whose
@@ -804,9 +808,9 @@ def _unreached(sources: dict[str, str], acceptance: str,
 
 
 def test_every_public_name_is_reached():
-    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    trees = {p.stem: _tree(p) for p in PACKAGE.glob("*.py")}
     assert all(REACH_ALLOWLIST.values())
-    assert _unreached(sources, ACCEPTANCE.read_text(), REACH_ALLOWLIST) == []
+    assert _unreached(trees, _tree(ACCEPTANCE), REACH_ALLOWLIST) == []
 
 
 def test_the_check_sees_an_unreached_name():
@@ -836,7 +840,8 @@ def test_the_check_sees_an_unreached_name():
                  "def test_criterion():\n    assert checked() is None\n"
     allowlist = {"core.reference": "a reference", "core.checked": "reached now",
                  "core.gone": "deleted"}
-    assert _unreached(sources, acceptance, allowlist) == [
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    assert _unreached(trees, ast.parse(acceptance), allowlist) == [
         "cli.unused (line 9)", "core.Model.spare (line 9)", "core.Report (line 19)",
         "core.imported (line 21)", "allowlisted, reached: core.checked",
         "allowlisted, not defined: core.gone"]

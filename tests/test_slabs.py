@@ -40,7 +40,7 @@ from spencerkit.structures import (
     validate_acs,
 )
 
-from conftest import curved_chart, frame_values
+from conftest import curved_chart, frame_values, reference_partial
 
 # 2,401 nodes, in one slab by default; spacing 0.5, so FD gradients of
 # linear functions are exact and equal at every node
@@ -716,8 +716,8 @@ def test_derivatives_of_a_constant(mode):
         copy = _full_grid_copy(m)
         whole = copy.derivatives("fd")
         for axis in range(1, 5):
-            assert m.diff(axis, "fd").values.tobytes() == \
-                copy.diff(axis, "fd").values.tobytes()
+            assert whole[..., axis - 1, :, :].tobytes() == \
+                reference_partial(m, axis, "fd").values.tobytes()
         # the one-sided edge formula leaves roundoff on a constant; the fd
         # stack is a new array
         assert np.abs(whole).max() > 0.0
