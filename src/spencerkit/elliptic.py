@@ -306,7 +306,10 @@ def apply_pointwise(op: EllipticOperator, u: ScalarField, mode: str = "auto",
     """L u from the coefficient fields (not the stencil); full-grid array.
     FD values are reliable on the interior."""
     mode = resolve_mode(mode, op, u)
-    grad = MatrixField(u.patch, [[g] for g in u.diff(mode)])
+    # exact: fields of the expressions, which differentiate exactly again;
+    # fd: the one derivative stack, as a d x 1 field
+    grad = MatrixField(u.patch, [[g] for g in u.diff(mode)]) if mode == "exact" else \
+        MatrixField.from_values(u.patch, u.derivatives(mode)[..., 0])
     # Hessian: d/dx^s (du/dx^p) for s >= p, mirrored onto s < p
     # written into below: the exact stack of a linear gradient is a
     # read-only broadcast view

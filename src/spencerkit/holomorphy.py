@@ -51,8 +51,9 @@ def _cr_residual(acs: AlmostComplexStructure, grad: np.ndarray, mode: str,
         return np.stack([np.linalg.norm(resid, axis=-1),
                          node_sup(resid.real), node_sup(resid.imag)], axis=-1)
 
-    # the largest intermediate is einsum's complex copy of the structure
-    per_node = slab_map(residuals, patch.resolution, 16 * d * d,
+    # a tile holds the structure's tile and einsum's complex copy of it, 3 d^2
+    # floats a node, beside a few d-vectors: the gradient, the defect, norms
+    per_node = slab_map(residuals, patch.interior(1), 8 * (3 * d * d + 8 * d),
                         acs.cot_values(), grad)
     breakdown = {
         "du_system": interior_sup(per_node[..., 1], patch),

@@ -151,8 +151,11 @@ def k_hyperholo_residual(h: HypercomplexStructure, G: QuaternionFunction,
                                         - sign * jac[..., b], axis=-1)
                          for a, b, sign in systems.values()], axis=-1)
 
-    # a tile holds K node-major: a copy of it when K is broadcast and G not
-    per_node = slab_map(norms, h.patch.resolution, 8 * h.patch.dim ** 2,
+    # a tile holds node-major copies of K (d^2 floats a node) and of the
+    # Jacobian (4 d), beside a system's product, difference and norm (8 d
+    # at most)
+    d = h.patch.dim
+    per_node = slab_map(norms, h.patch.interior(1), 8 * (d * d + 12 * d),
                         h.K.cot_values(), jac)
     return merge_reports({name: report_from_pointwise(per_node[..., i], h.patch, mode)
                           for i, name in enumerate(systems)}, mode)

@@ -12,9 +12,9 @@ __all__ = ["ResidualReport", "report_from_pointwise", "merge_reports",
            "sup_and_node", "interior_sup", "ring_depth", "default_tolerance",
            "jsonable", "slab_map", "tiles", "node_sup", "SLAB_BYTES"]
 
-# Pointwise kernels run over tiles of nodes sized so that the kernel's
-# largest intermediate array stays under this many bytes; only the kernel's
-# array inputs and its small per-node result span the whole grid.
+# Pointwise kernels run over tiles of nodes sized so that what a tile holds,
+# as its call declares it a node, stays under this many bytes; only the
+# kernel's array inputs and its small per-node result span the grid.
 SLAB_BYTES = 8 << 20
 
 
@@ -40,20 +40,37 @@ def default_tolerance(patch, mode: str, floor: float, coefficient: float) -> flo
 
 
 def interior_sup(values: np.ndarray, patch, depth: int = 1) -> float:
-    """Sup of ``|values|`` over interior nodes; grid axes lead ``values``."""
-    return float(np.abs(values[patch.interior(depth)]).max())
+    """Sup of ``|values|`` over interior nodes; grid axes lead ``values``,
+    which span the grid or the interior alone (``slab_map`` over
+    ``patch.interior(depth)``)."""
+    return float(np.abs(_interior(values, patch.resolution, depth)).max())
 
 
-def sup_and_node(values: np.ndarray, depth: int = 0,
+def _interior(values: np.ndarray, grid: tuple[int, ...], depth: int) -> np.ndarray:
+    """The nodes ``depth`` or more rings inside ``grid`` of per-node
+    ``values``, grid axes leading: a view of ``values`` when they span the
+    grid, ``values`` itself when they span that box alone."""
+    shape = values.shape[:len(grid)]
+    if shape == tuple(r - 2 * depth for r in grid):
+        return values
+    if shape != tuple(grid):
+        raise ValueError(f"per-node values of shape {shape} on grid {tuple(grid)}")
+    return values[tuple(slice(depth, r - depth) for r in grid)]
+
+
+def sup_and_node(values: np.ndarray, depth: int = 0, grid: tuple[int, ...] | None = None,
                  ) -> tuple[float, tuple[int, ...]]:
     """Largest of per-node ``values`` over the nodes ``depth`` or more rings
     inside the grid, and the first such node, in C order, where it is reached.
 
-    Every axis of ``values`` is a grid axis.  A NaN counts as the largest
-    value, and a boolean array gives its first True node.  A minimum and its
-    node are those of ``-values``, since negation is exact.
+    Every axis of ``values`` is a grid axis.  They span the grid, or, given
+    ``grid``, the grid's shape, they may span the box of nodes ``depth`` or
+    more rings inside alone (``slab_map`` over ``Patch.interior(depth)``);
+    the node is named in grid coordinates either way.  A NaN counts as the
+    largest value, and a boolean array gives its first True node.  A minimum
+    and its node are those of ``-values``, since negation is exact.
     """
-    inner = values[tuple(slice(depth, r - depth) for r in values.shape)]
+    inner = _interior(values, grid or values.shape, depth)
     if not any(inner.strides):
         # one node broadcast (slab_map): search that node, since np.argmax
         # would copy the view to the full grid
@@ -63,45 +80,65 @@ def sup_and_node(values: np.ndarray, depth: int = 0,
     return float(inner.flat[flat]), tuple(int(i) + depth for i in node)
 
 
-def slab_map(kernel, grid: tuple[int, ...], node_bytes: int, *inputs) -> np.ndarray:
-    """Per-node results of a pointwise ``kernel`` over the grid, tile by tile.
+def slab_map(kernel, grid: tuple[int | slice, ...], node_bytes: int,
+             *inputs) -> np.ndarray:
+    """Per-node results of a pointwise ``kernel`` over the grid, or over a
+    box of it, tile by tile.
 
-    A tile is a block of the grid whose nodes are consecutive in C order: it
+    ``grid`` is the grid's shape, or a box of the grid: one
+    ``slice(start, stop)`` per axis, such as ``Patch.interior(depth)``.  A
+    kernel runs over the nodes its report reads, so a check whose report
+    reads the interior alone (``interior_sup``, ``report_from_pointwise``)
+    passes that interior, and the boundary ring costs nothing.
+
+    A tile is a block of the box whose nodes are consecutive in C order: it
     fixes one index on each axis before its cut axis, takes a range of
-    indices on the cut axis and spans every later axis.  It holds at most
-    ``SLAB_BYTES // node_bytes`` nodes (at least one), where ``node_bytes`` is
-    the size per node of the kernel's largest intermediate (``tiles``).
+    indices on the cut axis and spans every later axis of the box.  It holds
+    at most ``SLAB_BYTES // node_bytes`` nodes (at least one), where
+    ``node_bytes`` is the size per node of what a tile holds at once: the
+    kernel's intermediates and the tiles of its inputs that are built or
+    copied for it (``tiles``).
 
-    Each of ``inputs`` is an array with the grid axes ``grid`` leading, or a
-    callable that takes a tile, one ``slice(start, stop)`` per grid axis, and
-    returns the input's values on the tile's nodes, the tile's axes leading;
-    a callable builds what the kernel reads of, say, a derivative stack one
-    tile at a time.  Either is viewed node-major, as (n, ...) with the nodes
-    in C order, and the view must not need a copy.  ``kernel`` is called on
-    each tile's views and returns the tile's per-node results, shape (n,) or
-    (n, k), which fill one array of shape ``grid`` or ``grid + (k,)``; a
-    lone tile's result is that array itself when it owns its memory (is not
-    a view).  The reductions over the grid then run on that array.
+    Each of ``inputs`` is an array with the grid axes leading, or a callable
+    that takes a tile, one ``slice(start, stop)`` per grid axis in grid
+    coordinates, and returns the input's values on the tile's nodes, the
+    tile's axes leading; a callable builds what the kernel reads of, say, a
+    derivative stack one tile at a time.  Either is read node-major, as
+    (n, ...) with the nodes in C order.  Over the whole grid an array is
+    viewed so, and the view must not need a copy; over a box, each tile of
+    an array is copied node-major, as is each tile of a callable that needs
+    it.  ``kernel`` is called on each tile's node-major inputs and returns
+    the tile's per-node results, shape (n,) or (n, k), which fill one array
+    of the box's shape, or that shape + (k,); a lone tile's result is that
+    array itself when it owns its memory (is not a view).  The reductions
+    then run on that array.
 
     An array may be broadcast (``np.broadcast_to``): stride 0 along some
     grid axes, as the samples of a constant field are along all of them.
     When every input is an array with stride 0 along every grid axis, the
-    kernel runs on one node and its result is broadcast to the grid, a
-    read-only view of the full shape, so constant inputs cost one node.
-    Otherwise each broadcast input is read tile by tile, as a callable is,
-    each tile copied node-major.
+    kernel runs on one node and its result is broadcast to the box, a
+    read-only view of its full shape, so constant inputs cost one node.
+    Otherwise each broadcast input is read tile by tile, each tile copied
+    node-major.
     """
-    g = len(grid)
+    box = tuple(r if isinstance(r, slice) else slice(0, r) for r in grid)
+    origin = tuple(b.start for b in box)
+    shape = tuple(b.stop - b.start for b in box)
+    g = len(box)
     if all(not callable(x) and not any(x.strides[:g]) for x in inputs):
         node = kernel(*(x[(0,) * g][None] for x in inputs))
-        return np.broadcast_to(node[0], tuple(grid) + node.shape[1:])
-    n = math.prod(grid)
-    views = [x if callable(x) else x.__getitem__ if 0 in x.strides[:g]
-             else _node_major(x, n, g) for x in inputs]
+        return np.broadcast_to(node[0], shape + node.shape[1:])
+    n = math.prod(shape)
+    # an array broadcast on no axis is viewed whole when the box is its grid;
+    # else it is read, and copied, tile by tile
+    views = [x if callable(x) else _node_major(x, n, g)
+             if not any(origin) and x.shape[:g] == shape and all(x.strides[:g])
+             else x.__getitem__ for x in inputs]
     out, start = None, 0
-    for tile in tiles(grid, max(1, SLAB_BYTES // node_bytes)):
+    for tile in tiles(shape, max(1, SLAB_BYTES // node_bytes)):
         size = math.prod(t.stop - t.start for t in tile)
-        part = kernel(*(_node_major(v(tile), size, g) if callable(v)
+        at = tuple(slice(o + t.start, o + t.stop) for o, t in zip(origin, tile))
+        part = kernel(*(_tile(v(at), size, g) if callable(v)
                         else v[start:start + size] for v in views))
         if out is None:  # a lone tile's own array is the grid's, not copied
             out = part if size == n and part.base is None else \
@@ -109,7 +146,7 @@ def slab_map(kernel, grid: tuple[int, ...], node_bytes: int, *inputs) -> np.ndar
         if out is not part:
             out[start:start + size] = part
         start += size
-    return out.reshape(tuple(grid) + out.shape[1:])
+    return out.reshape(shape + out.shape[1:])
 
 
 def tiles(grid: tuple[int, ...], step: int):
@@ -129,13 +166,19 @@ def tiles(grid: tuple[int, ...], step: int):
 
 
 def _node_major(a: np.ndarray, n: int, grid_axes: int) -> np.ndarray:
-    """``a`` viewed as (n, ...) with its ``grid_axes`` leading axes merged;
-    raises if that needs a copy, which would span the whole grid, unless
-    ``a`` is a broadcast tile, which ``slab_map`` copies."""
+    """The whole-grid array ``a`` viewed as (n, ...) with its ``grid_axes``
+    leading axes merged; raises if that needs a copy, which would span the
+    whole grid."""
     view = a.reshape((n,) + a.shape[grid_axes:])
-    if view.size and not np.may_share_memory(view, a) and 0 not in a.strides[:grid_axes]:
+    if view.size and not np.may_share_memory(view, a):
         raise ValueError("slab_map needs arrays whose grid axes merge without a copy")
     return view
+
+
+def _tile(a: np.ndarray, n: int, grid_axes: int) -> np.ndarray:
+    """A tile's values ``a`` as (n, ...) with its ``grid_axes`` leading axes
+    merged: a view when they merge without one, else a node-major copy."""
+    return a.reshape((n,) + a.shape[grid_axes:])
 
 
 def node_sup(slab: np.ndarray, in_place: bool = False) -> np.ndarray:
@@ -196,14 +239,15 @@ class ResidualReport:
 def report_from_pointwise(pointwise: np.ndarray, patch, mode: str,
                           breakdown: dict[str, float] | None = None,
                           depth: int = 1) -> ResidualReport:
-    """Build a report from per-node residual magnitudes on the full grid.
+    """Build a report from per-node residual magnitudes on the full grid, or
+    on its interior alone (``slab_map`` over ``patch.interior(depth)``).
 
     Only interior nodes (to the given ring depth) enter the norms, so the
-    worst node is always an interior node.
+    worst node is always an interior node, named in grid coordinates.
     """
-    pointwise = np.asarray(pointwise, dtype=float).reshape(patch.resolution)
-    sup, worst = sup_and_node(pointwise, depth)
-    inner = pointwise[patch.interior(depth)]
+    pointwise = np.asarray(pointwise, dtype=float)
+    sup, worst = sup_and_node(pointwise, depth, patch.resolution)
+    inner = _interior(pointwise, patch.resolution, depth)
     return ResidualReport(
         sup_norm=sup,
         l2_norm=float(np.sqrt(np.mean(inner**2))),

@@ -214,14 +214,17 @@ def _verified(acs: AlmostComplexStructure, chart: SpencerChart, mode: str,
                      node_sup(first[:, n:n + m]), node_sup(first[:, n + m:])]
         return np.stack(sups, axis=-1)
 
-    # a tile holds about 25 d^2 bytes a node at once: einsum's complex copy of
-    # jc, then jc R, its solve and [P; Q].  Tiles sized for 32 d^2 keep the
-    # traced peak of a 4D grid-15 chart 2.5 MiB lower than tiles for 24 d^2.
-    per_node = slab_map(pattern, patch.resolution, 2 * 16 * patch.dim ** 2,
-                        acs.cot_values(), frame)
+    # a tile holds node-major copies of jc and R (2 d^2 floats a node) beside
+    # about 4 d^2 floats of the kernel's at once: einsum's complex copy of jc,
+    # then jc R, its solve and [P; Q].  Tiles are sized for 8 d^2 floats and
+    # the results, m + 4 floats an order, twice while they are stacked.
     count = len(orders)
-    holo = per_node[..., :count * m].reshape(patch.resolution + (count, m))
-    sups = per_node[..., count * m:].reshape(patch.resolution + (count, 4))
+    per_node = slab_map(pattern, patch.interior(1),
+                        8 * (8 * patch.dim ** 2 + 2 * count * (m + 4)),
+                        acs.cot_values(), frame)
+    shape = per_node.shape[:-1]  # the interior's
+    holo = per_node[..., :count * m].reshape(shape + (count, m))
+    sups = per_node[..., count * m:].reshape(shape + (count, 4))
     names = ("lead_identity", "zero_complement", "zero_conjugate", "zero_conj_complement")
     reports = []
     for k in range(count):
@@ -229,7 +232,7 @@ def _verified(acs: AlmostComplexStructure, chart: SpencerChart, mode: str,
         blocks = {name: interior_sup(sups[..., k, i], patch)
                   for i, name in enumerate(names)}
         # the four blocks tile M's first m columns
-        _, node = sup_and_node(sups[..., k, :].max(axis=-1), 1)
+        _, node = sup_and_node(sups[..., k, :].max(axis=-1), 1, patch.resolution)
         worst = max(list(blocks.values()) + list(holo_sups))
         reports.append(PatternReport(
             m=m,

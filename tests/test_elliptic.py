@@ -356,6 +356,26 @@ class TestContraction:
         assert np.array_equal(apply_pointwise(op, u, "exact"),
                               np.full(patch2d.resolution, -3.75))
 
+    def test_fd_gradient_is_the_one_derivative_stack(self, fixture_acs, monkeypatch):
+        # in fd mode grad u is u's derivative stack as it stands, not a copy
+        # of it stacked from the d fields of u.diff: same memory, same bits
+        patch = fixture_acs.patch
+        op = assemble_operator(fixture_acs, "fd")
+        u = ScalarField.from_expr(patch, "sin(x1)*x2^2 + x1*x2").sampled()
+        built = []  # (field, stack) of each derivatives call
+        derivatives = MatrixField.derivatives
+
+        def recorded(self, mode="auto", tile=None):
+            built.append((self, derivatives(self, mode, tile)))
+            return built[-1][1]
+
+        monkeypatch.setattr(MatrixField, "derivatives", recorded)
+        apply_pointwise(op, u, "fd")
+        (first, stack), (grad, _) = built  # grad u, then its Hessian
+        assert first is u and np.shares_memory(grad.values, stack)
+        assert grad.values.tobytes() == \
+            MatrixField(patch, [[g] for g in u.diff("fd")]).values.tobytes()
+
     def test_fixture_exact(self, fixture_acs):
         u = ScalarField.from_expr(fixture_acs.patch, "x1*x2")
         rep = contraction_identity_residual(fixture_acs, u)

@@ -50,6 +50,12 @@ on one node, and every other stack of samples (``MatrixField.__init__``)
 goes through ``slab_map``, so one rule decides which arrays are broadcast
 views.
 
+``SLAB_MAP_CALLS`` lists every ``report.slab_map`` call of the package with
+the box its kernel runs over: the whole grid, or the interior to a depth
+when the call's report reads the interior alone.  A call that is not
+listed, or an entry whose call is gone, fails, so the list is the set of
+kernels whose tile bytes are declared.
+
 A ``BlockDecomposition`` keeps the blocks of ``G^-1 j_cot G`` as they stand,
 ``frame = (A, B+E, C-E, D)``, and every computation reads them so.  No module
 but ``structures.py`` reads ``.A``, ``.B``, ``.C`` or ``.D`` of a decomposition
@@ -541,6 +547,84 @@ def test_the_check_sees_a_stray_broadcast():
         "f: broadcast_to (line 4)", "f: broadcast_to (line 5)",
         "f: broadcast_arrays (line 5)", "<module>: broadcast_to (line 6)",
         "M.__init__: broadcast_to (line 9)", "M.__init__.inner: as_strided (line 11)"]
+
+
+# every report.slab_map call of the package, by module and the innermost
+# function or class that makes it, with the box its kernel runs over: the
+# whole grid, or the interior to a depth, the nodes its report reads.  A
+# call is listed once per time it appears.
+SLAB_MAP_CALLS = sorted([
+    ("elliptic.py", "EllipticOperator.mesh_peclet", "grid"),
+    ("elliptic.py", "assemble_operator", "grid"),
+    ("elliptic.py", "assemble_operator", "grid"),
+    ("fields.py", "MatrixField.__init__", "grid"),
+    ("holomorphy.py", "_cr_residual", "interior(1)"),
+    ("hypercomplex.py", "k_hyperholo_residual", "interior(1)"),
+    ("spencer.py", "_normalized_det", "grid"),
+    ("spencer.py", "_verified", "interior(1)"),
+    ("structures.py", "BlockDecomposition.identity_residuals", "grid"),
+    ("structures.py", "BlockDecomposition.round_trip_gap", "grid"),
+    ("structures.py", "_square_residual", "grid"),
+    ("structures.py", "make_hypercomplex", "grid"),
+    # exact mode samples the whole stack, which names a non-finite derivative
+    ("structures.py", "nijenhuis_residual", "interior(1) if mode == 'fd' else grid"),
+    ("structures.py", "pointwise_inverse", "grid"),
+    ("structures.py", "pointwise_inverse", "grid"),
+    ("structures.py", "reconstruct_from_pq", "grid"),
+])
+
+
+def _box(node) -> str:
+    """The box a ``slab_map`` call passes: "interior(k)" for a call of
+    ``.interior(k)``, "grid" for a grid's shape (a ``.resolution``, a slice
+    of a ``.shape`` or a name ``grid``), a conditional of two boxes as one,
+    and any other expression as its source."""
+    if isinstance(node, ast.IfExp):
+        return f"{_box(node.body)} if {ast.unparse(node.test)} else {_box(node.orelse)}"
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "interior":
+        return f"interior({', '.join(map(ast.unparse, node.args))})"
+    if getattr(node, "attr", None) == "resolution" or getattr(node, "id", None) == "grid" \
+            or getattr(getattr(node, "value", None), "attr", None) == "shape":
+        return "grid"
+    return ast.unparse(node)
+
+
+def _slab_map_calls(tree: ast.Module, module: str) -> list[tuple[str, str, str]]:
+    """``slab_map`` calls, as (module, innermost function or class, box)."""
+    hits = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if owner is None else f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and \
+                    getattr(child.func, "attr", getattr(child.func, "id", None)) == "slab_map":
+                hits.append((module, owner or "<module>", _box(child.args[1])))
+            visit(child, owner)
+
+    visit(tree, None)
+    return hits
+
+
+def test_every_slab_map_call_is_listed_with_its_box():
+    calls = [c for path in MODULES for c in _slab_map_calls(_tree(path), path.name)]
+    assert sorted(calls) == SLAB_MAP_CALLS
+
+
+def test_the_check_sees_a_new_slab_map_call():
+    source = "from . import report\nfrom .report import slab_map\n" \
+             "def f(patch, mode, values):\n" \
+             "    a = slab_map(abs, patch.resolution, 8, values)\n" \
+             "    b = report.slab_map(abs, patch.interior(2), 8, values)\n" \
+             "    return a, b, slab_map(abs, patch.interior(1) if mode else values.shape[:-2],\n" \
+             "                          8, values)\n" \
+             "class M:\n    def g(self, grid, box):\n" \
+             "        return slab_map(abs, grid, 8, self.v), slab_map(abs, box, 8, self.v)\n"
+    assert _slab_map_calls(ast.parse(source), "m.py") == [
+        ("m.py", "f", "grid"), ("m.py", "f", "interior(2)"),
+        ("m.py", "f", "interior(1) if mode else grid"),
+        ("m.py", "M.g", "grid"), ("m.py", "M.g", "box")]
 
 
 # the blocks a decomposition derives from its frame, the modules that read

@@ -110,6 +110,28 @@ class TestCliExitCodes:
         assert out["passed"] is False
         assert out["results"]["residual"]["sup_norm"] > 2.0
 
+    def test_exact_nijenhuis_names_a_non_finite_derivative_on_the_ring(self, tmp_path,
+                                                                       capsys):
+        # J^2 = -E holds everywhere, but d_1 J is infinite on the ring x1 = 0:
+        # the exact derivative stack spans the grid, ring included, so the
+        # check names that node rather than passing on the interior alone
+        scene = {
+            "schema": 1,
+            "dim_half": 1,
+            "patch": {"bounds": [0.0, 1.0], "resolution": 9},
+            "structure": {"kind": "matrix", "entries": [["sqrt(x1)", "1"],
+                                                        ["-(1 + x1)", "-sqrt(x1)"]]},
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scene))
+        assert run(["acs", "check", path, "--no-meta"]) == 0
+        capsys.readouterr()
+        assert run(["acs", "check", path, "--nijenhuis", "--no-meta"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err == "spencerctl: non-finite value in field " \
+                      "'1.0 / (2.0 * sqrt(x1))' at node (0, 0)\n"
+
     def test_pass_is_0(self, capsys):
         code = run(["holo", "residual", SCENES / "standard2d.json",
                     "--field", "z", "--tol", "1e-10", "--no-meta"])

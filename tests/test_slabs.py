@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spencerkit import hypercomplex, report, structures
+from spencerkit import holomorphy, hypercomplex, report, spencer, structures
 from spencerkit.cli import main
 from spencerkit.elliptic import assemble_operator
 from spencerkit.fields import ComplexField, MatrixField, Patch, ScalarField
@@ -62,11 +62,11 @@ def whole_and_slabbed(monkeypatch, check):
     return whole, check()
 
 
-def _pulled_back_pair():
+def _pulled_back_pair(patch=PATCH):
     """The flat pair pulled back by phi = x + 0.1 (x2^2, x3 x4, x1^2, x1 x2),
     sampled: a hypercomplex pair that varies from node to node."""
-    x1, x2, x3, x4 = PATCH.mesh
-    dphi = np.zeros(PATCH.resolution + (4, 4))
+    x1, x2, x3, x4 = patch.mesh
+    dphi = np.zeros(patch.resolution + (4, 4))
     dphi[..., range(4), range(4)] = 1.0
     dphi[..., 0, 1] += 0.2 * x2
     dphi[..., 1, 2] += 0.1 * x4
@@ -75,7 +75,7 @@ def _pulled_back_pair():
     dphi[..., 3, 0] += 0.1 * x2
     dphi[..., 3, 1] += 0.1 * x1
     s, t = quaternionic_standard()
-    J, K = (validate_acs(MatrixField.from_values(PATCH, np.linalg.solve(dphi, m @ dphi)),
+    J, K = (validate_acs(MatrixField.from_values(patch, np.linalg.solve(dphi, m @ dphi)),
                          rep="tan", tolerance=1e-10) for m in (s, t))
     return make_hypercomplex(J, K, tolerance=1e-10)
 
@@ -142,6 +142,50 @@ def test_slab_map_refuses_a_grid_that_needs_a_copy():
     part = np.arange(48.0).reshape(6, 4, 2)[1:4]
     out = report.slab_map(lambda v: v[:, 0], (3, 4), 16, part)
     assert np.array_equal(out, part[..., 0])
+
+
+def test_slab_map_over_a_box_reads_its_nodes_in_grid_coordinates(monkeypatch):
+    # a box, such as Patch.interior(1), is tiled as a grid of its own: each
+    # tile reaches a callable in grid coordinates, an array's tile is copied
+    # node-major, and the results take the box's shape
+    monkeypatch.setattr(report, "SLAB_BYTES", 80)
+    values = np.arange(60.0).reshape(4, 5, 3)
+    box = (slice(1, 3), slice(1, 4))
+    seen, tiles = [], []
+
+    def kernel(v, w):
+        seen.append(len(v))
+        assert v.flags.c_contiguous and v.tobytes() == w.tobytes()
+        return v.sum(axis=-1)
+
+    def tile_values(tile):
+        tiles.append(tile)
+        return values[tile]
+
+    out = report.slab_map(kernel, box, 27, values, tile_values)  # 2 nodes a tile
+    assert seen == [2, 1, 2, 1]
+    assert tiles == [(slice(1, 2), slice(1, 3)), (slice(1, 2), slice(3, 4)),
+                     (slice(2, 3), slice(1, 3)), (slice(2, 3), slice(3, 4))]
+    assert out.tobytes() == values[box].sum(axis=-1).tobytes()
+    # every input broadcast: one node, broadcast to the box
+    const = np.broadcast_to(np.array([1.0, 2.0]), (4, 5, 2))
+    out = report.slab_map(lambda v: v.sum(axis=-1), box, 16, const)
+    assert out.shape == (2, 3) and not any(out.strides) and out[0, 0] == 3.0
+
+
+def test_reductions_read_a_box_as_the_interior_of_its_grid():
+    patch = Patch.box(1, 0.0, 1.0, 7)
+    full = np.random.default_rng(3).standard_normal(patch.resolution)
+    for depth in (1, 2):
+        inner = np.array(full[patch.interior(depth)])
+        assert repr(report.sup_and_node(inner, depth, patch.resolution)) == \
+            repr(report.sup_and_node(full, depth))
+        assert repr(report.interior_sup(inner, patch, depth)) == \
+            repr(report.interior_sup(full, patch, depth))
+        assert repr(report.report_from_pointwise(np.abs(inner), patch, "fd", depth=depth)) \
+            == repr(report.report_from_pointwise(np.abs(full), patch, "fd", depth=depth))
+    with pytest.raises(ValueError, match=r"per-node values of shape \(6, 7\)"):
+        report.interior_sup(full[1:], patch)
 
 
 def test_node_sup():
@@ -293,11 +337,11 @@ TILINGS = (343, 5 * 343, 6 * 49, 49)
 @pytest.mark.parametrize("mode", ["fd", "exact"])
 def test_nijenhuis_residual_in_every_tiling(monkeypatch, mode):
     acs = type1_structure(PATCH)
-    assert report.SLAB_BYTES // (8 * 4 ** 3) >= PATCH.n_points
+    _tiled_by(monkeypatch, PATCH.n_points)
     whole = np.float64(nijenhuis_residual(acs, mode))
     assert whole > 0.0
     for nodes in TILINGS:
-        monkeypatch.setattr(report, "SLAB_BYTES", nodes * 8 * 4 ** 3)
+        _tiled_by(monkeypatch, nodes)
         assert np.float64(nijenhuis_residual(acs, mode)).tobytes() == whole.tobytes()
 
 
@@ -441,10 +485,8 @@ def test_chart_holomorphy_residuals_in_every_tiling(monkeypatch, mode, curved):
     ref = [np.float64(holo_residual(acs, w, mode).sup_norm).tobytes() for w in chart.holo]
     whole = verify_chart(acs, chart, mode)
     assert [np.float64(r).tobytes() for r in whole.holo_residuals] == ref
-    # the pattern's tiles are sized for 2 * 16 * d^2 bytes a node
-    assert report.SLAB_BYTES // (2 * 16 * 4 ** 2) >= PATCH.n_points
     for nodes in TILINGS:
-        monkeypatch.setattr(report, "SLAB_BYTES", nodes * 2 * 16 * 4 ** 2)
+        _tiled_by(monkeypatch, nodes)
         assert verify_chart(acs, chart, mode) == whole
 
 # a scene shaped as perfbench's wide_grid type1 scenes: f is a constant plus
@@ -638,7 +680,8 @@ def test_exact_residuals_of_a_constant_run_on_one_node(monkeypatch, pair):
 
     monkeypatch.setattr(hypercomplex, "slab_map", counted)
     whole = residuals(*copies)
-    assert nodes == [PATCH.n_points]  # the four 1-form systems in one kernel
+    # the four 1-form systems in one kernel, on the interior its report reads
+    assert nodes == [5 ** 4]
     for n in (PATCH.n_points,) + TILINGS:
         _tiled_by(monkeypatch, n)
         nodes.clear()
@@ -819,3 +862,93 @@ def test_the_8_dim_flat_pair_holds_one_node():
     assert peak < 2**20
     assert h.anti_residual == h.J.acs_residual == h.K.acs_residual == 0.0
     assert h.J.cot_values().shape == patch.resolution + (8, 8)
+
+
+
+# -- kernels over the interior their reports read ---------------------------
+
+def _boxed_checks(h):
+    """The four checks whose kernels run over ``patch.interior(1)`` in fd
+    mode, on the pair ``h``: each as the module whose ``slab_map`` runs the
+    kernel, and the check."""
+    patch = h.patch
+    z1, z2 = (coordinate_function(patch, k) for k in (1, 2))
+    f = ComplexField.from_exprs(patch, "x1 + 0.3*x3^2", "x2*x4 - x1")
+    G = QuaternionFunction.from_exprs(patch, "x1^2 - x2^2 - x3^2 - x4^2", "2*x1*x2",
+                                      "2*x1*x3", "2*x1*x4")
+    return {
+        "nijenhuis": (structures, lambda: nijenhuis_residual(h.J, "fd")),
+        "pattern": (spencer, lambda: verify_chart(h.J, SpencerChart(1, (z1,), (z2,)), "fd")),
+        "cauchy_riemann": (holomorphy, lambda: antiholo_residual(h.J, f, "fd")),
+        "k_hyperholo": (hypercomplex, lambda: k_hyperholo_residual(h, G, "fd")),
+    }
+
+
+BOXED = ("nijenhuis", "pattern", "cauchy_riemann", "k_hyperholo")
+
+
+@pytest.mark.parametrize("check", BOXED)
+def test_a_boxed_check_has_the_bits_of_the_whole_grid_in_every_tiling(monkeypatch, pair,
+                                                                      check):
+    # the reference runs the kernel on every node and reduces the interior;
+    # the check runs it on the 5^4 interior alone, in tiles of 625 nodes down
+    # to one node, and its report keeps every bit
+    module, run = _boxed_checks(pair)[check]
+    interior = PATCH.interior(1)
+    declared, nodes = [], []
+
+    def whole_grid(kernel, box, node_bytes, *inputs):
+        if box == interior:
+            declared.append(node_bytes)
+        return report.slab_map(kernel, PATCH.resolution, node_bytes, *inputs)
+
+    def counted(kernel, box, *args):
+        def counting(*v):
+            nodes.append(len(v[0]))
+            return kernel(*v)
+
+        return report.slab_map(counting if box == interior else kernel, box, *args)
+
+    monkeypatch.setattr(module, "slab_map", whole_grid)
+    whole = _outcome(run)
+    assert len(declared) == 1 and "Error" not in whole
+    monkeypatch.setattr(module, "slab_map", counted)
+    # a step of 75 cuts axis 1 of the box in 3 + 2 indices, one of 2 axis 3
+    for step, sizes in ((625, [625]), (125, [125] * 5), (75, [75, 50] * 5),
+                        (2, [2, 2, 1] * 125), (1, [1] * 625)):
+        monkeypatch.setattr(report, "SLAB_BYTES", step * declared[0])
+        nodes.clear()
+        assert _outcome(run) == whole
+        assert nodes == sizes
+
+
+@pytest.mark.parametrize("check", BOXED)
+def test_a_boxed_tile_holds_at_most_its_declared_bytes(monkeypatch, check):
+    # node_bytes declares what a tile holds a node: the kernel's temporaries
+    # and the input tiles built or copied for it.  Over the 9^4 interior of
+    # a 4D grid 11, in tiles of one and of three indices of the box's first
+    # axis, the traced peak grows by at most that much a node.
+    patch = Patch.box(2, -1.0, 1.0, 11)
+    module, run = _boxed_checks(_pulled_back_pair(patch))[check]
+    calls = []
+
+    def recorded(kernel, box, *args):
+        if box == patch.interior(1):
+            calls.append((kernel, box, *args))
+        return report.slab_map(kernel, box, *args)
+
+    monkeypatch.setattr(module, "slab_map", recorded)
+    run()
+    (kernel, box, node_bytes, *inputs), = calls
+    peaks = []
+    for nodes in (729, 3 * 729):
+        monkeypatch.setattr(report, "SLAB_BYTES", nodes * node_bytes)
+        report.slab_map(kernel, box, node_bytes, *inputs)  # lazy set-up first
+        tracemalloc.start()
+        try:
+            report.slab_map(kernel, box, node_bytes, *inputs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    slope = (peaks[1] - peaks[0]) / (2 * 729)
+    assert 0.0 < slope <= node_bytes

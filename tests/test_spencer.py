@@ -420,7 +420,8 @@ class TestOneBasisPerChart:
         assert nodes == [1, 1]  # the determinant guard, then the pattern
         nodes.clear()
         ref = verify_chart(h.J, sampled, tolerance=1e-8)
-        assert nodes == [patch.n_points] * 2
+        # the guard on every node, the pattern on the interior its report reads
+        assert nodes == [patch.n_points, 5 ** 4]
         assert (rep.mode, ref.mode) == ("exact", "fd")
         assert _bits(rep) == _bits(ref)
         if pair == "conjugated":
