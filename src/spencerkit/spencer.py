@@ -22,7 +22,8 @@ import numpy as np
 from .fields import ComplexField, MatrixField, Patch, complex_gradient, resolve_mode
 from .report import ResidualReport, default_tolerance, interior_sup, \
     node_sup, report_from_pointwise, slab_map, sup_and_node
-from .structures import AlmostComplexStructure, HypercomplexStructure
+from .structures import AlmostComplexStructure, HypercomplexStructure, _det, \
+    _entry_major, pointwise_solve
 from .holomorphy import _cr_defect, _cr_residual
 from .hypercomplex import (
     QuaternionFunction,
@@ -99,7 +100,9 @@ class SpencerChart:
 # their conjugates, is B = R T with R the real Jacobian of the chart map
 # (``DegenerateChartError``) and T = [[E, E], [iE, -iE]] constant.  Every
 # check factors the real R and applies T^-1 in closed form, so no complex
-# (d, d) matrix spans the grid or is factored.
+# (d, d) matrix spans the grid or is factored.  R's determinant and solves
+# are those of ``structures`` (``_det``, ``pointwise_solve``), tile by tile:
+# closed forms on a 4D patch, where R is 4 x 4, and LU from 6D on.
 
 
 def _basis_columns(chart: SpencerChart, mode: str) -> np.ndarray:
@@ -132,12 +135,28 @@ def _normalized_det(frame: np.ndarray) -> np.ndarray:
     n = d // 2
 
     def normalized(r):
+        # one entry-major copy, which the norms and the determinant both read
+        r = _entry_major(r)
         sq = (r * r).sum(axis=-2)  # squared column norms
         # floored as a product, so zero gradients give 0, not 0 / 0
         norms = np.maximum(np.prod(sq[:, :n] + sq[:, n:], axis=-1), 1e-300)
-        return 2.0 ** n * np.abs(np.linalg.det(r)) / norms
+        return 2.0 ** n * np.abs(_det(r)) / norms
 
-    return slab_map(normalized, frame.shape[:-2], frame.itemsize * d * d, frame)
+    # a tile holds the entry-major copy of R and, at once, its square or the
+    # determinant's 12 minors and two products, beside the squared norms and
+    # their product: 2 d (d + 1) floats a node
+    return slab_map(normalized, frame.shape[:-2], frame.itemsize * 2 * d * (d + 1),
+                    frame)
+
+
+def _frame_tiles(frame: np.ndarray):
+    """R as a ``slab_map`` input over a box: each tile one entry-major copy
+    (``_entry_major``), which the solve reads in place, where a node-major
+    copy would be copied again.  A frame broadcast on every grid axis (a
+    linear chart in exact mode) stays the array, so it costs one node."""
+    if not any(frame.strides[:-2]):
+        return frame
+    return lambda tile: _entry_major(frame[tile])
 
 
 def _over_basis(frame: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -148,7 +167,7 @@ def _over_basis(frame: np.ndarray, x: np.ndarray) -> np.ndarray:
     with (y11, y12) the first n rows of y's two halves and (y21, y22) the
     last n, the result is [P; Q] with P = [(y11 + y22) + i (y12 - y21)] / 2
     and Q = [(y11 - y22) + i (y12 + y21)] / 2."""
-    y = np.linalg.solve(frame, x)
+    y = pointwise_solve(frame, x)
     n, c = y.shape[-2] // 2, y.shape[-1] // 2
     y *= 0.5
     y11, y12 = y[..., :n, :c], y[..., :n, c:]
@@ -214,14 +233,15 @@ def _verified(acs: AlmostComplexStructure, chart: SpencerChart, mode: str,
                      node_sup(first[:, n:n + m]), node_sup(first[:, n + m:])]
         return np.stack(sups, axis=-1)
 
-    # a tile holds node-major copies of jc and R (2 d^2 floats a node) beside
-    # about 4 d^2 floats of the kernel's at once: einsum's complex copy of jc,
-    # then jc R, its solve and [P; Q].  Tiles are sized for 8 d^2 floats and
-    # the results, m + 4 floats an order, twice while they are stacked.
+    # a tile holds copies of jc and R (``_frame_tiles``; 2 d^2 floats a node)
+    # beside about 4 d^2 floats of the kernel's at once: einsum's complex
+    # copy of jc, then jc R, its solve and [P; Q].  Tiles are sized for
+    # 8 d^2 floats and the results, m + 4 floats an order, twice while they
+    # are stacked.
     count = len(orders)
     per_node = slab_map(pattern, patch.interior(1),
                         8 * (8 * patch.dim ** 2 + 2 * count * (m + 4)),
-                        acs.cot_values(), frame)
+                        acs.cot_values(), _frame_tiles(frame))
     shape = per_node.shape[:-1]  # the interior's
     holo = per_node[..., :count * m].reshape(shape + (count, m))
     sups = per_node[..., count * m:].reshape(shape + (count, 4))
@@ -301,18 +321,29 @@ def _superposition(acs: AlmostComplexStructure, chart: SpencerChart,
         raise ChartError(
             f"h is not almost holomorphic (residual {hres.sup_norm:.2e} "
             f"> {tolerance:.1e})")
-    # the coefficients of dh over B = R T
-    coeffs = _over_basis(frame, np.stack([dh.real, dh.imag], axis=-1))[..., 0]
     n = chart.n
     m = chart.m
     patch = chart.patch
-    pointwise = np.abs(coeffs[..., m:]).max(axis=-1)
+
+    def blocks(frame, dh):
+        # the coefficients of dh over B = R T, and their largest modulus in
+        # each block that must vanish; dh's real and imaginary parts are read
+        # in place as the columns of x
+        coeffs = _over_basis(frame, dh[..., None].view(float))[..., 0]
+        return np.stack([node_sup(coeffs[:, m:n]), node_sup(coeffs[:, n:n + m]),
+                         node_sup(coeffs[:, n + m:])], axis=-1)
+
+    # a tile holds copies of R (``_frame_tiles``) and dh beside the solve's
+    # minors and adjugate: under 4 d^2 + 8 d floats a node
+    d = patch.dim
+    sups = slab_map(blocks, patch.interior(1), 8 * (4 * d * d + 8 * d),
+                    _frame_tiles(frame), dh)
     breakdown = {
-        "complement": interior_sup(coeffs[..., m:n], patch) if m < n else 0.0,
-        "conj_holo": interior_sup(coeffs[..., n:n + m], patch),
-        "conj_complement": interior_sup(coeffs[..., n + m:], patch) if m < n else 0.0,
+        "complement": interior_sup(sups[..., 0], patch) if m < n else 0.0,
+        "conj_holo": interior_sup(sups[..., 1], patch),
+        "conj_complement": interior_sup(sups[..., 2], patch) if m < n else 0.0,
     }
-    return report_from_pointwise(pointwise, patch, mode, breakdown)
+    return report_from_pointwise(sups.max(axis=-1), patch, mode, breakdown)
 
 
 def transition_holomorphy_check(chart_a: SpencerChart, chart_b: SpencerChart,
@@ -340,15 +371,21 @@ def transition_holomorphy_check(chart_a: SpencerChart, chart_b: SpencerChart,
                              "no transition is attempted")
         frames.append(frame)
     m, n = chart_a.m, chart_a.n
-    # chart B's first m basis columns are its dw_b^j = grad u_b^j + i grad
-    # v_b^j: expand them over chart A's basis, one real solve
-    wb = frames[1][..., np.r_[0:m, n:n + m]]
-    coeffs = _over_basis(frames[0], wb)
-    tails = np.abs(coeffs[..., m:, :]).max(axis=-2)
-    pointwise = tails.max(axis=-1)
-    breakdown = {f"w{j + 1}": interior_sup(tails[..., j], chart_a.patch)
-                 for j in range(m)}
-    return report_from_pointwise(pointwise, chart_a.patch, mode, breakdown)
+    patch = chart_a.patch
+    columns = np.r_[0:m, n:n + m]
+
+    def tail(frame_a, frame_b):
+        # chart B's first m basis columns are its dw_b^j = grad u_b^j + i
+        # grad v_b^j: expand them over chart A's basis, one real solve
+        coeffs = _over_basis(frame_a, frame_b[..., columns])
+        return np.abs(coeffs[:, m:, :]).max(axis=-2)
+
+    # a tile holds copies of both frames (chart A's by ``_frame_tiles``)
+    # beside the solve's minors and adjugate: under 6 d^2 floats a node
+    tails = slab_map(tail, patch.interior(1), 8 * 6 * patch.dim ** 2,
+                     _frame_tiles(frames[0]), frames[1])
+    breakdown = {f"w{j + 1}": interior_sup(tails[..., j], patch) for j in range(m)}
+    return report_from_pointwise(tails.max(axis=-1), patch, mode, breakdown)
 
 
 def fit_polynomial_map(inputs: np.ndarray, values: np.ndarray, degree: int,

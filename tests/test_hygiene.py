@@ -31,10 +31,10 @@ matrix, and perfbench's tracer sees every factorization there.
 Only the calls that ``LINALG_ALLOWLIST`` names, each with its reason, call
 ``det``, ``inv`` or ``solve`` of ``np.linalg`` (or of any ``linalg``
 module).  ``structures`` takes the determinant, the inverse and the solve
-of n x n matrices in closed form for n <= 3, so the list holds its n >= 4
-branches, the 2n x 2n real chart frame of ``spencer``, and the one constant
-frame G of a normalization or a fixture.  An allowlist entry whose call is
-gone is stale.
+of n x n matrices in closed form for n <= 4, so the list holds its n >= 5
+branches and the one constant frame G of a normalization or a fixture.
+``spencer`` factors its real chart frame through ``structures``.  An
+allowlist entry whose call is gone is stale.
 
 Only ``cli._tolerance`` picks where a verdict's tolerance comes from: no
 other code in ``cli.py`` reads ``args.tol`` or a scene's ``tolerances``, or
@@ -380,11 +380,9 @@ def test_the_check_sees_a_stray_splu():
 # top-level definition that makes them and the function called
 LINALG_FACTORINGS = {"det", "inv", "solve"}
 LINALG_ALLOWLIST = {
-    ("structures.py", "_det", "det"): "n >= 4; n <= 3 is a cofactor expansion",
-    ("structures.py", "_inverse", "inv"): "n >= 4; n <= 3 is the adjugate",
-    ("structures.py", "pointwise_solve", "solve"): "n >= 4; n <= 3 is Cramer's rule",
-    ("spencer.py", "_normalized_det", "det"): "the 2n x 2n real chart frame R",
-    ("spencer.py", "_over_basis", "solve"): "the 2n x 2n real chart frame R",
+    ("structures.py", "_det", "det"): "n >= 5; n <= 4 is a Laplace expansion",
+    ("structures.py", "_inverse", "inv"): "n >= 5; n <= 4 is the adjugate",
+    ("structures.py", "pointwise_solve", "solve"): "n >= 5; n <= 4 is Cramer's rule",
     ("structures.py", "normalizing_frame", "det"): "the constant frame G, one matrix",
     ("structures.py", "normalize_at_origin", "inv"): "G^-1 of the constant frame",
     ("holomorphy.py", "reduced_system", "inv"): "G^-1 of the constant frame",
@@ -423,7 +421,7 @@ def _linalg_calls(tree: ast.Module, module: str) -> list[tuple[str, str, str]]:
     return [hit for *_, hit in sorted(hits)]
 
 
-def test_no_lapack_factoring_below_4x4():
+def test_no_lapack_factoring_below_5x5():
     calls = [c for path in MODULES for c in _linalg_calls(_tree(path), path.name)]
     assert [c for c in calls if c not in LINALG_ALLOWLIST] == []
     assert [entry for entry in LINALG_ALLOWLIST if entry not in calls] == []  # stale
@@ -561,7 +559,9 @@ SLAB_MAP_CALLS = sorted([
     ("holomorphy.py", "_cr_residual", "interior(1)"),
     ("hypercomplex.py", "k_hyperholo_residual", "interior(1)"),
     ("spencer.py", "_normalized_det", "grid"),
+    ("spencer.py", "_superposition", "interior(1)"),
     ("spencer.py", "_verified", "interior(1)"),
+    ("spencer.py", "transition_holomorphy_check", "interior(1)"),
     ("structures.py", "BlockDecomposition.identity_residuals", "grid"),
     ("structures.py", "BlockDecomposition.round_trip_gap", "grid"),
     ("structures.py", "_square_residual", "grid"),

@@ -940,19 +940,25 @@ class TestCliWorkflows:
         assert len(seen) == calls
 
     def test_spencer_superpose_factors_no_complex_matrix(self, capsys, monkeypatch):
-        # the chart basis B = R T is factored through the real R alone
+        # the chart basis B = R T is factored through the real R alone, and
+        # the 4 x 4 R in closed form: its determinant (_det) and the
+        # adjugate of its solves (_adjugate), never by LAPACK.  Exact mode
+        # reads a linear chart's R on one node, fd mode on every node.
         dtypes = []
-        for name in ("solve", "det"):
-            def recording(*args, fn=getattr(np.linalg, name), name=name):
+        for owner, name in ((np.linalg, "solve"), (np.linalg, "det"),
+                            (spencer, "_det"), (structures, "_adjugate")):
+            def recording(*args, fn=getattr(owner, name), name=name):
                 dtypes.append((name, *(np.asarray(a).dtype for a in args)))
                 return fn(*args)
-            monkeypatch.setattr(np.linalg, name, recording)
-        code = run(["spencer", "verify", SCENES / "type1.json",
-                    "--chart", "type1", "--superpose", "zsq", "--no-meta"])
-        assert code == 0
-        assert "superposition" in json.loads(capsys.readouterr().out)["results"]
-        assert {call[0] for call in dtypes} == {"solve", "det"}
-        assert not [call for call in dtypes if any(t.kind == "c" for t in call[1:])]
+            monkeypatch.setattr(owner, name, recording)
+        for mode in (["--mode", "exact"], ["--mode", "fd", "--grid", "7"]):
+            dtypes.clear()
+            code = run(["spencer", "verify", SCENES / "type1.json", "--chart", "type1",
+                        "--superpose", "zsq", "--no-meta", *mode])
+            assert code == 0
+            assert "superposition" in json.loads(capsys.readouterr().out)["results"]
+            assert {call[0] for call in dtypes} == {"_det", "_adjugate"}
+            assert not [call for call in dtypes if any(t.kind == "c" for t in call[1:])]
 
     def test_spencer_overclaim_fails(self, capsys):
         code = run(["spencer", "verify", SCENES / "type1.json",

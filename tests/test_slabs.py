@@ -7,6 +7,7 @@ order, wherever the slab boundaries fall.
 """
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,8 @@ from spencerkit.fixtures import (
 )
 from spencerkit.holomorphy import antiholo_residual, holo_residual
 from spencerkit.hypercomplex import QuaternionFunction, k_hyperholo_residual
-from spencerkit.spencer import SpencerChart, _basis_columns, _normalized_det, verify_chart
+from spencerkit.spencer import SpencerChart, _basis_columns, _normalized_det, \
+    superposition_check, transition_holomorphy_check, verify_chart
 from spencerkit.structures import (
     InvalidStructureError,
     SingularMatrixError,
@@ -922,6 +924,24 @@ def test_a_boxed_check_has_the_bits_of_the_whole_grid_in_every_tiling(monkeypatc
         assert nodes == sizes
 
 
+def _traced_slope(monkeypatch, call, nodes: int) -> float:
+    """The traced peak of a ``slab_map`` call, ``call`` = (kernel, box,
+    node_bytes, *inputs), in tiles of ``nodes`` and of 3 ``nodes`` nodes:
+    how much it grows a node."""
+    kernel, box, node_bytes, *inputs = call
+    peaks = []
+    for size in (nodes, 3 * nodes):
+        monkeypatch.setattr(report, "SLAB_BYTES", size * node_bytes)
+        report.slab_map(kernel, box, node_bytes, *inputs)  # lazy set-up first
+        tracemalloc.start()
+        try:
+            report.slab_map(kernel, box, node_bytes, *inputs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return (peaks[1] - peaks[0]) / (2 * nodes)
+
+
 @pytest.mark.parametrize("check", BOXED)
 def test_a_boxed_tile_holds_at_most_its_declared_bytes(monkeypatch, check):
     # node_bytes declares what a tile holds a node: the kernel's temporaries
@@ -939,16 +959,66 @@ def test_a_boxed_tile_holds_at_most_its_declared_bytes(monkeypatch, check):
 
     monkeypatch.setattr(module, "slab_map", recorded)
     run()
-    (kernel, box, node_bytes, *inputs), = calls
-    peaks = []
-    for nodes in (729, 3 * 729):
-        monkeypatch.setattr(report, "SLAB_BYTES", nodes * node_bytes)
-        report.slab_map(kernel, box, node_bytes, *inputs)  # lazy set-up first
-        tracemalloc.start()
-        try:
-            report.slab_map(kernel, box, node_bytes, *inputs)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    slope = (peaks[1] - peaks[0]) / (2 * 729)
-    assert 0.0 < slope <= node_bytes
+    (call,) = calls
+    assert 0.0 < _traced_slope(monkeypatch, call, 729) <= call[2]
+
+
+def _guards_and_chart_solves(patch):
+    """The two guards over the whole grid, of the chart frame and of
+    J^2 = -E, and the chart frame's solves of a superposition and of a
+    transition over the interior, on a 4D ``patch`` in fd mode.  Each is the
+    module whose ``slab_map`` runs the kernel, the kernel's name, its box,
+    and a check that runs it."""
+    h = _pulled_back_pair(patch)
+    z1, z2 = (coordinate_function(patch, k) for k in (1, 2))
+    acs = type1_structure(patch)
+    chart = SpencerChart(1, *(tuple(f) for f in type1_chart_functions(patch)))
+    # w = z1 + 0.1 z1^2 and z2, a chart whose transition from the first is
+    # holomorphic and not linear
+    bent = SpencerChart(1, (ComplexField.from_exprs(patch, "x1 + 0.1*(x1^2 - x2^2)",
+                                                    "x2 + 0.2*x1*x2"),), chart.complement)
+    square = ComplexField.from_exprs(patch, "x1^2 - x2^2", "2*x1*x2")
+    grid, interior = patch.resolution, patch.interior(1)
+    return {
+        "chart_frame": (spencer, "normalized", grid,
+                        lambda: verify_chart(h.J, SpencerChart(1, (z1,), (z2,)), "fd")),
+        "square": (structures, "_square_sup", grid,
+                   lambda: validate_acs(h.J.j_cot, tolerance=1e-10)),
+        "superposition": (spencer, "blocks", interior,
+                          lambda: superposition_check(acs, chart, square, "fd")),
+        "transition": (spencer, "tail", interior,
+                       lambda: transition_holomorphy_check(chart, bent, acs, "fd")),
+    }
+
+
+@pytest.mark.parametrize("name", ["chart_frame", "square", "superposition", "transition"])
+def test_a_guard_or_chart_solve_tile_holds_at_most_its_declared_bytes(monkeypatch, name):
+    # over a 4D grid 11, in tiles of one and of three indices of the box's
+    # first axis; an fd chart frame spans the grid
+    patch = Patch.box(2, -1.0, 1.0, 11)
+    module, kernel_name, box, run = _guards_and_chart_solves(patch)[name]
+    calls = []
+
+    def recorded(kernel, *args):
+        if kernel.__name__ == kernel_name:
+            calls.append((kernel, *args))
+        return report.slab_map(kernel, *args)
+
+    monkeypatch.setattr(module, "slab_map", recorded)
+    run()
+    (call,) = calls
+    assert call[1] == box
+    extent = [r.stop - r.start if isinstance(r, slice) else r for r in box]
+    assert 0.0 < _traced_slope(monkeypatch, call, math.prod(extent[1:])) <= call[2]
+
+
+@pytest.mark.parametrize("name", ["superposition", "transition"])
+def test_a_chart_solve_has_the_bits_of_one_tile_in_every_tiling(monkeypatch, name):
+    # the frame's solves run node by node over the 5^4 interior, so tiles of
+    # 125 nodes down to one give the report of one tile, every bit
+    *_, run = _guards_and_chart_solves(PATCH)[name]
+    whole = _outcome(run)
+    assert "sup_norm" in whole
+    for nodes in (125, 75, 2, 1):
+        _tiled_by(monkeypatch, nodes)
+        assert _outcome(run) == whole

@@ -12,7 +12,7 @@ from spencerkit.fixtures import (
     type1_structure,
 )
 from spencerkit.holomorphy import antiholo_residual, holo_residual
-from spencerkit import spencer
+from spencerkit import spencer, structures
 from spencerkit.hypercomplex import QuaternionFunction
 from spencerkit.report import slab_map
 from spencerkit.spencer import (
@@ -505,6 +505,28 @@ class TestRealFrame:
         assert conj_gap <= 1e-12 * np.abs(ref).max()
         assert gap <= 1e-12 * np.abs(ref).max()
 
+    def test_each_solve_reads_its_tile_of_r_without_copying_it(self, monkeypatch, type1,
+                                                                patch4d):
+        # in fd mode R spans the grid; the pattern, superposition and
+        # transition kernels get each tile of it as one entry-major copy,
+        # which the closed-form solve reads as it is (``_entry_major``)
+        acs, chart = type1
+        bent = SpencerChart(1, (ComplexField.from_exprs(patch4d, "x1 + 0.1*(x1^2 - x2^2)",
+                                                        "x2 + 0.2*x1*x2"),), chart.complement)
+        layouts = []
+        adjugate = structures._adjugate
+
+        def recording(v):
+            layouts.append(np.moveaxis(v, (-2, -1), (0, 1)).flags.c_contiguous)
+            return adjugate(v)
+
+        monkeypatch.setattr(structures, "_adjugate", recording)
+        superposition_check(acs, chart, chart.holo[0] * chart.holo[0], "fd")
+        transition_holomorphy_check(chart, bent, acs, "fd")
+        # the superposition's pattern and coefficients, then the two
+        # patterns of the transition and its expansion, one tile each
+        assert layouts == [True] * 5
+
     def test_superposition_coefficients(self, patch4d):
         # coefficients of dh for an h that is not holomorphic, so none vanish
         chart = curved_chart(patch4d)
@@ -527,6 +549,22 @@ class TestRealFrame:
         with pytest.raises(DegenerateChartError) as err:
             verify_chart(standard_structure(p), chart)
         assert err.value.node == (4, 1, 3, 0)
+        assert "normalized determinant 0.00e+00" in str(err.value)
+
+    @pytest.mark.parametrize("mode", ["exact", "fd"])
+    @pytest.mark.parametrize("w2, node", [(("1", "2"), (0, 0, 0, 0)),
+                                          (("x1^2 - x2^2", "2*x1*x2"), (0, 0, 0, 0)),
+                                          (("x1*x3", "x1*x4"), (3, 0, 0, 0))],
+                             ids=["constant", "square", "hyperplane"])
+    def test_a_degenerate_4x4_frame_is_named_as_by_lu(self, patch4d, mode, w2, node):
+        # the closed-form determinant of R names the node and the value that
+        # LU named: w2 constant, w2 = w1^2 (R of rank 2 on every node, not
+        # constant) and w2 = x1 (x3 + i x4) (rank 2 on the hyperplane x1 = 0)
+        chart = SpencerChart(1, (coordinate_function(patch4d, 1),),
+                             (ComplexField.from_exprs(patch4d, *w2),))
+        with pytest.raises(DegenerateChartError) as err:
+            verify_chart(type1_structure(patch4d), chart, mode)
+        assert err.value.node == node
         assert "normalized determinant 0.00e+00" in str(err.value)
 
     @pytest.mark.parametrize("constants", [1, 2])

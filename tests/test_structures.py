@@ -546,7 +546,9 @@ def _band_matrix(n, x):
     at most 1, one of them 1, whose first two columns are parallel but for x."""
     return {1: [[x]],
             2: [[1.0, 0.5], [0.25, 0.125 + x]],
-            3: [[1.0, 0.5, 0.0], [0.25, 0.125 + x, 0.5], [0.5, 0.25, 1.0]]}[n]
+            3: [[1.0, 0.5, 0.0], [0.25, 0.125 + x, 0.5], [0.5, 0.25, 1.0]],
+            4: [[1.0, 0.5, 0.0, 0.0], [0.25, 0.125 + x, 0.5, 0.0],
+                [0.5, 0.25, 1.0, 0.0], [0.25, 0.125, 0.5, 1.0]]}[n]
 
 
 def _band_stack(rng, n, grid=(6, 8)):
@@ -568,8 +570,9 @@ def _band_stack(rng, n, grid=(6, 8)):
 
 
 class TestClosedFormInverse:
-    """For n <= 3 ``pointwise_inverse`` takes the determinant and the
-    inverse in closed form, with no LAPACK call per node."""
+    """For n <= 4 ``pointwise_inverse`` takes the determinant and the
+    inverse in closed form, and ``pointwise_solve`` solves by Cramer's rule,
+    with no LAPACK call per node."""
 
     def test_1x1_inverse_is_lapacks_bit_for_bit(self):
         rng = np.random.default_rng(11)
@@ -597,22 +600,40 @@ class TestClosedFormInverse:
         assert (error <= 8 * cond * ulp).all()
         assert np.median(cond) > 5.0  # not all well conditioned
 
+    def test_4x4_forms_agree_with_lapack_to_roundoff(self):
+        # the determinant, the inverse and the solve, each within a few ulps
+        # of its largest entry, times the condition number
+        rng = np.random.default_rng(15)
+        values = rng.normal(size=(20000, 4, 4))
+        b = rng.normal(size=(20000, 4, 4))
+        cond = np.linalg.cond(values)
+        det = np.linalg.det(values)
+        assert (np.abs(structures._det(values) - det)
+                <= 8 * cond * np.spacing(np.abs(det))).all()
+        for x, reference in ((pointwise_inverse(values, "m"), np.linalg.inv(values)),
+                             (pointwise_solve(values, b), np.linalg.solve(values, b))):
+            ulp = np.spacing(np.abs(reference).max(axis=(-2, -1), keepdims=True))
+            assert (np.abs(x - reference) <= 8 * cond[:, None, None] * ulp).all()
+        assert np.median(cond) > 5.0  # not all well conditioned
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_cramers_rule_agrees_with_lapacks_solve(self, n):
-        # the reduced system's (C - E) w = D - iE: bit for bit at n = 1, and
-        # within a few ulps of the largest entry, times the condition number
+        # the reduced system's (C - E) w = D - iE, and the real right-hand
+        # side of a chart frame's solve: bit for bit at n = 1, and within a
+        # few ulps of the largest entry, times the condition number
         rng = np.random.default_rng(14)
         a = rng.normal(size=(6, 8, n, n))
-        b = rng.normal(size=(6, 8, n, n)) - 1j * np.eye(n)
-        reference = np.linalg.solve(a, b)
-        x = pointwise_solve(a, b)
-        if n == 1:
-            assert x.tobytes() == reference.tobytes()
-        ulp = np.spacing(np.abs(reference).max(axis=(-2, -1), keepdims=True))
+        real = rng.normal(size=(6, 8, n, n))
         cond = np.linalg.cond(a)[..., None, None]
-        assert x.dtype == complex and (np.abs(x - reference) <= 8 * cond * ulp).all()
+        for b in (real - 1j * np.eye(n), real):
+            reference = np.linalg.solve(a, b)
+            x = pointwise_solve(a, b)
+            if n == 1:
+                assert x.tobytes() == reference.tobytes()
+            ulp = np.spacing(np.abs(reference).max(axis=(-2, -1), keepdims=True))
+            assert x.dtype == b.dtype and (np.abs(x - reference) <= 8 * cond * ulp).all()
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("seed", range(5))
     def test_guard_gives_the_lapack_verdicts(self, n, seed):
         values = _band_stack(np.random.default_rng(seed), n)
@@ -628,9 +649,9 @@ class TestClosedFormInverse:
             pointwise_inverse(values, "m")
         assert err.value.node == (1, 1)
 
-    @pytest.mark.parametrize("n, lapack", [(1, {}), (2, {}), (3, {}),
-                                           (4, {"det": 1, "inv": 1})])
-    def test_lapack_only_from_n_4(self, monkeypatch, n, lapack):
+    @pytest.mark.parametrize("n, lapack", [(1, {}), (2, {}), (3, {}), (4, {}),
+                                           (5, {"det": 1, "inv": 1})])
+    def test_lapack_only_from_n_5(self, monkeypatch, n, lapack):
         calls = {}
         for name in ("det", "inv"):
             def counting(a, name=name, original=getattr(np.linalg, name)):
@@ -643,7 +664,7 @@ class TestClosedFormInverse:
         assert calls == lapack
         assert np.abs(inverse @ values - np.eye(n)).max() <= 1e-14
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_constant_input_costs_one_node(self, monkeypatch, n):
         patch = Patch.box(2, -1.0, 1.0, 9)
         m = np.eye(n) + 0.3 * np.arange(n * n).reshape(n, n)
