@@ -6,9 +6,10 @@ Conventions used throughout the package:
   ``d = 2*dim_half`` carries coordinates ``x1 .. xd``.
 * Every field is stored as one ``MatrixField``: the r x c expressions of
   its entries, when all have one, and one (*grid, r, c) array of samples,
-  taken lazily.  A ``ScalarField`` is the 1 x 1 case and a ``ComplexField``
-  wraps the 1 x 2 field of its (re, im) parts, so sampling, ``diff`` and
-  algebra exist once, in ``MatrixField``.
+  taken once a reader asks for them, or stacked when the matrix is built
+  from entries one of which has no expression.  A ``ScalarField`` is the
+  1 x 1 case and a ``ComplexField`` wraps the 1 x 2 field of its (re, im)
+  parts, so sampling, ``diff`` and algebra exist once, in ``MatrixField``.
 * The broadcast rule: entries that all use no variable (a constant field)
   are sampled at one node, and the (*grid, r, c) samples are that node
   broadcast to the grid, a read-only view with stride 0 on every grid axis
@@ -286,9 +287,9 @@ class MatrixField:
 
     def __init__(self, patch: Patch, rows):
         """Matrix of the scalar fields in ``rows``, a nested sequence.  It
-        keeps their expressions if all have one, and stacks their samples
-        through ``report.slab_map`` if some has none or all are sampled
-        already: one node when every entry is (the broadcast rule)."""
+        keeps their expressions if all have one, sampled when first read,
+        and else stacks their samples through ``report.slab_map``: one node
+        when every entry is (the broadcast rule)."""
         rows = _rectangular(rows)
         entries = [e for row in rows for e in row]
         for e in entries:
@@ -300,7 +301,7 @@ class MatrixField:
         self.exprs = self._values = None
         if all(e.is_exact for e in entries):
             self.exprs = tuple(tuple(e.expr for e in row) for row in rows)
-        if self.exprs is None or all(e._values is not None for e in entries):
+        else:
             stacked = slab_map(lambda *x: np.stack(x, axis=-1), patch.resolution,
                                8 * len(entries), *(e.samples for e in entries))
             self._values = stacked.reshape(patch.resolution + (len(rows), len(rows[0])))

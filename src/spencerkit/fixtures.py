@@ -46,11 +46,11 @@ def standard_structure(patch: Patch) -> AlmostComplexStructure:
                         tolerance=1e-12)
 
 
-def structure_from_cot(patch: Patch, rows, tolerance: float = 1e-8,
-                       strict: bool = True) -> AlmostComplexStructure:
+def structure_from_cot(patch: Patch, rows,
+                       tolerance: float = 1e-8) -> AlmostComplexStructure:
     """Validate a cotangent matrix given as expression strings."""
     return validate_acs(MatrixField.from_exprs(patch, rows), rep="cot",
-                        tolerance=tolerance, strict=strict)
+                        tolerance=tolerance)
 
 
 def pullback_structure(patch: Patch, phi) -> AlmostComplexStructure:

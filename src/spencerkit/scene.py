@@ -115,8 +115,9 @@ class Scene:
         return float(self.tolerances.get(which, default))
 
     def _real(self, text, where: str) -> ScalarField:
-        """Field ``text``, sampled here with its first derivatives (but for
-        fd mode) so that a non-finite value is named by its scene key."""
+        """Field ``text``, holding no samples.  It is sampled here with its
+        first derivatives (but for fd mode) so that a non-finite value is
+        named by its scene key; a reader samples it again."""
         f = ScalarField.from_expr(self.patch, text)
         try:
             f.samples
@@ -124,7 +125,7 @@ class Scene:
                 f.derivatives("exact")
         except EvaluationError as exc:
             raise SceneError(f"{where}: {exc}") from None
-        return f
+        return ScalarField.from_expr(self.patch, f.expr)
 
     def _complex(self, spec, where: str) -> ComplexField:
         if isinstance(spec, str):

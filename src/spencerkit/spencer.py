@@ -114,12 +114,8 @@ def _basis_columns(chart: SpencerChart, mode: str) -> np.ndarray:
     ``_normalized_det`` is at most 1e-8."""
     fns = chart.functions()
     parts = [f.re for f in fns] + [f.im for f in fns]
-    # a temporary field, so that its fd samples are gone before the guard;
-    # in exact mode it holds the expressions alone, whose derivatives read
-    # no samples
-    frame = (MatrixField.from_exprs(chart.patch, [[p.expr for p in parts]])
-             if mode == "exact" else MatrixField(chart.patch, [parts])
-             ).derivatives(mode)[..., 0, :]
+    # a temporary field, so that its fd samples are gone before the guard
+    frame = MatrixField(chart.patch, [parts]).derivatives(mode)[..., 0, :]
     neg_min, node = sup_and_node(-_normalized_det(frame))
     if -neg_min <= 1e-8:
         raise DegenerateChartError(node, -neg_min)

@@ -15,6 +15,10 @@ No module-level function takes a parameter it never reads: a caller would
 build an argument for nothing.  Methods are exempt, since they may keep a
 signature their class shares.
 
+No module-level function has a defaulted parameter that no call in the
+package or the tests sets: its default is then the only value, a constant
+dressed as an option.  The ``mode`` that every check takes is exempt.
+
 No ``spencerctl`` command declares a flag that it never reads: a user would
 type a value that changes nothing.  A command reads ``args.<dest>`` in its
 ``fn`` or in a ``cli`` function that its ``fn`` passes ``args`` to.
@@ -229,6 +233,61 @@ def test_the_check_sees_an_unused_parameter():
              "async def h(x, y=lambda y: y):\n    return x\n"
     assert _unused_parameters(ast.parse(source)) == [
         "f: b (line 1)", "f: c (line 1)", "f: kw (line 1)", "h: y (line 8)"]
+
+
+def _unset_defaults(trees: dict[str, ast.Module], callers) -> list[str]:
+    """Defaulted parameters of the module-level functions of ``trees``
+    (module name to parsed module) that no call in ``callers`` sets, by
+    keyword or by position.  A call is matched by the function's name, bare
+    or as an attribute; ``*args`` sets every positional parameter and
+    ``**kwargs`` every parameter.  ``mode``, which every check takes, is
+    exempt."""
+    defaulted = {}
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            params = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+            params += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            defaulted.setdefault(node.name, []).append(
+                (f"{module}.{node.name}", node.lineno, [a.arg for a in positional],
+                 {p for p in params if p != "mode"}))
+    for tree in callers:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if name not in defaulted:
+                continue
+            for _, _, positional, unset in defaulted[name]:
+                if any(isinstance(a, ast.Starred) for a in call.args):
+                    unset -= set(positional)
+                unset -= set(positional[:len(call.args)])
+                unset -= {k.arg for k in call.keywords}
+                if any(k.arg is None for k in call.keywords):
+                    unset.clear()
+    return sorted(f"{qual}({param}=) (line {line})" for funcs in defaulted.values()
+                  for qual, line, _, unset in funcs for param in unset)
+
+
+def test_every_default_is_overridden_somewhere():
+    trees = {p.stem: _tree(p) for p in MODULES}
+    assert _unset_defaults(trees, [_tree(p) for p in MODULES + TESTS]) == []
+
+
+def test_the_check_sees_a_default_no_call_sets():
+    core = "def f(a, b=1, c=2, *, d=3, mode='auto'):\n    pass\n" \
+           "def g(x, y=0):\n    pass\n" \
+           "def h(x=0, y=0):\n    pass\n" \
+           "def k(x=0):\n    pass\n" \
+           "class C:\n    def m(self, z=0):\n        pass\n"
+    util = "def f(b=1):\n    pass\n"
+    callers = "f(0, 1)\nobj.f(0, d=4)\ng(*xs)\nh(**options)\nC().m()\n"
+    trees = {"core": ast.parse(core), "util": ast.parse(util)}
+    assert _unset_defaults(trees, [ast.parse(callers)]) == [
+        "core.f(c=) (line 1)", "core.k(x=) (line 7)"]
 
 
 def _args_reads(tree: ast.Module) -> dict[str, set[str]]:

@@ -15,7 +15,7 @@ from spencerkit import brackets, cli, elliptic, holomorphy, hypercomplex, report
     spencer, structures
 from spencerkit.cli import main
 from spencerkit.gridio import read_field_csv, write_field_csv
-from spencerkit.fields import Patch, ScalarField
+from spencerkit.fields import MatrixField, Patch, ScalarField
 from spencerkit.report import jsonable
 from spencerkit.scene import SceneError, load_scene, parse_scene
 
@@ -82,6 +82,18 @@ class TestSceneParsing:
         for path in SCENES.glob("*.json"):
             scene = load_scene(path)
             assert scene.patch.n_points > 0
+
+    @pytest.mark.parametrize("mode", ["exact", "fd"])
+    def test_named_objects_hold_no_samples(self, mode):
+        # the scene checks each field's samples, and outside fd mode its
+        # exact derivatives, but keeps none of them
+        hyper = load_scene(SCENES / "hyper_flat.json", mode_override=mode)
+        type1 = load_scene(SCENES / "type1.json", mode_override=mode)
+        reals = [hyper.scalar_field("uj"),
+                 *hyper.quaternion_function("square").components()]
+        parts = [type1.complex_field("zsq").parts,
+                 *(f.parts for f in type1.chart("type1").functions())]
+        assert all(f.is_exact and f._values is None for f in reals + parts)
 
 
 class TestCliExitCodes:
@@ -745,25 +757,31 @@ class TestOneInversePerMatrix:
 
 
 class TestNoUnreadSampleStack:
-    """The scene samples a chart's coordinates when it loads them.  In exact
-    mode ``spencer verify`` takes the chart frame R from the expressions of
-    their real parts, so it stacks none of those samples; in fd mode R is
-    differenced from one stack of them."""
+    """A scene's fields hold no samples, and a matrix of expression fields
+    keeps their expressions, sampled when first read: no check that reads
+    the scene's objects stacks samples of expression entries through
+    ``fields.slab_map``, in exact or fd mode.  (An fd check still stacks
+    the sample-backed parts of the fields it computes.)"""
 
-    @pytest.mark.parametrize("mode, stacks", [("exact", 0), ("fd", 1)])
-    def test_spencer_verify(self, capsys, monkeypatch, mode, stacks):
-        calls = []
+    @pytest.mark.parametrize("mode", ["exact", "fd"])
+    @pytest.mark.parametrize("argv", [
+        ["holo", "residual", SCENES / "type1.json", "--field", "zsq"],
+        ["bracket", "check", SCENES / "standard2d.json", "--x", "dz", "--y",
+         "dzbar", "--field", "cubic", "--case", "holo_antiholo"],
+        ["hyper", "check", SCENES / "hyper_flat.json", "--function", "identity"],
+        ["spencer", "verify", SCENES / "type1.json", "--chart", "type1"],
+    ], ids=["holo-residual", "bracket-check", "hyper-check", "spencer-verify"])
+    def test_no_stack(self, capsys, monkeypatch, argv, mode):
+        stacks = []
 
-        def counting(kernel, grid, node_bytes, *inputs, original=report.slab_map):
-            calls.append((tuple(grid), len(inputs)))
-            return original(kernel, grid, node_bytes, *inputs)
+        def recording(self, patch, rows, original=MatrixField.__init__):
+            original(self, patch, rows)
+            if self.is_exact and self._values is not None:
+                stacks.append(self.exprs)
 
-        monkeypatch.setattr("spencerkit.fields.slab_map", counting)
-        argv = ["spencer", "verify", SCENES / "type1.json", "--chart", "type1",
-                "--mode", mode, "--no-meta"]
-        assert run(argv) == 0
-        # the four real parts of (x1 + i x2, x3 + i x4) on the 7^4 grid
-        assert calls.count(((7, 7, 7, 7), 4)) == stacks
+        monkeypatch.setattr(MatrixField, "__init__", recording)
+        assert run(argv + ["--mode", mode, "--tol", "1e-6", "--no-meta"]) == 0
+        assert stacks == []
         capsys.readouterr()
 
 
