@@ -52,7 +52,7 @@ from .hypercomplex import (
 from .report import default_tolerance, interior_sup, jsonable
 from .scene import Scene, SceneError, load_scene
 from .spencer import _superposition, _verified
-from .structures import PQPair, extract_pq, nijenhuis_residual, normalize_at_origin, \
+from .structures import PQPair, nijenhuis_residual, normalize_at_origin, \
     reconstruct_from_pq, reconstructs_exactly
 
 DESCRIPTIONS = {
@@ -206,12 +206,10 @@ def cmd_acs_extract_pq(args) -> int:
     scene = _scene(args)
     acs = scene.structure()
     base = _base_node(args, scene.patch)
-    bd = normalize_at_origin(acs, base)
-    pq = extract_pq(bd)
-    # the structure the pair generates, tile by tile: checked for J^2 = -E
-    # as reconstruct_from_pq checks it, and compared with the frame
-    gap = bd.round_trip_gap(pq)
-    identities = bd.identity_residuals()
+    # the moduli pair, the structure it generates, checked for J^2 = -E as
+    # reconstruct_from_pq checks it and compared with the frame, and the
+    # block identities, in one pass
+    gap, identities, q_condition = normalize_at_origin(acs, base).round_trip()
     # pointwise algebra on the structure's values, which differentiates
     # nothing: no truncation error in any mode
     tol = _tolerance(args, scene, "exact", 1e-10)
@@ -220,7 +218,7 @@ def cmd_acs_extract_pq(args) -> int:
         "base_node": list(base),
         "round_trip_gap": gap,
         "identity_residuals": identities,
-        "q_condition": pq.q_condition,
+        "q_condition": q_condition,
         "tolerance": tol,
     }
     return emit("acs.extract_pq", results, passed, args)

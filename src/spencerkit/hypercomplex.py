@@ -138,11 +138,20 @@ def j_hyperholo_residual(h: HypercomplexStructure, F: QuaternionFunction,
 def k_hyperholo_residual(h: HypercomplexStructure, G: QuaternionFunction,
                          mode: str = "auto") -> ResidualReport:
     """Residual of dG o K = T o dG as four translated 1-form systems
-    K*da = sign * db, one kernel over tiles of K and of G's Jacobian: a
-    constant K with an affine G in exact mode runs on one node."""
+    K*da = sign * db, one kernel over the interior's tiles of K and of G's
+    Jacobian.  In fd mode each tile differences its block of the Jacobian
+    from G's samples, taken once, so no Jacobian spans the grid.  In exact
+    mode the Jacobian spans the grid, since sampling it is what names a
+    non-finite derivative, on the boundary ring too; there a constant K
+    with an affine G runs on one node."""
     mode = resolve_mode(mode, h.K, *G.components())
     # the columns of the (*grid, d, 4) Jacobian are du, dv, dzeta, deta
-    jac = MatrixField(h.patch, [G.components()]).derivatives(mode)[..., 0, :]
+    g = MatrixField(h.patch, [G.components()])
+    if mode == "fd":
+        def jac(tile):
+            return g.derivatives(mode, tile)[..., 0, :]
+    else:
+        jac = g.derivatives(mode)[..., 0, :]
     systems = {"du": (0, 2, -1.0), "dzeta": (2, 0, +1.0),
                "dv": (1, 3, -1.0), "deta": (3, 1, +1.0)}  # (a, b, sign)
 
@@ -151,9 +160,9 @@ def k_hyperholo_residual(h: HypercomplexStructure, G: QuaternionFunction,
                                         - sign * jac[..., b], axis=-1)
                          for a, b, sign in systems.values()], axis=-1)
 
-    # a tile holds node-major copies of K (d^2 floats a node) and of the
-    # Jacobian (4 d), beside a system's product, difference and norm (8 d
-    # at most)
+    # a tile holds a node-major copy of K (d^2 floats a node) and the
+    # Jacobian's tile (4 d), beside a system's product, difference and norm
+    # (8 d at most)
     d = h.patch.dim
     per_node = slab_map(norms, h.patch.interior(1), 8 * (d * d + 12 * d),
                         h.K.cot_values(), jac)

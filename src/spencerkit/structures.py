@@ -21,12 +21,13 @@ and satisfies ``j_cot^2 = -E`` identically, for every such pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .expr import Num, add, div, mul, neg, sub
-from .fields import MatrixField, Patch, resolve_mode
+from .fields import MatrixField, Patch, _sample, resolve_mode
 from .report import interior_sup, node_sup, slab_map, sup_and_node
 
 __all__ = [
@@ -341,6 +342,8 @@ class PQPair:
 
     ``qinv`` is Q^-1 at every node, inverted once, by the singularity guard
     (``pointwise_inverse``; a read-only broadcast view when Q is constant).
+    ``q_condition`` is the largest condition estimate |Q| |Q^-1| over the
+    grid, below 1e12 (``_q_condition``).
     """
 
     patch: Patch
@@ -355,20 +358,27 @@ class PQPair:
             raise ValueError(f"P and Q must be {n} x {n} matrix fields")
         qv = self.Q.values
         self.qinv = qinv = pointwise_inverse(qv, "Q is singular")
-        norm = np.abs(qv).sum(axis=-1).max(axis=-1)
-        inv_norm = np.abs(qinv).sum(axis=-1).max(axis=-1)
-        cond, node = sup_and_node(norm * inv_norm)
-        if cond >= 1e12:
-            raise SingularMatrixError(f"Q condition estimate {cond:.2e} exceeds 1e12",
-                                      node)
-        self.q_condition = cond
+        self.q_condition = _q_condition(_row_sum_norm(qv) * _row_sum_norm(qinv))
 
-    def generated(self, tile: tuple[slice, ...]) -> np.ndarray:
-        """The cotangent matrix the pair generates (``reconstruct_from_pq``)
-        on the nodes of ``tile``, one ``slice(start, stop)`` per grid axis:
-        a callable input of ``report.slab_map``, so the structure is built
-        one tile at a time, with the bits of the whole grid's."""
-        return _generated(self.P.values[tile], self.Q.values[tile], self.qinv[tile])
+
+def _row_sum_norm(v: np.ndarray) -> np.ndarray:
+    """The largest row sum of |entries| of each matrix of ``v``: Q's and
+    Q^-1's factors of the condition estimate."""
+    return np.abs(v).sum(axis=-1).max(axis=-1)
+
+
+def _q_condition(cond: np.ndarray) -> float:
+    """The largest of per-node condition estimates |Q| |Q^-1|.  Raises
+    ``SingularMatrixError`` at its first node when it reaches 1e12, or when
+    it is NaN, which marks a singular Q: a NaN counts as the largest
+    estimate, so the first singular node is named before any other."""
+    cond, node = sup_and_node(cond)
+    if math.isnan(cond):
+        raise SingularMatrixError("Q is singular", node)
+    if cond >= 1e12:
+        raise SingularMatrixError(f"Q condition estimate {cond:.2e} exceeds 1e12",
+                                  node)
+    return cond
 
 
 def _generation_blocks(p, q, qinv) -> tuple:
@@ -456,18 +466,69 @@ def reconstruct_from_pq(pq: PQPair) -> AlmostComplexStructure:
     return validate_acs(j_cot, rep="cot", tolerance=_GENERATED_TOLERANCE)
 
 
+# the names of the four block identities of J^2 = -E, in the order of
+# ``_block_identities``
+_IDENTITIES = ("sq_top", "off_top", "off_bottom", "sq_bottom")
+
+
+def _block_identities(a, bp, cm, d) -> list[np.ndarray]:
+    """max |entry| at each node of the four block identities that J^2 = -E
+    implies for J = [[A, B+E], [C-E, D]], from node-major slabs of its
+    blocks as they stand."""
+    eye = np.eye(a.shape[-1])
+    return [node_sup(a @ a + bp @ cm + eye, in_place=True),
+            node_sup(a @ bp + bp @ d, in_place=True),
+            node_sup(cm @ a + d @ cm, in_place=True),
+            node_sup(cm @ bp + d @ d + eye, in_place=True)]
+
+
+def _round_trip_nodes(conj: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The moduli round trip at each node of a node-major slab of the
+    conjugated structure [[A, B+E], [C-E, D]] and of Q = (C-E)^-1: per node,
+    the condition estimate |Q| |Q^-1|, NaN where Q is singular
+    (``_singular``), and max |J^2 + E| of the structure J that the pair
+    (P, Q) generates, with P = Q D (``_generated``); and beside them the gap
+    max |J - conj| and the four block identities of ``conj``
+    (``_block_identities``).
+
+    Q is inverted (``_inverse``) at every node, a singular one too, whose
+    NaN estimate the caller raises on before it reads any other value.  The
+    blocks are copied contiguous for the matrix products, which run faster
+    on them than on strided views, and dropped before J and J^2 are
+    built."""
+    n = q.shape[-1]
+    top, bottom = slice(0, n), slice(n, 2 * n)
+    a, bp, cm, d = (np.ascontiguousarray(conj[:, r, c])
+                    for r in (top, bottom) for c in (top, bottom))
+    p = q @ d
+    identities = _block_identities(a, bp, cm, d)
+    del a, bp, cm, d
+    with np.errstate(all="ignore"):
+        singular = _singular(q)
+        qinv = _inverse(q)
+        cond = _row_sum_norm(q) * _row_sum_norm(qinv)
+        cond[singular] = np.nan
+        cot = _generated(p, q, qinv)
+        square = _square_sup(cot)
+        cot -= conj
+        return (np.stack([cond, square], axis=-1),
+                np.stack([node_sup(cot, in_place=True), *identities], axis=-1))
+
+
 @dataclass(eq=False)
 class BlockDecomposition:
     """Constant change of frame G with G^-1 j_cot G = [[A, B+E], [C-E, D]].
 
-    ``frame`` holds those four n x n blocks as they stand (A, B+E, C-E, D),
-    each a block of the conjugated structure, sampled the first time it is
-    read.  ``cminv`` is (C - E)^-1 at every node, inverted once, by the guard
-    of ``normalize_at_origin`` (a read-only broadcast view when C is constant).
+    ``conjugated`` is G^-1 j_cot G, expression-backed when j_cot is.
+    ``frame`` holds its four n x n blocks as they stand (A, B+E, C-E, D),
+    each sampled the first time it is read.  ``cminv`` is (C - E)^-1 at
+    every node, inverted once, by the guard of ``normalize_at_origin`` (a
+    read-only broadcast view when C is constant).
     """
 
     patch: Patch
     G: np.ndarray
+    conjugated: MatrixField
     frame: tuple[MatrixField, MatrixField, MatrixField, MatrixField]
     cminv: np.ndarray
 
@@ -482,48 +543,63 @@ class BlockDecomposition:
     C = property(lambda self: self.frame[2] + MatrixField.identity(self.patch, self.n))
     D = property(lambda self: self.frame[3])
 
-    def round_trip_gap(self, pq: PQPair) -> float:
-        """max |J - [[A, B+E], [C-E, D]]| over the grid for the structure J
-        that ``pq`` generates (``reconstruct_from_pq``), built one tile at a
-        time (``PQPair.generated``), so no J spans the grid.  Each tile's J
-        is also checked as ``reconstruct_from_pq`` checks it: where J^2 + E
-        exceeds 1e-10 (``_GENERATED_TOLERANCE``), ``InvalidStructureError``
-        names the first worst node."""
-        n = self.n
+    def round_trip(self) -> tuple[float, dict[str, float], float]:
+        """The round trip of ``acs extract-pq`` in one pass over tiles
+        (``report.slab_map``) of the conjugated structure and of ``cminv``:
+        the moduli pair Q = (C-E)^-1, P = Q D (``extract_pq``), the
+        structure J that it generates (``reconstruct_from_pq``), J's gap to
+        the conjugated structure, and the block identities
+        (``identity_residuals``), with the bits of each.  Returns the gap,
+        the identities by name and Q's condition estimate (``PQPair``).
 
-        def sups(a, bp, cm, d, cot):
-            return np.stack([_square_sup(cot),
-                             node_sup(cot[:, :n, :n] - a, in_place=True),
-                             node_sup(cot[:, :n, n:] - bp, in_place=True),
-                             node_sup(cot[:, n:, :n] - cm, in_place=True),
-                             node_sup(cot[:, n:, n:] - d, in_place=True)], axis=-1)
+        No frame block, P, Q^-1 or J spans the grid: an expression-backed
+        structure is sampled tile by tile from its expressions
+        (``fields._sample``), and samples, or a constant's one node, are
+        read as they are, so a constant structure costs one node.  The
+        checks raise in the order of ``PQPair`` and ``reconstruct_from_pq``,
+        each at its first worst node: ``SingularMatrixError`` where Q is
+        singular, then where its condition estimate reaches 1e12
+        (``_q_condition``), then ``InvalidStructureError`` where J^2 + E
+        exceeds 1e-10 (``_GENERATED_TOLERANCE``).
+        """
+        patch, conjugated, d = self.patch, self.conjugated, 2 * self.n
+        exprs = sum(conjugated.exprs, ()) if conjugated.is_exact else ()
+        if any(e.max_var_index() for e in exprs):
+            def conj(tile):
+                out = _sample(patch, exprs, tile)
+                return out.reshape(out.shape[:-1] + (d, d))
+        else:
+            conj = conjugated.values
+        maxima = []  # of the gap and the identities, tile by tile
 
-        # a tile holds its J and J^2 + E, each (2n)^2 floats per node, at once
-        per_node = slab_map(sups, self.patch.resolution, 2 * 8 * 4 * n * n,
-                            *(block.values for block in self.frame), pq.generated)
-        residual, node = sup_and_node(per_node[..., 0])
+        def tile_round_trip(conj, q):
+            per_node, sups = _round_trip_nodes(conj, q)
+            maxima.append(sups.max(axis=0))
+            return per_node
+
+        # a tile holds its samples beside J, J^2 and the generation rule's
+        # blocks, or beside the blocks' copies and the identities' products,
+        # and Q^-1, P and their temporaries: about 4 (2n)^2 floats a node
+        # (3.9 measured at 4D), declared twice over, since what sampling
+        # holds grows with the expressions
+        per_node = slab_map(tile_round_trip, patch.resolution, 8 * 8 * d * d,
+                            conj, self.cminv)
+        q_condition = _q_condition(per_node[..., 0])
+        residual, node = sup_and_node(per_node[..., 1])
         if residual > _GENERATED_TOLERANCE:
             raise InvalidStructureError(residual, node, _GENERATED_TOLERANCE)
-        return float(per_node[..., 1:].max())
+        gap, *identities = map(float, np.max(maxima, axis=0))
+        return gap, dict(zip(_IDENTITIES, identities)), q_condition
 
     def identity_residuals(self) -> dict[str, float]:
-        """Sup norms of the four block identities implied by J^2 = -E, per
-        node over tiles (``report.slab_map``) of the frame blocks, so no
-        intermediate spans the grid.  A max is exact, so the tiles do not
-        move its bits."""
-        n = self.n
-        eye = np.eye(n)
-
-        def residuals(a, bp, cm, d):
-            return np.stack([node_sup(a @ a + bp @ cm + eye),
-                             node_sup(a @ bp + bp @ d),
-                             node_sup(cm @ a + d @ cm),
-                             node_sup(cm @ bp + d @ d + eye)], axis=-1)
-
-        per_node = slab_map(residuals, self.patch.resolution, 8 * 4 * n * n,
+        """Sup norms of the four block identities implied by J^2 = -E
+        (``_block_identities``), per node over tiles (``report.slab_map``)
+        of the frame blocks, so no intermediate spans the grid.  A max is
+        exact, so the tiles do not move its bits."""
+        per_node = slab_map(lambda *blocks: np.stack(_block_identities(*blocks), axis=-1),
+                            self.patch.resolution, 8 * 4 * self.n ** 2,
                             *(block.values for block in self.frame))
-        names = ("sq_top", "off_top", "off_bottom", "sq_bottom")
-        return dict(zip(names, map(float, per_node.reshape(-1, 4).max(axis=0))))
+        return dict(zip(_IDENTITIES, map(float, per_node.reshape(-1, 4).max(axis=0))))
 
 
 def normalizing_frame(m0: np.ndarray, *, node: tuple[int, ...]) -> np.ndarray:
@@ -571,10 +647,11 @@ def normalize_at_origin(acs: AlmostComplexStructure,
     """Decompose j_cot around a base node.
 
     Computes a constant frame G taking ``j_cot(base)`` to ``[[0, E], [-E, 0]]``
-    (so A, B, C, D all vanish at the base node), keeps the blocks of G^-1 j_cot G
-    as ``frame``, and inverts ``frame[2] = C(x) - E``, the one block it reads,
-    for ``extract_pq``.  Fails if that block is singular somewhere on the patch,
-    which signals that the structure left the normalized neighborhood.
+    (so A, B, C, D all vanish at the base node), keeps G^-1 j_cot G as
+    ``conjugated`` and its blocks as ``frame``, and inverts
+    ``frame[2] = C(x) - E``, the one block it reads, for ``extract_pq``.
+    Fails if that block is singular somewhere on the patch, which signals
+    that the structure left the normalized neighborhood.
     """
     patch = acs.patch
     n = patch.dim_half
@@ -592,7 +669,7 @@ def normalize_at_origin(acs: AlmostComplexStructure,
     cminv = pointwise_inverse(frame[2].values,
                               "C(x) - E is singular (structure leaves the "
                               "normalized neighborhood; try a smaller patch)")
-    return BlockDecomposition(patch, G, frame, cminv)
+    return BlockDecomposition(patch, G, jg, frame, cminv)
 
 
 def extract_pq(bd: BlockDecomposition) -> PQPair:

@@ -622,7 +622,7 @@ SLAB_MAP_CALLS = sorted([
     ("spencer.py", "_verified", "interior(1)"),
     ("spencer.py", "transition_holomorphy_check", "interior(1)"),
     ("structures.py", "BlockDecomposition.identity_residuals", "grid"),
-    ("structures.py", "BlockDecomposition.round_trip_gap", "grid"),
+    ("structures.py", "BlockDecomposition.round_trip", "grid"),
     ("structures.py", "_square_residual", "grid"),
     ("structures.py", "make_hypercomplex", "grid"),
     # exact mode samples the whole stack, which names a non-finite derivative

@@ -740,7 +740,10 @@ class TestOneInversePerMatrix:
 
     def test_extract_pq_of_a_6d_pair(self, capsys, monkeypatch, tmp_path):
         # n = 3: the pair's Q, the frame's C - E and the extracted Q, each
-        # 3 x 3, are guarded and inverted in closed form
+        # 3 x 3, are guarded and inverted in closed form.  The round trip's
+        # tile holds 8 (2n)^2 floats a node, so its 5^6 nodes fit one slab
+        # of 64 MiB
+        monkeypatch.setattr(report, "SLAB_BYTES", 64 << 20)
         scene = tmp_path / "pq_n3.json"
         scene.write_text(json.dumps({
             "schema": 1, "name": "pq_n3", "dim_half": 3,

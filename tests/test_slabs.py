@@ -9,6 +9,7 @@ order, wherever the slab boundaries fall.
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from spencerkit import holomorphy, hypercomplex, report, spencer, structures
 from spencerkit.cli import main
 from spencerkit.elliptic import assemble_operator
-from spencerkit.fields import ComplexField, MatrixField, Patch, ScalarField
+from spencerkit.fields import ComplexField, EvaluationError, MatrixField, Patch, ScalarField
 from spencerkit.fixtures import (
     conjugated_hypercomplex,
     coordinate_function,
@@ -44,6 +45,7 @@ from spencerkit.structures import (
 
 from conftest import curved_chart, frame_values, reference_partial
 
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 # 2,401 nodes, in one slab by default; spacing 0.5, so FD gradients of
 # linear functions are exact and equal at every node
 PATCH = Patch.box(2, -1.5, 1.5, 7)
@@ -387,17 +389,20 @@ def _random_moduli_structure(pair):
     lambda pair: pair.J,       # sample-backed blocks
 ], ids=["random pair", "pulled back"])
 def test_extract_pq_gap_and_identities_in_every_tiling(monkeypatch, pair, acs):
+    # the sweep of acs extract-pq gives the gap and the identities of the
+    # whole-grid arrays, and the condition estimate of PQPair, every bit
     acs = acs(pair)
     bd = normalize_at_origin(acs, (2, 3, 4, 3))
     pq = extract_pq(bd)
     untiled = _untiled_gap_and_identities(bd, reconstruct_from_pq(pq))
     assert max(untiled) > 0.0
-    node_bytes = 8 * 4 * bd.n ** 2
-    assert report.SLAB_BYTES // node_bytes >= PATCH.n_points
     for nodes in (acs.patch.n_points,) + TILINGS:  # one tile, then many
-        monkeypatch.setattr(report, "SLAB_BYTES", nodes * node_bytes)
-        tiled = [bd.round_trip_gap(pq), *bd.identity_residuals().values()]
+        _tiled_by(monkeypatch, nodes)
+        gap, identities, q_condition = bd.round_trip()
+        tiled = [gap, *identities.values()]
         assert np.array(tiled).tobytes() == np.array(untiled).tobytes()
+        assert list(bd.identity_residuals().values()) == tiled[1:]
+        assert np.float64(q_condition).tobytes() == np.float64(pq.q_condition).tobytes()
 
 
 def test_sampled_reconstruction_in_every_tiling(monkeypatch, pair):
@@ -420,9 +425,68 @@ def test_round_trip_names_the_node_reconstruction_names(monkeypatch, pair):
     for nodes in TILINGS:
         _tiled_by(monkeypatch, nodes)
         with pytest.raises(InvalidStructureError) as tiled:
-            bd.round_trip_gap(pq)
+            bd.round_trip()
         assert str(tiled.value) == str(whole.value)
         assert tiled.value.node == whole.value.node
+
+
+# C - E at two nodes of SMALL_PATCH, -E at the rest: at the first 1e7 E,
+# whose inverse Q fails the singularity guard; at the second
+# [[1, 1], [1, 1 + 3e-12]], which passes the guard, as its inverse Q does,
+# with a condition estimate of 1.3e12
+_SINGULAR_Q, _ILL_CONDITIONED_Q = (5, 1, 0, 2), (1, 4, 6, 3)
+
+
+def _moduli_failure(singular: bool):
+    """A decomposition at the centre of SMALL_PATCH whose C - E fails
+    nothing and whose Q fails at the nodes above, and the error that
+    ``PQPair`` raises on its moduli pair."""
+    cm = np.broadcast_to(-np.eye(2), SMALL_PATCH.resolution + (2, 2)).copy()
+    cm[_ILL_CONDITIONED_Q] = [[1.0, 1.0], [1.0, 1.0 + 3e-12]]
+    if singular:
+        cm[_SINGULAR_Q] = 1e7 * np.eye(2)
+    # J = [[0, E], [C - E, 0]]: the standard structure at the centre, so
+    # the frame is conjugated by G = E
+    j = np.zeros(SMALL_PATCH.resolution + (4, 4))
+    j[..., :2, 2:] = np.eye(2)
+    j[..., 2:, :2] = cm
+    bd = normalize_at_origin(validate_acs(MatrixField.from_values(SMALL_PATCH, j),
+                                          strict=False))
+    assert np.array_equal(bd.G, np.eye(4))
+    with pytest.raises(SingularMatrixError) as err:
+        extract_pq(bd)
+    return bd, err.value
+
+
+@pytest.mark.parametrize("singular", [True, False], ids=["singular", "ill-conditioned"])
+def test_round_trip_names_the_q_failure_the_pair_names(monkeypatch, singular):
+    # a singular Q is named before an ill-conditioned one, at a later node,
+    # as PQPair's guard runs over the grid before its condition estimate
+    bd, expected = _moduli_failure(singular)
+    node = _SINGULAR_Q if singular else _ILL_CONDITIONED_Q
+    assert expected.node == node
+    assert str(expected).startswith("Q is singular" if singular else "Q condition estimate")
+    for nodes in (SMALL_PATCH.n_points,) + TILINGS:
+        _tiled_by(monkeypatch, nodes)
+        with pytest.raises(SingularMatrixError) as err:
+            bd.round_trip()
+        assert (str(err.value), err.value.node) == (str(expected), node)
+
+
+def test_round_trip_of_a_constant_structure_runs_on_one_node(monkeypatch):
+    # the standard structure's conjugated samples and (C - E)^-1 are one
+    # node each, broadcast, so the sweep's kernel runs once, on one node
+    bd = normalize_at_origin(standard_structure(PATCH))
+    nodes = []
+
+    def counting(conj, q, original=structures._round_trip_nodes):
+        nodes.append(len(q))
+        return original(conj, q)
+
+    monkeypatch.setattr(structures, "_round_trip_nodes", counting)
+    gap, identities, q_condition = bd.round_trip()
+    assert nodes == [1]
+    assert (gap, q_condition) == (0.0, 1.0) and max(identities.values()) == 0.0
 
 
 # fields whose derivative stacks are tiled: type1's tangent samples are a
@@ -530,11 +594,28 @@ def test_chart_verification_peak_memory_at_grid_17_is_bounded(tmp_path, capsys):
 
 
 def test_moduli_round_trip_peak_memory_at_grid_17_is_bounded(tmp_path, capsys):
-    # the structure, two sampled frame blocks, (C - E)^-1, P and Q^-1 are
-    # 23.0 MiB.  The full-grid reconstructed structure (10.2 MiB) peaked at
-    # 51.8 MiB; rebuilt tile by tile for J^2 + E and the round trip, 39.8 MiB.
+    # the structure's samples are 10.2 MiB, and the sampled C - E and
+    # (C - E)^-1 2.5 MiB each.  Beside them, the full-grid reconstructed
+    # structure peaked at 51.8 MiB; the four frame blocks, P and Q^-1 with
+    # the structure rebuilt tile by tile, at 39.8 MiB; one sweep over tiles
+    # of the conjugated structure, sampled from its expressions, peaks at
+    # 19.0 MiB
     peak = _command_peak(tmp_path, capsys, "acs", "extract-pq")
-    assert peak < 44 * 2**20
+    assert peak < 20 * 2**20
+
+
+def test_moduli_round_trip_peak_memory_of_the_shipped_type1_at_grid_13_is_bounded(capsys):
+    # 28,561 nodes: the four frame blocks, P and Q^-1 with the structure
+    # rebuilt tile by tile peaked at 17.1 MiB; the sweep peaks at 9.2 MiB
+    tracemalloc.start()
+    try:
+        code = main(["acs", "extract-pq", str(SCENES / "type1.json"), "--grid", "13",
+                     "--mode", "fd", "--no-meta"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(capsys.readouterr().out)["passed"]
+    assert peak < 11 * 2**20
 
 
 # -- the operator: A, B and lambda_min over tiles -----------------------------
@@ -729,6 +810,37 @@ def test_k_residual_is_the_four_pass_formula_in_every_tiling(monkeypatch, pair,
         assert _outcome(lambda: k_hyperholo_residual(h, G, mode)) == ref
     if function == "square":
         assert k_hyperholo_residual(h, G, mode).sup_norm > 0.1
+
+
+def test_fd_k_residual_peak_memory_at_grid_17_is_bounded():
+    # 83,521 nodes: G's samples are 2.5 MiB.  Beside them the full-grid fd
+    # Jacobian of G (10.2 MiB) peaked at 15.2 MiB; differenced tile by tile
+    # from G's samples, taken once, the residual peaks at 7.5 MiB
+    patch = Patch.box(2, -1.0, 1.0, 17)
+    h = flat_hypercomplex(patch)
+    G = QuaternionFunction.from_exprs(patch, "x1^2 - x2^2 - x3^2 - x4^2", "2*x1*x2",
+                                      "2*x1*x3", "2*x1*x4")
+    h.K.cot_values()
+    tracemalloc.start()
+    try:
+        assert k_hyperholo_residual(h, G, "fd").sup_norm > 0.1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+def test_exact_k_residual_names_a_non_finite_derivative_on_the_ring():
+    # the kernel reads the interior, but exact mode samples G's Jacobian on
+    # the whole grid, which names d sqrt(x1) = 1 / (2 sqrt(x1)) at x1 = 0;
+    # fd mode differences G's samples, which are finite
+    patch = Patch.box(2, 0.0, 1.0, 5)
+    h = flat_hypercomplex(patch)
+    G = QuaternionFunction.from_exprs(patch, "sqrt(x1)", "x2", "x3", "x4")
+    with pytest.raises(EvaluationError) as err:
+        k_hyperholo_residual(h, G, "exact")
+    assert err.value.node == (0, 0, 0, 0)
+    assert np.isfinite(k_hyperholo_residual(h, G, "fd").sup_norm)
 
 
 def test_a_stack_of_samples_has_the_bits_of_np_stack(monkeypatch):
@@ -965,10 +1077,11 @@ def test_a_boxed_tile_holds_at_most_its_declared_bytes(monkeypatch, check):
 
 def _guards_and_chart_solves(patch):
     """The two guards over the whole grid, of the chart frame and of
-    J^2 = -E, and the chart frame's solves of a superposition and of a
-    transition over the interior, on a 4D ``patch`` in fd mode.  Each is the
-    module whose ``slab_map`` runs the kernel, the kernel's name, its box,
-    and a check that runs it."""
+    J^2 = -E, the chart frame's solves of a superposition and of a
+    transition over the interior, on a 4D ``patch`` in fd mode, and the
+    moduli round trip of type1, sampled on each tile.  Each is the module
+    whose ``slab_map`` runs the kernel, the kernel's name, its box, and a
+    check that runs it."""
     h = _pulled_back_pair(patch)
     z1, z2 = (coordinate_function(patch, k) for k in (1, 2))
     acs = type1_structure(patch)
@@ -988,13 +1101,17 @@ def _guards_and_chart_solves(patch):
                           lambda: superposition_check(acs, chart, square, "fd")),
         "transition": (spencer, "tail", interior,
                        lambda: transition_holomorphy_check(chart, bent, acs, "fd")),
+        "round_trip": (structures, "tile_round_trip", grid,
+                       lambda: normalize_at_origin(acs).round_trip()),
     }
 
 
-@pytest.mark.parametrize("name", ["chart_frame", "square", "superposition", "transition"])
+@pytest.mark.parametrize("name", ["chart_frame", "square", "superposition", "transition",
+                                  "round_trip"])
 def test_a_guard_or_chart_solve_tile_holds_at_most_its_declared_bytes(monkeypatch, name):
     # over a 4D grid 11, in tiles of one and of three indices of the box's
-    # first axis; an fd chart frame spans the grid
+    # first axis; an fd chart frame spans the grid, and so does the round
+    # trip, whose tiles of the conjugated structure count
     patch = Patch.box(2, -1.0, 1.0, 11)
     module, kernel_name, box, run = _guards_and_chart_solves(patch)[name]
     calls = []
