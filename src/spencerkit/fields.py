@@ -518,6 +518,33 @@ class MatrixField:
                 out[part][..., s, :, :] = buf
         return out
 
+    def derivative_tiles(self, mode: str):
+        """``derivatives(mode)`` as the input of a ``report.slab_map`` kernel
+        over ``patch.interior(1)``: a callable that builds each tile's block,
+        or, in exact mode when every derivative uses no variable, the
+        one-node broadcast stack (the broadcast rule).
+
+        An exact tile is sampled on the box of the nodes that clamp onto it:
+        from 0 on an axis where it starts at 1, up to r on one where it stops
+        at r - 1.  Those boxes partition the grid, so each node is evaluated
+        once, the boundary ring too, and a non-finite derivative anywhere
+        raises the error that sampling the whole grid raises."""
+        patch = self.patch
+        if resolve_mode(mode, self) == "fd":
+            return lambda tile: self.derivatives(mode, tile)
+        layers = derivatives(sum(self.exprs, ()), range(1, patch.dim + 1))
+        if not any(e.max_var_index() for layer in layers for e in layer):
+            return self.derivatives(mode)
+
+        def clamped(tile):
+            box = tuple(slice(0 if t.start == 1 else t.start,
+                              r if t.stop == r - 1 else t.stop)
+                        for t, r in zip(tile, patch.resolution))
+            return self.derivatives(mode, box)[tuple(
+                slice(t.start - b.start, t.stop - b.start) for t, b in zip(tile, box))]
+
+        return clamped
+
 
 def _fd_axis(f: np.ndarray, tile: tuple[slice, ...], axis: int, h: float,
              out: np.ndarray) -> None:

@@ -39,22 +39,24 @@ def _cr_defect(jc: np.ndarray, grad: np.ndarray, sign: float) -> np.ndarray:
     return np.einsum("...qp,...p->...q", jc, grad) - sign * 1j * grad
 
 
-def _cr_residual(acs: AlmostComplexStructure, grad: np.ndarray, mode: str,
+def _cr_residual(acs: AlmostComplexStructure, df, mode: str,
                  sign: float) -> ResidualReport:
-    """Residual of ``J*df = sign * i df`` from the complex gradient of f,
-    ``grad`` of shape (*grid, d), taken in ``mode``."""
+    """Residual of ``J*df = sign * i df`` from the derivative stack of f's
+    parts, (*grid, d, 1, 2), taken in ``mode``: an array, or its tiles
+    (``MatrixField.derivative_tiles``)."""
     patch = acs.patch
     d = patch.dim
 
-    def residuals(jc, grad):
-        resid = _cr_defect(jc, grad, sign)
+    def residuals(jc, df):
+        resid = _cr_defect(jc, df[..., 0, 0] + 1j * df[..., 0, 1], sign)
         return np.stack([np.linalg.norm(resid, axis=-1),
                          node_sup(resid.real), node_sup(resid.imag)], axis=-1)
 
     # a tile holds the structure's tile and einsum's complex copy of it, 3 d^2
-    # floats a node, beside a few d-vectors: the gradient, the defect, norms
+    # floats a node, beside a few d-vectors: the stack, the gradient, the
+    # defect, norms
     per_node = slab_map(residuals, patch.interior(1), 8 * (3 * d * d + 8 * d),
-                        acs.cot_values(), grad)
+                        acs.cot_values(), df)
     breakdown = {
         "du_system": interior_sup(per_node[..., 1], patch),
         "dv_system": interior_sup(per_node[..., 2], patch),
@@ -66,14 +68,14 @@ def holo_residual(acs: AlmostComplexStructure, f: ComplexField,
                   mode: str = "auto") -> ResidualReport:
     """Residual of the almost-holomorphy system ``J*df = i df``."""
     mode = resolve_mode(mode, acs, f)
-    return _cr_residual(acs, complex_gradient(f, mode), mode, +1.0)
+    return _cr_residual(acs, f.parts.derivative_tiles(mode), mode, +1.0)
 
 
 def antiholo_residual(acs: AlmostComplexStructure, f: ComplexField,
                       mode: str = "auto") -> ResidualReport:
     """Residual of the almost-antiholomorphy system ``J*df = -i df``."""
     mode = resolve_mode(mode, acs, f)
-    return _cr_residual(acs, complex_gradient(f, mode), mode, -1.0)
+    return _cr_residual(acs, f.parts.derivative_tiles(mode), mode, -1.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -139,25 +139,17 @@ def k_hyperholo_residual(h: HypercomplexStructure, G: QuaternionFunction,
                          mode: str = "auto") -> ResidualReport:
     """Residual of dG o K = T o dG as four translated 1-form systems
     K*da = sign * db, one kernel over the interior's tiles of K and of G's
-    Jacobian.  In fd mode each tile differences its block of the Jacobian
-    from G's samples, taken once, so no Jacobian spans the grid.  In exact
-    mode the Jacobian spans the grid, since sampling it is what names a
-    non-finite derivative, on the boundary ring too; there a constant K
-    with an affine G runs on one node."""
+    Jacobian (``MatrixField.derivative_tiles``), so no Jacobian spans the
+    grid; a constant K with an affine G runs on one node."""
     mode = resolve_mode(mode, h.K, *G.components())
-    # the columns of the (*grid, d, 4) Jacobian are du, dv, dzeta, deta
-    g = MatrixField(h.patch, [G.components()])
-    if mode == "fd":
-        def jac(tile):
-            return g.derivatives(mode, tile)[..., 0, :]
-    else:
-        jac = g.derivatives(mode)[..., 0, :]
+    # the columns of the (*grid, d, 1, 4) Jacobian are du, dv, dzeta, deta
+    jac = MatrixField(h.patch, [G.components()]).derivative_tiles(mode)
     systems = {"du": (0, 2, -1.0), "dzeta": (2, 0, +1.0),
                "dv": (1, 3, -1.0), "deta": (3, 1, +1.0)}  # (a, b, sign)
 
     def norms(jc, jac):
-        return np.stack([np.linalg.norm(np.einsum("...qp,...p->...q", jc, jac[..., a])
-                                        - sign * jac[..., b], axis=-1)
+        return np.stack([np.linalg.norm(np.einsum("...qp,...p->...q", jc, jac[..., 0, a])
+                                        - sign * jac[..., 0, b], axis=-1)
                          for a, b, sign in systems.values()], axis=-1)
 
     # a tile holds a node-major copy of K (d^2 floats a node) and the

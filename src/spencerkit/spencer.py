@@ -311,7 +311,7 @@ def _superposition(acs: AlmostComplexStructure, chart: SpencerChart,
     (see ``_verified``)."""
     tolerance = pattern.tolerance
     mode = resolve_mode(pattern.mode, acs, h)
-    dh = complex_gradient(h, mode)
+    dh = h.parts.derivatives(mode)  # both passes read it
     hres = _cr_residual(acs, dh, mode, +1.0)
     if hres.sup_norm > tolerance:
         raise ChartError(
@@ -323,9 +323,9 @@ def _superposition(acs: AlmostComplexStructure, chart: SpencerChart,
 
     def blocks(frame, dh):
         # the coefficients of dh over B = R T, and their largest modulus in
-        # each block that must vanish; dh's real and imaginary parts are read
-        # in place as the columns of x
-        coeffs = _over_basis(frame, dh[..., None].view(float))[..., 0]
+        # each block that must vanish; the derivatives of h's real and
+        # imaginary parts are the columns of x
+        coeffs = _over_basis(frame, dh[..., 0, :])[..., 0]
         return np.stack([node_sup(coeffs[:, m:n]), node_sup(coeffs[:, n:n + m]),
                          node_sup(coeffs[:, n + m:])], axis=-1)
 

@@ -764,9 +764,8 @@ def nijenhuis_residual(acs: AlmostComplexStructure, mode: str = "auto") -> float
     tolerance) exactly for integrable structures.  Each tile of nodes builds
     its own derivative stack and forms N from two batched matrix products,
     antisymmetrized once (``_nijenhuis_sup``), so no stack spans the grid.
-    In fd mode the tiles cover the interior alone, the nodes the sup reads.
-    In exact mode they cover the whole grid: sampling the exact stack is
-    what names a non-finite derivative, on the boundary ring too.
+    The tiles cover the interior, the nodes the sup reads
+    (``MatrixField.derivative_tiles``).
     """
     mode = resolve_mode(mode, acs)
     patch = acs.patch
@@ -774,8 +773,7 @@ def nijenhuis_residual(acs: AlmostComplexStructure, mode: str = "auto") -> float
     # a tile holds C and T (d^2 floats a node each), its stack (d^3), the
     # kernel's two d^3 temporaries and a few floats of results: at most
     # 4 d^3 + 4 floats, since d >= 2
-    per_node = slab_map(_nijenhuis_sup,
-                        patch.interior(1) if mode == "fd" else patch.resolution,
-                        8 * (4 * d ** 3 + 4), acs.cot_values(), acs.tan_values(),
-                        lambda tile: acs.j_tan.derivatives(mode, tile))
+    per_node = slab_map(_nijenhuis_sup, patch.interior(1), 8 * (4 * d ** 3 + 4),
+                        acs.cot_values(), acs.tan_values(),
+                        acs.j_tan.derivative_tiles(mode))
     return interior_sup(per_node, patch)

@@ -625,8 +625,7 @@ SLAB_MAP_CALLS = sorted([
     ("structures.py", "BlockDecomposition.round_trip", "grid"),
     ("structures.py", "_square_residual", "grid"),
     ("structures.py", "make_hypercomplex", "grid"),
-    # exact mode samples the whole stack, which names a non-finite derivative
-    ("structures.py", "nijenhuis_residual", "interior(1) if mode == 'fd' else grid"),
+    ("structures.py", "nijenhuis_residual", "interior(1)"),
     ("structures.py", "pointwise_inverse", "grid"),
     ("structures.py", "pointwise_inverse", "grid"),
     ("structures.py", "reconstruct_from_pq", "grid"),
@@ -636,10 +635,8 @@ SLAB_MAP_CALLS = sorted([
 def _box(node) -> str:
     """The box a ``slab_map`` call passes: "interior(k)" for a call of
     ``.interior(k)``, "grid" for a grid's shape (a ``.resolution``, a slice
-    of a ``.shape`` or a name ``grid``), a conditional of two boxes as one,
-    and any other expression as its source."""
-    if isinstance(node, ast.IfExp):
-        return f"{_box(node.body)} if {ast.unparse(node.test)} else {_box(node.orelse)}"
+    of a ``.shape`` or a name ``grid``), and any other expression, a box
+    that forks on mode among them, as its source."""
     if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "interior":
         return f"interior({', '.join(map(ast.unparse, node.args))})"
     if getattr(node, "attr", None) == "resolution" or getattr(node, "id", None) == "grid" \
@@ -673,16 +670,14 @@ def test_every_slab_map_call_is_listed_with_its_box():
 
 def test_the_check_sees_a_new_slab_map_call():
     source = "from . import report\nfrom .report import slab_map\n" \
-             "def f(patch, mode, values):\n" \
+             "def f(patch, values):\n" \
              "    a = slab_map(abs, patch.resolution, 8, values)\n" \
              "    b = report.slab_map(abs, patch.interior(2), 8, values)\n" \
-             "    return a, b, slab_map(abs, patch.interior(1) if mode else values.shape[:-2],\n" \
-             "                          8, values)\n" \
+             "    return a, b, slab_map(abs, values.shape[:-2], 8, values)\n" \
              "class M:\n    def g(self, grid, box):\n" \
              "        return slab_map(abs, grid, 8, self.v), slab_map(abs, box, 8, self.v)\n"
     assert _slab_map_calls(ast.parse(source), "m.py") == [
-        ("m.py", "f", "grid"), ("m.py", "f", "interior(2)"),
-        ("m.py", "f", "interior(1) if mode else grid"),
+        ("m.py", "f", "grid"), ("m.py", "f", "interior(2)"), ("m.py", "f", "grid"),
         ("m.py", "M.g", "grid"), ("m.py", "M.g", "box")]
 
 

@@ -125,8 +125,8 @@ class TestCliExitCodes:
     def test_exact_nijenhuis_names_a_non_finite_derivative_on_the_ring(self, tmp_path,
                                                                        capsys):
         # J^2 = -E holds everywhere, but d_1 J is infinite on the ring x1 = 0:
-        # the exact derivative stack spans the grid, ring included, so the
-        # check names that node rather than passing on the interior alone
+        # the exact stack's tiles take the ring nodes that clamp onto them,
+        # so the check names that node rather than passing on the interior
         scene = {
             "schema": 1,
             "dim_half": 1,

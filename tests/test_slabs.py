@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spencerkit import holomorphy, hypercomplex, report, spencer, structures
+from spencerkit import fields, holomorphy, hypercomplex, report, spencer, structures
 from spencerkit.cli import main
 from spencerkit.elliptic import assemble_operator
 from spencerkit.fields import ComplexField, EvaluationError, MatrixField, Patch, ScalarField
@@ -27,7 +27,8 @@ from spencerkit.fixtures import (
     type1_structure,
 )
 from spencerkit.holomorphy import antiholo_residual, holo_residual
-from spencerkit.hypercomplex import QuaternionFunction, k_hyperholo_residual
+from spencerkit.hypercomplex import QuaternionFunction, j_hyperholo_residual, \
+    k_hyperholo_residual
 from spencerkit.spencer import SpencerChart, _basis_columns, _normalized_det, \
     superposition_check, transition_holomorphy_check, verify_chart
 from spencerkit.structures import (
@@ -830,10 +831,29 @@ def test_fd_k_residual_peak_memory_at_grid_17_is_bounded():
     assert peak < 10 * 2**20
 
 
+def test_fd_j_residual_peak_memory_at_grid_17_is_bounded():
+    # the whole-grid complex gradients of f and phi (5.1 MiB each) peaked at
+    # 11.6 MiB; differenced tile by tile from their samples, the two
+    # Cauchy-Riemann passes peak at 5.2 MiB
+    patch = Patch.box(2, -1.0, 1.0, 17)
+    h = flat_hypercomplex(patch)
+    F = QuaternionFunction.from_exprs(patch, "x1^2 - x2^2 - x3^2 - x4^2", "2*x1*x2",
+                                      "2*x1*x3", "2*x1*x4")
+    h.J.cot_values()
+    tracemalloc.start()
+    try:
+        assert j_hyperholo_residual(h, F, "fd").sup_norm > 0.1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 def test_exact_k_residual_names_a_non_finite_derivative_on_the_ring():
     # the kernel reads the interior, but exact mode samples G's Jacobian on
-    # the whole grid, which names d sqrt(x1) = 1 / (2 sqrt(x1)) at x1 = 0;
-    # fd mode differences G's samples, which are finite
+    # each tile and the ring nodes that clamp onto it, which names
+    # d sqrt(x1) = 1 / (2 sqrt(x1)) at x1 = 0; fd mode differences G's
+    # samples, which are finite
     patch = Patch.box(2, 0.0, 1.0, 5)
     h = flat_hypercomplex(patch)
     G = QuaternionFunction.from_exprs(patch, "sqrt(x1)", "x2", "x3", "x4")
@@ -841,6 +861,23 @@ def test_exact_k_residual_names_a_non_finite_derivative_on_the_ring():
         k_hyperholo_residual(h, G, "exact")
     assert err.value.node == (0, 0, 0, 0)
     assert np.isfinite(k_hyperholo_residual(h, G, "fd").sup_norm)
+
+
+@pytest.mark.parametrize("check", [holo_residual, antiholo_residual])
+def test_exact_cr_residual_names_a_non_finite_derivative_on_the_ring(check):
+    # the kernel reads the interior, but its exact tiles sample the ring
+    # nodes that clamp onto them, which names d sqrt(x1) at x1 = 0; fd mode
+    # differences f's samples, which are finite.  A command checks a scene
+    # field's derivatives before any kernel runs, so only a call shows this
+    patch = Patch.box(2, 0.0, 1.0, 5)
+    acs = flat_hypercomplex(patch).J
+    f = ComplexField.from_exprs(patch, "sqrt(x1)", "x2")
+    with pytest.raises(EvaluationError) as err:
+        check(acs, f, "exact")
+    assert str(err.value) == \
+        "non-finite value in field '1.0 / (2.0 * sqrt(x1))' at node (0, 0, 0, 0)"
+    assert err.value.node == (0, 0, 0, 0)
+    assert np.isfinite(check(acs, f, "fd").sup_norm)
 
 
 def test_a_stack_of_samples_has_the_bits_of_np_stack(monkeypatch):
@@ -982,23 +1019,32 @@ def test_the_8_dim_flat_pair_holds_one_node():
 # -- kernels over the interior their reports read ---------------------------
 
 def _boxed_checks(h):
-    """The four checks whose kernels run over ``patch.interior(1)`` in fd
-    mode, on the pair ``h``: each as the module whose ``slab_map`` runs the
-    kernel, and the check."""
+    """The checks whose kernels run over ``patch.interior(1)``: in fd mode
+    on the pair ``h``, and as ``exact_*`` in exact mode on expression-backed
+    inputs, a curved type1 and the flat pair.  Each is the module whose
+    ``slab_map`` runs the kernel, and the check."""
     patch = h.patch
     z1, z2 = (coordinate_function(patch, k) for k in (1, 2))
     f = ComplexField.from_exprs(patch, "x1 + 0.3*x3^2", "x2*x4 - x1")
     G = QuaternionFunction.from_exprs(patch, "x1^2 - x2^2 - x3^2 - x4^2", "2*x1*x2",
                                       "2*x1*x3", "2*x1*x4")
+    # type1 with a curved f, whose J has derivatives that vary
+    acs = type1_structure(patch, ComplexField.from_exprs(patch, "x3 + 0.1*x1*x4",
+                                                         "0.2*x2^2 - x4"))
+    flat = flat_hypercomplex(patch)
     return {
         "nijenhuis": (structures, lambda: nijenhuis_residual(h.J, "fd")),
         "pattern": (spencer, lambda: verify_chart(h.J, SpencerChart(1, (z1,), (z2,)), "fd")),
         "cauchy_riemann": (holomorphy, lambda: antiholo_residual(h.J, f, "fd")),
         "k_hyperholo": (hypercomplex, lambda: k_hyperholo_residual(h, G, "fd")),
+        "exact_nijenhuis": (structures, lambda: nijenhuis_residual(acs, "exact")),
+        "exact_cauchy_riemann": (holomorphy, lambda: antiholo_residual(acs, f, "exact")),
+        "exact_k_hyperholo": (hypercomplex, lambda: k_hyperholo_residual(flat, G, "exact")),
     }
 
 
-BOXED = ("nijenhuis", "pattern", "cauchy_riemann", "k_hyperholo")
+EXACT_BOXED = ("exact_nijenhuis", "exact_cauchy_riemann", "exact_k_hyperholo")
+BOXED = ("nijenhuis", "pattern", "cauchy_riemann", "k_hyperholo") + EXACT_BOXED
 
 
 @pytest.mark.parametrize("check", BOXED)
@@ -1034,6 +1080,28 @@ def test_a_boxed_check_has_the_bits_of_the_whole_grid_in_every_tiling(monkeypatc
         nodes.clear()
         assert _outcome(run) == whole
         assert nodes == sizes
+
+
+@pytest.mark.parametrize("check", EXACT_BOXED)
+def test_an_exact_boxed_check_samples_each_node_once(monkeypatch, pair, check):
+    # each exact tile of the interior is sampled with the ring nodes that
+    # clamp onto it, so in every tiling the sampled boxes cover the grid
+    # once: no ring node is skipped and none is sampled twice
+    _, run = _boxed_checks(pair)[check]
+    run()  # the inputs' own samples first, which stay held
+    sample = fields._sample
+    counts = np.zeros(PATCH.resolution, dtype=int)
+
+    def counting(patch, exprs, tile=None):
+        counts[tile or patch.interior(0)] += 1
+        return sample(patch, exprs, tile)
+
+    monkeypatch.setattr(fields, "_sample", counting)
+    for nodes in (625, 125, 75, 2, 1):
+        _tiled_by(monkeypatch, nodes)
+        counts[...] = 0
+        run()
+        assert counts.sum() == PATCH.n_points and (counts == 1).all()
 
 
 def _traced_slope(monkeypatch, call, nodes: int) -> float:
