@@ -10,6 +10,17 @@ Conventions used throughout the package:
   from entries one of which has no expression.  A ``ScalarField`` is the
   1 x 1 case and a ``ComplexField`` wraps the 1 x 2 field of its (re, im)
   parts, so sampling, ``diff`` and algebra exist once, in ``MatrixField``.
+* The hold rule: a ``report.slab_map`` kernel reads a field through
+  ``value_tiles``.  A field whose samples fit in one tile (8 n_points r c
+  bytes at most ``report.SLAB_BYTES``), a constant one, or one that holds
+  its samples already is sampled once and kept.  A larger expression field
+  is tile-resident: each pass samples it on the tiles it reads
+  (``MatrixField.tile``), with the bits of the whole-grid sample, and
+  nothing keeps the samples.  Its fd derivatives are differenced from the
+  samples of the tile and a halo, served in a pass by one window of
+  leading-axis planes (``_Planes``), so each node is sampled once a pass.
+  A non-finite sample raises the error that sampling the whole grid
+  raises, whatever tile meets it first.
 * The broadcast rule: entries that all use no variable (a constant field)
   are sampled at one node, and the (*grid, r, c) samples are that node
   broadcast to the grid, a read-only view with stride 0 on every grid axis
@@ -43,6 +54,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
+from . import report
 from .expr import (Expr, Num, add, as_expr, derivatives, evaluate_all, mul, neg,
                    parse_expr, sub)
 from .report import slab_map, sup_and_node, tiles
@@ -365,6 +377,65 @@ class MatrixField:
         stride 0 on every grid axis (``np.array(values)`` is a full copy)."""
         return self._sampled()
 
+    def _resident(self) -> bool:
+        """Whether the field is tile-resident (the hold rule of the module
+        docstring): it has expressions, holds no samples, uses a variable,
+        and its samples would not fit in one tile."""
+        exprs = self.exprs
+        return (self._values is None and exprs is not None
+                and 8 * self.patch.n_points * len(exprs) * len(exprs[0]) > report.SLAB_BYTES
+                and any(e.max_var_index() for row in exprs for e in row))
+
+    def tile(self, tile: tuple[slice, ...]) -> np.ndarray:
+        """Samples on the nodes of ``tile``, one ``slice(start, stop)`` per
+        grid axis: shape (*tile, r, c), with the bits of that block of
+        ``values``.  Held samples are read; otherwise the expressions are
+        sampled on the tile alone, and nothing keeps the samples.  A
+        non-finite sample raises the ``EvaluationError`` that sampling the
+        whole grid raises, so the tile cannot change the entry or node it
+        names."""
+        if self._values is not None:
+            return self._values[tile]
+        exprs = sum(self.exprs, ())
+        try:
+            out = _sample(self.patch, exprs, tile)
+        except EvaluationError:
+            _sample(self.patch, exprs)
+            raise
+        return out.reshape(out.shape[:-1] + self.shape)
+
+    def value_tiles(self):
+        """``values`` as the input of a ``report.slab_map`` kernel: ``tile``
+        for a tile-resident field, else the samples, taken once and kept
+        (the hold rule of the module docstring)."""
+        return self.tile if self._resident() else self.values
+
+    def at_nodes(self, nodes: np.ndarray) -> np.ndarray:
+        """The samples at the C-order flat grid indices ``nodes``, shape
+        (len(nodes), r, c), with the bits of those nodes of ``values``.  A
+        tile-resident field is evaluated at those nodes alone, since every
+        operation of an evaluation is elementwise, and a non-finite value
+        raises the whole grid's ``EvaluationError``.  Otherwise the samples,
+        taken once and kept, are gathered; a constant's one node serves
+        every index."""
+        patch = self.patch
+        if not self._resident():
+            values = self.values
+            g = patch.dim
+            flat = values.reshape((-1,) + self.shape) if any(values.strides[:g]) \
+                else values[(0,) * g][None]
+            return np.take(flat, nodes, axis=0, mode="wrap")
+        exprs = sum(self.exprs, ())
+        coords = tuple(axis[i] for axis, i in
+                       zip(patch.axes, np.unravel_index(nodes, patch.resolution)))
+        out = np.empty((len(nodes), len(exprs)))
+        # a raising constant names the first node, as on the whole grid
+        for k, v in enumerate(_evaluate(exprs, coords, (0,) * patch.dim)):
+            out[:, k] = v
+        if not np.isfinite(out).all():
+            _sample(patch, exprs)  # raises the whole grid's error
+        return out.reshape((len(nodes),) + self.shape)
+
     def _entry(self, i: int, j: int, values) -> "ScalarField":
         """Entry (i, j) with its expression, if any, and a view of ``values``,
         if given."""
@@ -503,26 +574,17 @@ class MatrixField:
                 raise
             return out.reshape(out.shape[:-1] + (d,) + self.shape)
         tile = tile or patch.interior(0)  # the whole grid
-        values = self.values
-        out = np.empty(tuple(t.stop - t.start for t in tile) + (d,) + self.shape)
-        # part by part of about SAMPLE_BUFFER_BYTES: each axis is differenced
-        # into one buffer laid out as the samples and copied into the stack,
-        # which is faster than differencing into the strided stack itself
-        node_bytes = values.itemsize * math.prod(self.shape)
-        for part in tiles(out.shape[:-3], max(1, SAMPLE_BUFFER_BYTES // node_bytes)):
-            at = tuple(slice(t.start + p.start, t.start + p.stop)
-                       for t, p in zip(tile, part))
-            buf = np.empty_like(values[at])  # in the layout of the samples
-            for s in range(d):
-                _fd_axis(values, at, s, patch.spacing[s], buf)
-                out[part][..., s, :, :] = buf
-        return out
+        if self._resident():
+            return _Planes(self).stack(tile)
+        return _fd_stack(self.values, tile, patch.spacing)
 
     def derivative_tiles(self, mode: str):
         """``derivatives(mode)`` as the input of a ``report.slab_map`` kernel
         over ``patch.interior(1)``: a callable that builds each tile's block,
         or, in exact mode when every derivative uses no variable, the
-        one-node broadcast stack (the broadcast rule).
+        one-node broadcast stack (the broadcast rule).  The fd tiles of a
+        tile-resident field are differenced from one window of planes that
+        follows the pass (``_Planes``), so each node is sampled once a pass.
 
         An exact tile is sampled on the box of the nodes that clamp onto it:
         from 0 on an axis where it starts at 1, up to r on one where it stops
@@ -531,6 +593,8 @@ class MatrixField:
         raises the error that sampling the whole grid raises."""
         patch = self.patch
         if resolve_mode(mode, self) == "fd":
+            if self._resident():
+                return _Planes(self).stack
             return lambda tile: self.derivatives(mode, tile)
         layers = derivatives(sum(self.exprs, ()), range(1, patch.dim + 1))
         if not any(e.max_var_index() for layer in layers for e in layer):
@@ -544,6 +608,101 @@ class MatrixField:
                 slice(t.start - b.start, t.stop - b.start) for t, b in zip(tile, box))]
 
         return clamped
+
+    def value_and_derivative_tiles(self, mode: str) -> tuple:
+        """``value_tiles()`` and ``derivative_tiles(mode)``, two inputs of
+        one ``report.slab_map`` kernel over ``patch.interior(1)``.  A
+        tile-resident field's values are read from one window of planes
+        (``_Planes``), which a kernel may read more than once a tile, and
+        which in fd mode serves the halo of each tile's stack too, so a
+        pass samples each node once."""
+        if not self._resident():
+            return self.value_tiles(), self.derivative_tiles(mode)
+        planes = _Planes(self)
+        fd = resolve_mode(mode, self) == "fd"
+        return planes.tile, planes.stack if fd else self.derivative_tiles(mode)
+
+
+class _Planes:
+    """The samples of a tile-resident field on a window of leading-axis
+    planes, indexed in grid coordinates as its whole-grid samples are.
+
+    The tiles of a ``report.slab_map`` pass run in C order, so the planes
+    that a tile and its halo read only move forward.  For each tile the
+    window lets go of the planes before the tile's halo, and samples those
+    it lacks (``MatrixField.tile``), so a pass samples each node once.  A
+    tile before the last one read starts another pass, and the window
+    starts again."""
+
+    def __init__(self, field: MatrixField):
+        self.field = field
+        self.shape = field.patch.resolution + field.shape
+        self.corner = None  # of the last tile read
+        self.chunks = []  # (first plane, samples of consecutive planes)
+
+    def _hold(self, tile: tuple[slice, ...], lo: int, hi: int) -> None:
+        """Hold planes lo to hi - 1, which ``tile`` reads, and no plane
+        before its halo."""
+        corner = tuple(t.start for t in tile)
+        first = max(0, min(tile[0].start - 1, self.shape[0] - 3))
+        if self.corner is not None and corner < self.corner:
+            self.chunks = []  # another pass
+        self.corner = corner
+        # a chunk that holds planes before ``first`` keeps a copy of the rest
+        chunks = self.chunks = [(a, v) if a >= first else (first, v[first - a:].copy())
+                                for a, v in self.chunks if a + len(v) > first]
+        start = chunks[0][0] if chunks else lo
+        stop = chunks[-1][0] + len(chunks[-1][1]) if chunks else lo
+        if hi < start or stop < lo:
+            chunks.clear()
+            start = stop = lo
+        rest = tuple(slice(0, r) for r in self.shape[1:-2])
+        if lo < start:
+            chunks.insert(0, (lo, self.field.tile((slice(lo, start),) + rest)))
+        if stop < hi:
+            chunks.append((stop, self.field.tile((slice(stop, hi),) + rest)))
+
+    def __getitem__(self, index: tuple[slice, ...]) -> np.ndarray:
+        """The held samples at ``index``, one slice per grid axis."""
+        lo, hi = index[0].start, index[0].stop
+        parts = [v[max(lo - a, 0):hi - a] for a, v in self.chunks
+                 if a < hi and lo < a + len(v)]
+        planes = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return planes[(slice(None),) + tuple(index[1:])]
+
+    def tile(self, tile: tuple[slice, ...]) -> np.ndarray:
+        """The samples on the nodes of ``tile``."""
+        self._hold(tile, tile[0].start, tile[0].stop)
+        return self[tile]
+
+    def stack(self, tile: tuple[slice, ...]) -> np.ndarray:
+        """The fd derivative stack on the nodes of ``tile``
+        (``MatrixField.derivatives``), from the planes of the tile and its
+        halo: one plane beyond each side, three at a grid edge."""
+        r, lo, hi = self.shape[0], tile[0].start, tile[0].stop
+        self._hold(tile, max(0, min(lo - 1, r - 3)), min(r, max(hi + 1, 3)))
+        return _fd_stack(self, tile, self.field.patch.spacing)
+
+
+def _fd_stack(values, tile: tuple[slice, ...], spacing: tuple[float, ...]) -> np.ndarray:
+    """The fd derivative stack (*tile, d, r, c) on the nodes of ``tile`` of
+    the samples ``values``, (*grid, r, c): an array, or a window of planes
+    (``_Planes``) that holds the tile and its halo.
+
+    Part by part of about ``SAMPLE_BUFFER_BYTES``, each axis is differenced
+    (``_fd_axis``) into one buffer laid out as the samples and copied into
+    the stack, which is faster than differencing into the strided stack
+    itself."""
+    d, shape = len(tile), values.shape[-2:]
+    out = np.empty(tuple(t.stop - t.start for t in tile) + (d,) + shape)
+    for part in tiles(out.shape[:-3], max(1, SAMPLE_BUFFER_BYTES // (8 * math.prod(shape)))):
+        at = tuple(slice(t.start + p.start, t.start + p.stop)
+                   for t, p in zip(tile, part))
+        buf = np.empty_like(values[at])  # in the layout of the samples
+        for s in range(d):
+            _fd_axis(values, at, s, spacing[s], buf)
+            out[part][..., s, :, :] = buf
+    return out
 
 
 def _fd_axis(f: np.ndarray, tile: tuple[slice, ...], axis: int, h: float,

@@ -56,7 +56,7 @@ def _cr_residual(acs: AlmostComplexStructure, df, mode: str,
     # floats a node, beside a few d-vectors: the stack, the gradient, the
     # defect, norms
     per_node = slab_map(residuals, patch.interior(1), 8 * (3 * d * d + 8 * d),
-                        acs.cot_values(), df)
+                        acs.j_cot.value_tiles(), df)
     breakdown = {
         "du_system": interior_sup(per_node[..., 1], patch),
         "dv_system": interior_sup(per_node[..., 2], patch),

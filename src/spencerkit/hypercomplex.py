@@ -157,7 +157,7 @@ def k_hyperholo_residual(h: HypercomplexStructure, G: QuaternionFunction,
     # (8 d at most)
     d = h.patch.dim
     per_node = slab_map(norms, h.patch.interior(1), 8 * (d * d + 12 * d),
-                        h.K.cot_values(), jac)
+                        h.K.j_cot.value_tiles(), jac)
     return merge_reports({name: report_from_pointwise(per_node[..., i], h.patch, mode)
                           for i, name in enumerate(systems)}, mode)
 

@@ -105,51 +105,62 @@ class SpencerChart:
 # closed forms on a 4D patch, where R is 4 x 4, and LU from 6D on.
 
 
-def _basis_columns(chart: SpencerChart, mode: str) -> np.ndarray:
-    """The real Jacobian R of the chart map per node, shape (*grid, d, d):
-    column j is grad u_j and column n + j is grad v_j, for the chart's
-    coordinates w_j = u_j + i v_j in order.  R is one derivative stack of
-    the chart's real parts, one node for a linear chart in exact mode.
-    Raises ``DegenerateChartError`` at the first node where
-    ``_normalized_det`` is at most 1e-8."""
+def _basis_columns(chart: SpencerChart, mode: str):
+    """The real Jacobian R of the chart map per node as the input of a
+    ``report.slab_map`` kernel, (*grid, d, d) or built tile by tile: column
+    j is grad u_j and column n + j is grad v_j, for the chart's coordinates
+    w_j = u_j + i v_j in order.  R is the derivative stack of one field of
+    the chart's real parts: in exact mode one array, one node for a linear
+    chart; in fd mode built on each tile a kernel reads, from the parts'
+    samples on the tile and its halo (``MatrixField.derivative_tiles``), so
+    no R spans the grid.  Raises ``DegenerateChartError`` at the first node
+    where ``_normalized_det`` is at most 1e-8."""
     fns = chart.functions()
     parts = [f.re for f in fns] + [f.im for f in fns]
-    # a temporary field, so that its fd samples are gone before the guard
-    frame = MatrixField(chart.patch, [parts]).derivatives(mode)[..., 0, :]
-    neg_min, node = sup_and_node(-_normalized_det(frame))
+    field = MatrixField(chart.patch, [parts])
+    if mode == "fd":
+        stack = field.derivative_tiles(mode)
+
+        def frame(tile):
+            return stack(tile)[..., 0, :]
+    else:
+        frame = field.derivatives(mode)[..., 0, :]
+    neg_min, node = sup_and_node(-_normalized_det(frame, chart.patch.resolution))
     if -neg_min <= 1e-8:
         raise DegenerateChartError(node, -neg_min)
     return frame
 
 
-def _normalized_det(frame: np.ndarray) -> np.ndarray:
+def _normalized_det(frame, grid: tuple[int, ...]) -> np.ndarray:
     """|det B| over the product of B's column norms (Hadamard normalized),
-    from the real frame R: 2^n |det R| / prod_j (|grad u_j|^2 + |grad v_j|^2),
-    since |det T| = 2^n and columns j and n + j of B = R T both have the
-    norm (|grad u_j|^2 + |grad v_j|^2)^(1/2)."""
-    d = frame.shape[-1]
+    from the real frame R (``_basis_columns``) on ``grid``: 2^n |det R| /
+    prod_j (|grad u_j|^2 + |grad v_j|^2), since |det T| = 2^n and columns j
+    and n + j of B = R T both have the norm (|grad u_j|^2 + |grad v_j|^2)^(1/2)."""
+    d = len(grid)
     n = d // 2
 
     def normalized(r):
-        # one entry-major copy, which the norms and the determinant both read
-        r = _entry_major(r)
+        # entry-major (``_frame_tiles``), as the norms and the determinant read
         sq = (r * r).sum(axis=-2)  # squared column norms
         # floored as a product, so zero gradients give 0, not 0 / 0
         norms = np.maximum(np.prod(sq[:, :n] + sq[:, n:], axis=-1), 1e-300)
         return 2.0 ** n * np.abs(_det(r)) / norms
 
-    # a tile holds the entry-major copy of R and, at once, its square or the
-    # determinant's 12 minors and two products, beside the squared norms and
-    # their product: 2 d (d + 1) floats a node
-    return slab_map(normalized, frame.shape[:-2], frame.itemsize * 2 * d * (d + 1),
-                    frame)
+    # a tile holds the entry-major copy of R, beside R's stack while the
+    # copy is built from it (d^2 floats a node each), and at once R's square
+    # or the determinant's 12 minors and two products, beside the squared
+    # norms and their product: d (3 d + 2) floats a node
+    return slab_map(normalized, grid, 8 * d * (3 * d + 2), _frame_tiles(frame))
 
 
-def _frame_tiles(frame: np.ndarray):
-    """R as a ``slab_map`` input over a box: each tile one entry-major copy
-    (``_entry_major``), which the solve reads in place, where a node-major
-    copy would be copied again.  A frame broadcast on every grid axis (a
-    linear chart in exact mode) stays the array, so it costs one node."""
+def _frame_tiles(frame):
+    """R (``_basis_columns``) as a ``slab_map`` input: each tile one
+    entry-major copy (``_entry_major``), which the determinant and the solve
+    read in place, where a node-major copy would be copied again.  A frame
+    broadcast on every grid axis (a linear chart in exact mode) stays the
+    array, so it costs one node."""
+    if callable(frame):
+        return lambda tile: _entry_major(frame(tile))
     if not any(frame.strides[:-2]):
         return frame
     return lambda tile: _entry_major(frame[tile])
@@ -237,7 +248,7 @@ def _verified(acs: AlmostComplexStructure, chart: SpencerChart, mode: str,
     count = len(orders)
     per_node = slab_map(pattern, patch.interior(1),
                         8 * (8 * patch.dim ** 2 + 2 * count * (m + 4)),
-                        acs.cot_values(), _frame_tiles(frame))
+                        acs.j_cot.value_tiles(), _frame_tiles(frame))
     shape = per_node.shape[:-1]  # the interior's
     holo = per_node[..., :count * m].reshape(shape + (count, m))
     sups = per_node[..., count * m:].reshape(shape + (count, 4))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import Num, add, div, mul, neg, sub
-from .fields import MatrixField, Patch, _sample, resolve_mode
+from .fields import MatrixField, Patch, resolve_mode
 from .report import interior_sup, node_sup, slab_map, sup_and_node
 
 __all__ = [
@@ -82,12 +82,15 @@ def _square_sup(v: np.ndarray) -> np.ndarray:
     return node_sup(square, in_place=True)
 
 
-def _square_residual(values: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    # a tile holds J^2 and, beside it, the sup of its entries: d^2 + 2 floats
-    # a node
-    d = values.shape[-1]
-    return sup_and_node(slab_map(_square_sup, values.shape[:-2],
-                                 values.itemsize * (d * d + 2), values))
+def _square_residual(m: MatrixField) -> tuple[float, tuple[int, ...]]:
+    """Sup of J^2 + E over the grid and its first worst node, tile by tile
+    over J's ``value_tiles``."""
+    # a tile holds J^2 and the sup of its entries beside the tile of a
+    # tile-resident J, and before them that tile beside its raw values (d^2
+    # floats a node at most, one for each entry): 2 d^2 + 2 floats a node
+    d = m.shape[-1]
+    return sup_and_node(slab_map(_square_sup, m.patch.resolution, 8 * (2 * d * d + 2),
+                                 m.value_tiles()))
 
 
 def _det_scale(values: np.ndarray) -> np.ndarray:
@@ -314,7 +317,9 @@ def validate_acs(m: MatrixField, rep: str = "cot", tolerance: float = ACS_TOLERA
     ``rep`` names the representation the input matrix uses ("cot" acts on
     1-form coefficients, "tan" on vector components).  With ``strict`` a
     residual above tolerance raises ``InvalidStructureError`` carrying the
-    worst node; otherwise the returned structure is flagged invalid.
+    worst node; otherwise the returned structure is flagged invalid.  A
+    tile-resident ``m`` (the hold rule of ``fields``) is sampled tile by
+    tile and keeps no samples.
     """
     r, c = m.shape
     if r != c:
@@ -324,7 +329,7 @@ def validate_acs(m: MatrixField, rep: str = "cot", tolerance: float = ACS_TOLERA
     if r != m.patch.dim:
         raise ValueError(f"matrix dimension {r} does not match patch dimension "
                          f"{m.patch.dim}")
-    residual, node = _square_residual(m.values)
+    residual, node = _square_residual(m)
     if strict and residual > tolerance:
         raise InvalidStructureError(residual, node, tolerance)
     if rep == "cot":
@@ -554,7 +559,7 @@ class BlockDecomposition:
 
         No frame block, P, Q^-1 or J spans the grid: an expression-backed
         structure is sampled tile by tile from its expressions
-        (``fields._sample``), and samples, or a constant's one node, are
+        (``MatrixField.tile``), and samples, or a constant's one node, are
         read as they are, so a constant structure costs one node.  The
         checks raise in the order of ``PQPair`` and ``reconstruct_from_pq``,
         each at its first worst node: ``SingularMatrixError`` where Q is
@@ -564,12 +569,8 @@ class BlockDecomposition:
         """
         patch, conjugated, d = self.patch, self.conjugated, 2 * self.n
         exprs = sum(conjugated.exprs, ()) if conjugated.is_exact else ()
-        if any(e.max_var_index() for e in exprs):
-            def conj(tile):
-                out = _sample(patch, exprs, tile)
-                return out.reshape(out.shape[:-1] + (d, d))
-        else:
-            conj = conjugated.values
+        conj = conjugated.tile if any(e.max_var_index() for e in exprs) \
+            else conjugated.values
         maxima = []  # of the gap and the identities, tile by tile
 
         def tile_round_trip(conj, q):
@@ -646,7 +647,8 @@ def normalize_at_origin(acs: AlmostComplexStructure,
                         ) -> BlockDecomposition:
     """Decompose j_cot around a base node.
 
-    Computes a constant frame G taking ``j_cot(base)`` to ``[[0, E], [-E, 0]]``
+    Computes a constant frame G taking ``j_cot(base)``, read at the base
+    node alone (``MatrixField.tile``), to ``[[0, E], [-E, 0]]``
     (so A, B, C, D all vanish at the base node), keeps G^-1 j_cot G as
     ``conjugated`` and its blocks as ``frame``, and inverts
     ``frame[2] = C(x) - E``, the one block it reads, for ``extract_pq``.
@@ -660,7 +662,7 @@ def normalize_at_origin(acs: AlmostComplexStructure,
     for i, r in zip(base_point, patch.resolution):
         if not 0 <= i < r:
             raise ValueError(f"base point {base_point} is outside the grid")
-    m0 = acs.cot_values()[tuple(base_point)]
+    m0 = acs.j_cot.tile(tuple(slice(i, i + 1) for i in base_point))[(0,) * patch.dim]
     G = normalizing_frame(m0, node=tuple(base_point))
     jg = conjugate_by_constant(acs.j_cot, np.linalg.inv(G), G)
     top, bottom = slice(0, n), slice(n, 2 * n)
@@ -765,15 +767,23 @@ def nijenhuis_residual(acs: AlmostComplexStructure, mode: str = "auto") -> float
     its own derivative stack and forms N from two batched matrix products,
     antisymmetrized once (``_nijenhuis_sup``), so no stack spans the grid.
     The tiles cover the interior, the nodes the sup reads
-    (``MatrixField.derivative_tiles``).
+    (``MatrixField.value_and_derivative_tiles``).  A tile-resident
+    structure is read from one window of its planes, which serves T, C as
+    T's transpose, and in fd mode the halo of the stack, so the pass samples
+    each node once.
     """
     mode = resolve_mode(mode, acs)
     patch = acs.patch
     d = patch.dim
+    tan, stack = acs.j_tan.value_and_derivative_tiles(mode)
+    cot = (lambda tile: np.swapaxes(tan(tile), -1, -2)) if callable(tan) else \
+        acs.cot_values()
     # a tile holds C and T (d^2 floats a node each), its stack (d^3), the
     # kernel's two d^3 temporaries and a few floats of results: at most
-    # 4 d^3 + 4 floats, since d >= 2
-    per_node = slab_map(_nijenhuis_sup, patch.interior(1), 8 * (4 * d ** 3 + 4),
-                        acs.cot_values(), acs.tan_values(),
-                        acs.j_tan.derivative_tiles(mode))
+    # 4 d^3 + 4 floats, since d >= 2.  Beside a tile of one leading-axis
+    # plane or more, the window of a tile-resident T holds up to three
+    # planes a tile plane, ring nodes included: 5 d^2 floats a node.
+    window = 5 * d * d if callable(tan) else 0
+    per_node = slab_map(_nijenhuis_sup, patch.interior(1), 8 * (4 * d ** 3 + 4 + window),
+                        cot, tan, stack)
     return interior_sup(per_node, patch)

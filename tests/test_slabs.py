@@ -16,7 +16,7 @@ import pytest
 
 from spencerkit import fields, holomorphy, hypercomplex, report, spencer, structures
 from spencerkit.cli import main
-from spencerkit.elliptic import assemble_operator
+from spencerkit.elliptic import assemble_operator, ellipticity_certificate
 from spencerkit.fields import ComplexField, EvaluationError, MatrixField, Patch, ScalarField
 from spencerkit.fixtures import (
     conjugated_hypercomplex,
@@ -29,6 +29,7 @@ from spencerkit.fixtures import (
 from spencerkit.holomorphy import antiholo_residual, holo_residual
 from spencerkit.hypercomplex import QuaternionFunction, j_hyperholo_residual, \
     k_hyperholo_residual
+from spencerkit.scene import Scene
 from spencerkit.spencer import SpencerChart, _basis_columns, _normalized_det, \
     superposition_check, transition_holomorphy_check, verify_chart
 from spencerkit.structures import (
@@ -284,7 +285,8 @@ def test_chart_pattern_and_determinant(monkeypatch, pair, m):
     chart = SpencerChart(m, (z1, z2)[:m], (z1, z2)[m:])
 
     def check():
-        return verify_chart(pair.J, chart), _normalized_det(_basis_columns(chart, "fd"))
+        return verify_chart(pair.J, chart), _normalized_det(_basis_columns(chart, "fd"),
+                                                            PATCH.resolution)
 
     (whole, ndet), (slabbed, ndet_slabbed) = whole_and_slabbed(monkeypatch, check)
     assert whole.block_residuals["lead_identity"] > 0.0
@@ -501,15 +503,29 @@ FIELDS = {
 }
 
 
+# one-node tiles at both edges of every axis of PATCH, the others at its centre
+EDGE_NODES = [tuple(slice(i, i + 1) if k == axis else slice(3, 4) for k in range(4))
+              for axis in range(4) for i in (0, 6)]
+
+
 @pytest.mark.parametrize("field, mode", [
     ("type1", "fd"), ("type1", "exact"), ("pulled back", "fd"),
     ("transcendental", "fd"), ("transcendental", "exact")])
-def test_derivative_stack_of_a_tile_is_its_block_of_the_whole(pair, field, mode):
+def test_derivative_stack_of_a_tile_is_its_block_of_the_whole(monkeypatch, pair, field,
+                                                              mode):
+    # an expression field is taken anew and made larger than one tile, so
+    # it holds no samples: each tile is differenced from the samples of the
+    # tile and its halo, taken for it alone; the pulled-back pair's tiles
+    # read its own samples
     m = FIELDS[field](pair)
+    if m.is_exact:
+        m = MatrixField.from_exprs(PATCH, m.exprs)
+        monkeypatch.setattr(report, "SLAB_BYTES", 8 * PATCH.n_points * math.prod(m.shape) - 1)
     whole = m.derivatives(mode)
     for nodes in TILINGS + (6,):  # 6: axis 3 cut at 6, in 686 tiles
-        for tile in report.tiles(PATCH.resolution, nodes):
+        for tile in [*report.tiles(PATCH.resolution, nodes), *EDGE_NODES]:
             assert m.derivatives(mode, tile).tobytes() == whole[tile].tobytes()
+    assert m.is_exact == (m._values is None)
 
 
 def _nijenhuis_peak(grid: int) -> int:
@@ -589,9 +605,11 @@ def test_chart_verification_peak_memory_at_grid_17_is_bounded(tmp_path, capsys):
     # the chart map.  A full-grid complex basis B = R T (20.4 MiB), factored
     # per node, peaked at 52.0 MiB; the real frame and T^-1 in closed form
     # peaked at 34.7 MiB, and the pattern read from [P; Q] alone, with the
-    # holomorphy residuals in the same pass, peaks at 32.7 MiB.
+    # holomorphy residuals in the same pass, at 32.7 MiB.  With J sampled
+    # on each tile and R built on each tile from the chart parts' samples
+    # (2.5 MiB), neither spanning the grid, it peaks at 9.1 MiB.
     peak = _command_peak(tmp_path, capsys, "spencer", "verify", "--chart", "type1")
-    assert peak < 44 * 2**20
+    assert peak < 12 * 2**20
 
 
 def test_moduli_round_trip_peak_memory_at_grid_17_is_bounded(tmp_path, capsys):
@@ -599,10 +617,59 @@ def test_moduli_round_trip_peak_memory_at_grid_17_is_bounded(tmp_path, capsys):
     # (C - E)^-1 2.5 MiB each.  Beside them, the full-grid reconstructed
     # structure peaked at 51.8 MiB; the four frame blocks, P and Q^-1 with
     # the structure rebuilt tile by tile, at 39.8 MiB; one sweep over tiles
-    # of the conjugated structure, sampled from its expressions, peaks at
-    # 19.0 MiB
+    # of the conjugated structure, sampled from its expressions, at 19.0
+    # MiB.  With J sampled on each tile of J^2 + E and read at the base
+    # node alone, it peaks at 8.8 MiB.
     peak = _command_peak(tmp_path, capsys, "acs", "extract-pq")
-    assert peak < 20 * 2**20
+    assert peak < 12 * 2**20
+
+
+def test_nijenhuis_command_peak_memory_at_grid_21_is_bounded(capsys):
+    # 194,481 nodes: the structure's samples are 23.7 MiB.  Held from J^2 + E
+    # on, through the certificate and the Nijenhuis pass, they set a peak of
+    # 32.9 MiB; sampled on each tile of J^2 + E, at the certificate's 10,000
+    # nodes, and on a window of three planes in the Nijenhuis pass, the
+    # command peaks at 9.5 MiB.
+    tracemalloc.start()
+    try:
+        code = main(["acs", "check", str(SCENES / "type1.json"), "--nijenhuis", "--grid",
+                     "21", "--mode", "fd", "--no-meta"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(capsys.readouterr().out)["passed"]
+    assert peak < 12 * 2**20
+
+
+@pytest.mark.parametrize("argv", [
+    ("acs", "check", "--nijenhuis"),
+    ("spencer", "verify", "--chart", "type1"),
+    ("acs", "extract-pq"),
+], ids=["acs-nijenhuis", "spencer", "extract-pq"])
+def test_a_grid_17_command_keeps_no_samples_of_the_structure_or_chart(tmp_path, capsys,
+                                                                      monkeypatch, argv):
+    # at 4D grid 17 the structure's samples (10.2 MiB) exceed one tile, so
+    # every pass samples J on its tiles, and the chart frame R is built on
+    # each tile from the parts' samples: afterwards neither J, in either
+    # representation, nor a chart coordinate holds samples
+    built = []
+
+    def recording(name):
+        original = getattr(Scene, name)
+
+        def record(self, *args):
+            built.append(original(self, *args))
+            return built[-1]
+
+        monkeypatch.setattr(Scene, name, record)
+
+    recording("structure")
+    recording("chart")
+    _command_peak(tmp_path, capsys, *argv)
+    acs, *chart = built
+    fields_held = [acs.j_cot, acs.j_tan] + [f.parts for c in chart for f in c.functions()]
+    assert len(fields_held) == (4 if chart else 2)
+    assert all(f.is_exact and f._values is None for f in fields_held)
 
 
 def test_moduli_round_trip_peak_memory_of_the_shipped_type1_at_grid_13_is_bounded(capsys):
@@ -1207,3 +1274,176 @@ def test_a_chart_solve_has_the_bits_of_one_tile_in_every_tiling(monkeypatch, nam
     for nodes in (125, 75, 2, 1):
         _tiled_by(monkeypatch, nodes)
         assert _outcome(run) == whole
+
+
+# -- tile-resident fields: sampled on each tile, held by nothing --------------
+
+def _transcendental_type1(patch=PATCH):
+    """A type1 whose J runs through transcendental ufuncs."""
+    return type1_structure(patch, ComplexField.from_exprs(
+        patch, "sin(x3 + x1*x4) + exp(0.3*x2)", "cos(x2*x3) - sqrt(2 + x4)"))
+
+
+def _resident(monkeypatch, m):
+    """Let ``m``'s samples exceed one tile: ``report.SLAB_BYTES`` just below
+    them, so ``m`` is tile-resident."""
+    monkeypatch.setattr(report, "SLAB_BYTES", 8 * m.patch.n_points * math.prod(m.shape) - 1)
+
+
+def _resident_checks(acs, chart, h):
+    """Every reader of a structure's J that samples a tile-resident J on its
+    tiles, and the passes after them."""
+    return {
+        "square": lambda: validate_acs(acs.j_cot, tolerance=1e-12).acs_residual,
+        "certificate": lambda: ellipticity_certificate(acs, sample_count=1000, seed=4),
+        "nijenhuis_fd": lambda: nijenhuis_residual(acs, "fd"),
+        "nijenhuis_exact": lambda: nijenhuis_residual(acs, "exact"),
+        "pattern_fd": lambda: verify_chart(acs, chart, "fd"),
+        "round_trip": lambda: (normalize_at_origin(acs, (2, 3, 4, 3)).G.tobytes(),
+                               normalize_at_origin(acs).round_trip()),
+        # a tolerance the pattern and h pass, so that the superposition runs
+        "chart_fd": lambda: superposition_check(acs, chart, h, "fd", 100.0),
+        "chart_exact": lambda: superposition_check(acs, chart, h, "exact", 100.0),
+    }
+
+
+@pytest.mark.parametrize("check", ["square", "certificate", "nijenhuis_fd", "nijenhuis_exact",
+                                   "pattern_fd", "round_trip", "chart_fd", "chart_exact"])
+def test_a_tile_resident_structure_keeps_the_bits_of_its_samples(monkeypatch, check):
+    # the same check on a structure that holds its samples and on one that
+    # is sampled on each tile, in tilings that cut every axis; J is
+    # transcendental, so a sample at a few nodes must keep the bits of the
+    # whole grid's
+    chart = curved_chart(PATCH)
+    h = chart.holo[0] * chart.holo[0]
+    held = _transcendental_type1()
+    assert held.j_cot._values is not None
+    whole = _outcome(_resident_checks(held, chart, h)[check])
+    assert "Error" not in whole
+    _resident(monkeypatch, held.j_cot)
+    acs = _transcendental_type1()
+    run = _resident_checks(acs, chart, h)[check]
+    for nodes in (PATCH.n_points,) + TILINGS + (6,):
+        _tiled_by(monkeypatch, nodes)
+        assert _outcome(run) == whole
+    assert acs.j_cot._values is None and acs.j_tan._values is None
+    assert all(f.parts._values is None for f in chart.functions())
+
+
+@pytest.mark.parametrize("check, box", [
+    ("square", "grid"), ("nijenhuis_fd", "grid"), ("nijenhuis_exact", "interior"),
+    ("pattern_fd", "interior")])
+def test_a_pass_samples_each_node_of_a_tile_resident_j_once(monkeypatch, check, box):
+    # a pass over tiles samples each node of J at most once: the fd
+    # Nijenhuis pass reads each tile and its halo from one window of planes,
+    # which covers the grid, and the chart's pattern pass J on its tiles of
+    # the interior.  Counted pass by pass, in tilings that cut every axis.
+    chart = curved_chart(PATCH)
+    _resident(monkeypatch, _transcendental_type1().j_cot)
+    acs = _transcendental_type1()
+    run = _resident_checks(acs, chart, chart.holo[0])[check]
+    j = {sum(acs.j_cot.exprs, ()), sum(acs.j_tan.exprs, ())}
+    sample, counts = fields._sample, np.zeros(PATCH.resolution, dtype=int)
+
+    def counting(patch, exprs, tile=None):
+        if tuple(exprs) in j:
+            counts[tile or patch.interior(0)] += 1
+        return sample(patch, exprs, tile)
+
+    monkeypatch.setattr(fields, "_sample", counting)
+    covered = PATCH.interior(0) if box == "grid" else PATCH.interior(1)
+    for nodes in TILINGS + (6, 1):
+        _tiled_by(monkeypatch, nodes)
+        counts[...] = 0
+        run()
+        assert counts.max() == 1 and counts[covered].min() == 1
+
+
+def test_the_certificate_at_drawn_nodes_has_the_bits_of_the_gather(monkeypatch):
+    # a 4D grid 11 has 14,641 nodes, more than the 10,000 drawn: a
+    # tile-resident J is evaluated at the drawn nodes alone, with the bits
+    # of those nodes of the whole grid's samples, and so is the certificate
+    patch = Patch.box(2, -1.0, 1.0, 11)
+    held = _transcendental_type1(patch)
+    ref = ellipticity_certificate(held, seed=7)
+    nodes = np.random.default_rng(7).integers(0, patch.n_points, size=10_000)
+    gathered = held.cot_values().reshape(-1, 4, 4)[nodes]
+    _resident(monkeypatch, held.j_cot)
+    acs = _transcendental_type1(patch)
+    assert acs.j_cot.at_nodes(nodes).tobytes() == gathered.tobytes()
+    assert repr(report.jsonable(ellipticity_certificate(acs, seed=7))) == \
+        repr(report.jsonable(ref))
+    assert acs.j_cot._values is None
+
+
+NONFINITE = {
+    "schema": 1, "name": "nonfinite", "dim_half": 2,
+    "patch": {"bounds": [-1.0, 1.0], "resolution": 7},
+    # entry (0, 0) is infinite where x1 = 1, the last plane, entry (1, 0)
+    # where x1 = -1, the first: the whole grid names the first entry, a tile
+    # of the first plane the other
+    "structure": {"kind": "matrix", "rep": "cot",
+                  "entries": [["1/(x1 - 1)", "1", "0", "0"], ["1/(x1 + 1)", "0", "0", "0"],
+                              ["0", "0", "0", "1"], ["0", "0", "-1", "0"]]},
+    "charts": {"z": {"m": 1, "holo": [{"re": "x1", "im": "x2"}],
+                     "complement": [{"re": "x3", "im": "x4"}]}}}
+
+
+@pytest.mark.parametrize("argv", [
+    ("acs", "check", "--nijenhuis"), ("spencer", "verify", "--chart", "z")],
+    ids=["acs-check", "spencer-verify"])
+def test_a_non_finite_tile_raises_the_whole_grid_error(tmp_path, capsys, monkeypatch, argv):
+    # J^2 + E in tiles of 56 nodes: its first tile meets the other entry's
+    # infinity first, and the command still exits 2 with the whole grid's
+    # message and node, as it did when J was sampled whole
+    scene = tmp_path / "nonfinite.json"
+    scene.write_text(json.dumps(NONFINITE))
+    monkeypatch.setattr(report, "SLAB_BYTES", SMALL_SLABS)
+    assert main([*argv[:2], str(scene), *argv[2:], "--mode", "fd", "--no-meta"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("spencerctl: non-finite value in field '1.0 / (x1 - 1.0)' "
+                            "at node (6, 0, 0, 0)\n")
+
+
+def _resident_passes(patch):
+    """The passes whose tiles hold the samples of a tile-resident input, on
+    a 4D ``patch`` in fd mode: J^2 + E over J's tiles, the Nijenhuis pass
+    over a window of J's planes, and the chart frame's guard over R built
+    on each tile from a window of the chart parts' planes.  Each is the
+    module whose ``slab_map`` runs the kernel, the kernel's name, its box,
+    and a check that runs it."""
+    acs = _transcendental_type1(patch)
+    chart = curved_chart(patch)
+    return {
+        "square": (structures, "_square_sup", patch.resolution,
+                   lambda: validate_acs(acs.j_cot, tolerance=1e-12)),
+        "nijenhuis": (structures, "_nijenhuis_sup", patch.interior(1),
+                      lambda: nijenhuis_residual(acs, "fd")),
+        "chart_frame": (spencer, "normalized", patch.resolution,
+                        lambda: verify_chart(acs, chart, "fd")),
+    }
+
+
+@pytest.mark.parametrize("name", ["square", "nijenhuis", "chart_frame"])
+def test_a_tile_resident_pass_holds_at_most_its_declared_bytes(monkeypatch, name):
+    # over a 4D grid 11, in tiles of one and of three indices of the box's
+    # first axis: the tiles of the input sampled for them, and the window of
+    # planes that serves a tile and its halo, count.  The structure and the
+    # chart's four parts are tile-resident.
+    patch = Patch.box(2, -1.0, 1.0, 11)
+    monkeypatch.setattr(report, "SLAB_BYTES", 8 * 4 * patch.n_points - 1)
+    module, kernel_name, box, run = _resident_passes(patch)[name]
+    calls = []
+
+    def recorded(kernel, *args):
+        if kernel.__name__ == kernel_name:
+            calls.append((kernel, *args))
+        return report.slab_map(kernel, *args)
+
+    monkeypatch.setattr(module, "slab_map", recorded)
+    run()
+    (call,) = calls
+    assert call[1] == box and any(callable(x) for x in call[3:])
+    extent = [r.stop - r.start if isinstance(r, slice) else r for r in box]
+    assert 0.0 < _traced_slope(monkeypatch, call, math.prod(extent[1:])) <= call[2]
